@@ -10,10 +10,12 @@ single uniform verdict rule.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .core import (
+    ExponentPair,
     NonnegVector,
     RealVector,
     Weights,
@@ -22,9 +24,12 @@ from .core import (
     p_norm,
 )
 from .errors import (
+    ClarksonError,
+    ConstraintMismatch,
     DominanceViolation,
     ExponentOutOfRange,
     LengthMismatch,
+    NonFiniteGap,
     RegimeViolation,
 )
 
@@ -46,7 +51,18 @@ class InequalityId(enum.Enum):
         for member in cls:
             if member.value == name:
                 return member
-        raise ValueError(f"unknown inequality id {name!r}")
+        raise ClarksonError(f"unknown inequality id {name!r}")
+
+
+class Constraint(enum.Enum):
+    NONNEGATIVE = "nonnegative"
+    SIGNED = "signed"
+    DOMINATED_PAIR = "dominated"
+
+    def within(self, other: "Constraint") -> bool:
+        """True when every input meeting self also meets other."""
+        narrowing = (Constraint.SIGNED, Constraint.NONNEGATIVE, Constraint.DOMINATED_PAIR)
+        return narrowing.index(self) >= narrowing.index(other)
 
 
 class Verdict(enum.Enum):
@@ -109,6 +125,8 @@ def _report(
 ) -> GapReport:
     gap = rhs - lhs
     scale = max(abs(lhs), abs(rhs), 1.0)
+    if not (math.isfinite(gap) and math.isfinite(scale)):
+        raise NonFiniteGap(f"{id.value}: non-finite gap (lhs={lhs!r}, rhs={rhs!r})")
     return GapReport(id, p, q, lhs, rhs, gap, scale, classify(gap, scale, policy))
 
 
@@ -197,22 +215,10 @@ def eval_main_1_7(
     w: Optional[Weights] = None,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapReport:
-    """2(||x||_p^q + ||y||_p^q) <= ||x+y||_p^q + ||x-y||_p^q on nonneg pairs."""
-    return _main_1_7_formula(x, y, p, q, w, policy)
+    """2(||x||_p^q + ||y||_p^q) <= ||x+y||_p^q + ||x-y||_p^q on nonneg pairs.
 
-
-def _main_1_7_formula(
-    x: RealVector,
-    y: RealVector,
-    p: float,
-    q: float,
-    w: Optional[Weights],
-    policy: TolerancePolicy,
-) -> GapReport:
-    """Formula of eval_main_1_7 without the nonnegativity requirement.
-
-    Only guaranteed to hold for nonnegative inputs; the signed case is
-    exploration territory.
+    The formula is total on signed inputs, but only guaranteed to hold
+    for nonnegative ones; the signed case is exploration territory.
     """
     _check_main_regime(p, q)
     nx, ny, ns, nd = _pair_norms(x, y, p, w)
@@ -267,6 +273,93 @@ def halving_substitution(x: RealVector, y: RealVector) -> Tuple[RealVector, Real
     return combine(x, y, "plus"), combine(x, y, "minus")
 
 
+def _unweighted(id: InequalityId, w: Optional[Weights]) -> None:
+    if w is not None:
+        raise ConstraintMismatch(f"{id.value} is stated without weights")
+
+
+def _eval_cor_1_6(x, y, p, q, w, policy) -> GapReport:
+    _unweighted(InequalityId.COR_16, w)
+    if len(x) != 1 or len(y) != 1:
+        raise LengthMismatch("cor-1.6 takes scalars (1-entry vectors)")
+    return eval_corollary_1_6(x.entries[0], y.entries[0], q, policy)
+
+
+def _eval_sumpow_2_12(x, y, p, q, w, policy) -> GapReport:
+    _unweighted(InequalityId.SUMPOW_212, w)
+    return rearrange.sum_power_rearrangement_gap(x, y, q, policy)
+
+
+def _eval_rearr_2_17(x, y, p, q, w, policy) -> GapReport:
+    _unweighted(InequalityId.REARR_GAIN_217, w)
+    return rearrange.rearrangement_norm_gain(x, y, p, q, policy)
+
+
+def _conjugate_exponents(p: float, q: float) -> ExponentPair:
+    return ExponentPair.conjugate(p) if p >= 2.0 else ExponentPair.reverse(p)
+
+
+def _cor_1_6_exponents(p: float, q: float) -> ExponentPair:
+    if q < 2.0:
+        raise RegimeViolation(f"need q >= 2, got {q}")
+    return ExponentPair.scalar(q)
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """Everything the package needs to know about one inequality.
+
+    evaluate(x, y, p, q, w, policy) gives the report on inputs meeting
+    constraint, the widest input set the statement covers.
+    exponents(p, q) builds the ExponentPair to sample at and raises
+    ClarksonError outside the stated regime.  explore, when present, is
+    the formula run on signed inputs in exploration mode.
+    """
+
+    evaluate: Callable[..., GapReport]
+    constraint: Constraint
+    exponents: Callable[[float, float], ExponentPair]
+    explore: Optional[Callable[..., GapReport]] = None
+
+
+REGISTRY: Dict[InequalityId, Inequality] = {
+    InequalityId.C11: Inequality(
+        lambda x, y, p, q, w, policy: eval_clarkson_1_1(x, y, p, w, policy),
+        Constraint.SIGNED, _conjugate_exponents),
+    InequalityId.C12: Inequality(
+        lambda x, y, p, q, w, policy: eval_clarkson_1_2(x, y, p, w, policy),
+        Constraint.SIGNED, _conjugate_exponents),
+    InequalityId.C13_LEFT: Inequality(
+        lambda x, y, p, q, w, policy: eval_clarkson_1_3(x, y, p, w, policy)[0],
+        Constraint.SIGNED, _conjugate_exponents),
+    InequalityId.C13_RIGHT: Inequality(
+        lambda x, y, p, q, w, policy: eval_clarkson_1_3(x, y, p, w, policy)[1],
+        Constraint.SIGNED, _conjugate_exponents),
+    InequalityId.MAIN_17: Inequality(
+        eval_main_1_7, Constraint.NONNEGATIVE, ExponentPair.main, eval_main_1_7),
+    InequalityId.PROP_14: Inequality(
+        eval_prop_1_4, Constraint.DOMINATED_PAIR, ExponentPair.main),
+    InequalityId.COR_16: Inequality(
+        _eval_cor_1_6, Constraint.DOMINATED_PAIR, _cor_1_6_exponents),
+    InequalityId.SUMPOW_212: Inequality(
+        _eval_sumpow_2_12, Constraint.NONNEGATIVE, lambda p, q: ExponentPair.scalar(q)),
+    InequalityId.REARR_GAIN_217: Inequality(
+        _eval_rearr_2_17, Constraint.NONNEGATIVE, ExponentPair.main),
+}
+
+
+def lookup(id: InequalityId) -> Inequality:
+    """The registry entry for id; SWAP_28 has no vector-pair form."""
+    try:
+        return REGISTRY[id]
+    except KeyError:
+        raise ClarksonError(f"{id.value} cannot be evaluated on a vector pair") from None
+
+
+def _nonneg(v: RealVector) -> NonnegVector:
+    return v if isinstance(v, NonnegVector) else NonnegVector(v.entries)
+
+
 def evaluate(
     id: InequalityId,
     x: RealVector,
@@ -277,39 +370,23 @@ def evaluate(
     policy: TolerancePolicy = DEFAULT_POLICY,
     strict: bool = True,
 ) -> GapReport:
-    """Dispatch a pair (x, y) to the evaluator named by id.
+    """Dispatch a pair (x, y) to the evaluator registered for id.
 
-    For the conjugate-pair inequalities q is derived from p and any passed
-    q is ignored.  The rearrangement ids use r = q.  SWAP_28 has no
-    vector-pair form and is not dispatchable here.  strict=False lets
-    MAIN_17 run on signed inputs (exploration only).
+    The signed-input inequalities are the conjugate-pair ones: they derive
+    q from p and ignore any passed q.  The rearrangement ids use r = q.
+    strict=False runs the signed exploration formula where the entry has
+    one (MAIN_17 only).
     """
-    from . import rearrange  # local import to avoid a cycle
-
-    if id is InequalityId.C11:
-        return eval_clarkson_1_1(x, y, p, w, policy)
-    if id is InequalityId.C12:
-        return eval_clarkson_1_2(x, y, p, w, policy)
-    if id is InequalityId.C13_LEFT:
-        return eval_clarkson_1_3(x, y, p, w, policy)[0]
-    if id is InequalityId.C13_RIGHT:
-        return eval_clarkson_1_3(x, y, p, w, policy)[1]
+    entry = lookup(id)
+    if entry.constraint is Constraint.SIGNED:
+        return entry.evaluate(x, y, p, q, w, policy)
     if q is None:
         raise RegimeViolation(f"{id.value} requires an explicit q")
-    if not strict and id is InequalityId.MAIN_17:
-        return _main_1_7_formula(x, y, p, q, w, policy)
-    xn = x if isinstance(x, NonnegVector) else NonnegVector(x.entries)
-    yn = y if isinstance(y, NonnegVector) else NonnegVector(y.entries)
-    if id is InequalityId.MAIN_17:
-        return eval_main_1_7(xn, yn, p, q, w, policy)
-    if id is InequalityId.PROP_14:
-        return eval_prop_1_4(xn, yn, p, q, w, policy)
-    if id is InequalityId.COR_16:
-        if len(xn) != 1 or len(yn) != 1:
-            raise LengthMismatch("cor-1.6 takes scalars (1-entry vectors)")
-        return eval_corollary_1_6(xn.entries[0], yn.entries[0], q, policy)
-    if id is InequalityId.SUMPOW_212:
-        return rearrange.sum_power_rearrangement_gap(xn, yn, q, policy)
-    if id is InequalityId.REARR_GAIN_217:
-        return rearrange.rearrangement_norm_gain(xn, yn, p, q, policy)
-    raise ValueError(f"{id.value} cannot be evaluated on a vector pair")
+    if not strict and entry.explore is not None:
+        return entry.explore(x, y, p, q, w, policy)
+    return entry.evaluate(_nonneg(x), _nonneg(y), p, q, w, policy)
+
+
+# rearrange builds its reports with _report, so it can only be imported
+# once this module's names exist; the evaluators above look it up per call.
+from . import rearrange  # noqa: E402

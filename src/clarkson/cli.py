@@ -1,8 +1,8 @@
 """Command-line front end: verify, scan, search, phi, chi.
 
-Exit codes: 0 = all hold / no violation, 1 = violation found, 2 = usage
-or input error.  CSV cells use shortest round-trip decimal formatting so
-reruns with identical flags and seed are byte-identical.
+Exit codes: 0 = all hold / no violation, 1 = violation found, 2 = usage,
+input or internal error.  CSV cells use shortest round-trip decimal
+formatting so reruns with identical flags and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import json
 import math
 import os
 import sys
+import traceback
 from typing import List, Optional, Sequence
 
 from . import catalog, search, variational
-from .catalog import InequalityId, TolerancePolicy
+from .catalog import Constraint, InequalityId, TolerancePolicy
 from .core import NonnegVector, Weights, validate_vector
 from .errors import ClarksonError
-from .search import Constraint, Distribution, SampleSpec
+from .search import Distribution, SampleSpec
 
 SEED_ENV_VAR = "CLARKSON_SEED"
 
@@ -122,12 +123,7 @@ def _inline_pair(args, require_nonneg: bool):
 
 def cmd_verify(args) -> int:
     ineq = InequalityId.from_cli(args.ineq)
-    nonneg = ineq not in (
-        InequalityId.C11,
-        InequalityId.C12,
-        InequalityId.C13_LEFT,
-        InequalityId.C13_RIGHT,
-    )
+    nonneg = catalog.lookup(ineq).constraint is not Constraint.SIGNED
     pairs = _inline_pair(args, nonneg)
     if pairs is None:
         if args.input is None:
@@ -186,8 +182,7 @@ def cmd_scan(args) -> int:
     spec = _spec_from_args(args)
     policy = _policy(args)
     cells = search.scan_grid(
-        ineq, p_grid, q_grid, spec, args.samples, args.seed, policy,
-        explore=args.explore, workers=args.workers,
+        ineq, p_grid, q_grid, spec, args.samples, args.seed, policy, explore=args.explore
     )
     out, close = _open_out(args.out)
     violated = False
@@ -218,27 +213,20 @@ def cmd_search(args) -> int:
     ineq = InequalityId.from_cli(args.ineq)
     spec = _spec_from_args(args)
     policy = _policy(args)
-    q = args.q_value if args.q_value is not None else None
-    try:
-        exps = search._exps_for(ineq, args.p_value, q if q is not None else args.p_value)
-    except ClarksonError as exc:
-        raise UsageError(str(exc))
-    try:
-        if args.mode == "extremal":
-            outcome = search.extremal_search(
-                ineq, exps, spec, args.budget, args.seed, policy, explore=args.explore
-            )
-        else:
-            outcome = search.counterexample_search(
-                ineq, exps, spec, args.budget, args.seed, policy,
-                explore=args.explore, workers=args.workers,
-            )
-    except ClarksonError as exc:
-        raise UsageError(str(exc))
+    q = args.q_value if args.q_value is not None else args.p_value
+    exps = catalog.lookup(ineq).exponents(args.p_value, q)
+    if args.mode == "extremal":
+        outcome = search.extremal_search(
+            ineq, exps, spec, args.budget, args.seed, policy, explore=args.explore
+        )
+    else:
+        outcome = search.counterexample_search(
+            ineq, exps, spec, args.budget, args.seed, policy, explore=args.explore
+        )
     print(f"status: {outcome.status.value}")
     print(f"evaluations: {outcome.evaluations}")
     print(f"seed: {outcome.seed}")
-    if outcome.evaluations > 0 and outcome.best_report is not None:
+    if outcome.best_report is not None:
         print(f"best_normalized_gap: {_fmt(outcome.normalized_gap)}")
         print(f"best_verdict: {outcome.best_report.verdict.value}")
     if outcome.exploratory:
@@ -346,7 +334,8 @@ def _add_spec_flags(sub):
     sub.add_argument("--weighted", action="store_true")
     sub.add_argument("--explore", action="store_true",
                      help="allow constraint combinations outside the stated regime")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="accepted for compatibility; has no effect (runs are serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,6 +412,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (UsageError, ClarksonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # Exit 1 means a violation was found, so a crash must not reach it.
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -57,3 +57,7 @@ class ConstraintMismatch(ClarksonError):
 
 class EmptyGrid(ClarksonError):
     pass
+
+
+class NonFiniteGap(ClarksonError):
+    pass

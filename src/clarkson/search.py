@@ -2,29 +2,31 @@
 
 Every sample is a pure function of (spec, seed, index) through a
 counter-based Philox stream, so results are bit-identical regardless of
-evaluation order or worker count.  Reductions are min/count only.
+evaluation order.  Reductions are min/count only.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .catalog import (
     DEFAULT_POLICY,
+    Constraint,
     GapReport,
     InequalityId,
     TolerancePolicy,
     Verdict,
     evaluate,
+    lookup,
 )
 from .core import ExponentPair, NonnegVector, RealVector, Weights
-from .errors import ConstraintMismatch, EmptyGrid
+from .errors import ClarksonError, ConstraintMismatch, EmptyGrid
 
 # 2^64 counter blocks per sample index: draws within one sample can never
 # run into the next sample's stream.
@@ -35,12 +37,6 @@ class Distribution(enum.Enum):
     UNIFORM_01 = "uniform"
     EXPONENTIAL_1 = "exponential"
     SPARSE = "sparse"
-
-
-class Constraint(enum.Enum):
-    NONNEGATIVE = "nonnegative"
-    SIGNED = "signed"
-    DOMINATED_PAIR = "dominated"
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    best_report: GapReport
+    best_report: Optional[GapReport]
     witness: Tuple[RealVector, RealVector, float, float, Optional[Weights]]
     normalized_gap: float
     evaluations: int
@@ -116,39 +112,22 @@ def sample_pair(
     return NonnegVector(tuple(a)), NonnegVector(tuple(b)), w
 
 
-_SIGNED_OK = {
-    InequalityId.C11,
-    InequalityId.C12,
-    InequalityId.C13_LEFT,
-    InequalityId.C13_RIGHT,
-}
-_DOMINATED_ONLY = {InequalityId.PROP_14, InequalityId.COR_16}
-
-
 def _check_constraint(id: InequalityId, spec: SampleSpec, explore: bool) -> bool:
     """Return True when the combination is exploratory-only.
 
-    Only MAIN_17 admits a signed exploration mode (its formula is total
-    on signed inputs); dominated-only ids cannot be sampled any other
-    way at all.
+    Inputs narrower than the entry's constraint are always accepted;
+    signed inputs into a nonnegative statement are accepted only with
+    explore=True and only where the entry has an exploration formula.
     """
-    if id in _SIGNED_OK:
+    entry = lookup(id)
+    if spec.constraint.within(entry.constraint):
         return False
-    if id in _DOMINATED_ONLY:
-        if spec.constraint is not Constraint.DOMINATED_PAIR:
-            raise ConstraintMismatch(
-                f"{id.value} requires the dominated constraint, got {spec.constraint.value}"
-            )
-        return False
-    if spec.constraint is Constraint.SIGNED:
-        if id is InequalityId.MAIN_17 and explore:
-            return True
-        raise ConstraintMismatch(
-            f"{id.value} is not stated for signed inputs"
-            + ("" if id is InequalityId.MAIN_17 else "; no exploration mode exists")
-            + ("; pass explore=True" if id is InequalityId.MAIN_17 else "")
-        )
-    return False
+    if spec.constraint is Constraint.SIGNED and entry.explore is not None and explore:
+        return True
+    raise ConstraintMismatch(
+        f"{id.value} is stated for {entry.constraint.value} inputs, got {spec.constraint.value}"
+        + ("; pass explore=True" if entry.explore is not None else "")
+    )
 
 
 def _eval_indices(
@@ -158,30 +137,28 @@ def _eval_indices(
     seed: int,
     indices: range,
     policy: TolerancePolicy,
-    invert: bool,
     strict: bool = True,
-) -> Tuple[float, int, Optional[GapReport], Optional[tuple], int]:
-    """Min-reduce one index chunk: (best_norm_gap, best_index, report, witness, violations)."""
-    best = (math.inf, -1, None, None)
+) -> Tuple[float, Optional[GapReport], Optional[tuple], int]:
+    """Min-reduce an index range: (best_norm_gap, report, witness, violations).
+
+    Indices run in ascending order, so ties go to the lowest index.
+    """
+    best = (math.inf, None, None)
     violations = 0
     for i in indices:
         x, y, w = sample_pair(spec, seed, i)
         rep = evaluate(id, x, y, exps.p, exps.q, w, policy, strict=strict)
-        if invert:
-            rep = replace(rep, lhs=rep.rhs, rhs=rep.lhs, gap=-rep.gap,
-                          verdict=_classify_inverted(rep, policy))
         ng = rep.gap / rep.scale
         if rep.verdict is Verdict.VIOLATED:
             violations += 1
-        if (ng, i) < (best[0], best[1]):
-            best = (ng, i, rep, (x, y, exps.p, exps.q, w))
-    return best[0], best[1], best[2], best[3], violations
+        if ng < best[0]:
+            best = (ng, rep, (x, y, exps.p, exps.q, w))
+    return (*best, violations)
 
 
-def _classify_inverted(rep: GapReport, policy: TolerancePolicy) -> Verdict:
-    from .catalog import classify
-
-    return classify(-rep.gap, rep.scale, policy)
+def _no_result(exps: ExponentPair, evals: int, seed: int, exploratory: bool) -> SearchOutcome:
+    return SearchOutcome(None, (None, None, exps.p, exps.q, None), math.inf, evals,
+                         seed, SearchStatus.BUDGET_EXHAUSTED, exploratory)
 
 
 def counterexample_search(
@@ -192,54 +169,26 @@ def counterexample_search(
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
     explore: bool = False,
-    invert_orientation: bool = False,
-    workers: int = 1,
 ) -> SearchOutcome:
-    """Sample up to budget pairs and return the most negative normalized gap.
-
-    invert_orientation flips every gap before the verdict; it exists so
-    tests can confirm that a genuinely false statement is caught.
-    """
+    """Sample up to budget pairs and return the most negative normalized gap."""
     exploratory = _check_constraint(id, spec, explore)
     if budget <= 0:
-        dummy = _placeholder_report(id, exps)
-        return SearchOutcome(dummy, (None, None, exps.p, exps.q, None), math.inf, 0,
-                             seed, SearchStatus.BUDGET_EXHAUSTED, exploratory)
-    chunks = _split(range(budget), workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda c: _eval_indices(id, exps, spec, seed, c, policy,
-                                            invert_orientation, not exploratory),
-                    chunks,
-                )
-            )
-    else:
-        results = [_eval_indices(id, exps, spec, seed, c, policy, invert_orientation,
-                                 not exploratory)
-                   for c in chunks]
-    best = min(results, key=lambda r: (r[0], r[1]))
-    violations = sum(r[4] for r in results)
+        return _no_result(exps, 0, seed, exploratory)
+    ng, rep, witness, violations = _eval_indices(
+        id, exps, spec, seed, range(budget), policy, not exploratory
+    )
     status = SearchStatus.VIOLATION_FOUND if violations else SearchStatus.NO_VIOLATION
-    return SearchOutcome(best[2], best[3], best[0], budget, seed, status, exploratory)
-
-
-def _placeholder_report(id: InequalityId, exps: ExponentPair) -> GapReport:
-    return GapReport(id, exps.p, exps.q, 0.0, 0.0, 0.0, 1.0, Verdict.BORDERLINE)
-
-
-def _split(idx: range, workers: int) -> List[range]:
-    workers = max(1, workers)
-    n = len(idx)
-    size = (n + workers - 1) // workers
-    return [idx[k : k + size] for k in range(0, n, size)]
+    return SearchOutcome(rep, witness, ng, budget, seed, status, exploratory)
 
 
 def _project(
     xv: np.ndarray, yv: np.ndarray, spec: SampleSpec, p: float
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Clamp onto the constraint set and renormalize ||x||_p = 1."""
+    """Clamp onto the constraint set and renormalize ||x||_p = 1.
+
+    A dominated pair is scaled as a whole, since a common positive factor
+    keeps u >= v; otherwise only x is rescaled.
+    """
     if spec.constraint in (Constraint.NONNEGATIVE, Constraint.DOMINATED_PAIR):
         xv = np.maximum(xv, 0.0)
         yv = np.maximum(yv, 0.0)
@@ -248,6 +197,8 @@ def _project(
     nx = float(np.sum(np.abs(xv) ** p)) ** (1.0 / p)
     if nx == 0.0 or not math.isfinite(nx):
         return None
+    if spec.constraint is Constraint.DOMINATED_PAIR:
+        return xv / nx, yv / nx
     return xv / nx, yv
 
 
@@ -267,9 +218,12 @@ def extremal_search(
 
     Random multistart followed by coordinate-perturbation descent with
     geometric step shrink.  Gaps are homogeneous, so the normalization is
-    what makes "near-equality" meaningful.
+    what makes "near-equality" meaningful.  Weighted specs are rejected:
+    the descent moves the entries only.
     """
     exploratory = _check_constraint(id, spec, explore)
+    if spec.weights:
+        raise ConstraintMismatch("extremal search does not take weights")
     evals = 0
     best_ng = math.inf
     best: Optional[Tuple[GapReport, tuple]] = None
@@ -283,7 +237,7 @@ def extremal_search(
             x = RealVector(tuple(xv)) if spec.constraint is Constraint.SIGNED else NonnegVector(tuple(xv))
             y = RealVector(tuple(yv)) if spec.constraint is Constraint.SIGNED else NonnegVector(tuple(yv))
             rep = evaluate(id, x, y, exps.p, exps.q, None, policy, strict=not exploratory)
-        except Exception:
+        except ClarksonError:
             return None
         finally:
             evals += 1
@@ -294,7 +248,7 @@ def extremal_search(
     for s in range(starts):
         if evals >= budget:
             break
-        x0, y0, _ = sample_pair(replace(spec, weights=False), seed, s)
+        x0, y0, _ = sample_pair(spec, seed, s)
         proj = _project(np.array(x0.entries), np.array(y0.entries), spec, exps.p)
         if proj is None:
             continue
@@ -333,9 +287,7 @@ def extremal_search(
                 step *= 0.5
 
     if best is None:
-        dummy = _placeholder_report(id, exps)
-        return SearchOutcome(dummy, (None, None, exps.p, exps.q, None), math.inf,
-                             evals, seed, SearchStatus.BUDGET_EXHAUSTED, exploratory)
+        return _no_result(exps, evals, seed, exploratory)
     status = SearchStatus.VIOLATION_FOUND if violated else SearchStatus.NO_VIOLATION
     return SearchOutcome(best[0], best[1], best_ng, evals, seed, status, exploratory)
 
@@ -350,16 +302,6 @@ class CellSummary:
     skipped: bool
 
 
-def _cell_valid(id: InequalityId, p: float, q: float) -> bool:
-    if id in (InequalityId.MAIN_17, InequalityId.PROP_14, InequalityId.REARR_GAIN_217):
-        return 2.0 <= p <= q
-    if id is InequalityId.COR_16:
-        return q >= 2.0
-    if id is InequalityId.SUMPOW_212:
-        return q > 1.0
-    return p > 1.0  # conjugate-pair inequalities ignore q
-
-
 def scan_grid(
     id: InequalityId,
     p_grid: Sequence[float],
@@ -369,51 +311,28 @@ def scan_grid(
     seed: int,
     policy: TolerancePolicy = DEFAULT_POLICY,
     explore: bool = False,
-    workers: int = 1,
 ) -> List[CellSummary]:
     """Per-cell minimum normalized gap and violation count over a (p, q) grid.
 
-    Regime-invalid cells are kept in the output, marked skipped.  Sample
-    streams are keyed by cell index so results do not depend on grid
-    iteration order or worker count.
+    Cells outside the regime (where the registry's exponent builder
+    raises) are kept in the output, marked skipped.  Sample streams are
+    keyed by cell index so results do not depend on grid iteration order.
     """
     if not p_grid or not q_grid:
         raise EmptyGrid("empty p or q grid")
     exploratory = _check_constraint(id, spec, explore)
+    build = lookup(id).exponents
     out: List[CellSummary] = []
-    cell_index = 0
-    for p in p_grid:
-        for q in q_grid:
-            if not _cell_valid(id, p, q):
-                out.append(CellSummary(p, q, 0, math.nan, 0, True))
-                cell_index += 1
-                continue
-            exps = _exps_for(id, p, q)
-            base = cell_index * samples_per_cell
-            chunks = _split(range(base, base + samples_per_cell), workers)
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(
-                        pool.map(
-                            lambda c: _eval_indices(id, exps, spec, seed, c, policy,
-                                                    False, not exploratory),
-                            chunks,
-                        )
-                    )
-            else:
-                results = [_eval_indices(id, exps, spec, seed, c, policy, False,
-                                         not exploratory)
-                           for c in chunks]
-            best = min(results, key=lambda r: (r[0], r[1]))
-            violations = sum(r[4] for r in results)
-            out.append(CellSummary(p, q, samples_per_cell, best[0], violations, False))
-            cell_index += 1
+    for cell_index, (p, q) in enumerate(product(p_grid, q_grid)):
+        try:
+            exps = build(p, q)
+        except ClarksonError:
+            out.append(CellSummary(p, q, 0, math.nan, 0, True))
+            continue
+        base = cell_index * samples_per_cell
+        ng, _, _, violations = _eval_indices(
+            id, exps, spec, seed, range(base, base + samples_per_cell), policy,
+            not exploratory,
+        )
+        out.append(CellSummary(p, q, samples_per_cell, ng, violations, False))
     return out
-
-
-def _exps_for(id: InequalityId, p: float, q: float) -> ExponentPair:
-    if id in (InequalityId.MAIN_17, InequalityId.PROP_14, InequalityId.REARR_GAIN_217):
-        return ExponentPair.main(p, q)
-    if id in (InequalityId.COR_16, InequalityId.SUMPOW_212):
-        return ExponentPair.scalar(q)
-    return ExponentPair.conjugate(p) if p >= 2.0 else ExponentPair.reverse(p)

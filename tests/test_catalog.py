@@ -18,8 +18,15 @@ from clarkson.catalog import (
     evaluate,
     halving_substitution,
 )
-from clarkson.core import NonnegVector, RealVector
-from clarkson.errors import DominanceViolation, NegativeEntry, RegimeViolation
+from clarkson.core import NonnegVector, RealVector, Weights
+from clarkson.errors import (
+    ClarksonError,
+    ConstraintMismatch,
+    DominanceViolation,
+    NegativeEntry,
+    NonFiniteGap,
+    RegimeViolation,
+)
 
 POLICY = TolerancePolicy()
 
@@ -290,3 +297,23 @@ class TestDispatch:
     def test_signed_input_rejected_for_main(self):
         with pytest.raises(NegativeEntry):
             evaluate(InequalityId.MAIN_17, RealVector((-1.0,)), RealVector((1.0,)), 2.0, 3.0)
+
+    def test_swap_has_no_pair_form(self):
+        x = NonnegVector((1.0,))
+        with pytest.raises(ClarksonError):
+            evaluate(InequalityId.SWAP_28, x, x, 2.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "id", [InequalityId.COR_16, InequalityId.SUMPOW_212, InequalityId.REARR_GAIN_217]
+    )
+    def test_weights_rejected_where_not_stated(self, id):
+        x, y = NonnegVector((2.0,)), NonnegVector((1.0,))
+        evaluate(id, x, y, 2.0, 3.0)
+        with pytest.raises(ConstraintMismatch):
+            evaluate(id, x, y, 2.0, 3.0, Weights((1.0,)))
+
+    def test_non_finite_gap_is_an_error(self):
+        # ||x||^2 overflows to inf on both sides, so the gap is inf - inf
+        x, y = NonnegVector((1e200, 1.0)), NonnegVector((1e200, 0.0))
+        with pytest.raises(NonFiniteGap):
+            evaluate(InequalityId.MAIN_17, x, y, 2.0, 3.0)

@@ -141,6 +141,51 @@ class TestSearch:
         assert doc["seed"] == 3
 
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dominated_extremal_uses_budget(self, seed, capsys):
+        code, out, _ = run(
+            ["search", "--mode", "extremal", "--ineq", "prop-1.4", "--constraint", "dominated",
+             "--p", "2", "--q", "4", "--nmin", "8", "--nmax", "8", "--budget", "500",
+             "--seed", str(seed)],
+            capsys,
+        )
+        assert code == 0
+        assert "evaluations: 500" in out
+        assert math.isfinite(float(out.split("best_normalized_gap: ")[1].split()[0]))
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--ineq", "bogus", "--x", "1", "--y", "1"], "unknown inequality id"),
+            (["scan", "--ineq", "swap-2.8", "--p-grid", "2:3:1", "--q-grid", "2:3:1",
+              "--samples", "5"], "vector pair"),
+            (["verify", "--ineq", "main-1.7", "--x", "1e200,1", "--y", "1e200,0",
+              "--p", "2.5", "--q", "3"], "OverflowError"),
+            (["verify", "--ineq", "main-1.7", "--x", "1e200,1", "--y", "1e200,0",
+              "--p", "2", "--q", "3"], "non-finite gap"),
+            (["search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "3",
+              "--weighted", "--budget", "10"], "weights"),
+        ],
+    )
+    def test_exit_2_with_error_line(self, argv, message, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("error:") and message in last
+
+    def test_weights_rejected_in_verify(self, tmp_path, capsys):
+        doc = {"pairs": [{"x": [2.0, 0.0], "y": [0.0, 1.0], "w": [1.0, 2.0]}]}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["verify", "--ineq", "sumpow-2.12", "--input", str(path), "--q", "3"], capsys
+        )
+        assert code == 2
+        assert "without weights" in err
+
+
 class TestPhi:
     def test_constant_phi_for_zero_v(self, capsys):
         code, out, _ = run(

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from clarkson.catalog import InequalityId, Verdict, evaluate
+from clarkson.catalog import REGISTRY, InequalityId, Verdict, _report, eval_main_1_7, evaluate
 from clarkson.core import ExponentPair
 from clarkson.errors import ConstraintMismatch, EmptyGrid
 from clarkson.search import (
@@ -17,6 +18,20 @@ from clarkson.search import (
 )
 
 SPEC = SampleSpec(dim_range=(1, 8))
+
+
+@pytest.fixture
+def inverted_main_17(monkeypatch):
+    """Swap the sides of main-1.7's registry entry: a false statement to catch."""
+    entry = REGISTRY[InequalityId.MAIN_17]
+
+    def inverted(x, y, p, q, w, policy):
+        rep = entry.evaluate(x, y, p, q, w, policy)
+        return _report(rep.id, rep.p, rep.q, rep.rhs, rep.lhs, policy)
+
+    monkeypatch.setitem(
+        REGISTRY, InequalityId.MAIN_17, dataclasses.replace(entry, evaluate=inverted)
+    )
 
 
 class TestSamplePair:
@@ -73,14 +88,9 @@ class TestCounterexampleSearch:
         assert out.status is SearchStatus.NO_VIOLATION
         assert out.normalized_gap >= -1e-9
 
-    def test_inverted_orientation_is_caught(self):
+    def test_inverted_orientation_is_caught(self, inverted_main_17):
         out = counterexample_search(
-            InequalityId.MAIN_17,
-            ExponentPair.main(2.0, 3.0),
-            SPEC,
-            200,
-            seed=11,
-            invert_orientation=True,
+            InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0), SPEC, 200, seed=11
         )
         assert out.status is SearchStatus.VIOLATION_FOUND
 
@@ -90,6 +100,7 @@ class TestCounterexampleSearch:
         )
         assert out.status is SearchStatus.BUDGET_EXHAUSTED
         assert out.evaluations == 0
+        assert out.best_report is None
 
     def test_seed_reproducibility(self):
         a = counterexample_search(
@@ -101,25 +112,12 @@ class TestCounterexampleSearch:
         assert a.best_report == b.best_report
         assert a.normalized_gap == b.normalized_gap
 
-    def test_worker_count_does_not_change_result(self):
-        kwargs = dict(id=InequalityId.MAIN_17, exps=ExponentPair.main(2.0, 4.0),
-                      spec=SPEC, budget=400, seed=9)
-        serial = counterexample_search(**kwargs, workers=1)
-        parallel = counterexample_search(**kwargs, workers=4)
-        assert serial.best_report == parallel.best_report
-        assert serial.normalized_gap == parallel.normalized_gap
-
-    def test_soundness_of_witness(self):
+    def test_soundness_of_witness(self, inverted_main_17):
         out = counterexample_search(
-            InequalityId.MAIN_17,
-            ExponentPair.main(2.0, 3.0),
-            SPEC,
-            200,
-            seed=11,
-            invert_orientation=True,
+            InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0), SPEC, 200, seed=11
         )
         x, y, p, q, w = out.witness
-        rep = evaluate(InequalityId.MAIN_17, x, y, p, q, w)
+        rep = eval_main_1_7(x, y, p, q, w)
         # the witness really violates the inverted statement: its true gap
         # is strictly positive
         assert rep.gap > 0
@@ -161,6 +159,13 @@ class TestExtremalSearch:
         )
         assert out.normalized_gap <= 1e-6
 
+    def test_weights_rejected(self):
+        with pytest.raises(ConstraintMismatch):
+            extremal_search(
+                InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0),
+                SampleSpec(weights=True), 100, seed=0,
+            )
+
     def test_extremal_consistency(self):
         spec = SampleSpec(dim_range=(2, 4))
         out = extremal_search(
@@ -191,13 +196,6 @@ class TestScanGrid:
             InequalityId.MAIN_17, [2.0, 3.0], [3.0, 4.0], SPEC, 200, seed=1
         )
         assert all(c.violations == 0 for c in cells if not c.skipped)
-
-    def test_deterministic_across_workers(self):
-        a = scan_grid(InequalityId.MAIN_17, [2.0, 3.0], [3.0, 4.0], SPEC, 100, seed=1)
-        b = scan_grid(
-            InequalityId.MAIN_17, [2.0, 3.0], [3.0, 4.0], SPEC, 100, seed=1, workers=3
-        )
-        assert a == b
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
