@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from .core import (
     ExponentPair,
     NonnegVector,
@@ -142,6 +144,72 @@ def _pair_norms(
     )
 
 
+def _batch_pair_norms(
+    x: np.ndarray, y: np.ndarray, p: float, w: Optional[np.ndarray]
+) -> Tuple[np.ndarray, ...]:
+    """_pair_norms per row of zero-padded (B, nmax) arrays.
+
+    Padding is exact: |0|^p = 0 and 0 +- 0 = 0.  Sums are numpy's, not
+    math.fsum; see search._SCREEN_MARGIN for how far they may differ.
+    """
+    terms = np.abs(np.stack((x, y, x + y, x - y))) ** p
+    if w is not None:
+        terms *= w
+    return tuple(terms.sum(axis=-1) ** (1.0 / p))
+
+
+# Each statement below is written once, as (lhs, rhs) of the four norms
+# (nx, ny, ns, nd) = (||x||, ||y||, ||x+y||, ||x-y||), oriented so that
+# rhs - lhs >= 0 means "holds".  The same function serves the scalar
+# evaluators (floats) and the batch screen ((B,) arrays), and raises for
+# exponents outside its regime on both paths.
+
+
+def _c11_sides(nx, ny, ns, nd, p: float, q: Optional[float] = None):
+    """2(||x||^p + ||y||^p)^(q-1) <= ||x+y||^q + ||x-y||^q, q conjugate to p."""
+    q = conjugate_exponent(p)
+    lhs = 2.0 * (nx**p + ny**p) ** (q - 1.0)
+    rhs = ns**q + nd**q
+    return (rhs, lhs) if p < 2.0 else (lhs, rhs)
+
+
+def _c12_sides(nx, ny, ns, nd, p: float, q: Optional[float] = None):
+    """||x+y||^p + ||x-y||^p <= 2(||x||^q + ||y||^q)^(p-1), q conjugate to p."""
+    q = conjugate_exponent(p)
+    lhs = ns**p + nd**p
+    rhs = 2.0 * (nx**q + ny**q) ** (p - 1.0)
+    return (rhs, lhs) if p < 2.0 else (lhs, rhs)
+
+
+def _c13_sides(nx, ny, ns, nd, p: float, q: Optional[float] = None):
+    """(left, right) sides of 2(||x||^p + ||y||^p) <= mid <= 2^(p-1)(...)."""
+    if p <= 1.0:
+        raise ExponentOutOfRange(f"need p > 1, got {p}")
+    base = nx**p + ny**p
+    mid = ns**p + nd**p
+    left, right = (2.0 * base, mid), (mid, 2.0 ** (p - 1.0) * base)
+    if p < 2.0:
+        return left[::-1], right[::-1]
+    return left, right
+
+
+def _check_main_regime(p: float, q: float) -> None:
+    if not (2.0 <= p <= q):
+        raise RegimeViolation(f"need 2 <= p <= q, got ({p}, {q})")
+
+
+def _main_sides(nx, ny, ns, nd, p: float, q: float):
+    """2(||x||^q + ||y||^q) <= ||x+y||^q + ||x-y||^q, 2 <= p <= q."""
+    _check_main_regime(p, q)
+    return 2.0 * (nx**q + ny**q), ns**q + nd**q
+
+
+def _prop_sides(nu, nv, ns, nd, p: float, q: float):
+    """2(||u||^q + 2^(q-2) ||v||^q) <= ||u+v||^q + ||u-v||^q, u >= v."""
+    _check_main_regime(p, q)
+    return 2.0 * (nu**q + 2.0 ** (q - 2.0) * nv**q), ns**q + nd**q
+
+
 def eval_clarkson_1_1(
     x: RealVector,
     y: RealVector,
@@ -153,13 +221,8 @@ def eval_clarkson_1_1(
 
     q is the conjugate of p; the inequality reverses for 1 < p < 2.
     """
-    q = conjugate_exponent(p)
-    nx, ny, ns, nd = _pair_norms(x, y, p, w)
-    lhs = 2.0 * (nx**p + ny**p) ** (q - 1.0)
-    rhs = ns**q + nd**q
-    if p < 2.0:
-        lhs, rhs = rhs, lhs
-    return _report(InequalityId.C11, p, q, lhs, rhs, policy)
+    lhs, rhs = _c11_sides(*_pair_norms(x, y, p, w), p)
+    return _report(InequalityId.C11, p, conjugate_exponent(p), lhs, rhs, policy)
 
 
 def eval_clarkson_1_2(
@@ -170,13 +233,8 @@ def eval_clarkson_1_2(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapReport:
     """||x+y||_p^p + ||x-y||_p^p <= 2(||x||_p^q + ||y||_p^q)^(p-1)."""
-    q = conjugate_exponent(p)
-    nx, ny, ns, nd = _pair_norms(x, y, p, w)
-    lhs = ns**p + nd**p
-    rhs = 2.0 * (nx**q + ny**q) ** (p - 1.0)
-    if p < 2.0:
-        lhs, rhs = rhs, lhs
-    return _report(InequalityId.C12, p, q, lhs, rhs, policy)
+    lhs, rhs = _c12_sides(*_pair_norms(x, y, p, w), p)
+    return _report(InequalityId.C12, p, conjugate_exponent(p), lhs, rhs, policy)
 
 
 def eval_clarkson_1_3(
@@ -187,24 +245,11 @@ def eval_clarkson_1_3(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> Tuple[GapReport, GapReport]:
     """Two-sided parallelogram-type bounds on ||x+y||_p^p + ||x-y||_p^p."""
-    if p <= 1.0:
-        raise ExponentOutOfRange(f"need p > 1, got {p}")
-    nx, ny, ns, nd = _pair_norms(x, y, p, w)
-    base = nx**p + ny**p
-    mid = ns**p + nd**p
-    left_lhs, left_rhs = 2.0 * base, mid
-    right_lhs, right_rhs = mid, 2.0 ** (p - 1.0) * base
-    if p < 2.0:
-        left_lhs, left_rhs = left_rhs, left_lhs
-        right_lhs, right_rhs = right_rhs, right_lhs
-    left = _report(InequalityId.C13_LEFT, p, p, left_lhs, left_rhs, policy)
-    right = _report(InequalityId.C13_RIGHT, p, p, right_lhs, right_rhs, policy)
-    return left, right
-
-
-def _check_main_regime(p: float, q: float) -> None:
-    if not (2.0 <= p <= q):
-        raise RegimeViolation(f"need 2 <= p <= q, got ({p}, {q})")
+    left, right = _c13_sides(*_pair_norms(x, y, p, w), p)
+    return (
+        _report(InequalityId.C13_LEFT, p, p, *left, policy),
+        _report(InequalityId.C13_RIGHT, p, p, *right, policy),
+    )
 
 
 def eval_main_1_7(
@@ -220,10 +265,7 @@ def eval_main_1_7(
     The formula is total on signed inputs, but only guaranteed to hold
     for nonnegative ones; the signed case is exploration territory.
     """
-    _check_main_regime(p, q)
-    nx, ny, ns, nd = _pair_norms(x, y, p, w)
-    lhs = 2.0 * (nx**q + ny**q)
-    rhs = ns**q + nd**q
+    lhs, rhs = _main_sides(*_pair_norms(x, y, p, w), p, q)
     return _report(InequalityId.MAIN_17, p, q, lhs, rhs, policy)
 
 
@@ -244,11 +286,8 @@ def eval_prop_1_4(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapReport:
     """Improved bound 2(||u||^q + 2^(q-2) ||v||^q) for dominated pairs u >= v."""
-    _check_main_regime(p, q)
     _check_dominance(u, v)
-    nu, nv, ns, nd = _pair_norms(u, v, p, w)
-    lhs = 2.0 * (nu**q + 2.0 ** (q - 2.0) * nv**q)
-    rhs = ns**q + nd**q
+    lhs, rhs = _prop_sides(*_pair_norms(u, v, p, w), p, q)
     return _report(InequalityId.PROP_14, p, q, lhs, rhs, policy)
 
 
@@ -313,32 +352,38 @@ class Inequality:
     constraint, the widest input set the statement covers.
     exponents(p, q) builds the ExponentPair to sample at and raises
     ClarksonError outside the stated regime.  explore, when present, is
-    the formula run on signed inputs in exploration mode.
+    the formula run on signed inputs in exploration mode.  sides, when
+    present, is the statement as (lhs, rhs) of the four pair norms; it is
+    what evaluate (and explore) compute, and batch_normalized_gaps runs
+    it on whole blocks of pairs.
     """
 
     evaluate: Callable[..., GapReport]
     constraint: Constraint
     exponents: Callable[[float, float], ExponentPair]
     explore: Optional[Callable[..., GapReport]] = None
+    sides: Optional[Callable[..., tuple]] = None
 
 
 REGISTRY: Dict[InequalityId, Inequality] = {
     InequalityId.C11: Inequality(
         lambda x, y, p, q, w, policy: eval_clarkson_1_1(x, y, p, w, policy),
-        Constraint.SIGNED, _conjugate_exponents),
+        Constraint.SIGNED, _conjugate_exponents, sides=_c11_sides),
     InequalityId.C12: Inequality(
         lambda x, y, p, q, w, policy: eval_clarkson_1_2(x, y, p, w, policy),
-        Constraint.SIGNED, _conjugate_exponents),
+        Constraint.SIGNED, _conjugate_exponents, sides=_c12_sides),
     InequalityId.C13_LEFT: Inequality(
         lambda x, y, p, q, w, policy: eval_clarkson_1_3(x, y, p, w, policy)[0],
-        Constraint.SIGNED, _conjugate_exponents),
+        Constraint.SIGNED, _conjugate_exponents,
+        sides=lambda *norms_p_q: _c13_sides(*norms_p_q)[0]),
     InequalityId.C13_RIGHT: Inequality(
         lambda x, y, p, q, w, policy: eval_clarkson_1_3(x, y, p, w, policy)[1],
-        Constraint.SIGNED, _conjugate_exponents),
+        Constraint.SIGNED, _conjugate_exponents,
+        sides=lambda *norms_p_q: _c13_sides(*norms_p_q)[1]),
     InequalityId.MAIN_17: Inequality(
-        eval_main_1_7, Constraint.NONNEGATIVE, ExponentPair.main, eval_main_1_7),
+        eval_main_1_7, Constraint.NONNEGATIVE, ExponentPair.main, eval_main_1_7, _main_sides),
     InequalityId.PROP_14: Inequality(
-        eval_prop_1_4, Constraint.DOMINATED_PAIR, ExponentPair.main),
+        eval_prop_1_4, Constraint.DOMINATED_PAIR, ExponentPair.main, sides=_prop_sides),
     InequalityId.COR_16: Inequality(
         _eval_cor_1_6, Constraint.DOMINATED_PAIR, _cor_1_6_exponents),
     InequalityId.SUMPOW_212: Inequality(
@@ -385,6 +430,30 @@ def evaluate(
     if not strict and entry.explore is not None:
         return entry.explore(x, y, p, q, w, policy)
     return entry.evaluate(_nonneg(x), _nonneg(y), p, q, w, policy)
+
+
+def batch_normalized_gaps(
+    id: InequalityId,
+    x: np.ndarray,
+    y: np.ndarray,
+    p: float,
+    q: Optional[float],
+    w: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """gap / scale of entry id's statement on each row of (B, nmax) arrays.
+
+    Rows are zero-padded pairs meeting the entry's constraint; w holds the
+    weights on the same layout.  Overflow gives inf or nan instead of
+    raising, so a non-finite value marks a row whose scalar evaluation
+    may raise.  Only a screen: every verdict comes from evaluate.
+    """
+    sides = lookup(id).sides
+    if sides is None:
+        raise ClarksonError(f"{id.value} has no batch form")
+    with np.errstate(all="ignore"):
+        lhs, rhs = sides(*_batch_pair_norms(x, y, p, w), p, q)
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+        return (rhs - lhs) / scale
 
 
 # rearrange builds its reports with _report, so it can only be imported

@@ -177,6 +177,8 @@ def _spec_from_args(args) -> SampleSpec:
 
 def cmd_scan(args) -> int:
     ineq = InequalityId.from_cli(args.ineq)
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     p_grid = _parse_grid(args.p_grid)
     q_grid = _parse_grid(args.q_grid)
     spec = _spec_from_args(args)
@@ -211,6 +213,8 @@ def cmd_scan(args) -> int:
 
 def cmd_search(args) -> int:
     ineq = InequalityId.from_cli(args.ineq)
+    if args.budget < 0:
+        raise UsageError(f"--budget must be nonnegative, got {args.budget}")
     spec = _spec_from_args(args)
     policy = _policy(args)
     q = args.q_value if args.q_value is not None else args.p_value

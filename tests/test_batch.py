@@ -1,0 +1,214 @@
+"""The block sampler and the batch screen against the scalar path.
+
+search._eval_indices evaluates, for the entries with a batch form, only
+the rows its numpy screen keeps.  Its outcome must equal evaluating every
+row with the scalar evaluate: the same best gap bits, report and witness,
+and the same violation count.  The reference below is that all-scalar
+loop, built on sample_pair.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from clarkson import search
+from clarkson.catalog import (
+    DEFAULT_POLICY,
+    REGISTRY,
+    InequalityId,
+    Verdict,
+    _report,
+    batch_normalized_gaps,
+    evaluate,
+)
+from clarkson.errors import NonFiniteGap
+from clarkson.search import (
+    _BLOCK,
+    _SCREEN_MARGIN,
+    Constraint,
+    Distribution,
+    SampleSpec,
+    counterexample_search,
+    sample_block,
+    sample_pair,
+    scan_grid,
+)
+
+SEED = 2026
+BUDGET = 260  # one full block and part of the next
+
+BATCH_IDS = [id for id, entry in REGISTRY.items() if entry.sides is not None]
+
+# (p, q) per id family: the reverse regime p < 2 for c-1.x, and q/p up
+# to 15 (q = 16 at p = 1.0667, q = 30 at p = 2, q = 45 at p = 3).
+CONJUGATE_PS = (1.0667, 1.5, 3.0)
+MAIN_PQS = ((2.5, 3.7), (2.0, 30.0), (3.0, 45.0))
+
+
+def scalar_reduce(id, exps, spec, seed, indices, policy=DEFAULT_POLICY, strict=True):
+    """(best gap, report, witness, violations, every gap): one evaluate per index."""
+    best = (math.inf, None, None)
+    violations = 0
+    gaps = []
+    for i in indices:
+        x, y, w = sample_pair(spec, seed, i)
+        rep = evaluate(id, x, y, exps.p, exps.q, w, policy, strict=strict)
+        ng = rep.gap / rep.scale
+        gaps.append(ng)
+        violations += rep.verdict is Verdict.VIOLATED
+        if ng < best[0]:
+            best = (ng, rep, (x, y, exps.p, exps.q, w))
+    return (*best, violations, gaps)
+
+
+def batch_gaps(id, exps, spec, seed, indices):
+    """batch_normalized_gaps of every index, block by block."""
+    out = []
+    for b in range(indices.start // _BLOCK, -(-indices.stop // _BLOCK)):
+        block = sample_block(spec, seed, b)
+        ng = batch_normalized_gaps(id, block.x, block.y, exps.p, exps.q, block.w)
+        out.extend(ng[i - b * _BLOCK] for i in indices if i // _BLOCK == b)
+    return out
+
+
+def cases():
+    """(id, constraint, explore) for every combination a search accepts."""
+    out = []
+    for id in BATCH_IDS:
+        entry = REGISTRY[id]
+        for constraint in Constraint:
+            if constraint.within(entry.constraint):
+                out.append((id, constraint, False))
+            elif constraint is Constraint.SIGNED and entry.explore is not None:
+                out.append((id, constraint, True))
+    return out
+
+
+def exponent_pairs(id):
+    build = REGISTRY[id].exponents
+    if REGISTRY[id].constraint is Constraint.SIGNED:
+        return [build(p, p) for p in CONJUGATE_PS]
+    return [build(p, q) for p, q in MAIN_PQS]
+
+
+def assert_same_outcome(got, want):
+    ng, rep, witness, violations = got
+    assert ng.hex() == want[0].hex()
+    assert rep == want[1]
+    assert witness == want[2]
+    assert violations == want[3]
+
+
+@pytest.mark.parametrize(
+    "id, constraint, explore", cases(),
+    ids=lambda v: v.value if hasattr(v, "value") else ("explore" if v else "strict"),
+)
+def test_search_equals_all_scalar_reduction(id, constraint, explore):
+    worst = 0.0
+    for dist in Distribution:
+        for weighted in (False, True):
+            # sparse pairs run up to the longest vectors a spec allows
+            nmax = 64 if dist is Distribution.SPARSE else 16
+            spec = SampleSpec(dim_range=(1, nmax), distribution=dist, constraint=constraint,
+                              density=0.5, weights=weighted)
+            for exps in exponent_pairs(id):
+                *want, gaps = scalar_reduce(id, exps, spec, SEED, range(BUDGET),
+                                            strict=not explore)
+                out = counterexample_search(id, exps, spec, BUDGET, SEED, explore=explore)
+                assert (out.normalized_gap, out.best_report, out.witness) == tuple(want[:3])
+                got = search._eval_indices(id, exps, spec, SEED, range(BUDGET),
+                                           DEFAULT_POLICY, not explore)
+                assert_same_outcome(got, want)
+                batch = batch_gaps(id, exps, spec, SEED, range(BUDGET))
+                worst = max(worst, max(abs(b - s) for b, s in zip(batch, gaps)))
+    assert worst <= _SCREEN_MARGIN / 100
+
+
+def test_violation_counts_match(monkeypatch):
+    """main-1.7 with its sides swapped on both paths is violated almost everywhere."""
+    entry = REGISTRY[InequalityId.MAIN_17]
+
+    def inverted(x, y, p, q, w, policy):
+        rep = entry.evaluate(x, y, p, q, w, policy)
+        return _report(rep.id, rep.p, rep.q, rep.rhs, rep.lhs, policy)
+
+    def inverted_sides(*norms_p_q):
+        lhs, rhs = entry.sides(*norms_p_q)
+        return rhs, lhs
+
+    monkeypatch.setitem(REGISTRY, InequalityId.MAIN_17,
+                        dataclasses.replace(entry, evaluate=inverted, sides=inverted_sides))
+    spec = SampleSpec(dim_range=(1, 8))
+    exps = entry.exponents(2.0, 3.0)
+    want = scalar_reduce(InequalityId.MAIN_17, exps, spec, SEED, range(BUDGET))
+    got = search._eval_indices(InequalityId.MAIN_17, exps, spec, SEED, range(BUDGET),
+                               DEFAULT_POLICY)
+    assert want[3] > 0.9 * BUDGET
+    assert_same_outcome(got, want[:4])
+
+
+@pytest.mark.parametrize("id", [InequalityId.MAIN_17, InequalityId.C11,
+                                InequalityId.REARR_GAIN_217])
+def test_scan_cells_straddling_blocks(id):
+    """100 samples a cell: cells 2 and 5 cross the block boundaries at 256 and 512."""
+    spec = SampleSpec(dim_range=(2, 12))
+    p_grid, q_grid = [2.0, 2.5, 3.0], [3.0, 4.0]
+    cells = scan_grid(id, p_grid, q_grid, spec, 100, SEED)
+    build = REGISTRY[id].exponents
+    for k, cell in enumerate(cells):
+        assert not cell.skipped
+        want = scalar_reduce(id, build(cell.p, cell.q), spec, SEED, range(100 * k, 100 * k + 100))
+        assert cell.min_normalized_gap.hex() == want[0].hex()
+        assert cell.violations == want[3]
+
+
+@pytest.mark.parametrize("constraint", list(Constraint))
+@pytest.mark.parametrize("weighted", [False, True])
+def test_sample_pair_is_the_block_row(constraint, weighted):
+    spec = SampleSpec(dim_range=(3, 9), distribution=Distribution.SPARSE,
+                      constraint=constraint, weights=weighted)
+    for index in (0, 1, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 17):
+        block = sample_block(spec, SEED, index // _BLOCK)
+        r = index % _BLOCK
+        x, y, w = sample_pair(spec, SEED, index)
+        k = int(block.n[r])
+        assert len(x) == len(y) == k
+        assert x.entries == tuple(block.x[r, :k].tolist())
+        assert y.entries == tuple(block.y[r, :k].tolist())
+        assert not block.x[r, k:].any() and not block.y[r, k:].any()
+        if weighted:
+            assert w.masses == tuple(block.w[r, :k].tolist())
+        else:
+            assert w is None and block.w is None
+
+
+def test_blocks_are_read_only():
+    block = sample_block(SampleSpec(), SEED, 0)
+    with pytest.raises(ValueError):
+        block.x[0, 0] = 1.0
+
+
+def test_non_finite_batch_gap_reaches_scalar_path(monkeypatch):
+    """A row whose norms overflow screens as non-finite and raises NonFiniteGap."""
+    real = search.sample_block
+    row = 77
+
+    def with_huge_row(spec, seed, block):
+        blk = real(spec, seed, block)
+        x = blk.x.copy()
+        x[row, 0] = 1e200
+        return dataclasses.replace(blk, x=x)
+
+    monkeypatch.setattr(search, "sample_block", with_huge_row)
+    spec = SampleSpec(dim_range=(1, 4))
+    exps = REGISTRY[InequalityId.MAIN_17].exponents(2.0, 3.0)
+    blk = search.sample_block(spec, SEED, 0)
+    ng = batch_normalized_gaps(InequalityId.MAIN_17, blk.x, blk.y, 2.0, 3.0)
+    assert not np.isfinite(ng[row]) and np.isfinite(np.delete(ng, row)).all()
+    with pytest.raises(NonFiniteGap):
+        counterexample_search(InequalityId.MAIN_17, exps, spec, 100, SEED)
+    # the row before it is the last one evaluated cleanly
+    out = counterexample_search(InequalityId.MAIN_17, exps, spec, row, SEED)
+    assert math.isfinite(out.normalized_gap)

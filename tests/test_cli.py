@@ -167,6 +167,12 @@ class TestErrorExits:
               "--p", "2", "--q", "3"], "non-finite gap"),
             (["search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "3",
               "--weighted", "--budget", "10"], "weights"),
+            (["scan", "--ineq", "main-1.7", "--p-grid", "2:3:1", "--q-grid", "3:4:1",
+              "--samples", "-5"], "--samples"),
+            (["scan", "--ineq", "main-1.7", "--p-grid", "2:3:1", "--q-grid", "3:4:1",
+              "--samples", "0"], "--samples"),
+            (["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--budget", "-1"],
+             "--budget"),
         ],
     )
     def test_exit_2_with_error_line(self, argv, message, capsys):

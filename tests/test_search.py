@@ -22,15 +22,24 @@ SPEC = SampleSpec(dim_range=(1, 8))
 
 @pytest.fixture
 def inverted_main_17(monkeypatch):
-    """Swap the sides of main-1.7's registry entry: a false statement to catch."""
+    """Swap the sides of main-1.7's registry entry: a false statement to catch.
+
+    Both the scalar evaluator and the batch sides are swapped, so the
+    search's screen sees the same false statement as evaluate.
+    """
     entry = REGISTRY[InequalityId.MAIN_17]
 
     def inverted(x, y, p, q, w, policy):
         rep = entry.evaluate(x, y, p, q, w, policy)
         return _report(rep.id, rep.p, rep.q, rep.rhs, rep.lhs, policy)
 
+    def inverted_sides(*norms_p_q):
+        lhs, rhs = entry.sides(*norms_p_q)
+        return rhs, lhs
+
     monkeypatch.setitem(
-        REGISTRY, InequalityId.MAIN_17, dataclasses.replace(entry, evaluate=inverted)
+        REGISTRY, InequalityId.MAIN_17,
+        dataclasses.replace(entry, evaluate=inverted, sides=inverted_sides),
     )
 
 
@@ -93,6 +102,9 @@ class TestCounterexampleSearch:
             InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0), SPEC, 200, seed=11
         )
         assert out.status is SearchStatus.VIOLATION_FOUND
+        # nearly every pair violates the swapped statement, and each is counted
+        (cell,) = scan_grid(InequalityId.MAIN_17, [2.0], [3.0], SPEC, 200, seed=11)
+        assert cell.violations >= 180
 
     def test_zero_budget(self):
         out = counterexample_search(
@@ -151,6 +163,20 @@ class TestExtremalSearch:
             seed=3,
         )
         assert out.normalized_gap <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_descent_reaches_equality_on_every_seed(self, seed):
+        """The pair is normalized jointly, so y cannot grow while the gap stalls."""
+        out = extremal_search(
+            InequalityId.MAIN_17,
+            ExponentPair.main(2.0, 3.0),
+            SampleSpec(dim_range=(2, 4)),
+            5000,
+            seed=seed,
+        )
+        assert abs(out.normalized_gap) <= 5e-16
+        x, y = out.witness[0], out.witness[1]
+        assert max(x.entries + y.entries) <= 1.0
 
     def test_scalar_corollary_minimizer(self):
         spec = SampleSpec(dim_range=(1, 1), constraint=Constraint.DOMINATED_PAIR)
