@@ -144,18 +144,33 @@ def _pair_norms(
     )
 
 
-def _batch_pair_norms(
-    x: np.ndarray, y: np.ndarray, p: float, w: Optional[np.ndarray]
-) -> Tuple[np.ndarray, ...]:
-    """_pair_norms per row of zero-padded (B, nmax) arrays.
+def _batch_power_sums(z: np.ndarray, k: float, w: Optional[np.ndarray], live) -> np.ndarray:
+    """Sum over the last axis of w|z|^k, raising only the entries where live is set.
 
-    Padding is exact: |0|^p = 0 and 0 +- 0 = 0.  Sums are numpy's, not
-    math.fsum; see search._SCREEN_MARGIN for how far they may differ.
+    Entries left out count as 0, which is what the zero padding gives:
+    |0|^k = 0.  Sums are numpy's, not math.fsum; see search._SCREEN_MARGIN
+    for how far they may differ.
     """
-    terms = np.abs(np.stack((x, y, x + y, x - y))) ** p
+    terms = np.power(np.abs(z), k, where=live, out=np.zeros(z.shape))
     if w is not None:
         terms *= w
-    return tuple(terms.sum(axis=-1) ** (1.0 / p))
+    return terms.sum(axis=-1)
+
+
+def _batch_pair_norms(
+    x: np.ndarray, y: np.ndarray, p: float, w: Optional[np.ndarray], live
+) -> Tuple[np.ndarray, ...]:
+    """_pair_norms per row of zero-padded (B, nmax) arrays."""
+    sums = _batch_power_sums(np.stack((x, y, x + y, x - y)), p, w, live)
+    return tuple(sums ** (1.0 / p))
+
+
+def _batch_repaired_sums(
+    x: np.ndarray, y: np.ndarray, k: float, live
+) -> Tuple[np.ndarray, ...]:
+    """Per row, the sums of x^k, y^k, max(x, y)^k and min(x, y)^k."""
+    return tuple(_batch_power_sums(np.stack((x, y, np.maximum(x, y), np.minimum(x, y))),
+                                   k, None, live))
 
 
 # Each statement below is written once, as (lhs, rhs) of the four norms
@@ -208,6 +223,29 @@ def _prop_sides(nu, nv, ns, nd, p: float, q: float):
     """2(||u||^q + 2^(q-2) ||v||^q) <= ||u+v||^q + ||u-v||^q, u >= v."""
     _check_main_regime(p, q)
     return 2.0 * (nu**q + 2.0 ** (q - 2.0) * nv**q), ns**q + nd**q
+
+
+# The re-pairing statements compare power sums instead: (a, b, u, v) are
+# the sums of f(x), f(y), f(max(x, y)) and f(min(x, y)) for an entrywise
+# f, and re-pairing (x, y) into (max, min) never decreases a^e + b^e.
+
+
+def _repaired_sides(a, b, u, v, e: float):
+    """a^e + b^e <= u^e + v^e for the (max, min) re-pairing, e >= 1."""
+    return a**e + b**e, u**e + v**e
+
+
+def _sumpow_exponent(r: float) -> float:
+    """e = r for sumpow-2.12 on the plain sums (f(t) = t)."""
+    if r < 1.0:
+        raise ExponentOutOfRange(f"need r >= 1, got {r}")
+    return r
+
+
+def _rearr_exponent(p: float, q: float) -> float:
+    """e = q/p for rearr-2.17 on the p-th power sums (f(t) = t^p)."""
+    _check_main_regime(p, q)
+    return q / p
 
 
 def eval_clarkson_1_1(
@@ -334,6 +372,16 @@ def _eval_rearr_2_17(x, y, p, q, w, policy) -> GapReport:
     return rearrange.rearrangement_norm_gain(x, y, p, q, policy)
 
 
+def _sumpow_quantities(x, y, p, w, live):
+    _unweighted(InequalityId.SUMPOW_212, w)
+    return _batch_repaired_sums(x, y, 1.0, live)
+
+
+def _rearr_quantities(x, y, p, w, live):
+    _unweighted(InequalityId.REARR_GAIN_217, w)
+    return _batch_repaired_sums(x, y, p, live)
+
+
 def _conjugate_exponents(p: float, q: float) -> ExponentPair:
     return ExponentPair.conjugate(p) if p >= 2.0 else ExponentPair.reverse(p)
 
@@ -353,9 +401,12 @@ class Inequality:
     exponents(p, q) builds the ExponentPair to sample at and raises
     ClarksonError outside the stated regime.  explore, when present, is
     the formula run on signed inputs in exploration mode.  sides, when
-    present, is the statement as (lhs, rhs) of the four pair norms; it is
-    what evaluate (and explore) compute, and batch_normalized_gaps runs
-    it on whole blocks of pairs.
+    present, is the statement as (lhs, rhs) of four quantities of the
+    pair; it is what evaluate (and explore) compute, and
+    batch_normalized_gaps runs it on whole blocks of pairs, with the
+    quantities computed per row by quantities(x, y, p, w, live): the
+    pair norms by default, the re-paired power sums for sumpow-2.12 and
+    rearr-2.17.
     """
 
     evaluate: Callable[..., GapReport]
@@ -363,6 +414,7 @@ class Inequality:
     exponents: Callable[[float, float], ExponentPair]
     explore: Optional[Callable[..., GapReport]] = None
     sides: Optional[Callable[..., tuple]] = None
+    quantities: Callable[..., tuple] = _batch_pair_norms
 
 
 REGISTRY: Dict[InequalityId, Inequality] = {
@@ -387,9 +439,13 @@ REGISTRY: Dict[InequalityId, Inequality] = {
     InequalityId.COR_16: Inequality(
         _eval_cor_1_6, Constraint.DOMINATED_PAIR, _cor_1_6_exponents),
     InequalityId.SUMPOW_212: Inequality(
-        _eval_sumpow_2_12, Constraint.NONNEGATIVE, lambda p, q: ExponentPair.scalar(q)),
+        _eval_sumpow_2_12, Constraint.NONNEGATIVE, lambda p, q: ExponentPair.scalar(q),
+        sides=lambda a, b, u, v, p, q: _repaired_sides(a, b, u, v, _sumpow_exponent(q)),
+        quantities=_sumpow_quantities),
     InequalityId.REARR_GAIN_217: Inequality(
-        _eval_rearr_2_17, Constraint.NONNEGATIVE, ExponentPair.main),
+        _eval_rearr_2_17, Constraint.NONNEGATIVE, ExponentPair.main,
+        sides=lambda a, b, u, v, p, q: _repaired_sides(a, b, u, v, _rearr_exponent(p, q)),
+        quantities=_rearr_quantities),
 }
 
 
@@ -439,19 +495,22 @@ def batch_normalized_gaps(
     p: float,
     q: Optional[float],
     w: Optional[np.ndarray] = None,
+    live=True,
 ) -> np.ndarray:
     """gap / scale of entry id's statement on each row of (B, nmax) arrays.
 
     Rows are zero-padded pairs meeting the entry's constraint; w holds the
-    weights on the same layout.  Overflow gives inf or nan instead of
-    raising, so a non-finite value marks a row whose scalar evaluation
-    may raise.  Only a screen: every verdict comes from evaluate.
+    weights on the same layout, and live marks the entries inside each
+    row's length (a (B, nmax) mask, or True for all), so that only those
+    are raised to a power.  Overflow gives inf or nan instead of raising,
+    so a non-finite value marks a row whose scalar evaluation may raise.
+    Only a screen: every verdict comes from evaluate.
     """
-    sides = lookup(id).sides
-    if sides is None:
+    entry = lookup(id)
+    if entry.sides is None:
         raise ClarksonError(f"{id.value} has no batch form")
     with np.errstate(all="ignore"):
-        lhs, rhs = sides(*_batch_pair_norms(x, y, p, w), p, q)
+        lhs, rhs = entry.sides(*entry.quantities(x, y, p, w, live), p, q)
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         return (rhs - lhs) / scale
 

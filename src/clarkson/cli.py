@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -342,7 +343,13 @@ def _add_spec_flags(sub):
                      help="accepted for compatibility; has no effect (runs are serial)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared after that.
+
+    Parsing leaves the parser unchanged, so main reuses it; callers must
+    not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="clarkson",
         description="Verify and explore Clarkson-type norm inequalities.",

@@ -14,13 +14,21 @@ from typing import FrozenSet
 
 import numpy as np
 
-from .catalog import DEFAULT_POLICY, GapReport, InequalityId, TolerancePolicy, _report
+from .catalog import (
+    DEFAULT_POLICY,
+    GapReport,
+    InequalityId,
+    TolerancePolicy,
+    _rearr_exponent,
+    _repaired_sides,
+    _report,
+    _sumpow_exponent,
+)
 from .core import NonnegVector, sum_abs_powers
 from .errors import (
     DominanceViolation,
     ExponentOutOfRange,
     LengthMismatch,
-    RegimeViolation,
     TooLarge,
 )
 
@@ -90,11 +98,10 @@ def sum_power_rearrangement_gap(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapReport:
     """(sum u)^r + (sum v)^r >= (sum x)^r + (sum y)^r for the (max, min) pair."""
-    if r < 1.0:
-        raise ExponentOutOfRange(f"need r >= 1, got {r}")
+    e = _sumpow_exponent(r)
     pair = dominance_rearrange(x, y)
-    lhs = math.fsum(x.entries) ** r + math.fsum(y.entries) ** r
-    rhs = math.fsum(pair.u.entries) ** r + math.fsum(pair.v.entries) ** r
+    sums = (math.fsum(vec.entries) for vec in (x, y, pair.u, pair.v))
+    lhs, rhs = _repaired_sides(*sums, e)
     return _report(InequalityId.SUMPOW_212, r, r, lhs, rhs, policy)
 
 
@@ -111,12 +118,10 @@ def rearrangement_norm_gain(
     exponent r = q/p; the cross norms ||x+y||_p and ||x-y||_p are
     invariant under the re-pairing.
     """
-    if not (2.0 <= p <= q):
-        raise RegimeViolation(f"need 2 <= p <= q, got ({p}, {q})")
+    e = _rearr_exponent(p, q)
     pair = dominance_rearrange(x, y)
-    e = q / p
-    lhs = sum_abs_powers(x, p) ** e + sum_abs_powers(y, p) ** e
-    rhs = sum_abs_powers(pair.u, p) ** e + sum_abs_powers(pair.v, p) ** e
+    sums = (sum_abs_powers(vec, p) for vec in (x, y, pair.u, pair.v))
+    lhs, rhs = _repaired_sides(*sums, e)
     return _report(InequalityId.REARR_GAIN_217, p, q, lhs, rhs, policy)
 
 

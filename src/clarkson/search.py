@@ -8,10 +8,12 @@ bit-identical regardless of evaluation order.  Earlier versions drew
 one stream per index, so their samples, and the CLI output, for a given
 seed differ from these.
 
-Reductions are min/count only.  For the norm-based statements (the
-registry entries with sides) a whole block is screened with numpy first;
-only the pairs the screen cannot rule out reach the scalar evaluate,
-which decides every verdict, count and witness.
+Reductions are min/count only.  For the registry entries with sides
+(c-1.1, c-1.2, c-1.3-left/right, main-1.7 and prop-1.4 on the pair
+norms, sumpow-2.12 and rearr-2.17 on the re-paired power sums; all but
+cor-1.6) a whole block is screened with numpy first; only the pairs the
+screen cannot rule out reach the scalar evaluate, which decides every
+verdict, count and witness.
 """
 
 from __future__ import annotations
@@ -57,13 +59,17 @@ _STREAM_STRIDE = 1 << 64
 # How far a batch normalized gap may lie from the scalar one, to first
 # order in u = 2^-53, for pairs of n <= nmax entries (pow within 1 ulp
 # on both paths):
-# - each term w|z|^p is within 3u of exact on both paths; math.fsum adds
+# - each term w|z|^k is within 3u of exact on both paths (k = p; k = 1
+#   for sumpow-2.12's plain sums, whose terms are exact); math.fsum adds
 #   u and numpy's sum of n nonnegative terms at most (n - 1)u, so the
-#   two p-sums S agree to (n + 6)u;
+#   two sums S agree to (n + 6)u.  The (max, min) re-pairing only picks
+#   entries, so the re-paired sums obey the same bound;
 # - every side raises S, and each rounded intermediate (the norm
 #   S^(1/p), inner powers and sums, the outer power), to a power of at
 #   most e = max(p, q, p/(p-1)), with at most four roundings a chain on
-#   each path, so the sides agree to delta = e(n + 14)u;
+#   each path, so the sides agree to delta = e(n + 14)u.  The re-paired
+#   statements raise S once, to q/p <= q (rearr-2.17) or r = q
+#   (sumpow-2.12), and add two such powers;
 # - both sides are nonnegative, so |gap| <= scale, and the normalized
 #   gaps agree to 3 delta + 3u.
 # For p in [2, 6], q <= 30 and n <= 64 that is below 8e-13, and the
@@ -259,6 +265,7 @@ def _eval_indices(
             gaps = batch_normalized_gaps(
                 id, block.x[lo:hi], block.y[lo:hi], exps.p, exps.q,
                 None if block.w is None else block.w[lo:hi],
+                np.arange(block.x.shape[1]) < block.n[lo:hi, None],
             )
             rows = lo + _screen(gaps, policy.rel_tol, margin)
         for r in rows:

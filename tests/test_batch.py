@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from clarkson import search
+from clarkson import catalog, search
 from clarkson.catalog import (
     DEFAULT_POLICY,
     REGISTRY,
@@ -23,7 +23,7 @@ from clarkson.catalog import (
     batch_normalized_gaps,
     evaluate,
 )
-from clarkson.errors import NonFiniteGap
+from clarkson.errors import ConstraintMismatch, NonFiniteGap
 from clarkson.search import (
     _BLOCK,
     _SCREEN_MARGIN,
@@ -41,10 +41,16 @@ BUDGET = 260  # one full block and part of the next
 
 BATCH_IDS = [id for id, entry in REGISTRY.items() if entry.sides is not None]
 
+# The statements on the re-paired power sums; they take no weights.
+REPAIRED_IDS = (InequalityId.SUMPOW_212, InequalityId.REARR_GAIN_217)
+
 # (p, q) per id family: the reverse regime p < 2 for c-1.x, and q/p up
-# to 15 (q = 16 at p = 1.0667, q = 30 at p = 2, q = 45 at p = 3).
+# to 15 (q = 16 at p = 1.0667, q = 30 at p = 2, q = 45 at p = 3).  The
+# re-paired statements add p == q: rearr-2.17's outer exponent is then
+# e = 1, both sides are the same sum and every row is borderline.
 CONJUGATE_PS = (1.0667, 1.5, 3.0)
 MAIN_PQS = ((2.5, 3.7), (2.0, 30.0), (3.0, 45.0))
+REPAIRED_PQS = ((2.5, 2.5), *MAIN_PQS)
 
 
 def scalar_reduce(id, exps, spec, seed, indices, policy=DEFAULT_POLICY, strict=True):
@@ -90,7 +96,7 @@ def exponent_pairs(id):
     build = REGISTRY[id].exponents
     if REGISTRY[id].constraint is Constraint.SIGNED:
         return [build(p, p) for p in CONJUGATE_PS]
-    return [build(p, q) for p, q in MAIN_PQS]
+    return [build(p, q) for p, q in (REPAIRED_PQS if id in REPAIRED_IDS else MAIN_PQS)]
 
 
 def assert_same_outcome(got, want):
@@ -108,7 +114,7 @@ def assert_same_outcome(got, want):
 def test_search_equals_all_scalar_reduction(id, constraint, explore):
     worst = 0.0
     for dist in Distribution:
-        for weighted in (False, True):
+        for weighted in (False,) if id in REPAIRED_IDS else (False, True):
             # sparse pairs run up to the longest vectors a spec allows
             nmax = 64 if dist is Distribution.SPARSE else 16
             spec = SampleSpec(dim_range=(1, nmax), distribution=dist, constraint=constraint,
@@ -149,8 +155,7 @@ def test_violation_counts_match(monkeypatch):
     assert_same_outcome(got, want[:4])
 
 
-@pytest.mark.parametrize("id", [InequalityId.MAIN_17, InequalityId.C11,
-                                InequalityId.REARR_GAIN_217])
+@pytest.mark.parametrize("id", [InequalityId.MAIN_17, InequalityId.C11, *REPAIRED_IDS])
 def test_scan_cells_straddling_blocks(id):
     """100 samples a cell: cells 2 and 5 cross the block boundaries at 256 and 512."""
     spec = SampleSpec(dim_range=(2, 12))
@@ -162,6 +167,69 @@ def test_scan_cells_straddling_blocks(id):
         want = scalar_reduce(id, build(cell.p, cell.q), spec, SEED, range(100 * k, 100 * k + 100))
         assert cell.min_normalized_gap.hex() == want[0].hex()
         assert cell.violations == want[3]
+
+
+@pytest.mark.parametrize("id", REPAIRED_IDS)
+def test_weighted_repaired_specs_are_rejected_before_batch_work(id, monkeypatch):
+    def no_batch_work(*args):
+        raise AssertionError("batch sums computed for a weighted spec")
+
+    monkeypatch.setattr(catalog, "_batch_repaired_sums", no_batch_work)
+    spec = SampleSpec(dim_range=(2, 6), weights=True)
+    exps = REGISTRY[id].exponents(2.0, 3.0)
+    with pytest.raises(ConstraintMismatch, match="without weights"):
+        counterexample_search(id, exps, spec, BUDGET, SEED)
+    with pytest.raises(ConstraintMismatch, match="without weights"):
+        scan_grid(id, [2.0], [3.0], spec, 10, SEED)
+
+
+# The scan-long-n sampling: long sparse pairs.
+LONG_SPARSE = SampleSpec(dim_range=(32, 64), distribution=Distribution.SPARSE, density=0.5)
+
+
+def count_evaluate_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(search, "evaluate", counting)
+    return calls
+
+
+def test_screen_evaluates_few_rows_off_the_diagonal(monkeypatch):
+    """rearr-2.17 on long sparse pairs: off the diagonal p == q, the screen
+    keeps about one row (the cell's argmin) of 50."""
+    calls = count_evaluate_calls(monkeypatch)
+    for seed in range(5):
+        for p, q in ((2.0, 3.0), (2.5, 4.0), (3.0, 6.0)):
+            calls.clear()
+            [cell] = scan_grid(InequalityId.REARR_GAIN_217, [p], [q], LONG_SPARSE, 50, seed)
+            assert cell.violations == 0
+            assert 1 <= len(calls) <= 3
+
+
+def test_diagonal_cells_evaluate_every_row(monkeypatch):
+    """At p == q, e = 1: every row ties near gap 0, so the screen keeps it."""
+    calls = count_evaluate_calls(monkeypatch)
+    [cell] = scan_grid(InequalityId.REARR_GAIN_217, [2.5], [2.5], LONG_SPARSE, 50, SEED)
+    assert len(calls) == 50
+    assert abs(cell.min_normalized_gap) < 1e-14
+
+
+@pytest.mark.parametrize("id", BATCH_IDS, ids=lambda id: id.value)
+def test_masked_and_dense_batch_gaps_are_equal(id):
+    """Raising only the live entries leaves every batch gap bit-identical."""
+    spec = SampleSpec(dim_range=(1, 40), distribution=Distribution.SPARSE,
+                      constraint=REGISTRY[id].constraint, weights=id not in REPAIRED_IDS)
+    exps = exponent_pairs(id)[0]
+    block = sample_block(spec, SEED, 1)
+    live = np.arange(block.x.shape[1]) < block.n[:, None]
+    assert not live.all()
+    masked = batch_normalized_gaps(id, block.x, block.y, exps.p, exps.q, block.w, live)
+    dense = batch_normalized_gaps(id, block.x, block.y, exps.p, exps.q, block.w)
+    assert masked.tobytes() == dense.tobytes()
 
 
 @pytest.mark.parametrize("constraint", list(Constraint))

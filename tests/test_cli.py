@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from clarkson.cli import main
+from clarkson.cli import build_parser, main
 
 
 def run(argv, capsys):
@@ -272,3 +272,31 @@ class TestSeedEnvVar:
         )
         assert code == 0
         assert "seed: 99" in out
+
+
+class TestParserReuse:
+    SCAN = ["scan", "--ineq", "rearr-2.17", "--p-grid", "2:3:0.5", "--q-grid", "3:4:1",
+            "--nmin", "4", "--nmax", "9", "--samples", "30", "--seed", "5"]
+    SEARCH = ["search", "--ineq", "main-1.7", "--p", "2.5", "--q", "3.7", "--budget", "300"]
+
+    def fresh(self, argv, capsys):
+        build_parser.cache_clear()
+        return run(argv, capsys)
+
+    def test_back_to_back_calls_equal_fresh_runs(self, capsys, monkeypatch):
+        """One parser serves every call; each call still reads its own seed."""
+        monkeypatch.setenv("CLARKSON_SEED", "11")
+        want = [self.fresh(self.SCAN, capsys), self.fresh(self.SEARCH, capsys)]
+        monkeypatch.setenv("CLARKSON_SEED", "12")
+        want.append(self.fresh(self.SEARCH, capsys))
+        assert "seed: 11" in want[1][1] and "seed: 12" in want[2][1]
+
+        build_parser.cache_clear()
+        got = [run(self.SCAN, capsys)]
+        parser = build_parser()
+        monkeypatch.setenv("CLARKSON_SEED", "11")
+        got.append(run(self.SEARCH, capsys))
+        monkeypatch.setenv("CLARKSON_SEED", "12")
+        got.append(run(self.SEARCH, capsys))
+        assert build_parser() is parser
+        assert got == want
