@@ -144,33 +144,31 @@ def _pair_norms(
     )
 
 
-def _batch_power_sums(z: np.ndarray, k: float, w: Optional[np.ndarray], live) -> np.ndarray:
-    """Sum over the last axis of w|z|^k, raising only the entries where live is set.
+def _batch_power_sums(z: np.ndarray, k: float, w: Optional[np.ndarray]) -> np.ndarray:
+    """Sum over the last axis of w|z|^k, for k >= 1, raising only nonzero entries.
 
-    Entries left out count as 0, which is what the zero padding gives:
-    |0|^k = 0.  Sums are numpy's, not math.fsum; see search._SCREEN_MARGIN
-    for how far they may differ.
+    Zeros, the padding among them, stay 0, which is what |0|^k gives, so
+    the sums equal the dense ones bit for bit.  Sums are numpy's, not
+    math.fsum; see search._SCREEN_MARGIN for how far they may differ.
     """
-    terms = np.power(np.abs(z), k, where=live, out=np.zeros(z.shape))
+    terms = np.power(np.abs(z), k, where=z != 0, out=np.zeros(z.shape))
     if w is not None:
         terms *= w
     return terms.sum(axis=-1)
 
 
 def _batch_pair_norms(
-    x: np.ndarray, y: np.ndarray, p: float, w: Optional[np.ndarray], live
+    x: np.ndarray, y: np.ndarray, p: float, w: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, ...]:
     """_pair_norms per row of zero-padded (B, nmax) arrays."""
-    sums = _batch_power_sums(np.stack((x, y, x + y, x - y)), p, w, live)
+    sums = _batch_power_sums(np.stack((x, y, x + y, x - y)), p, w)
     return tuple(sums ** (1.0 / p))
 
 
-def _batch_repaired_sums(
-    x: np.ndarray, y: np.ndarray, k: float, live
-) -> Tuple[np.ndarray, ...]:
+def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, k: float) -> Tuple[np.ndarray, ...]:
     """Per row, the sums of x^k, y^k, max(x, y)^k and min(x, y)^k."""
     return tuple(_batch_power_sums(np.stack((x, y, np.maximum(x, y), np.minimum(x, y))),
-                                   k, None, live))
+                                   k, None))
 
 
 # Each statement below is written once, as (lhs, rhs) of the four norms
@@ -372,14 +370,14 @@ def _eval_rearr_2_17(x, y, p, q, w, policy) -> GapReport:
     return rearrange.rearrangement_norm_gain(x, y, p, q, policy)
 
 
-def _sumpow_quantities(x, y, p, w, live):
+def _sumpow_quantities(x, y, p, w):
     _unweighted(InequalityId.SUMPOW_212, w)
-    return _batch_repaired_sums(x, y, 1.0, live)
+    return _batch_repaired_sums(x, y, 1.0)
 
 
-def _rearr_quantities(x, y, p, w, live):
+def _rearr_quantities(x, y, p, w):
     _unweighted(InequalityId.REARR_GAIN_217, w)
-    return _batch_repaired_sums(x, y, p, live)
+    return _batch_repaired_sums(x, y, p)
 
 
 def _conjugate_exponents(p: float, q: float) -> ExponentPair:
@@ -404,7 +402,7 @@ class Inequality:
     present, is the statement as (lhs, rhs) of four quantities of the
     pair; it is what evaluate (and explore) compute, and
     batch_normalized_gaps runs it on whole blocks of pairs, with the
-    quantities computed per row by quantities(x, y, p, w, live): the
+    quantities computed per row by quantities(x, y, p, w): the
     pair norms by default, the re-paired power sums for sumpow-2.12 and
     rearr-2.17.
     """
@@ -495,22 +493,19 @@ def batch_normalized_gaps(
     p: float,
     q: Optional[float],
     w: Optional[np.ndarray] = None,
-    live=True,
 ) -> np.ndarray:
     """gap / scale of entry id's statement on each row of (B, nmax) arrays.
 
     Rows are zero-padded pairs meeting the entry's constraint; w holds the
-    weights on the same layout, and live marks the entries inside each
-    row's length (a (B, nmax) mask, or True for all), so that only those
-    are raised to a power.  Overflow gives inf or nan instead of raising,
-    so a non-finite value marks a row whose scalar evaluation may raise.
-    Only a screen: every verdict comes from evaluate.
+    weights on the same layout.  Overflow gives inf or nan instead of
+    raising, so a non-finite value marks a row whose scalar evaluation
+    may raise.  Only a screen: every verdict comes from evaluate.
     """
     entry = lookup(id)
     if entry.sides is None:
         raise ClarksonError(f"{id.value} has no batch form")
     with np.errstate(all="ignore"):
-        lhs, rhs = entry.sides(*entry.quantities(x, y, p, w, live), p, q)
+        lhs, rhs = entry.sides(*entry.quantities(x, y, p, w), p, q)
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         return (rhs - lhs) / scale
 

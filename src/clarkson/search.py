@@ -265,7 +265,6 @@ def _eval_indices(
             gaps = batch_normalized_gaps(
                 id, block.x[lo:hi], block.y[lo:hi], exps.p, exps.q,
                 None if block.w is None else block.w[lo:hi],
-                np.arange(block.x.shape[1]) < block.n[lo:hi, None],
             )
             rows = lo + _screen(gaps, policy.rel_tol, margin)
         for r in rows:

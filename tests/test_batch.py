@@ -219,17 +219,24 @@ def test_diagonal_cells_evaluate_every_row(monkeypatch):
 
 
 @pytest.mark.parametrize("id", BATCH_IDS, ids=lambda id: id.value)
-def test_masked_and_dense_batch_gaps_are_equal(id):
-    """Raising only the live entries leaves every batch gap bit-identical."""
+def test_masked_and_dense_batch_gaps_are_equal(id, monkeypatch):
+    """Raising only the nonzero entries leaves every batch gap bit-identical
+    to raising every entry, padding and sparse zeros included."""
     spec = SampleSpec(dim_range=(1, 40), distribution=Distribution.SPARSE,
                       constraint=REGISTRY[id].constraint, weights=id not in REPAIRED_IDS)
-    exps = exponent_pairs(id)[0]
     block = sample_block(spec, SEED, 1)
-    live = np.arange(block.x.shape[1]) < block.n[:, None]
-    assert not live.all()
-    masked = batch_normalized_gaps(id, block.x, block.y, exps.p, exps.q, block.w, live)
-    dense = batch_normalized_gaps(id, block.x, block.y, exps.p, exps.q, block.w)
-    assert masked.tobytes() == dense.tobytes()
+    assert (block.n < block.x.shape[1]).any()
+
+    def dense_power_sums(z, k, w):
+        terms = np.abs(z) ** k
+        return (terms if w is None else terms * w).sum(axis=-1)
+
+    for exps in exponent_pairs(id):
+        masked = batch_normalized_gaps(id, block.x, block.y, exps.p, exps.q, block.w)
+        with monkeypatch.context() as m:
+            m.setattr(catalog, "_batch_power_sums", dense_power_sums)
+            dense = batch_normalized_gaps(id, block.x, block.y, exps.p, exps.q, block.w)
+        assert masked.tobytes() == dense.tobytes()
 
 
 @pytest.mark.parametrize("constraint", list(Constraint))
