@@ -1,9 +1,9 @@
 """Oriented gap functionals for the Clarkson-type norm inequalities.
 
-Every evaluator returns a GapReport whose gap (rhs - lhs) is oriented so
+Every evaluation returns a GapReport whose gap (rhs - lhs) is oriented so
 that gap >= 0 means "the inequality holds in its stated regime".  For the
 three classical two-sided inequalities the 1 < p < 2 reverse regime is
-absorbed by exchanging lhs and rhs inside the evaluator, so callers see a
+absorbed by exchanging lhs and rhs inside the statement, so callers see a
 single uniform verdict rule.
 """
 
@@ -24,6 +24,7 @@ from .core import (
     combine,
     conjugate_exponent,
     p_norm,
+    sum_abs_powers,
 )
 from .errors import (
     ClarksonError,
@@ -117,7 +118,7 @@ class GapReport:
         return self.gap / self.scale
 
 
-def _report(
+def report(
     id: InequalityId,
     p: float,
     q: float,
@@ -125,6 +126,7 @@ def _report(
     rhs: float,
     policy: TolerancePolicy,
 ) -> GapReport:
+    """The report on lhs <= rhs; a non-finite gap or scale raises NonFiniteGap."""
     gap = rhs - lhs
     scale = max(abs(lhs), abs(rhs), 1.0)
     if not (math.isfinite(gap) and math.isfinite(scale)):
@@ -132,8 +134,21 @@ def _report(
     return GapReport(id, p, q, lhs, rhs, gap, scale, classify(gap, scale, policy))
 
 
+def _evaluate(id, x, y, p, q, w, policy, entry=None) -> GapReport:
+    """The report on entry's statement, by default id's as stated here."""
+    if entry is None:
+        entry = _STATEMENTS[id]
+    try:
+        quantities = entry.quantities(x, y, p, q, w)
+        p, q = entry.stated_at(p, q)
+        lhs, rhs = entry.sides(*quantities, p, q)
+    except OverflowError as exc:  # Python's float ** and math.fsum; numpy gives inf
+        raise NonFiniteGap(f"{id.value}: non-finite gap (overflow)") from exc
+    return report(id, p, q, lhs, rhs, policy)
+
+
 def _pair_norms(
-    x: RealVector, y: RealVector, p: float, w: Optional[Weights]
+    x: RealVector, y: RealVector, p: float, q: Optional[float], w: Optional[Weights]
 ) -> Tuple[float, float, float, float]:
     """(||x||, ||y||, ||x+y||, ||x-y||) at exponent p."""
     return (
@@ -158,37 +173,35 @@ def _batch_power_sums(z: np.ndarray, k: float, w: Optional[np.ndarray]) -> np.nd
 
 
 def _batch_pair_norms(
-    x: np.ndarray, y: np.ndarray, p: float, w: Optional[np.ndarray]
+    x: np.ndarray, y: np.ndarray, p: float, q: Optional[float], w: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, ...]:
     """_pair_norms per row of zero-padded (B, nmax) arrays."""
     sums = _batch_power_sums(np.stack((x, y, x + y, x - y)), p, w)
     return tuple(sums ** (1.0 / p))
 
 
-def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, k: float) -> Tuple[np.ndarray, ...]:
-    """Per row, the sums of x^k, y^k, max(x, y)^k and min(x, y)^k."""
-    return tuple(_batch_power_sums(np.stack((x, y, np.maximum(x, y), np.minimum(x, y))),
-                                   k, None))
+def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, k: float, e: float) -> tuple:
+    """Per row, the sums of x^k, y^k, max(x, y)^k and min(x, y)^k; then e."""
+    return (*_batch_power_sums(np.stack((x, y, np.maximum(x, y), np.minimum(x, y))), k, None),
+            e)
 
 
 # Each statement below is written once, as (lhs, rhs) of the four norms
 # (nx, ny, ns, nd) = (||x||, ||y||, ||x+y||, ||x-y||), oriented so that
 # rhs - lhs >= 0 means "holds".  The same function serves the scalar
-# evaluators (floats) and the batch screen ((B,) arrays), and raises for
-# exponents outside its regime on both paths.
+# path (floats) and the batch screen ((B,) arrays); it, or its entry's
+# stated_at, raises for exponents outside the regime on both paths.
 
 
-def _c11_sides(nx, ny, ns, nd, p: float, q: Optional[float] = None):
+def _c11_sides(nx, ny, ns, nd, p: float, q: float):
     """2(||x||^p + ||y||^p)^(q-1) <= ||x+y||^q + ||x-y||^q, q conjugate to p."""
-    q = conjugate_exponent(p)
     lhs = 2.0 * (nx**p + ny**p) ** (q - 1.0)
     rhs = ns**q + nd**q
     return (rhs, lhs) if p < 2.0 else (lhs, rhs)
 
 
-def _c12_sides(nx, ny, ns, nd, p: float, q: Optional[float] = None):
+def _c12_sides(nx, ny, ns, nd, p: float, q: float):
     """||x+y||^p + ||x-y||^p <= 2(||x||^q + ||y||^q)^(p-1), q conjugate to p."""
-    q = conjugate_exponent(p)
     lhs = ns**p + nd**p
     rhs = 2.0 * (nx**q + ny**q) ** (p - 1.0)
     return (rhs, lhs) if p < 2.0 else (lhs, rhs)
@@ -226,9 +239,10 @@ def _prop_sides(nu, nv, ns, nd, p: float, q: float):
 # The re-pairing statements compare power sums instead: (a, b, u, v) are
 # the sums of f(x), f(y), f(max(x, y)) and f(min(x, y)) for an entrywise
 # f, and re-pairing (x, y) into (max, min) never decreases a^e + b^e.
+# Their quantities carry e, checked before any sum is taken.
 
 
-def _repaired_sides(a, b, u, v, e: float):
+def _repaired_sides(a, b, u, v, e: float, p=None, q=None):
     """a^e + b^e <= u^e + v^e for the (max, min) re-pairing, e >= 1."""
     return a**e + b**e, u**e + v**e
 
@@ -257,8 +271,7 @@ def eval_clarkson_1_1(
 
     q is the conjugate of p; the inequality reverses for 1 < p < 2.
     """
-    lhs, rhs = _c11_sides(*_pair_norms(x, y, p, w), p)
-    return _report(InequalityId.C11, p, conjugate_exponent(p), lhs, rhs, policy)
+    return _evaluate(InequalityId.C11, x, y, p, None, w, policy)
 
 
 def eval_clarkson_1_2(
@@ -269,8 +282,7 @@ def eval_clarkson_1_2(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapReport:
     """||x+y||_p^p + ||x-y||_p^p <= 2(||x||_p^q + ||y||_p^q)^(p-1)."""
-    lhs, rhs = _c12_sides(*_pair_norms(x, y, p, w), p)
-    return _report(InequalityId.C12, p, conjugate_exponent(p), lhs, rhs, policy)
+    return _evaluate(InequalityId.C12, x, y, p, None, w, policy)
 
 
 def eval_clarkson_1_3(
@@ -281,11 +293,8 @@ def eval_clarkson_1_3(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> Tuple[GapReport, GapReport]:
     """Two-sided parallelogram-type bounds on ||x+y||_p^p + ||x-y||_p^p."""
-    left, right = _c13_sides(*_pair_norms(x, y, p, w), p)
-    return (
-        _report(InequalityId.C13_LEFT, p, p, *left, policy),
-        _report(InequalityId.C13_RIGHT, p, p, *right, policy),
-    )
+    return tuple(_evaluate(id, x, y, p, None, w, policy)
+                 for id in (InequalityId.C13_LEFT, InequalityId.C13_RIGHT))
 
 
 def eval_main_1_7(
@@ -301,16 +310,16 @@ def eval_main_1_7(
     The formula is total on signed inputs, but only guaranteed to hold
     for nonnegative ones; the signed case is exploration territory.
     """
-    lhs, rhs = _main_sides(*_pair_norms(x, y, p, w), p, q)
-    return _report(InequalityId.MAIN_17, p, q, lhs, rhs, policy)
+    return _evaluate(InequalityId.MAIN_17, x, y, p, q, w, policy)
 
 
-def _check_dominance(u: NonnegVector, v: NonnegVector) -> None:
+def _dominated_norms(u: NonnegVector, v: NonnegVector, p, q, w):
     if len(u) != len(v):
         raise LengthMismatch(f"lengths {len(u)} and {len(v)} differ")
     for i, (a, b) in enumerate(zip(u.entries, v.entries)):
         if a < b:
             raise DominanceViolation(i)
+    return _pair_norms(u, v, p, q, w)
 
 
 def eval_prop_1_4(
@@ -322,9 +331,7 @@ def eval_prop_1_4(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapReport:
     """Improved bound 2(||u||^q + 2^(q-2) ||v||^q) for dominated pairs u >= v."""
-    _check_dominance(u, v)
-    lhs, rhs = _prop_sides(*_pair_norms(u, v, p, w), p, q)
-    return _report(InequalityId.PROP_14, p, q, lhs, rhs, policy)
+    return _evaluate(InequalityId.PROP_14, u, v, p, q, w, policy)
 
 
 def eval_corollary_1_6(
@@ -334,13 +341,7 @@ def eval_corollary_1_6(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapReport:
     """Scalar case: 2(x^q + 2^(q-2) y^q) <= (x+y)^q + (x-y)^q for x >= y >= 0."""
-    if q < 2.0:
-        raise RegimeViolation(f"need q >= 2, got {q}")
-    if y < 0.0 or x < y:
-        raise DominanceViolation(0, f"need x >= y >= 0, got x={x}, y={y}")
-    lhs = 2.0 * (x**q + 2.0 ** (q - 2.0) * y**q)
-    rhs = (x + y) ** q + (x - y) ** q
-    return _report(InequalityId.COR_16, q, q, lhs, rhs, policy)
+    return _evaluate(InequalityId.COR_16, RealVector((x,)), RealVector((y,)), q, q, None, policy)
 
 
 def halving_substitution(x: RealVector, y: RealVector) -> Tuple[RealVector, RealVector]:
@@ -348,36 +349,37 @@ def halving_substitution(x: RealVector, y: RealVector) -> Tuple[RealVector, Real
     return combine(x, y, "plus"), combine(x, y, "minus")
 
 
-def _unweighted(id: InequalityId, w: Optional[Weights]) -> None:
-    if w is not None:
+def _check_weights(id: InequalityId, entry: Inequality, w) -> None:
+    if w is not None and not entry.weighted:
         raise ConstraintMismatch(f"{id.value} is stated without weights")
 
 
-def _eval_cor_1_6(x, y, p, q, w, policy) -> GapReport:
-    _unweighted(InequalityId.COR_16, w)
+def _one_entry_terms(x, y, p, q, w):
+    """(x, y, x+y, x-y): the four norms of one-entry vectors x >= y >= 0."""
     if len(x) != 1 or len(y) != 1:
         raise LengthMismatch("cor-1.6 takes scalars (1-entry vectors)")
-    return eval_corollary_1_6(x.entries[0], y.entries[0], q, policy)
+    if q < 2.0:
+        raise RegimeViolation(f"need q >= 2, got {q}")
+    (a,), (b,) = x.entries, y.entries
+    if b < 0.0 or a < b:
+        raise DominanceViolation(0, f"need x >= y >= 0, got x={a}, y={b}")
+    return a, b, a + b, a - b
 
 
-def _eval_sumpow_2_12(x, y, p, q, w, policy) -> GapReport:
-    _unweighted(InequalityId.SUMPOW_212, w)
-    return rearrange.sum_power_rearrangement_gap(x, y, q, policy)
+def _repaired_sums(x, y, k: float, e: float) -> tuple:
+    """Sums of |.|^k over x, y and their (max, min) re-pairing; then e.
+
+    Ties keep (x_i, y_i) unswapped, as in rearrange.dominance_rearrange.
+    """
+    if len(x) != len(y):
+        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
+    pairs = [(a, b) if a >= b else (b, a) for a, b in zip(x.entries, y.entries)]
+    u, v = (RealVector(side) for side in zip(*pairs))
+    return (*(sum_abs_powers(vec, k) for vec in (x, y, u, v)), e)
 
 
-def _eval_rearr_2_17(x, y, p, q, w, policy) -> GapReport:
-    _unweighted(InequalityId.REARR_GAIN_217, w)
-    return rearrange.rearrangement_norm_gain(x, y, p, q, policy)
-
-
-def _sumpow_quantities(x, y, p, w):
-    _unweighted(InequalityId.SUMPOW_212, w)
-    return _batch_repaired_sums(x, y, 1.0)
-
-
-def _rearr_quantities(x, y, p, w):
-    _unweighted(InequalityId.REARR_GAIN_217, w)
-    return _batch_repaired_sums(x, y, p)
+def _conjugate_q(p: float, q: Optional[float]) -> Tuple[float, float]:
+    return p, conjugate_exponent(p)
 
 
 def _conjugate_exponents(p: float, q: float) -> ExponentPair:
@@ -392,59 +394,62 @@ def _cor_1_6_exponents(p: float, q: float) -> ExponentPair:
 
 @dataclass(frozen=True)
 class Inequality:
-    """Everything the package needs to know about one inequality.
+    """One inequality as plain data.
 
-    evaluate(x, y, p, q, w, policy) gives the report on inputs meeting
-    constraint, the widest input set the statement covers.
-    exponents(p, q) builds the ExponentPair to sample at and raises
-    ClarksonError outside the stated regime.  explore, when present, is
-    the formula run on signed inputs in exploration mode.  sides, when
-    present, is the statement as (lhs, rhs) of four quantities of the
-    pair; it is what evaluate (and explore) compute, and
-    batch_normalized_gaps runs it on whole blocks of pairs, with the
-    quantities computed per row by quantities(x, y, p, w): the
-    pair norms by default, the re-paired power sums for sumpow-2.12 and
-    rearr-2.17.
+    The statement is sides(*quantities, *stated_at(p, q)) -> (lhs, rhs),
+    and its report records stated_at(p, q).  quantities(x, y, p, q, w)
+    are those of one pair, exact (math.fsum sums), after the checks the
+    statement needs; batch_quantities takes the same arguments on (B,
+    nmax) blocks and is None where a block cannot be screened (cor-1.6
+    needs one-entry rows).  constraint is the widest input set covered;
+    explore admits signed inputs in exploration mode; weighted=False
+    rejects weights.  exponents(p, q) builds the ExponentPair to sample
+    at, raising outside the regime.
     """
 
-    evaluate: Callable[..., GapReport]
     constraint: Constraint
     exponents: Callable[[float, float], ExponentPair]
-    explore: Optional[Callable[..., GapReport]] = None
-    sides: Optional[Callable[..., tuple]] = None
-    quantities: Callable[..., tuple] = _batch_pair_norms
+    sides: Callable[..., tuple]
+    quantities: Callable[..., tuple] = _pair_norms
+    batch_quantities: Optional[Callable[..., tuple]] = _batch_pair_norms
+    stated_at: Callable[[float, float], Tuple[float, float]] = lambda p, q: (p, q)
+    weighted: bool = True
+    explore: bool = False
 
 
 REGISTRY: Dict[InequalityId, Inequality] = {
     InequalityId.C11: Inequality(
-        lambda x, y, p, q, w, policy: eval_clarkson_1_1(x, y, p, w, policy),
-        Constraint.SIGNED, _conjugate_exponents, sides=_c11_sides),
+        Constraint.SIGNED, _conjugate_exponents, _c11_sides, stated_at=_conjugate_q),
     InequalityId.C12: Inequality(
-        lambda x, y, p, q, w, policy: eval_clarkson_1_2(x, y, p, w, policy),
-        Constraint.SIGNED, _conjugate_exponents, sides=_c12_sides),
+        Constraint.SIGNED, _conjugate_exponents, _c12_sides, stated_at=_conjugate_q),
     InequalityId.C13_LEFT: Inequality(
-        lambda x, y, p, q, w, policy: eval_clarkson_1_3(x, y, p, w, policy)[0],
-        Constraint.SIGNED, _conjugate_exponents,
-        sides=lambda *norms_p_q: _c13_sides(*norms_p_q)[0]),
+        Constraint.SIGNED, _conjugate_exponents, lambda *norms_p_q: _c13_sides(*norms_p_q)[0],
+        stated_at=lambda p, q: (p, p)),
     InequalityId.C13_RIGHT: Inequality(
-        lambda x, y, p, q, w, policy: eval_clarkson_1_3(x, y, p, w, policy)[1],
-        Constraint.SIGNED, _conjugate_exponents,
-        sides=lambda *norms_p_q: _c13_sides(*norms_p_q)[1]),
+        Constraint.SIGNED, _conjugate_exponents, lambda *norms_p_q: _c13_sides(*norms_p_q)[1],
+        stated_at=lambda p, q: (p, p)),
     InequalityId.MAIN_17: Inequality(
-        eval_main_1_7, Constraint.NONNEGATIVE, ExponentPair.main, eval_main_1_7, _main_sides),
+        Constraint.NONNEGATIVE, ExponentPair.main, _main_sides, explore=True),
     InequalityId.PROP_14: Inequality(
-        eval_prop_1_4, Constraint.DOMINATED_PAIR, ExponentPair.main, sides=_prop_sides),
+        Constraint.DOMINATED_PAIR, ExponentPair.main, _prop_sides, _dominated_norms),
     InequalityId.COR_16: Inequality(
-        _eval_cor_1_6, Constraint.DOMINATED_PAIR, _cor_1_6_exponents),
+        Constraint.DOMINATED_PAIR, _cor_1_6_exponents, _prop_sides, _one_entry_terms,
+        batch_quantities=None, stated_at=lambda p, q: (q, q), weighted=False),
     InequalityId.SUMPOW_212: Inequality(
-        _eval_sumpow_2_12, Constraint.NONNEGATIVE, lambda p, q: ExponentPair.scalar(q),
-        sides=lambda a, b, u, v, p, q: _repaired_sides(a, b, u, v, _sumpow_exponent(q)),
-        quantities=_sumpow_quantities),
+        Constraint.NONNEGATIVE, lambda p, q: ExponentPair.scalar(q), _repaired_sides,
+        lambda x, y, p, q, w: _repaired_sums(x, y, 1.0, _sumpow_exponent(q)),
+        lambda x, y, p, q, w: _batch_repaired_sums(x, y, 1.0, _sumpow_exponent(q)),
+        stated_at=lambda p, q: (q, q), weighted=False),
     InequalityId.REARR_GAIN_217: Inequality(
-        _eval_rearr_2_17, Constraint.NONNEGATIVE, ExponentPair.main,
-        sides=lambda a, b, u, v, p, q: _repaired_sides(a, b, u, v, _rearr_exponent(p, q)),
-        quantities=_rearr_quantities),
+        Constraint.NONNEGATIVE, ExponentPair.main, _repaired_sides,
+        lambda x, y, p, q, w: _repaired_sums(x, y, p, _rearr_exponent(p, q)),
+        lambda x, y, p, q, w: _batch_repaired_sums(x, y, p, _rearr_exponent(p, q)),
+        weighted=False),
 }
+
+# The statements as stated here.  The eval_* functions read them, so a
+# REGISTRY entry swapped at run time (as tests do) leaves them unchanged.
+_STATEMENTS = dict(REGISTRY)
 
 
 def lookup(id: InequalityId) -> Inequality:
@@ -469,21 +474,21 @@ def evaluate(
     policy: TolerancePolicy = DEFAULT_POLICY,
     strict: bool = True,
 ) -> GapReport:
-    """Dispatch a pair (x, y) to the evaluator registered for id.
+    """The report on registry entry id's statement for the pair (x, y).
 
     The signed-input inequalities are the conjugate-pair ones: they derive
-    q from p and ignore any passed q.  The rearrangement ids use r = q.
-    strict=False runs the signed exploration formula where the entry has
-    one (MAIN_17 only).
+    q from p and ignore any passed q.  The others need q (sumpow-2.12 uses
+    r = q) and nonnegative inputs; strict=False lets the entry marked
+    explore (MAIN_17 only) run on signed ones.
     """
     entry = lookup(id)
-    if entry.constraint is Constraint.SIGNED:
-        return entry.evaluate(x, y, p, q, w, policy)
-    if q is None:
-        raise RegimeViolation(f"{id.value} requires an explicit q")
-    if not strict and entry.explore is not None:
-        return entry.explore(x, y, p, q, w, policy)
-    return entry.evaluate(_nonneg(x), _nonneg(y), p, q, w, policy)
+    if entry.constraint is not Constraint.SIGNED:
+        if q is None:
+            raise RegimeViolation(f"{id.value} requires an explicit q")
+        if strict or not entry.explore:
+            x, y = _nonneg(x), _nonneg(y)
+    _check_weights(id, entry, w)
+    return _evaluate(id, x, y, p, q, w, policy, entry)
 
 
 def batch_normalized_gaps(
@@ -502,14 +507,10 @@ def batch_normalized_gaps(
     may raise.  Only a screen: every verdict comes from evaluate.
     """
     entry = lookup(id)
-    if entry.sides is None:
+    if entry.batch_quantities is None:
         raise ClarksonError(f"{id.value} has no batch form")
+    _check_weights(id, entry, w)
     with np.errstate(all="ignore"):
-        lhs, rhs = entry.sides(*entry.quantities(x, y, p, w), p, q)
+        lhs, rhs = entry.sides(*entry.batch_quantities(x, y, p, q, w), *entry.stated_at(p, q))
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         return (rhs - lhs) / scale
-
-
-# rearrange builds its reports with _report, so it can only be imported
-# once this module's names exist; the evaluators above look it up per call.
-from . import rearrange  # noqa: E402

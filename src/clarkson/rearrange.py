@@ -19,12 +19,10 @@ from .catalog import (
     GapReport,
     InequalityId,
     TolerancePolicy,
-    _rearr_exponent,
-    _repaired_sides,
-    _report,
-    _sumpow_exponent,
+    evaluate,
+    report,
 )
-from .core import NonnegVector, sum_abs_powers
+from .core import NonnegVector
 from .errors import (
     DominanceViolation,
     ExponentOutOfRange,
@@ -88,7 +86,7 @@ def check_swap_inequality(
     r = inst.r
     lhs = (inst.A + inst.b) ** r + (inst.B + inst.a) ** r
     rhs = (inst.A + inst.a) ** r + (inst.B + inst.b) ** r
-    return _report(InequalityId.SWAP_28, r, r, lhs, rhs, policy)
+    return report(InequalityId.SWAP_28, r, r, lhs, rhs, policy)
 
 
 def sum_power_rearrangement_gap(
@@ -98,11 +96,7 @@ def sum_power_rearrangement_gap(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapReport:
     """(sum u)^r + (sum v)^r >= (sum x)^r + (sum y)^r for the (max, min) pair."""
-    e = _sumpow_exponent(r)
-    pair = dominance_rearrange(x, y)
-    sums = (math.fsum(vec.entries) for vec in (x, y, pair.u, pair.v))
-    lhs, rhs = _repaired_sides(*sums, e)
-    return _report(InequalityId.SUMPOW_212, r, r, lhs, rhs, policy)
+    return evaluate(InequalityId.SUMPOW_212, x, y, r, r, policy=policy)
 
 
 def rearrangement_norm_gain(
@@ -118,11 +112,7 @@ def rearrangement_norm_gain(
     exponent r = q/p; the cross norms ||x+y||_p and ||x-y||_p are
     invariant under the re-pairing.
     """
-    e = _rearr_exponent(p, q)
-    pair = dominance_rearrange(x, y)
-    sums = (sum_abs_powers(vec, p) for vec in (x, y, pair.u, pair.v))
-    lhs, rhs = _repaired_sides(*sums, e)
-    return _report(InequalityId.REARR_GAIN_217, p, q, lhs, rhs, policy)
+    return evaluate(InequalityId.REARR_GAIN_217, x, y, p, q, policy=policy)
 
 
 def brute_force_swap_oracle(x: NonnegVector, y: NonnegVector, r: float) -> float:

@@ -8,12 +8,12 @@ bit-identical regardless of evaluation order.  Earlier versions drew
 one stream per index, so their samples, and the CLI output, for a given
 seed differ from these.
 
-Reductions are min/count only.  For the registry entries with sides
-(c-1.1, c-1.2, c-1.3-left/right, main-1.7 and prop-1.4 on the pair
-norms, sumpow-2.12 and rearr-2.17 on the re-paired power sums; all but
-cor-1.6) a whole block is screened with numpy first; only the pairs the
-screen cannot rule out reach the scalar evaluate, which decides every
-verdict, count and witness.
+Reductions are min/count only.  For the registry entries with batch
+quantities (c-1.1, c-1.2, c-1.3-left/right, main-1.7 and prop-1.4 on the
+pair norms, sumpow-2.12 and rearr-2.17 on the re-paired power sums; all
+but cor-1.6) a whole block is screened with numpy first; only the pairs
+the screen cannot rule out reach the scalar evaluate, which decides
+every verdict, count and witness.
 """
 
 from __future__ import annotations
@@ -55,6 +55,11 @@ _BLOCK = 256
 # 2^64 counter blocks per sample block: draws within one block can never
 # run into the next block's stream.
 _STREAM_STRIDE = 1 << 64
+
+# Extremal descent: random starts, first and smallest coordinate step.
+_STARTS = 8
+_INITIAL_STEP = 0.1
+_MIN_STEP = 1e-8
 
 # How far a batch normalized gap may lie from the scalar one, to first
 # order in u = 2^-53, for pairs of n <= nmax entries (pow within 1 ulp
@@ -216,11 +221,11 @@ def _check_constraint(id: InequalityId, spec: SampleSpec, explore: bool) -> bool
     entry = lookup(id)
     if spec.constraint.within(entry.constraint):
         return False
-    if spec.constraint is Constraint.SIGNED and entry.explore is not None and explore:
+    if spec.constraint is Constraint.SIGNED and entry.explore and explore:
         return True
     raise ConstraintMismatch(
         f"{id.value} is stated for {entry.constraint.value} inputs, got {spec.constraint.value}"
-        + ("; pass explore=True" if entry.explore is not None else "")
+        + ("; pass explore=True" if entry.explore else "")
     )
 
 
@@ -252,7 +257,7 @@ def _eval_indices(
     evaluate: entries with a batch form evaluate only the rows _screen
     keeps.  Indices run in ascending order, so ties go to the lowest index.
     """
-    batch = lookup(id).sides is not None
+    batch = lookup(id).batch_quantities is not None
     margin = _screen_margin(exps.p, exps.q, spec.dim_range[1])
     best = (math.inf, None, None)
     violations = 0
@@ -331,9 +336,6 @@ def extremal_search(
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
     explore: bool = False,
-    starts: int = 8,
-    initial_step: float = 0.1,
-    min_step: float = 1e-8,
 ) -> SearchOutcome:
     """Minimize the normalized gap over pairs normalized to ||(x, y)||_p = 1.
 
@@ -366,7 +368,7 @@ def extremal_search(
             violated = True
         return rep.gap / rep.scale, rep, (x, y, exps.p, exps.q, None)
 
-    for s in range(starts):
+    for s in range(_STARTS):
         if evals >= budget:
             break
         x0, y0, _ = sample_pair(spec, seed, s)
@@ -380,9 +382,9 @@ def extremal_search(
         cur_ng = cur[0]
         if cur_ng < best_ng:
             best_ng, best = cur_ng, (cur[1], cur[2])
-        step = initial_step
+        step = _INITIAL_STEP
         n = len(xv)
-        while step >= min_step and evals < budget:
+        while step >= _MIN_STEP and evals < budget:
             improved = False
             for vec_idx in (0, 1):
                 for i in range(n):

@@ -27,6 +27,9 @@ from .errors import (
 # wider berth (set by callers).
 BREAKPOINT_RADIUS = 1e-9
 
+# chi_sign_scan counts a value within this of 0 as no sign.
+_ZERO_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class PhiContext:
@@ -198,19 +201,19 @@ class SignScanReport:
     sign_change_intervals: Tuple[Tuple[float, float], ...]
 
 
-def chi_sign_scan(ctx: ChiContext, grid_size: int, zero_tol: float = 1e-12) -> SignScanReport:
+def chi_sign_scan(ctx: ChiContext, grid_size: int) -> SignScanReport:
     """Scan chi over a uniform grid on [0, c] for sign behaviour."""
     if grid_size < 3:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
     ss = [ctx.c * k / (grid_size - 1) for k in range(grid_size)]
     vals = [chi(ctx, s) for s in ss]
-    has_pos = any(v > zero_tol for v in vals)
-    has_neg = any(v < -zero_tol for v in vals)
+    has_pos = any(v > _ZERO_TOL for v in vals)
+    has_neg = any(v < -_ZERO_TOL for v in vals)
     intervals: List[Tuple[float, float]] = []
     prev_sign = 0
     prev_s = ss[0]
     for s, v in zip(ss, vals):
-        sign = 1 if v > zero_tol else (-1 if v < -zero_tol else 0)
+        sign = 1 if v > _ZERO_TOL else (-1 if v < -_ZERO_TOL else 0)
         if sign != 0:
             if prev_sign != 0 and sign != prev_sign:
                 intervals.append((prev_s, s))

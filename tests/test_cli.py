@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from clarkson import catalog
 from clarkson.cli import build_parser, main
 
 
@@ -162,7 +163,7 @@ class TestErrorExits:
             (["scan", "--ineq", "swap-2.8", "--p-grid", "2:3:1", "--q-grid", "2:3:1",
               "--samples", "5"], "vector pair"),
             (["verify", "--ineq", "main-1.7", "--x", "1e200,1", "--y", "1e200,0",
-              "--p", "2.5", "--q", "3"], "OverflowError"),
+              "--p", "2.5", "--q", "3"], "non-finite gap"),
             (["verify", "--ineq", "main-1.7", "--x", "1e200,1", "--y", "1e200,0",
               "--p", "2", "--q", "3"], "non-finite gap"),
             (["search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "3",
@@ -173,6 +174,16 @@ class TestErrorExits:
               "--samples", "0"], "--samples"),
             (["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--budget", "-1"],
              "--budget"),
+            # float ** overflows (OverflowError) instead of giving inf
+            *[(["verify", "--ineq", name, "--x", "1e200,2", "--y", "1e200,1", *pq],
+               f"{name}: non-finite gap")
+              for name, pq in (("prop-1.4", ("--p", "2.5", "--q", "3")),
+                               ("rearr-2.17", ("--p", "2.5", "--q", "3")),
+                               ("c-1.1", ("--p", "1.5")),
+                               ("c-1.3-left", ("--p", "2.5")),
+                               ("sumpow-2.12", ("--q", "3")))],
+            (["verify", "--ineq", "c-1.3-right", "--x", "1e200,2", "--y", "2,1e200", "--p", "2"],
+             "c-1.3-right: non-finite gap"),
         ],
     )
     def test_exit_2_with_error_line(self, argv, message, capsys):
@@ -180,6 +191,16 @@ class TestErrorExits:
         assert code == 2
         last = err.strip().splitlines()[-1]
         assert last.startswith("error:") and message in last
+
+    def test_crash_exits_2_not_1(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(catalog, "evaluate", crash)
+        code, _, err = run(["verify", "--ineq", "main-1.7", "--x", "1", "--y", "1",
+                            "--p", "2", "--q", "3"], capsys)
+        assert code == 2
+        assert err.strip().splitlines()[-1] == "error: internal error: RuntimeError: boom"
 
     def test_weights_rejected_in_verify(self, tmp_path, capsys):
         doc = {"pairs": [{"x": [2.0, 0.0], "y": [0.0, 1.0], "w": [1.0, 2.0]}]}

@@ -2,9 +2,9 @@
 
 For every id this records, as literal tables: whether each input
 constraint is accepted, exploratory or rejected (explore off and on);
-which cells a scan over p in 1:4:0.25, q in 1:6:0.25 skips; and the
-exponents `clarkson search` samples at.  swap-2.8 has no vector-pair
-form and is rejected everywhere.
+which cells a scan over p in 1:4:0.25, q in 1:6:0.25 skips; the
+exponents `clarkson search` samples at; and the rows `clarkson verify`
+prints.  swap-2.8 has no vector-pair form and is rejected everywhere.
 """
 
 import json
@@ -144,3 +144,104 @@ def test_search_exponents(name, tmp_path, capsys):
         assert code == 0, (p, q)
         doc = json.loads(path.read_text())
         assert (doc["p"], doc["q"]) == expected, (p, q)
+
+# Literal `clarkson verify` rows, three pairs valid for each id at fixed (p, q):
+# id -> (--p, --q, pairs (x, y), rows).  Compared as strings, so every output
+# bit of the scalar path is pinned; c-1.1 runs at p < 2, main-1.7 at p == q.
+VERIFY_ROWS = {
+    'c-1.1': (
+        '1.5', None,
+        (([1.0, -2.0], [0.5, 3.0]), ([3.0], [1.0]), ([0.3, 0.7, -1.9], [2.1, -0.7, 1.1])),
+        (
+            'c-1.1,0,1.5,3.0,141.07992876459568,175.89875480733016,34.818826042734486,175.89875480733016,holds',
+            'c-1.1,1,1.5,3.0,71.99999999999997,76.78460969082653,4.7846096908265565,76.78460969082653,holds',
+            'c-1.1,2,1.5,3.0,105.5454214157471,132.89354312740466,27.348121711657555,132.89354312740466,holds',
+        ),
+    ),
+    'c-1.2': (
+        '3', None,
+        (([1.0, -2.0], [0.5, 3.0]), ([3.0], [1.0]), ([0.3, 0.7, -1.9], [2.1, -0.7, 1.1])),
+        (
+            'c-1.2,0,3.0,1.5,129.49999999999994,134.747999967999,5.24799996799905,134.747999967999,holds',
+            'c-1.2,1,3.0,1.5,71.99999999999997,76.78460969082653,4.7846096908265565,76.78460969082653,holds',
+            'c-1.2,2,3.0,1.5,49.91199999999999,71.89182769050596,21.97982769050597,71.89182769050596,holds',
+        ),
+    ),
+    'c-1.3-left': (
+        '2.5', None,
+        (([1.0, -2.0], [0.5, 3.0]), ([3.0], [1.0]), ([0.3, 0.7, -1.9], [2.1, -0.7, 1.1])),
+        (
+            'c-1.3-left,0,2.5,2.5,44.84417642581783,59.83415209342246,14.989975667604632,59.83415209342246,holds',
+            'c-1.3-left,1,2.5,2.5,33.17691453623979,37.65685424949238,4.479939713252591,37.65685424949238,holds',
+            'c-1.3-left,2,2.5,2.5,27.010038614077715,31.75026372325638,4.740225109178667,31.75026372325638,holds',
+        ),
+    ),
+    'c-1.3-right': (
+        '1.25', None,
+        (([1.0, -2.0], [0.5, 3.0]), ([3.0], [1.0]), ([0.3, 0.7, -1.9], [2.1, -0.7, 1.1])),
+        (
+            'c-1.3-right,0,1.25,1.25,9.212887979968773,10.557214993283443,1.34432701331467,10.557214993283443,holds',
+            'c-1.3-right,1,1.25,1.25,5.884460855222584,8.035268479497823,2.150807624275239,8.035268479497823,holds',
+            'c-1.3-right,2,1.25,1.25,8.785629926464896,11.299799778875787,2.514169852410891,11.299799778875787,holds',
+        ),
+    ),
+    'main-1.7': (
+        '3', '3',
+        (([1.0, 2.0], [0.5, 3.0]), ([3.0], [1.0]), ([0.3, 0.7, 1.9], [2.1, 0.7, 0.0])),
+        (
+            'main-1.7,0,3.0,3.0,72.24999999999999,129.49999999999994,57.24999999999996,129.49999999999994,holds',
+            'main-1.7,1,3.0,3.0,56.0,71.99999999999997,15.999999999999972,71.99999999999997,holds',
+            'main-1.7,2,3.0,3.0,33.666,36.11799999999998,2.451999999999984,36.11799999999998,holds',
+        ),
+    ),
+    'prop-1.4': (
+        '2', '3',
+        (([1.0, 3.0], [0.5, 3.0]), ([3.0], [1.0]), ([2.3, 0.7, 1.9], [2.1, 0.1, 0.0])),
+        (
+            'prop-1.4,0,2.0,3.0,175.77666001388465,236.68818526981323,60.91152525592858,236.68818526981323,holds',
+            'prop-1.4,1,2.0,3.0,58.0,72.0,14.0,72.0,holds',
+            'prop-1.4,2,2.0,3.0,94.71782614494279,122.75129785378775,28.033471708844957,122.75129785378775,holds',
+        ),
+    ),
+    'cor-1.6': (
+        '2', '3.5',
+        (([1.0], [0.5]), ([3.0], [3.0]), ([2.25], [0.0])),
+        (
+            'cor-1.6,0,3.5,3.5,2.5,4.221902288594931,1.721902288594931,4.221902288594931,holds',
+            'cor-1.6,1,3.5,3.5,358.07563582930266,529.0897844411664,171.0141486118638,529.0897844411664,holds',
+            'cor-1.6,2,3.5,3.5,34.171875,34.171875,0.0,34.171875,borderline',
+        ),
+    ),
+    'sumpow-2.12': (
+        '2', '2.5',
+        (([1.0, 2.0], [0.5, 3.0]), ([3.0], [1.0]), ([0.3, 0.7, 1.9], [2.1, 0.7, 0.0])),
+        (
+            'sumpow-2.12,0,2.5,2.5,38.50610876211029,41.882117688026185,3.3760089259158974,41.882117688026185,holds',
+            'sumpow-2.12,1,2.5,2.5,16.588457268119896,16.588457268119896,0.0,16.588457268119896,borderline',
+            'sumpow-2.12,2,2.5,2.5,27.440543149798405,48.889978805591475,21.44943565579307,48.889978805591475,holds',
+        ),
+    ),
+    'rearr-2.17': (
+        '2.5', '4',
+        (([1.0, 2.0], [0.5, 3.0]), ([3.0], [1.0]), ([0.3, 0.7, 1.9], [2.1, 0.7, 0.0])),
+        (
+            'rearr-2.17,0,2.5,4.0,103.2348358417066,106.27997424305917,3.045138401352574,106.27997424305917,holds',
+            'rearr-2.17,1,2.5,4.0,82.00000000000003,82.00000000000003,0.0,82.00000000000003,borderline',
+            'rearr-2.17,2,2.5,4.0,36.491551686306174,52.005478645917165,15.513926959610991,52.005478645917165,holds',
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_ROWS))
+def test_verify_rows_are_bit_exact(name, tmp_path, capsys):
+    p, q, pairs, rows = VERIFY_ROWS[name]
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"pairs": [{"x": x, "y": y} for x, y in pairs]}))
+    argv = ["verify", "--ineq", name, "--input", str(path), "--p", p]
+    if q is not None:
+        argv += ["--q", q]
+    code = main(argv)
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert tuple(out[1:]) == rows
