@@ -21,10 +21,11 @@ from .core import (
     NonnegVector,
     RealVector,
     Weights,
+    _check_entries,
+    _p_norm,
+    _sum_abs_powers,
     combine,
     conjugate_exponent,
-    p_norm,
-    sum_abs_powers,
 )
 from .errors import (
     ClarksonError,
@@ -135,11 +136,16 @@ def report(
 
 
 def _evaluate(id, x, y, p, q, w, policy, entry=None) -> GapReport:
-    """The report on entry's statement, by default id's as stated here."""
+    """The report on entry's statement, by default id's as stated here.
+
+    x, y and w are validated vectors and weights; the quantities see
+    their plain float tuples.
+    """
     if entry is None:
         entry = _STATEMENTS[id]
     try:
-        quantities = entry.quantities(x, y, p, q, w)
+        quantities = entry.quantities(
+            x.entries, y.entries, p, q, None if w is None else w.masses)
         p, q = entry.stated_at(p, q)
         lhs, rhs = entry.sides(*quantities, p, q)
     except OverflowError as exc:  # Python's float ** and math.fsum; numpy gives inf
@@ -147,16 +153,15 @@ def _evaluate(id, x, y, p, q, w, policy, entry=None) -> GapReport:
     return report(id, p, q, lhs, rhs, policy)
 
 
-def _pair_norms(
-    x: RealVector, y: RealVector, p: float, q: Optional[float], w: Optional[Weights]
-) -> Tuple[float, float, float, float]:
-    """(||x||, ||y||, ||x+y||, ||x-y||) at exponent p."""
-    return (
-        p_norm(x, p, w),
-        p_norm(y, p, w),
-        p_norm(combine(x, y, "plus"), p, w),
-        p_norm(combine(x, y, "minus"), p, w),
-    )
+def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, float, float]:
+    """(||x||, ||y||, ||x+y||, ||x-y||) at exponent p, on float sequences."""
+    nx, ny = _p_norm(x, p, w), _p_norm(y, p, w)
+    if len(x) != len(y):
+        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
+    # x + y and x - y are checked as RealVector checks them: an overflow
+    # raises NonFiniteEntry at its index.
+    ns = _p_norm(_check_entries([a + b for a, b in zip(x, y)]), p, w)
+    return nx, ny, ns, _p_norm(_check_entries([a - b for a, b in zip(x, y)]), p, w)
 
 
 def _batch_power_sums(z: np.ndarray, k: float, w: Optional[np.ndarray]) -> np.ndarray:
@@ -313,10 +318,10 @@ def eval_main_1_7(
     return _evaluate(InequalityId.MAIN_17, x, y, p, q, w, policy)
 
 
-def _dominated_norms(u: NonnegVector, v: NonnegVector, p, q, w):
+def _dominated_norms(u, v, p, q, w):
     if len(u) != len(v):
         raise LengthMismatch(f"lengths {len(u)} and {len(v)} differ")
-    for i, (a, b) in enumerate(zip(u.entries, v.entries)):
+    for i, (a, b) in enumerate(zip(u, v)):
         if a < b:
             raise DominanceViolation(i)
     return _pair_norms(u, v, p, q, w)
@@ -360,7 +365,7 @@ def _one_entry_terms(x, y, p, q, w):
         raise LengthMismatch("cor-1.6 takes scalars (1-entry vectors)")
     if q < 2.0:
         raise RegimeViolation(f"need q >= 2, got {q}")
-    (a,), (b,) = x.entries, y.entries
+    (a,), (b,) = x, y
     if b < 0.0 or a < b:
         raise DominanceViolation(0, f"need x >= y >= 0, got x={a}, y={b}")
     return a, b, a + b, a - b
@@ -373,9 +378,9 @@ def _repaired_sums(x, y, k: float, e: float) -> tuple:
     """
     if len(x) != len(y):
         raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
-    pairs = [(a, b) if a >= b else (b, a) for a, b in zip(x.entries, y.entries)]
-    u, v = (RealVector(side) for side in zip(*pairs))
-    return (*(sum_abs_powers(vec, k) for vec in (x, y, u, v)), e)
+    pairs = [(a, b) if a >= b else (b, a) for a, b in zip(x, y)]
+    u, v = zip(*pairs)
+    return (*(_sum_abs_powers(side, k) for side in (x, y, u, v)), e)
 
 
 def _conjugate_q(p: float, q: Optional[float]) -> Tuple[float, float]:
@@ -398,9 +403,10 @@ class Inequality:
 
     The statement is sides(*quantities, *stated_at(p, q)) -> (lhs, rhs),
     and its report records stated_at(p, q).  quantities(x, y, p, q, w)
-    are those of one pair, exact (math.fsum sums), after the checks the
-    statement needs; batch_quantities takes the same arguments on (B,
-    nmax) blocks and is None where a block cannot be screened (cor-1.6
+    are those of one pair, given as the float tuples of validated
+    vectors and weights (w None when unweighted), exact (math.fsum
+    sums), after the checks the statement needs; batch_quantities takes
+    the same arguments on (B, nmax) blocks and is None where a block cannot be screened (cor-1.6
     needs one-entry rows).  constraint is the widest input set covered;
     explore admits signed inputs in exploration mode; weighted=False
     rejects weights.  exponents(p, q) builds the ExponentPair to sample

@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 
+# Most (p, q) cells one scan takes; a grid axis may hold no more values.
+MAX_GRID_CELLS = 10_000
+
 
 class UsageError(Exception):
     pass
@@ -50,7 +53,7 @@ def _parse_floats(text: str) -> List[float]:
 
 
 def _parse_grid(text: str) -> List[float]:
-    """start:stop:step, inclusive of stop within half a step."""
+    """start:stop:step, inclusive of stop within half a step; finite, at most MAX_GRID_CELLS."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be start:stop:step, got {text!r}")
@@ -60,12 +63,16 @@ def _parse_grid(text: str) -> List[float]:
         raise UsageError(f"cannot parse grid {text!r}: {exc}")
     if step <= 0:
         raise UsageError(f"grid step must be positive, got {step}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise UsageError(f"grid start, stop and step must be finite, got {text!r}")
     out = []
     k = 0
     while True:
         val = start + k * step
         if val > stop + step / 2:
             break
+        if k == MAX_GRID_CELLS:
+            raise UsageError(f"grid {text!r} has more than {MAX_GRID_CELLS} values")
         out.append(val)
         k += 1
     if not out:
@@ -182,6 +189,10 @@ def cmd_scan(args) -> int:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     p_grid = _parse_grid(args.p_grid)
     q_grid = _parse_grid(args.q_grid)
+    if len(p_grid) * len(q_grid) > MAX_GRID_CELLS:
+        raise UsageError(
+            f"grid has {len(p_grid) * len(q_grid)} cells, more than {MAX_GRID_CELLS}"
+        )
     spec = _spec_from_args(args)
     policy = _policy(args)
     cells = search.scan_grid(

@@ -5,6 +5,16 @@ All values are immutable after validation and safe to share between
 workers.  Sums of p-th powers use exact compensated accumulation
 (``math.fsum``) because downstream gap functionals subtract nearly equal
 quantities.
+
+Validation happens once, where values enter: the vector constructors
+(behind the CLI and the public evaluation calls) and the bulk checks of
+``search.sample_block``.  Past that, the catalog's registry quantities
+work on the plain float tuples (``entries``, ``masses``) through the
+private float helpers ``_sum_abs_powers`` and ``_p_norm``; the public
+``sum_abs_powers`` and ``p_norm`` are thin wrappers over them, so both
+give the same bits.  ``_trusted`` wraps floats in a vector without
+checking them, for entries validated in bulk (``SampleBlock.pair``) or
+valid by construction (``search._project``'s output).
 """
 
 from __future__ import annotations
@@ -27,14 +37,17 @@ from .errors import (
 MAX_LEN = 1 << 20
 
 
-def _check_entries(entries: Sequence[float]) -> None:
+def _check_entries(entries: Sequence[float]) -> Sequence[float]:
+    """entries, checked: nonempty, at most MAX_LEN long, every float finite."""
     if len(entries) == 0:
         raise EmptyVector("vector must have at least one entry")
     if len(entries) > MAX_LEN:
         raise TooLarge(f"vector length {len(entries)} exceeds maximum {MAX_LEN}")
-    for i, x in enumerate(entries):
-        if not math.isfinite(x):
-            raise NonFiniteEntry(i)
+    if not math.isfinite(sum(entries)):  # true whenever an entry is inf or nan
+        for i, x in enumerate(entries):
+            if not math.isfinite(x):
+                raise NonFiniteEntry(i)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,13 @@ class RealVector:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[float, ...]):
+        """A vector on a tuple of floats already valid for cls; nothing is checked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "entries", entries)
+        return v
 
     def scaled(self, alpha: float) -> "RealVector":
         return type(self)(tuple(alpha * x for x in self.entries))
@@ -84,6 +104,13 @@ class Weights:
 
     def __len__(self) -> int:
         return len(self.masses)
+
+    @classmethod
+    def _trusted(cls, masses: tuple[float, ...]) -> "Weights":
+        """Weights on a tuple of already validated masses; nothing is checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "masses", masses)
+        return w
 
 
 class Regime(enum.Enum):
@@ -143,15 +170,16 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def sum_abs_powers(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:
-    """Compensated sum of w_i * |v_i|^p (unit weights when absent)."""
+def _sum_abs_powers(
+    entries: Sequence[float], p: float, masses: Optional[Sequence[float]] = None
+) -> float:
+    """sum_abs_powers on plain floats: entries and masses already validated."""
     if p < 1.0:
         raise ExponentOutOfRange(f"p-norm needs p >= 1, got {p}")
-    if weights is not None and len(weights) != len(v):
+    if masses is not None and len(masses) != len(entries):
         raise LengthMismatch(
-            f"weights length {len(weights)} != vector length {len(v)}"
+            f"weights length {len(masses)} != vector length {len(entries)}"
         )
-    entries = v.entries
     # Fast paths avoid pow() for the common small integer exponents;
     # |0|^p is exactly 0 for every p > 0 on all paths.
     if p == 2.0:
@@ -164,14 +192,16 @@ def sum_abs_powers(v: RealVector, p: float, weights: Optional[Weights] = None) -
         terms = (abs(x) for x in entries)
     else:
         terms = (abs(x) ** p for x in entries)
-    if weights is None:
+    if masses is None:
         return math.fsum(terms)
-    return math.fsum(w * t for w, t in zip(weights.masses, terms))
+    return math.fsum(w * t for w, t in zip(masses, terms))
 
 
-def p_norm(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:
-    """Weighted p-norm (sum_i w_i |v_i|^p)^(1/p); unit weights when absent."""
-    s = sum_abs_powers(v, p, weights)
+def _p_norm(
+    entries: Sequence[float], p: float, masses: Optional[Sequence[float]] = None
+) -> float:
+    """p_norm on plain floats: entries and masses already validated."""
+    s = _sum_abs_powers(entries, p, masses)
     if s == 0.0:
         return 0.0
     if p == 1.0:
@@ -179,6 +209,16 @@ def p_norm(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:
     if p == 2.0:
         return math.sqrt(s)
     return s ** (1.0 / p)
+
+
+def sum_abs_powers(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:
+    """Compensated sum of w_i * |v_i|^p (unit weights when absent)."""
+    return _sum_abs_powers(v.entries, p, None if weights is None else weights.masses)
+
+
+def p_norm(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:
+    """Weighted p-norm (sum_i w_i |v_i|^p)^(1/p); unit weights when absent."""
+    return _p_norm(v.entries, p, None if weights is None else weights.masses)
 
 
 def combine(x: RealVector, y: RealVector, sign: Literal["plus", "minus"]) -> RealVector:

@@ -14,6 +14,11 @@ pair norms, sumpow-2.12 and rearr-2.17 on the re-paired power sums; all
 but cor-1.6) a whole block is screened with numpy first; only the pairs
 the screen cannot rule out reach the scalar evaluate, which decides
 every verdict, count and witness.
+
+Entries are validated once: sample_block checks a whole block as the
+vector constructors would, and _project's output is valid by
+construction, so SampleBlock.pair and the extremal descent wrap their
+floats in vectors without checking them again.
 """
 
 from __future__ import annotations
@@ -143,10 +148,12 @@ class SampleBlock:
     signed: bool
 
     def pair(self, row: int) -> Tuple[RealVector, RealVector, Optional[Weights]]:
+        """Row row as vectors; sample_block has validated every entry."""
         k = int(self.n[row])
         vec = RealVector if self.signed else NonnegVector
-        w = None if self.w is None else Weights(self.w[row, :k].tolist())
-        return vec(self.x[row, :k].tolist()), vec(self.y[row, :k].tolist()), w
+        w = None if self.w is None else Weights._trusted(tuple(self.w[row, :k].tolist()))
+        return (vec._trusted(tuple(self.x[row, :k].tolist())),
+                vec._trusted(tuple(self.y[row, :k].tolist())), w)
 
 
 def _draw(rng: np.random.Generator, shape: Tuple[int, int], spec: SampleSpec) -> np.ndarray:
@@ -357,8 +364,9 @@ def extremal_search(
         if evals >= budget:
             return None
         try:
+            # _project output is finite, and clamped and dominated as spec requires.
             vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
-            x, y = vec(xv.tolist()), vec(yv.tolist())
+            x, y = vec._trusted(tuple(xv.tolist())), vec._trusted(tuple(yv.tolist()))
             rep = evaluate(id, x, y, exps.p, exps.q, None, policy, strict=not exploratory)
         except ClarksonError:
             return None

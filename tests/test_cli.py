@@ -4,7 +4,7 @@ import math
 import pytest
 
 from clarkson import catalog
-from clarkson.cli import build_parser, main
+from clarkson.cli import MAX_GRID_CELLS, UsageError, _parse_grid, build_parser, main
 
 
 def run(argv, capsys):
@@ -102,6 +102,35 @@ class TestScan:
         assert code == 2
 
 
+class TestParseGrid:
+    def test_inclusive_of_stop(self):
+        assert _parse_grid("2:4:0.5") == [2.0, 2.5, 3.0, 3.5, 4.0]
+        assert _parse_grid("1:1:1") == [1.0]
+
+    @pytest.mark.parametrize("text", [
+        "nan:nan:1", "2:nan:1", "nan:3:1", "2:inf:1", "-inf:3:1", "2:3:inf", "2:3:nan",
+    ])
+    def test_non_finite_bounds_rejected(self, text):
+        with pytest.raises(UsageError, match="must be finite"):
+            _parse_grid(text)
+
+    @pytest.mark.parametrize("text", ["1:2:1e-300", "0:1e300:1e-300", "1e300:1.7e308:1e300"])
+    def test_value_count_capped(self, text):
+        with pytest.raises(UsageError, match=f"more than {MAX_GRID_CELLS} values"):
+            _parse_grid(text)
+
+    def test_cap_is_inclusive(self):
+        assert len(_parse_grid(f"1:{MAX_GRID_CELLS}:1")) == MAX_GRID_CELLS
+
+    @pytest.mark.parametrize("text, message", [
+        ("2:3:0", "step must be positive"), ("2:3:-inf", "step must be positive"),
+        ("3:2:1", "is empty"), ("2:3", "start:stop:step"), ("a:3:1", "cannot parse"),
+    ])
+    def test_malformed_grids_rejected(self, text, message):
+        with pytest.raises(UsageError, match=message):
+            _parse_grid(text)
+
+
 class TestSearch:
     def test_no_violation_exit_zero(self, capsys):
         code, out, _ = run(
@@ -184,6 +213,22 @@ class TestErrorExits:
                                ("sumpow-2.12", ("--q", "3")))],
             (["verify", "--ineq", "c-1.3-right", "--x", "1e200,2", "--y", "2,1e200", "--p", "2"],
              "c-1.3-right: non-finite gap"),
+            # x + y overflows while both norms stay finite (x*x gives inf, no exception)
+            (["verify", "--ineq", "main-1.7", "--x", "1e308,1", "--y", "1e308,1",
+              "--p", "2", "--q", "3"], "error: pair 0: non-finite entry at index 0"),
+            # the order of the checks: the exponent before the lengths, except
+            # where a statement checks its inputs first (dominance, its own exponent)
+            *[(["verify", "--ineq", name, "--x", "3,1", "--y", "1,2,3", "--p", "0.5",
+                "--q", "3"], f"error: pair 0: {message}")
+              for name, message in (("c-1.1", "p-norm needs p >= 1, got 0.5"),
+                                    ("main-1.7", "p-norm needs p >= 1, got 0.5"),
+                                    ("prop-1.4", "lengths 2 and 3 differ"),
+                                    ("sumpow-2.12", "lengths 2 and 3 differ"),
+                                    ("rearr-2.17", "need 2 <= p <= q, got (0.5, 3.0)"))],
+            (["scan", "--ineq", "main-1.7", "--p-grid", "2:2:1", "--q-grid", "nan:nan:1",
+              "--samples", "5"], "must be finite"),
+            (["scan", "--ineq", "main-1.7", "--p-grid", "1:200:1", "--q-grid", "1:200:1",
+              "--samples", "1"], f"more than {MAX_GRID_CELLS}"),
         ],
     )
     def test_exit_2_with_error_line(self, argv, message, capsys):
@@ -201,6 +246,22 @@ class TestErrorExits:
                             "--p", "2", "--q", "3"], capsys)
         assert code == 2
         assert err.strip().splitlines()[-1] == "error: internal error: RuntimeError: boom"
+
+    @pytest.mark.parametrize("x, y, w, message", [
+        ([1.0, 2.0], [3.0, 1.0, 2.0], [1.0, 2.0, 3.0], "weights length 3 != vector length 2"),
+        # y is checked against the weights before x against y
+        ([1.0, 2.0], [3.0, 1.0, 2.0], [1.0, 2.0], "weights length 2 != vector length 3"),
+        ([1e308, 2.0], [1e308, 1.0], [0.5, 2.0], "non-finite entry at index 0"),
+    ])
+    def test_weighted_input_errors(self, x, y, w, message, tmp_path, capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": [{"x": x, "y": y, "w": w}]}))
+        code, _, err = run(
+            ["verify", "--ineq", "main-1.7", "--input", str(path), "--p", "2", "--q", "3"],
+            capsys,
+        )
+        assert code == 2
+        assert err.strip().splitlines()[-1] == f"error: pair 0: {message}"
 
     def test_weights_rejected_in_verify(self, tmp_path, capsys):
         doc = {"pairs": [{"x": [2.0, 0.0], "y": [0.0, 1.0], "w": [1.0, 2.0]}]}

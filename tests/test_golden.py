@@ -1,0 +1,151 @@
+"""Literal output of seeded CLI commands, pinned byte for byte.
+
+Every sample is a pure function of the seed, and every printed number
+comes from the scalar evaluation, so a change to how pairs are built or
+evaluated that moves one bit of one gap shows here.  The witness file,
+where a command writes one, is pinned too; WITNESS in an argv stands for
+its path.
+"""
+
+import pytest
+
+from clarkson.cli import main
+
+GOLDEN = [
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "4",
+            "--nmin", "8", "--nmax", "8", "--budget", "500", "--seed", "4",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 500\n"
+            "seed: 4\n"
+            "best_normalized_gap: 6.698712965658292e-06\n"
+            "best_verdict: holds\n"
+        ),
+        None,
+        id="extremal main-1.7, the extremal-descent flags at budget 500",
+    ),
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "prop-1.4", "--p", "2", "--q", "3",
+            "--constraint", "dominated", "--nmin", "4", "--nmax", "6", "--budget", "300",
+            "--seed", "1",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 300\n"
+            "seed: 1\n"
+            "best_normalized_gap: 9.464984351793039e-12\n"
+            "best_verdict: borderline\n"
+        ),
+        None,
+        id="dominated extremal prop-1.4",
+    ),
+    pytest.param(
+        [
+            "search", "--ineq", "main-1.7", "--p", "2.5", "--q", "3.7", "--nmin", "1",
+            "--nmax", "16", "--budget", "1000", "--seed", "3", "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 1000\n"
+            "seed: 3\n"
+            "best_normalized_gap: 1.0134464580036084e-05\n"
+            "best_verdict: holds\n"
+        ),
+        (
+            "{\n"
+            '  "pairs": [\n'
+            "    {\n"
+            '      "x": [\n'
+            "        0.0028597199817772534\n"
+            "      ],\n"
+            '      "y": [\n'
+            "        0.2929771668178879\n"
+            "      ],\n"
+            '      "w": null\n'
+            "    }\n"
+            "  ],\n"
+            '  "p": 2.5,\n'
+            '  "q": 3.7,\n'
+            '  "seed": 3\n'
+            "}\n"
+        ),
+        id="counterexample search with a witness file",
+    ),
+    pytest.param(
+        [
+            "search", "--ineq", "main-1.7", "--p", "2.5", "--q", "3", "--nmin", "2", "--nmax",
+            "5", "--weighted", "--budget", "500", "--seed", "2", "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 500\n"
+            "seed: 2\n"
+            "best_normalized_gap: 0.0021263622542216365\n"
+            "best_verdict: holds\n"
+        ),
+        (
+            "{\n"
+            '  "pairs": [\n'
+            "    {\n"
+            '      "x": [\n'
+            "        0.01317449739566956,\n"
+            "        0.02129182394473461,\n"
+            "        0.024262566930195684\n"
+            "      ],\n"
+            '      "y": [\n'
+            "        0.6040805211529967,\n"
+            "        0.171039369293166,\n"
+            "        0.23988592046688817\n"
+            "      ],\n"
+            '      "w": [\n'
+            "        0.8147833147432142,\n"
+            "        0.8301893362969166,\n"
+            "        0.9226742158384986\n"
+            "      ]\n"
+            "    }\n"
+            "  ],\n"
+            '  "p": 2.5,\n'
+            '  "q": 3.0,\n'
+            '  "seed": 2\n'
+            "}\n"
+        ),
+        id="weighted main-1.7 search with a witness file",
+    ),
+    pytest.param(
+        [
+            "scan", "--ineq", "rearr-2.17", "--p-grid", "2:3:0.5", "--q-grid", "2:3:1",
+            "--nmin", "8", "--nmax", "16", "--dist", "sparse", "--samples", "40", "--seed",
+            "5",
+        ],
+        0,
+        (
+            "ineq_id,p,q,n_samples,min_normalized_gap,violations,seed\n"
+            "rearr-2.17,2.0,2.0,40,-1.9375578935390168e-16,0,5\n"
+            "rearr-2.17,2.0,3.0,40,0.04549904300484101,0,5\n"
+            "rearr-2.17,2.5,2.0,0,skipped,0,5\n"
+            "rearr-2.17,2.5,3.0,40,0.0,0,5\n"
+            "rearr-2.17,3.0,2.0,0,skipped,0,5\n"
+            "rearr-2.17,3.0,3.0,40,-1.693060069473285e-16,0,5\n"
+        ),
+        None,
+        id="rearr-2.17 scan with p == q cells",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, witness", GOLDEN)
+def test_output_is_pinned(argv, code, stdout, witness, tmp_path, capsys):
+    path = str(tmp_path / "witness.json")
+    assert main([path if a == "WITNESS" else a for a in argv]) == code
+    assert capsys.readouterr().out == stdout
+    if witness is not None:
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == witness
