@@ -29,7 +29,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 
-# Most (p, q) cells one scan takes; a grid axis may hold no more values.
+# Most (p, q) cells one scan takes; a grid axis, and the phi and chi
+# tables, may hold no more values.
 MAX_GRID_CELLS = 10_000
 
 
@@ -269,6 +270,13 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _check_grid_size(grid_size: int, minimum: int) -> None:
+    if grid_size < minimum:
+        raise UsageError(f"grid too coarse, minimum {minimum}")
+    if grid_size > MAX_GRID_CELLS:
+        raise UsageError(f"--grid-size {grid_size} is more than {MAX_GRID_CELLS}")
+
+
 def cmd_phi(args) -> int:
     if args.u is None or args.v is None:
         raise UsageError("phi needs --u and --v")
@@ -278,23 +286,22 @@ def cmd_phi(args) -> int:
         ctx = variational.PhiContext(u, v, args.p_value, args.q_value)
     except ClarksonError as exc:
         raise UsageError(str(exc))
-    if args.grid_size < 2:
-        raise UsageError("grid too coarse, minimum 2")
+    _check_grid_size(args.grid_size, 2)
+    ts, vals, report = variational._phi_scan(ctx, args.grid_size)
     bps = variational.breakpoints(ctx)
+    radius = 1e-6
+    adjacent = [any(abs(t - bp) <= radius for bp in bps) for t in ts]
+    inner = [t for t, adj in zip(ts, adjacent) if 0.0 < t < 1.0 and not adj]
+    derivs = iter(
+        variational._finite_values("phi_prime", variational._phi_prime_values, ctx, inner)
+    )
     out, close = _open_out(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["t", "phi", "phi_prime", "is_breakpoint_adjacent"])
-        radius = 1e-6
-        for k in range(args.grid_size):
-            t = k / (args.grid_size - 1)
-            val = variational.phi(ctx, t)
-            adjacent = any(abs(t - bp) <= radius for bp in bps)
-            deriv = ""
-            if 0.0 < t < 1.0 and not adjacent:
-                deriv = _fmt(variational.phi_prime(ctx, t))
-            writer.writerow([_fmt(t), _fmt(val), deriv, str(adjacent).lower()])
-        report = variational.monotonicity_scan(ctx, args.grid_size)
+        for t, val, adj in zip(ts, vals, adjacent):
+            deriv = _fmt(next(derivs)) if 0.0 < t < 1.0 and not adj else ""
+            writer.writerow([_fmt(t), _fmt(val), deriv, str(adj).lower()])
         writer.writerow(
             ["summary", _fmt(report.min_increment),
              f"is_nondecreasing={str(report.is_nondecreasing).lower()}", ""]
@@ -306,20 +313,18 @@ def cmd_phi(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    if args.grid_size < 3:
-        raise UsageError("grid too coarse, minimum 3")
+    _check_grid_size(args.grid_size, 3)
     try:
         ctx = variational.ChiContext(args.p_value, args.q_value, args.c)
     except ClarksonError as exc:
         raise UsageError(str(exc))
+    ss, vals, report = variational._chi_scan(ctx, args.grid_size)
     out, close = _open_out(args.out)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["s", "chi"])
-        for k in range(args.grid_size):
-            s = ctx.c * k / (args.grid_size - 1)
-            writer.writerow([_fmt(s), _fmt(variational.chi(ctx, s))])
-        report = variational.chi_sign_scan(ctx, args.grid_size)
+        for s, val in zip(ss, vals):
+            writer.writerow([_fmt(s), _fmt(val)])
         intervals = ";".join(f"({_fmt(a)},{_fmt(b)})" for a, b in report.sign_change_intervals)
         writer.writerow(
             ["summary",

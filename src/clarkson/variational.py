@@ -5,13 +5,23 @@ inequality at t = 1 for a dominated pair; it is nondecreasing on [0, 1]
 and piecewise differentiable away from the ratios u_i / v_i.  psi and chi
 probe the scalar conjugate-exponent inequality, where chi changes sign
 and monotonicity genuinely fails.
+
+phi, phi_prime and chi each have one grid evaluator (`_phi_values`,
+`_phi_prime_values`, `_chi_values`).  It computes the constants of the
+context once, then each point with the formula in the same association
+order, all powers in Python `**`.  The public functions check their
+domain and call it on one point, and `monotonicity_scan` and
+`chi_sign_scan` call it on their whole grid, so a scanned value has the
+bits of the public call at that point.  The CLI prints the scanned
+values and the report from one pass.  Both scans raise NonFiniteGap on
+an overflow or a non-finite value instead of reporting it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .core import NonnegVector
 from .errors import (
@@ -19,6 +29,7 @@ from .errors import (
     DomainError,
     DominanceViolation,
     LengthMismatch,
+    NonFiniteGap,
     RegimeViolation,
 )
 
@@ -54,6 +65,8 @@ class PhiContext:
             for i, (a, b) in enumerate(zip(self.u.entries, self.v.entries)):
                 if a < b:
                     raise DominanceViolation(i)
+        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+            raise RegimeViolation(f"need finite p and q, got ({self.p}, {self.q})")
         if not (2.0 <= self.p <= self.q):
             raise RegimeViolation(f"need 2 <= p <= q, got ({self.p}, {self.q})")
 
@@ -67,13 +80,24 @@ def phi(ctx: PhiContext, t: float, relaxed: bool = False) -> float:
     """
     if not relaxed and not (0.0 <= t <= 1.0):
         raise DomainError(f"t must lie in [0, 1], got {t}")
+    return _phi_values(ctx, (t,))[0]
+
+
+def _phi_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
+    """phi at each t of ts, without the domain check."""
     p, q = ctx.p, ctx.q
     e = q / p
-    plus = math.fsum(abs(a + b * t) ** p for a, b in zip(ctx.u.entries, ctx.v.entries))
-    minus = math.fsum(abs(a - b * t) ** p for a, b in zip(ctx.u.entries, ctx.v.entries))
-    su = math.fsum(a**p for a in ctx.u.entries)
-    sv = math.fsum(b**p for b in ctx.v.entries)
-    return plus**e + minus**e - 2.0 ** (q - 1.0) * (su**e + sv**e * abs(t) ** q)
+    us, vs = ctx.u.entries, ctx.v.entries
+    pairs = list(zip(us, vs))
+    su_e = math.fsum([a**p for a in us]) ** e
+    sv_e = math.fsum([b**p for b in vs]) ** e
+    k = 2.0 ** (q - 1.0)
+    return [
+        math.fsum([abs(a + b * t) ** p for a, b in pairs]) ** e
+        + math.fsum([abs(a - b * t) ** p for a, b in pairs]) ** e
+        - k * (su_e + sv_e * abs(t) ** q)
+        for t in ts
+    ]
 
 
 def breakpoints(ctx: PhiContext) -> Tuple[float, ...]:
@@ -91,25 +115,46 @@ def phi_prime(ctx: PhiContext, t: float) -> float:
     for bp in breakpoints(ctx):
         if abs(t - bp) <= BREAKPOINT_RADIUS:
             raise AtBreakpoint(f"t={t} within {BREAKPOINT_RADIUS} of breakpoint {bp}")
+    return _phi_prime_values(ctx, (t,))[0]
+
+
+def _phi_prime_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
+    """phi_prime at each t of ts, without the domain and breakpoint checks."""
     p, q = ctx.p, ctx.q
     e = q / p - 1.0
+    p1 = p - 1.0
+    q1 = q - 1.0
     us, vs = ctx.u.entries, ctx.v.entries
-    # sign-aware terms reduce to the plain powers in the dominated case,
-    # where u_i - v_i t >= u_i - v_i >= 0 on (0, 1)
-    splus = math.fsum(abs(a + b * t) ** p for a, b in zip(us, vs))
-    sminus = math.fsum(abs(a - b * t) ** p for a, b in zip(us, vs))
-    dplus = math.fsum(
-        b * math.copysign(abs(a + b * t) ** (p - 1.0), a + b * t) for a, b in zip(us, vs)
-    )
-    dminus = math.fsum(
-        b * math.copysign(abs(a - b * t) ** (p - 1.0), a - b * t) for a, b in zip(us, vs)
-    )
-    sv = math.fsum(b**p for b in vs)
-    return q * (
-        splus**e * dplus
-        - sminus**e * dminus
-        - 2.0 ** (q - 1.0) * sv ** (q / p) * t ** (q - 1.0)
-    )
+    k = 2.0**q1 * math.fsum([b**p for b in vs]) ** (q / p)
+    out = []
+    for t in ts:
+        plus = [a + b * t for a, b in zip(us, vs)]
+        minus = [a - b * t for a, b in zip(us, vs)]
+        # sign-aware terms reduce to the plain powers in the dominated case,
+        # where u_i - v_i t >= u_i - v_i >= 0 on (0, 1)
+        splus = math.fsum([abs(w) ** p for w in plus])
+        sminus = math.fsum([abs(w) ** p for w in minus])
+        dplus = math.fsum([b * math.copysign(abs(w) ** p1, w) for b, w in zip(vs, plus)])
+        dminus = math.fsum([b * math.copysign(abs(w) ** p1, w) for b, w in zip(vs, minus)])
+        out.append(q * (splus**e * dplus - sminus**e * dminus - k * t**q1))
+    return out
+
+
+def _finite_values(
+    name: str,
+    values: Callable[[object, Sequence[float]], List[float]],
+    ctx: object,
+    points: Sequence[float],
+) -> List[float]:
+    """values(ctx, points); an overflow or a non-finite value raises NonFiniteGap."""
+    try:
+        vals = values(ctx, points)
+    except OverflowError as exc:  # Python's float ** and math.fsum
+        raise NonFiniteGap(f"{name}: non-finite value (overflow)") from exc
+    if not all(map(math.isfinite, vals)):
+        x, v = next((x, v) for x, v in zip(points, vals) if not math.isfinite(v))
+        raise NonFiniteGap(f"{name}: non-finite value {v!r} at {x!r}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -122,19 +167,23 @@ class MonotonicityReport:
 
 def monotonicity_scan(ctx: PhiContext, grid_size: int) -> MonotonicityReport:
     """Check phi for nondecrease on a uniform grid over [0, 1]."""
+    return _phi_scan(ctx, grid_size)[2]
+
+
+def _phi_scan(
+    ctx: PhiContext, grid_size: int
+) -> Tuple[List[float], List[float], MonotonicityReport]:
+    """The grid of monotonicity_scan, phi on it, and the report."""
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
-    ts = [k / (grid_size - 1) for k in range(grid_size)]
-    vals = [phi(ctx, t) for t in ts]
-    scale = max(1.0, max(abs(v) for v in vals))
-    min_inc = math.inf
-    argmin = 0.0
-    for k in range(grid_size - 1):
-        inc = vals[k + 1] - vals[k]
-        if inc < min_inc:
-            min_inc = inc
-            argmin = ts[k]
-    return MonotonicityReport(min_inc, argmin, min_inc >= -1e-8 * scale, scale)
+    d = grid_size - 1
+    ts = [k / d for k in range(grid_size)]
+    vals = _finite_values("phi", _phi_values, ctx, ts)
+    scale = max(1.0, max(map(abs, vals)))
+    incs = [b - a for a, b in zip(vals, vals[1:])]
+    min_inc = min(incs)  # min and index both take the first of equal minima
+    argmin = ts[incs.index(min_inc)]
+    return ts, vals, MonotonicityReport(min_inc, argmin, min_inc >= -1e-8 * scale, scale)
 
 
 @dataclass(frozen=True)
@@ -146,6 +195,8 @@ class ChiContext:
     c: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+            raise RegimeViolation(f"need finite p and q, got ({self.p}, {self.q})")
         if self.p <= 1.0 or self.q <= 1.0:
             raise RegimeViolation(f"need p > 1 and q > 1, got ({self.p}, {self.q})")
         if not (0.0 < self.c <= 1.0):
@@ -184,14 +235,20 @@ def chi(ctx: ChiContext, s: float) -> float:
     """
     if not (0.0 <= s <= ctx.c):
         raise DomainError(f"s must lie in [0, {ctx.c}], got {s}")
-    c, p, q = ctx.c, ctx.p, ctx.q
-    if s == 0.0:
-        return 0.0
-    return q * c * (
-        (1.0 + s) ** (q - 1.0)
-        - (1.0 - s) ** (q - 1.0)
-        - 2.0 * (1.0 + s**p) ** (q - 2.0) * s ** (p - 1.0)
-    )
+    return _chi_values(ctx, (s,))[0]
+
+
+def _chi_values(ctx: ChiContext, ss: Sequence[float]) -> List[float]:
+    """chi at each s of ss, without the domain check."""
+    p = ctx.p
+    qc = ctx.q * ctx.c
+    p1, q1, q2 = p - 1.0, ctx.q - 1.0, ctx.q - 2.0
+    return [
+        qc * ((1.0 + s) ** q1 - (1.0 - s) ** q1 - 2.0 * (1.0 + s**p) ** q2 * s**p1)
+        if s != 0.0
+        else 0.0
+        for s in ss
+    ]
 
 
 @dataclass(frozen=True)
@@ -203,20 +260,35 @@ class SignScanReport:
 
 def chi_sign_scan(ctx: ChiContext, grid_size: int) -> SignScanReport:
     """Scan chi over a uniform grid on [0, c] for sign behaviour."""
+    return _chi_scan(ctx, grid_size)[2]
+
+
+def _chi_scan(
+    ctx: ChiContext, grid_size: int
+) -> Tuple[List[float], List[float], SignScanReport]:
+    """The grid of chi_sign_scan, chi on it, and the report."""
     if grid_size < 3:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
-    ss = [ctx.c * k / (grid_size - 1) for k in range(grid_size)]
-    vals = [chi(ctx, s) for s in ss]
-    has_pos = any(v > _ZERO_TOL for v in vals)
-    has_neg = any(v < -_ZERO_TOL for v in vals)
+    c, d = ctx.c, grid_size - 1
+    ss = [c * k / d for k in range(grid_size)]
+    # c * d / d can round one ulp past c, outside chi's domain
+    ss[-1] = min(ss[-1], c)
+    vals = _finite_values("chi", _chi_values, ctx, ss)
+    tol = _ZERO_TOL
+    has_pos = max(vals) > tol
+    has_neg = min(vals) < -tol
     intervals: List[Tuple[float, float]] = []
     prev_sign = 0
     prev_s = ss[0]
     for s, v in zip(ss, vals):
-        sign = 1 if v > _ZERO_TOL else (-1 if v < -_ZERO_TOL else 0)
-        if sign != 0:
-            if prev_sign != 0 and sign != prev_sign:
-                intervals.append((prev_s, s))
-            prev_sign = sign
-            prev_s = s
-    return SignScanReport(has_pos, has_neg, tuple(intervals))
+        if v > tol:
+            sign = 1
+        elif v < -tol:
+            sign = -1
+        else:
+            continue
+        if prev_sign != 0 and sign != prev_sign:
+            intervals.append((prev_s, s))
+        prev_sign = sign
+        prev_s = s
+    return ss, vals, SignScanReport(has_pos, has_neg, tuple(intervals))

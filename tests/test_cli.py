@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from clarkson import catalog
+from clarkson import catalog, variational
 from clarkson.cli import MAX_GRID_CELLS, UsageError, _parse_grid, build_parser, main
 
 
@@ -229,6 +229,23 @@ class TestErrorExits:
               "--samples", "5"], "must be finite"),
             (["scan", "--ineq", "main-1.7", "--p-grid", "1:200:1", "--q-grid", "1:200:1",
               "--samples", "1"], f"more than {MAX_GRID_CELLS}"),
+            # non-finite exponents: nan fails no comparison, and 2 <= inf <= inf holds
+            (["phi", "--u", "1,2", "--v", "0.5,1", "--p", "inf", "--q", "inf",
+              "--grid-size", "3"], "need finite p and q, got (inf, inf)"),
+            (["chi", "--p", "nan", "--q", "3", "--c", "0.5"], "need finite p and q"),
+            (["chi", "--p", "1.5", "--q", "inf", "--c", "0.5"], "need finite p and q"),
+            # a grid value that float ** overflows, or that is inf or nan, is an error
+            (["phi", "--u", "1,2", "--v", "0.5,1", "--p", "2", "--q", "900"],
+             "phi: non-finite value (overflow)"),
+            (["phi", "--u", "1,1", "--v", "0.1,0.1", "--p", "2", "--q", "1000",
+              "--grid-size", "2"], "phi: non-finite value -inf at 0.0"),
+            (["chi", "--p", "1.5", "--q", "1020", "--c", "1"],
+             "chi: non-finite value inf at 0.994"),
+            # the grid size is checked before any point is evaluated
+            (["chi", "--p", "1.5", "--q", "3", "--c", "0.5", "--grid-size", "100000000000000"],
+             f"is more than {MAX_GRID_CELLS}"),
+            (["phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4",
+              "--grid-size", str(MAX_GRID_CELLS + 1)], f"is more than {MAX_GRID_CELLS}"),
         ],
     )
     def test_exit_2_with_error_line(self, argv, message, capsys):
@@ -303,6 +320,39 @@ class TestPhi:
         assert code == 0
         assert "is_nondecreasing=true" in out
 
+    def test_largest_grid_accepted(self, capsys):
+        code, out, _ = run(
+            ["phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4",
+             "--grid-size", str(MAX_GRID_CELLS)],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.splitlines()) == MAX_GRID_CELLS + 2
+
+    def test_each_grid_point_evaluated_once(self, monkeypatch, capsys):
+        points = {"phi": 0, "phi_prime": 0, "breakpoints": 0}
+
+        def counting(name, evaluate):
+            def wrapped(ctx, ts):
+                points[name] += len(ts)
+                return evaluate(ctx, ts)
+            return wrapped
+
+        def count_breakpoints(ctx, real=variational.breakpoints):
+            points["breakpoints"] += 1
+            return real(ctx)
+
+        monkeypatch.setattr(variational, "_phi_values", counting("phi", variational._phi_values))
+        monkeypatch.setattr(variational, "_phi_prime_values",
+                            counting("phi_prime", variational._phi_prime_values))
+        monkeypatch.setattr(variational, "breakpoints", count_breakpoints)
+        code, _, _ = run(
+            ["phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4", "--grid-size", "33"],
+            capsys,
+        )
+        assert code == 0
+        assert points == {"phi": 33, "phi_prime": 31, "breakpoints": 1}
+
 
 class TestChi:
     def test_flat_case(self, capsys):
@@ -342,6 +392,33 @@ class TestChi:
         )
         assert code == 2
         assert "grid too coarse" in err
+
+    def test_largest_grid_accepted(self, capsys):
+        code, out, _ = run(
+            ["chi", "--p", "1.5", "--q", "3", "--c", "0.5", "--grid-size", str(MAX_GRID_CELLS)],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.splitlines()) == MAX_GRID_CELLS + 2
+
+    def test_each_grid_point_evaluated_once(self, monkeypatch, capsys):
+        points = []
+        real = variational._chi_values
+        monkeypatch.setattr(variational, "_chi_values",
+                            lambda ctx, ss: points.append(len(ss)) or real(ctx, ss))
+        code, _, _ = run(["chi", "--p", "1.5", "--q", "3", "--c", "0.5", "--grid-size", "41"],
+                         capsys)
+        assert code == 0
+        assert points == [41]
+
+    def test_last_point_is_c(self, capsys):
+        # c * 6 / 6 rounds one ulp above c; the table used to stop there with exit 2
+        code, out, _ = run(
+            ["chi", "--p", "2", "--q", "2", "--c", "0.8038921141728734", "--grid-size", "7"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[-2] == "0.8038921141728734,0.0"
 
 
 class TestSeedEnvVar:

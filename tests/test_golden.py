@@ -4,12 +4,22 @@ Every sample is a pure function of the seed, and every printed number
 comes from the scalar evaluation, so a change to how pairs are built or
 evaluated that moves one bit of one gap shows here.  The witness file,
 where a command writes one, is pinned too; WITNESS in an argv stands for
-its path.
+its path.  The `phi` and `chi` tables of the README examples are long, so
+their stdout lives in `tests/golden/`.
 """
+
+from pathlib import Path
 
 import pytest
 
 from clarkson.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _pinned(name: str) -> str:
+    return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
 
 GOLDEN = [
     pytest.param(
@@ -137,6 +147,39 @@ GOLDEN = [
         ),
         None,
         id="rearr-2.17 scan with p == q cells",
+    ),
+    pytest.param(
+        ["phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4", "--grid-size", "257"],
+        0,
+        _pinned("phi-readme.csv"),
+        None,
+        id="the README phi table",
+    ),
+    pytest.param(
+        ["chi", "--p", "1.3333333333333333", "--q", "4", "--c", "1", "--grid-size", "1001"],
+        0,
+        _pinned("chi-readme.csv"),
+        None,
+        id="the README chi table",
+    ),
+    pytest.param(
+        ["phi", "--u", "3,2,1", "--v", "1,1,0.5", "--p", "3", "--q", "6", "--grid-size", "9"],
+        0,
+        (
+            "t,phi,phi_prime,is_breakpoint_adjacent\n"
+            "0.0,-38880.0,,false\n"
+            "0.125,-38793.100034594536,1393.6656246185303,false\n"
+            "0.25,-38529.96910858154,2825.9796752929688,false\n"
+            "0.375,-38083.50017058849,4332.613969802856,false\n"
+            "0.5,-37442.46826171875,5943.287109375,false\n"
+            "0.625,-36592.46070563793,7678.7878704071045,false\n"
+            "0.75,-35517.179374694824,9547.998596191406,false\n"
+            "0.875,-34200.115032076836,11544.918588638306,false\n"
+            "1.0,-32626.59375,,false\n"
+            "summary,86.89996540546417,is_nondecreasing=true,\n"
+        ),
+        None,
+        id="phi at p 3, q 6",
     ),
 ]
 

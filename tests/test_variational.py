@@ -6,10 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from clarkson.catalog import eval_prop_1_4
 from clarkson.core import NonnegVector
-from clarkson.errors import AtBreakpoint, DomainError, DominanceViolation, RegimeViolation
+from clarkson.errors import (
+    AtBreakpoint,
+    DomainError,
+    DominanceViolation,
+    NonFiniteGap,
+    RegimeViolation,
+)
 from clarkson.variational import (
     ChiContext,
     PhiContext,
+    _chi_values,
+    _phi_prime_values,
+    _phi_values,
     breakpoints,
     chi,
     chi_sign_scan,
@@ -44,6 +53,12 @@ class TestPhiContext:
     def test_rejects_bad_regime(self):
         with pytest.raises(RegimeViolation):
             PhiContext(NonnegVector((2.0,)), NonnegVector((1.0,)), 1.5, 3.0)
+
+    @pytest.mark.parametrize("p, q", [(math.inf, math.inf), (2.0, math.inf),
+                                      (math.nan, 3.0), (2.0, math.nan)])
+    def test_rejects_non_finite_exponents(self, p, q):
+        with pytest.raises(RegimeViolation, match="need finite p and q"):
+            PhiContext(NonnegVector((2.0,)), NonnegVector((1.0,)), p, q)
 
 
 class TestPhi:
@@ -170,6 +185,128 @@ class TestMonotonicityScan:
         ctx = _dominated_ctx(entries, p, p + dq)
         assert monotonicity_scan(ctx, 257).is_nondecreasing
 
+    def test_overflow_is_an_error(self):
+        ctx = PhiContext(NonnegVector((1.0, 2.0)), NonnegVector((0.5, 1.0)), 2.0, 900.0)
+        with pytest.raises(NonFiniteGap, match="overflow"):
+            monotonicity_scan(ctx, 257)
+
+    def test_non_finite_value_is_an_error(self):
+        # 2^999 (sum u^p)^(q/p) is inf with no exception, so phi(0) = -inf; the
+        # increment -inf - -inf is nan, which the parent scan reported as a pass
+        ctx = PhiContext(NonnegVector((1.0, 1.0)), NonnegVector((0.1, 0.1)), 2.0, 1000.0)
+        with pytest.raises(NonFiniteGap, match="-inf at 0.0"):
+            monotonicity_scan(ctx, 2)
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def _phi_per_point(ctx, t):
+    """phi at t as a single-point formula, for the grid evaluator to match."""
+    p, q = ctx.p, ctx.q
+    e = q / p
+    plus = math.fsum(abs(a + b * t) ** p for a, b in zip(ctx.u.entries, ctx.v.entries))
+    minus = math.fsum(abs(a - b * t) ** p for a, b in zip(ctx.u.entries, ctx.v.entries))
+    su = math.fsum(a**p for a in ctx.u.entries)
+    sv = math.fsum(b**p for b in ctx.v.entries)
+    return plus**e + minus**e - 2.0 ** (q - 1.0) * (su**e + sv**e * abs(t) ** q)
+
+
+def _phi_prime_per_point(ctx, t):
+    p, q = ctx.p, ctx.q
+    e = q / p - 1.0
+    us, vs = ctx.u.entries, ctx.v.entries
+    splus = math.fsum(abs(a + b * t) ** p for a, b in zip(us, vs))
+    sminus = math.fsum(abs(a - b * t) ** p for a, b in zip(us, vs))
+    dplus = math.fsum(
+        b * math.copysign(abs(a + b * t) ** (p - 1.0), a + b * t) for a, b in zip(us, vs)
+    )
+    dminus = math.fsum(
+        b * math.copysign(abs(a - b * t) ** (p - 1.0), a - b * t) for a, b in zip(us, vs)
+    )
+    sv = math.fsum(b**p for b in vs)
+    return q * (
+        splus**e * dplus
+        - sminus**e * dminus
+        - 2.0 ** (q - 1.0) * sv ** (q / p) * t ** (q - 1.0)
+    )
+
+
+def _chi_per_point(ctx, s):
+    c, p, q = ctx.c, ctx.p, ctx.q
+    if s == 0.0:
+        return 0.0
+    return q * c * (
+        (1.0 + s) ** (q - 1.0)
+        - (1.0 - s) ** (q - 1.0)
+        - 2.0 * (1.0 + s**p) ** (q - 2.0) * s ** (p - 1.0)
+    )
+
+
+@st.composite
+def phi_contexts(draw):
+    """Dominated and exploration contexts, n 1..16, p in {2, 2.5, 3}, p = q included."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    entries = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+    us = draw(st.lists(entries, min_size=n, max_size=n))
+    vs = draw(st.lists(entries, min_size=n, max_size=n))
+    p = draw(st.sampled_from([2.0, 2.5, 3.0]))
+    q = p + draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)))
+    if draw(st.booleans()):
+        return PhiContext(NonnegVector(tuple(max(a, b) for a, b in zip(us, vs))),
+                          NonnegVector(tuple(min(a, b) for a, b in zip(us, vs))), p, q)
+    return PhiContext(NonnegVector(tuple(us)), NonnegVector(tuple(vs)), p, q, strict=False)
+
+
+unit_points = st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8)
+
+
+class TestGridEvaluators:
+    """Each grid evaluator gives, point for point, the bits of the public function."""
+
+    @given(phi_contexts(), unit_points, st.integers(min_value=2, max_value=40))
+    @settings(max_examples=200, deadline=None)
+    def test_phi_values(self, ctx, extra, grid_size):
+        ts = [k / (grid_size - 1) for k in range(grid_size)] + extra
+        got = _hex(_phi_values(ctx, ts))
+        assert got == _hex([phi(ctx, t) for t in ts])
+        assert got == _hex([_phi_per_point(ctx, t) for t in ts])
+
+    @given(phi_contexts(), st.lists(st.floats(min_value=0.001, max_value=0.999), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_phi_prime_values(self, ctx, ts):
+        ts = [t for t in ts if all(abs(t - bp) > 1e-6 for bp in breakpoints(ctx))]
+        got = _hex(_phi_prime_values(ctx, ts))
+        assert got == _hex([phi_prime(ctx, t) for t in ts])
+        assert got == _hex([_phi_prime_per_point(ctx, t) for t in ts])
+
+    @given(phi_contexts())
+    @settings(max_examples=50, deadline=None)
+    def test_scan_reports_the_values_of_phi(self, ctx):
+        ts = [k / 64 for k in range(65)]
+        vals = [phi(ctx, t) for t in ts]
+        min_inc, argmin = math.inf, 0.0
+        for k in range(64):
+            if vals[k + 1] - vals[k] < min_inc:
+                min_inc, argmin = vals[k + 1] - vals[k], ts[k]
+        report = monotonicity_scan(ctx, 65)
+        assert report.min_increment.hex() == min_inc.hex()
+        assert report.argmin == argmin
+        assert report.scale == max(1.0, max(abs(v) for v in vals))
+
+    @given(st.floats(min_value=1.01, max_value=6.0), st.floats(min_value=1.01, max_value=6.0),
+           st.floats(min_value=0.01, max_value=1.0), st.lists(st.floats(0.0, 1.0), max_size=8),
+           st.integers(min_value=3, max_value=40))
+    @settings(max_examples=200, deadline=None)
+    def test_chi_values(self, p, q, c, fracs, grid_size):
+        ctx = ChiContext(p, q, c)
+        ss = [min(c, c * k / (grid_size - 1)) for k in range(grid_size)]
+        ss += [c * f for f in fracs]
+        got = _hex(_chi_values(ctx, ss))
+        assert got == _hex([chi(ctx, s) for s in ss])
+        assert got == _hex([_chi_per_point(ctx, s) for s in ss])
+
 
 class TestPsi:
     def test_zero_at_origin(self):
@@ -250,3 +387,26 @@ class TestChiSignScan:
     def test_grid_guard(self):
         with pytest.raises(DomainError):
             chi_sign_scan(ChiContext(2.0, 2.0, 1.0), 2)
+
+    @pytest.mark.parametrize("p, q", [(math.nan, 3.0), (1.5, math.inf), (math.inf, 3.0)])
+    def test_rejects_non_finite_exponents(self, p, q):
+        with pytest.raises(RegimeViolation, match="need finite p and q"):
+            ChiContext(p, q, 0.5)
+
+    def test_grid_stays_inside_the_domain(self):
+        # c * 6 / 6 rounds to one ulp above c; the scan used to raise DomainError there
+        c = 0.8038921141728734
+        assert c * 6 / 6 > c
+        ctx = ChiContext(4.0 / 3.0, 4.0, c)
+        report = chi_sign_scan(ctx, 7)
+        assert report.has_negative
+        assert _chi_values(ctx, [c]) == [chi(ctx, c)]
+
+    def test_overflow_is_an_error(self):
+        with pytest.raises(NonFiniteGap, match="overflow"):
+            chi_sign_scan(ChiContext(1.0000001, 1e6, 1.0), 5)
+
+    def test_non_finite_value_is_an_error(self):
+        # (q c) (...) overflows to inf near s = 1 with no exception
+        with pytest.raises(NonFiniteGap, match="inf at 0.994"):
+            chi_sign_scan(ChiContext(1.5, 1020.0, 1.0), 1001)
