@@ -8,7 +8,6 @@ configurations.  Both are exact functions of their seed.
 
 from clarkson import (
     Constraint,
-    ExponentPair,
     InequalityId,
     SampleSpec,
     counterexample_search,
@@ -20,14 +19,14 @@ spec = SampleSpec(dim_range=(1, 12))
 
 print("counterexample search, main-1.7 at (p, q) = (2.5, 4), 20k samples:")
 out = counterexample_search(
-    InequalityId.MAIN_17, ExponentPair.main(2.5, 4.0), spec, 20_000, seed=42
+    InequalityId.MAIN_17, 2.5, 4.0, spec, 20_000, seed=42
 )
 print(f"  status = {out.status.value}, most adverse normalized gap = {out.normalized_gap:.3e}")
 print()
 
 print("extremal search, main-1.7 at (p, q) = (2, 3): where is the bound tight?")
 out = extremal_search(
-    InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0),
+    InequalityId.MAIN_17, 2.0, 3.0,
     SampleSpec(dim_range=(2, 4)), 5_000, seed=42,
 )
 x, y, *_ = out.witness
@@ -47,7 +46,7 @@ print()
 
 print("signed exploration mode (the open case: p < q with signs allowed):")
 out = counterexample_search(
-    InequalityId.MAIN_17, ExponentPair.main(2.0, 4.0),
+    InequalityId.MAIN_17, 2.0, 4.0,
     SampleSpec(dim_range=(1, 12), constraint=Constraint.SIGNED),
     20_000, seed=42, explore=True,
 )

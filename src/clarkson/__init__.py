@@ -18,10 +18,8 @@ from .catalog import (
     halving_substitution,
 )
 from .core import (
-    ExponentPair,
     NonnegVector,
     RealVector,
-    Regime,
     Weights,
     combine,
     conjugate_exponent,

@@ -17,7 +17,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .core import (
-    ExponentPair,
     NonnegVector,
     RealVector,
     Weights,
@@ -26,6 +25,7 @@ from .core import (
     _sum_abs_powers,
     combine,
     conjugate_exponent,
+    main_exponents,
 )
 from .errors import (
     ClarksonError,
@@ -138,15 +138,16 @@ def report(
 def _evaluate(id, x, y, p, q, w, policy, entry=None) -> GapReport:
     """The report on entry's statement, by default id's as stated here.
 
-    x, y and w are validated vectors and weights; the quantities see
-    their plain float tuples.
+    The exponents come first: entry.exponents raises outside the regime
+    and gives the (p, q) the rest is taken at.  x, y and w are validated
+    vectors and weights; the quantities see their plain float tuples.
     """
     if entry is None:
         entry = _STATEMENTS[id]
+    p, q = entry.exponents(p, q)
     try:
         quantities = entry.quantities(
             x.entries, y.entries, p, q, None if w is None else w.masses)
-        p, q = entry.stated_at(p, q)
         lhs, rhs = entry.sides(*quantities, p, q)
     except OverflowError as exc:  # Python's float ** and math.fsum; numpy gives inf
         raise NonFiniteGap(f"{id.value}: non-finite gap (overflow)") from exc
@@ -194,8 +195,8 @@ def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, k: float, e: float) -> tu
 # Each statement below is written once, as (lhs, rhs) of the four norms
 # (nx, ny, ns, nd) = (||x||, ||y||, ||x+y||, ||x-y||), oriented so that
 # rhs - lhs >= 0 means "holds".  The same function serves the scalar
-# path (floats) and the batch screen ((B,) arrays); it, or its entry's
-# stated_at, raises for exponents outside the regime on both paths.
+# path (floats) and the batch screen ((B,) arrays), at the (p, q) its
+# entry's exponent builder returned, so no side checks a regime itself.
 
 
 def _c11_sides(nx, ny, ns, nd, p: float, q: float):
@@ -212,10 +213,8 @@ def _c12_sides(nx, ny, ns, nd, p: float, q: float):
     return (rhs, lhs) if p < 2.0 else (lhs, rhs)
 
 
-def _c13_sides(nx, ny, ns, nd, p: float, q: Optional[float] = None):
+def _c13_sides(nx, ny, ns, nd, p: float, q: float):
     """(left, right) sides of 2(||x||^p + ||y||^p) <= mid <= 2^(p-1)(...)."""
-    if p <= 1.0:
-        raise ExponentOutOfRange(f"need p > 1, got {p}")
     base = nx**p + ny**p
     mid = ns**p + nd**p
     left, right = (2.0 * base, mid), (mid, 2.0 ** (p - 1.0) * base)
@@ -224,45 +223,27 @@ def _c13_sides(nx, ny, ns, nd, p: float, q: Optional[float] = None):
     return left, right
 
 
-def _check_main_regime(p: float, q: float) -> None:
-    if not (2.0 <= p <= q):
-        raise RegimeViolation(f"need 2 <= p <= q, got ({p}, {q})")
-
-
 def _main_sides(nx, ny, ns, nd, p: float, q: float):
     """2(||x||^q + ||y||^q) <= ||x+y||^q + ||x-y||^q, 2 <= p <= q."""
-    _check_main_regime(p, q)
     return 2.0 * (nx**q + ny**q), ns**q + nd**q
 
 
 def _prop_sides(nu, nv, ns, nd, p: float, q: float):
     """2(||u||^q + 2^(q-2) ||v||^q) <= ||u+v||^q + ||u-v||^q, u >= v."""
-    _check_main_regime(p, q)
     return 2.0 * (nu**q + 2.0 ** (q - 2.0) * nv**q), ns**q + nd**q
 
 
 # The re-pairing statements compare power sums instead: (a, b, u, v) are
 # the sums of f(x), f(y), f(max(x, y)) and f(min(x, y)) for an entrywise
 # f, and re-pairing (x, y) into (max, min) never decreases a^e + b^e.
-# Their quantities carry e, checked before any sum is taken.
+# Their quantities carry e, taken from the checked pair: r = q for
+# sumpow-2.12 on the plain sums (f(t) = t), q/p for rearr-2.17 on the
+# p-th power sums (f(t) = t^p).
 
 
 def _repaired_sides(a, b, u, v, e: float, p=None, q=None):
     """a^e + b^e <= u^e + v^e for the (max, min) re-pairing, e >= 1."""
     return a**e + b**e, u**e + v**e
-
-
-def _sumpow_exponent(r: float) -> float:
-    """e = r for sumpow-2.12 on the plain sums (f(t) = t)."""
-    if r < 1.0:
-        raise ExponentOutOfRange(f"need r >= 1, got {r}")
-    return r
-
-
-def _rearr_exponent(p: float, q: float) -> float:
-    """e = q/p for rearr-2.17 on the p-th power sums (f(t) = t^p)."""
-    _check_main_regime(p, q)
-    return q / p
 
 
 def eval_clarkson_1_1(
@@ -363,8 +344,6 @@ def _one_entry_terms(x, y, p, q, w):
     """(x, y, x+y, x-y): the four norms of one-entry vectors x >= y >= 0."""
     if len(x) != 1 or len(y) != 1:
         raise LengthMismatch("cor-1.6 takes scalars (1-entry vectors)")
-    if q < 2.0:
-        raise RegimeViolation(f"need q >= 2, got {q}")
     (a,), (b,) = x, y
     if b < 0.0 or a < b:
         raise DominanceViolation(0, f"need x >= y >= 0, got x={a}, y={b}")
@@ -383,74 +362,93 @@ def _repaired_sums(x, y, k: float, e: float) -> tuple:
     return (*(_sum_abs_powers(side, k) for side in (x, y, u, v)), e)
 
 
-def _conjugate_q(p: float, q: Optional[float]) -> Tuple[float, float]:
-    return p, conjugate_exponent(p)
+# The exponent builders.  Each raises outside its statement's regime,
+# non-finite exponents included, and otherwise returns the (p, q) the
+# statement is taken at.  Built on a pair one returned, it returns that
+# pair again: search hands the resolved pair back to evaluate.
 
 
-def _conjugate_exponents(p: float, q: float) -> ExponentPair:
-    return ExponentPair.conjugate(p) if p >= 2.0 else ExponentPair.reverse(p)
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise RegimeViolation(f"need finite {name}, got {value}")
+    return value
 
 
-def _cor_1_6_exponents(p: float, q: float) -> ExponentPair:
-    if q < 2.0:
+def _conjugate_exponents(p: float, q: Optional[float]) -> Tuple[float, float]:
+    """(p, p/(p-1)) for c-1.1 and c-1.2; the q passed is ignored."""
+    return p, conjugate_exponent(_finite("p", p))
+
+
+def _c13_exponents(p: float, q: Optional[float]) -> Tuple[float, float]:
+    """(p, p) for c-1.3, p > 1; the q passed is ignored."""
+    if _finite("p", p) <= 1.0:
+        raise ExponentOutOfRange(f"need p > 1, got {p}")
+    return p, p
+
+
+def _cor_exponents(p: float, q: float) -> Tuple[float, float]:
+    """(q, q) for cor-1.6, q >= 2; the p passed is ignored."""
+    if _finite("q", q) < 2.0:
         raise RegimeViolation(f"need q >= 2, got {q}")
-    return ExponentPair.scalar(q)
+    return q, q
+
+
+def _sum_power_exponents(p: float, q: float) -> Tuple[float, float]:
+    """(r, r) for sumpow-2.12 with r = q >= 1; the p passed is ignored."""
+    if _finite("r", q) < 1.0:
+        raise ExponentOutOfRange(f"need r >= 1, got {q}")
+    return q, q
 
 
 @dataclass(frozen=True)
 class Inequality:
     """One inequality as plain data.
 
-    The statement is sides(*quantities, *stated_at(p, q)) -> (lhs, rhs),
-    and its report records stated_at(p, q).  quantities(x, y, p, q, w)
+    exponents(p, q) is the one regime check: it raises outside the
+    regime, non-finite exponents included, and otherwise returns the
+    (p, q) the statement is taken at, which everything after it uses and
+    the report records.  At that (p, q) the statement is
+    sides(*quantities(x, y, p, q, w), p, q) -> (lhs, rhs).  quantities
     are those of one pair, given as the float tuples of validated
     vectors and weights (w None when unweighted), exact (math.fsum
     sums), after the checks the statement needs; batch_quantities takes
-    the same arguments on (B, nmax) blocks and is None where a block cannot be screened (cor-1.6
-    needs one-entry rows).  constraint is the widest input set covered;
-    explore admits signed inputs in exploration mode; weighted=False
-    rejects weights.  exponents(p, q) builds the ExponentPair to sample
-    at, raising outside the regime.
+    the same arguments on (B, nmax) blocks and is None where a block
+    cannot be screened (cor-1.6 needs one-entry rows).  constraint is the
+    widest input set covered; explore admits signed inputs in
+    exploration mode; weighted=False rejects weights.
     """
 
     constraint: Constraint
-    exponents: Callable[[float, float], ExponentPair]
+    exponents: Callable[[float, Optional[float]], Tuple[float, float]]
     sides: Callable[..., tuple]
     quantities: Callable[..., tuple] = _pair_norms
     batch_quantities: Optional[Callable[..., tuple]] = _batch_pair_norms
-    stated_at: Callable[[float, float], Tuple[float, float]] = lambda p, q: (p, q)
     weighted: bool = True
     explore: bool = False
 
 
 REGISTRY: Dict[InequalityId, Inequality] = {
-    InequalityId.C11: Inequality(
-        Constraint.SIGNED, _conjugate_exponents, _c11_sides, stated_at=_conjugate_q),
-    InequalityId.C12: Inequality(
-        Constraint.SIGNED, _conjugate_exponents, _c12_sides, stated_at=_conjugate_q),
+    InequalityId.C11: Inequality(Constraint.SIGNED, _conjugate_exponents, _c11_sides),
+    InequalityId.C12: Inequality(Constraint.SIGNED, _conjugate_exponents, _c12_sides),
     InequalityId.C13_LEFT: Inequality(
-        Constraint.SIGNED, _conjugate_exponents, lambda *norms_p_q: _c13_sides(*norms_p_q)[0],
-        stated_at=lambda p, q: (p, p)),
+        Constraint.SIGNED, _c13_exponents, lambda *norms_p_q: _c13_sides(*norms_p_q)[0]),
     InequalityId.C13_RIGHT: Inequality(
-        Constraint.SIGNED, _conjugate_exponents, lambda *norms_p_q: _c13_sides(*norms_p_q)[1],
-        stated_at=lambda p, q: (p, p)),
+        Constraint.SIGNED, _c13_exponents, lambda *norms_p_q: _c13_sides(*norms_p_q)[1]),
     InequalityId.MAIN_17: Inequality(
-        Constraint.NONNEGATIVE, ExponentPair.main, _main_sides, explore=True),
+        Constraint.NONNEGATIVE, main_exponents, _main_sides, explore=True),
     InequalityId.PROP_14: Inequality(
-        Constraint.DOMINATED_PAIR, ExponentPair.main, _prop_sides, _dominated_norms),
+        Constraint.DOMINATED_PAIR, main_exponents, _prop_sides, _dominated_norms),
     InequalityId.COR_16: Inequality(
-        Constraint.DOMINATED_PAIR, _cor_1_6_exponents, _prop_sides, _one_entry_terms,
-        batch_quantities=None, stated_at=lambda p, q: (q, q), weighted=False),
+        Constraint.DOMINATED_PAIR, _cor_exponents, _prop_sides, _one_entry_terms,
+        batch_quantities=None, weighted=False),
     InequalityId.SUMPOW_212: Inequality(
-        Constraint.NONNEGATIVE, lambda p, q: ExponentPair.scalar(q), _repaired_sides,
-        lambda x, y, p, q, w: _repaired_sums(x, y, 1.0, _sumpow_exponent(q)),
-        lambda x, y, p, q, w: _batch_repaired_sums(x, y, 1.0, _sumpow_exponent(q)),
-        stated_at=lambda p, q: (q, q), weighted=False),
+        Constraint.NONNEGATIVE, _sum_power_exponents, _repaired_sides,
+        lambda x, y, p, q, w: _repaired_sums(x, y, 1.0, q),
+        lambda x, y, p, q, w: _batch_repaired_sums(x, y, 1.0, q), weighted=False),
     InequalityId.REARR_GAIN_217: Inequality(
-        Constraint.NONNEGATIVE, ExponentPair.main, _repaired_sides,
-        lambda x, y, p, q, w: _repaired_sums(x, y, p, _rearr_exponent(p, q)),
-        lambda x, y, p, q, w: _batch_repaired_sums(x, y, p, _rearr_exponent(p, q)),
-        weighted=False),
+        Constraint.NONNEGATIVE, main_exponents, _repaired_sides,
+        lambda x, y, p, q, w: _repaired_sums(x, y, p, q / p),
+        lambda x, y, p, q, w: _batch_repaired_sums(x, y, p, q / p), weighted=False),
 }
 
 # The statements as stated here.  The eval_* functions read them, so a
@@ -482,8 +480,8 @@ def evaluate(
 ) -> GapReport:
     """The report on registry entry id's statement for the pair (x, y).
 
-    The signed-input inequalities are the conjugate-pair ones: they derive
-    q from p and ignore any passed q.  The others need q (sumpow-2.12 uses
+    The signed-input inequalities (c-1.x) take their exponents from p
+    alone and ignore any passed q.  The others need q (sumpow-2.12 uses
     r = q) and nonnegative inputs; strict=False lets the entry marked
     explore (MAIN_17 only) run on signed ones.
     """
@@ -513,10 +511,11 @@ def batch_normalized_gaps(
     may raise.  Only a screen: every verdict comes from evaluate.
     """
     entry = lookup(id)
+    p, q = entry.exponents(p, q)
     if entry.batch_quantities is None:
         raise ClarksonError(f"{id.value} has no batch form")
     _check_weights(id, entry, w)
     with np.errstate(all="ignore"):
-        lhs, rhs = entry.sides(*entry.batch_quantities(x, y, p, q, w), *entry.stated_at(p, q))
+        lhs, rhs = entry.sides(*entry.batch_quantities(x, y, p, q, w), p, q)
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         return (rhs - lhs) / scale

@@ -231,14 +231,13 @@ def cmd_search(args) -> int:
     spec = _spec_from_args(args)
     policy = _policy(args)
     q = args.q_value if args.q_value is not None else args.p_value
-    exps = catalog.lookup(ineq).exponents(args.p_value, q)
     if args.mode == "extremal":
         outcome = search.extremal_search(
-            ineq, exps, spec, args.budget, args.seed, policy, explore=args.explore
+            ineq, args.p_value, q, spec, args.budget, args.seed, policy, explore=args.explore
         )
     else:
         outcome = search.counterexample_search(
-            ineq, exps, spec, args.budget, args.seed, policy, explore=args.explore
+            ineq, args.p_value, q, spec, args.budget, args.seed, policy, explore=args.explore
         )
     print(f"status: {outcome.status.value}")
     print(f"evaluations: {outcome.evaluations}")
@@ -288,10 +287,9 @@ def cmd_phi(args) -> int:
         raise UsageError(str(exc))
     _check_grid_size(args.grid_size, 2)
     ts, vals, report = variational._phi_scan(ctx, args.grid_size)
-    bps = variational.breakpoints(ctx)
-    radius = 1e-6
-    adjacent = [any(abs(t - bp) <= radius for bp in bps) for t in ts]
-    inner = [t for t, adj in zip(ts, adjacent) if 0.0 < t < 1.0 and not adj]
+    # ctx is dominated, so phi has no breakpoint in (0, 1) and no row is
+    # breakpoint-adjacent; phi_prime is defined at every inner point.
+    inner = [t for t in ts if 0.0 < t < 1.0]
     derivs = iter(
         variational._finite_values("phi_prime", variational._phi_prime_values, ctx, inner)
     )
@@ -299,9 +297,9 @@ def cmd_phi(args) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["t", "phi", "phi_prime", "is_breakpoint_adjacent"])
-        for t, val, adj in zip(ts, vals, adjacent):
-            deriv = _fmt(next(derivs)) if 0.0 < t < 1.0 and not adj else ""
-            writer.writerow([_fmt(t), _fmt(val), deriv, str(adj).lower()])
+        for t, val in zip(ts, vals):
+            deriv = _fmt(next(derivs)) if 0.0 < t < 1.0 else ""
+            writer.writerow([_fmt(t), _fmt(val), deriv, "false"])
         writer.writerow(
             ["summary", _fmt(report.min_increment),
              f"is_nondecreasing={str(report.is_nondecreasing).lower()}", ""]

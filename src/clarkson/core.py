@@ -1,5 +1,6 @@
 """Vector and exponent primitives: validated finite sequences, weighted
-p-norms, conjugate exponents, and componentwise combination.
+p-norms, conjugate exponents, the main-regime check, and componentwise
+combination.
 
 All values are immutable after validation and safe to share between
 workers.  Sums of p-th powers use exact compensated accumulation
@@ -19,10 +20,9 @@ valid by construction (``search._project``'s output).
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Literal, Optional, Sequence, Tuple
 
 from .errors import (
     EmptyVector,
@@ -30,6 +30,7 @@ from .errors import (
     LengthMismatch,
     NegativeEntry,
     NonFiniteEntry,
+    RegimeViolation,
     TooLarge,
 )
 
@@ -113,48 +114,6 @@ class Weights:
         return w
 
 
-class Regime(enum.Enum):
-    MAIN = "main"            # 2 <= p <= q
-    CONJUGATE = "conjugate"  # q = p/(p-1)
-    REVERSE = "reverse"      # 1 < p <= 2
-    SCALAR = "scalar"        # only q matters
-
-
-@dataclass(frozen=True)
-class ExponentPair:
-    """Exponent pair (p, q) tagged with the regime it is meant for."""
-
-    p: float
-    q: float
-    regime: Regime
-
-    def __post_init__(self):
-        if self.p <= 1.0:
-            raise ExponentOutOfRange(f"p must exceed 1, got {self.p}")
-        if self.regime is Regime.MAIN and not (2.0 <= self.p <= self.q):
-            raise ExponentOutOfRange(f"MAIN regime needs 2 <= p <= q, got ({self.p}, {self.q})")
-        if self.regime is Regime.CONJUGATE and abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
-            raise ExponentOutOfRange(f"({self.p}, {self.q}) is not a conjugate pair")
-        if self.regime is Regime.REVERSE and not (1.0 < self.p <= 2.0):
-            raise ExponentOutOfRange(f"REVERSE regime needs 1 < p <= 2, got {self.p}")
-
-    @classmethod
-    def main(cls, p: float, q: float) -> "ExponentPair":
-        return cls(p, q, Regime.MAIN)
-
-    @classmethod
-    def conjugate(cls, p: float) -> "ExponentPair":
-        return cls(p, conjugate_exponent(p), Regime.CONJUGATE)
-
-    @classmethod
-    def reverse(cls, p: float) -> "ExponentPair":
-        return cls(p, conjugate_exponent(p), Regime.REVERSE)
-
-    @classmethod
-    def scalar(cls, q: float) -> "ExponentPair":
-        return cls(q, q, Regime.SCALAR)
-
-
 def validate_vector(raw: Iterable[float], require_nonneg: bool = False) -> RealVector:
     """Validate a raw sequence into a RealVector (or NonnegVector)."""
     entries = tuple(float(x) for x in raw)
@@ -168,6 +127,15 @@ def conjugate_exponent(p: float) -> float:
     if p <= 1.0:
         raise ExponentOutOfRange(f"conjugate exponent needs p > 1, got {p}")
     return p / (p - 1.0)
+
+
+def main_exponents(p: float, q: float) -> Tuple[float, float]:
+    """(p, q), checked: both finite and 2 <= p <= q, the paper's main regime."""
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise RegimeViolation(f"need finite p and q, got ({p}, {q})")
+    if not (2.0 <= p <= q):
+        raise RegimeViolation(f"need 2 <= p <= q, got ({p}, {q})")
+    return p, q
 
 
 def _sum_abs_powers(

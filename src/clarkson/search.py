@@ -43,7 +43,7 @@ from .catalog import (
     evaluate,
     lookup,
 )
-from .core import ExponentPair, NonnegVector, RealVector, Weights
+from .core import NonnegVector, RealVector, Weights
 from .errors import (
     ClarksonError,
     ConstraintMismatch,
@@ -89,8 +89,9 @@ _SCREEN_MARGIN = 1e-12
 
 
 def _screen_margin(p: float, q: float, nmax: int) -> float:
-    # p/(p-1) covers c-1.x, which derive their q from p.
-    e = max(p, q, p / (p - 1.0))
+    # p/(p-1) is the conjugate of p, which c-1.1 and c-1.2 raise to.  At
+    # p = 1, which only sumpow-2.12 at r = 1 reaches, no power exceeds 1.
+    e = max(p, q, p / (p - 1.0) if p > 1.0 else 1.0)
     return max(_SCREEN_MARGIN, (3.0 * e * (nmax + 14) + 3.0) * 2.0**-53)
 
 
@@ -251,7 +252,8 @@ def _screen(ng: np.ndarray, rel_tol: float, margin: float) -> np.ndarray:
 
 def _eval_indices(
     id: InequalityId,
-    exps: ExponentPair,
+    p: float,
+    q: float,
     spec: SampleSpec,
     seed: int,
     indices: range,
@@ -263,9 +265,10 @@ def _eval_indices(
     The result equals that of evaluating every index with the scalar
     evaluate: entries with a batch form evaluate only the rows _screen
     keeps.  Indices run in ascending order, so ties go to the lowest index.
+    (p, q) is a pair the entry's exponent builder returned.
     """
     batch = lookup(id).batch_quantities is not None
-    margin = _screen_margin(exps.p, exps.q, spec.dim_range[1])
+    margin = _screen_margin(p, q, spec.dim_range[1])
     best = (math.inf, None, None)
     violations = 0
     for b in range(indices.start // _BLOCK, -(-indices.stop // _BLOCK)):
@@ -275,41 +278,47 @@ def _eval_indices(
         rows = range(lo, hi)
         if batch:
             gaps = batch_normalized_gaps(
-                id, block.x[lo:hi], block.y[lo:hi], exps.p, exps.q,
+                id, block.x[lo:hi], block.y[lo:hi], p, q,
                 None if block.w is None else block.w[lo:hi],
             )
             rows = lo + _screen(gaps, policy.rel_tol, margin)
         for r in rows:
             x, y, w = block.pair(r)
-            rep = evaluate(id, x, y, exps.p, exps.q, w, policy, strict=strict)
+            rep = evaluate(id, x, y, p, q, w, policy, strict=strict)
             ng = rep.gap / rep.scale
             if rep.verdict is Verdict.VIOLATED:
                 violations += 1
             if ng < best[0]:
-                best = (ng, rep, (x, y, exps.p, exps.q, w))
+                best = (ng, rep, (x, y, p, q, w))
     return (*best, violations)
 
 
-def _no_result(exps: ExponentPair, evals: int, seed: int, exploratory: bool) -> SearchOutcome:
-    return SearchOutcome(None, (None, None, exps.p, exps.q, None), math.inf, evals,
+def _no_result(p: float, q: float, evals: int, seed: int, exploratory: bool) -> SearchOutcome:
+    return SearchOutcome(None, (None, None, p, q, None), math.inf, evals,
                          seed, SearchStatus.BUDGET_EXHAUSTED, exploratory)
 
 
 def counterexample_search(
     id: InequalityId,
-    exps: ExponentPair,
+    p: float,
+    q: float,
     spec: SampleSpec,
     budget: int,
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
     explore: bool = False,
 ) -> SearchOutcome:
-    """Sample up to budget pairs and return the most negative normalized gap."""
+    """Sample up to budget pairs and return the most negative normalized gap.
+
+    (p, q) go through the entry's exponent builder first; the witness
+    records the pair it returns.
+    """
+    p, q = lookup(id).exponents(p, q)
     exploratory = _check_constraint(id, spec, explore)
     if budget <= 0:
-        return _no_result(exps, 0, seed, exploratory)
+        return _no_result(p, q, 0, seed, exploratory)
     ng, rep, witness, violations = _eval_indices(
-        id, exps, spec, seed, range(budget), policy, not exploratory
+        id, p, q, spec, seed, range(budget), policy, not exploratory
     )
     status = SearchStatus.VIOLATION_FOUND if violations else SearchStatus.NO_VIOLATION
     return SearchOutcome(rep, witness, ng, budget, seed, status, exploratory)
@@ -337,7 +346,8 @@ def _project(
 
 def extremal_search(
     id: InequalityId,
-    exps: ExponentPair,
+    p: float,
+    q: float,
     spec: SampleSpec,
     budget: int,
     seed: int = 0,
@@ -349,8 +359,10 @@ def extremal_search(
     Random multistart followed by coordinate-perturbation descent with
     geometric step shrink.  Gaps are homogeneous, so the normalization is
     what makes "near-equality" meaningful.  Weighted specs are rejected:
-    the descent moves the entries only.
+    the descent moves the entries only.  (p, q) are resolved as in
+    counterexample_search.
     """
+    p, q = lookup(id).exponents(p, q)
     exploratory = _check_constraint(id, spec, explore)
     if spec.weights:
         raise ConstraintMismatch("extremal search does not take weights")
@@ -367,20 +379,20 @@ def extremal_search(
             # _project output is finite, and clamped and dominated as spec requires.
             vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
             x, y = vec._trusted(tuple(xv.tolist())), vec._trusted(tuple(yv.tolist()))
-            rep = evaluate(id, x, y, exps.p, exps.q, None, policy, strict=not exploratory)
+            rep = evaluate(id, x, y, p, q, None, policy, strict=not exploratory)
         except ClarksonError:
             return None
         finally:
             evals += 1
         if rep.verdict is Verdict.VIOLATED:
             violated = True
-        return rep.gap / rep.scale, rep, (x, y, exps.p, exps.q, None)
+        return rep.gap / rep.scale, rep, (x, y, p, q, None)
 
     for s in range(_STARTS):
         if evals >= budget:
             break
         x0, y0, _ = sample_pair(spec, seed, s)
-        proj = _project(np.array(x0.entries), np.array(y0.entries), spec, exps.p)
+        proj = _project(np.array(x0.entries), np.array(y0.entries), spec, p)
         if proj is None:
             continue
         xv, yv = proj
@@ -399,7 +411,7 @@ def extremal_search(
                     for delta in (step, -step):
                         cand_x, cand_y = xv.copy(), yv.copy()
                         (cand_x if vec_idx == 0 else cand_y)[i] += delta
-                        proj = _project(cand_x, cand_y, spec, exps.p)
+                        proj = _project(cand_x, cand_y, spec, p)
                         if proj is None:
                             continue
                         res = score(*proj)
@@ -418,7 +430,7 @@ def extremal_search(
                 step *= 0.5
 
     if best is None:
-        return _no_result(exps, evals, seed, exploratory)
+        return _no_result(p, q, evals, seed, exploratory)
     status = SearchStatus.VIOLATION_FOUND if violated else SearchStatus.NO_VIOLATION
     return SearchOutcome(best[0], best[1], best_ng, evals, seed, status, exploratory)
 
@@ -462,7 +474,7 @@ def scan_grid(
             continue
         base = cell_index * samples_per_cell
         ng, _, _, violations = _eval_indices(
-            id, exps, spec, seed, range(base, base + samples_per_cell), policy,
+            id, *exps, spec, seed, range(base, base + samples_per_cell), policy,
             not exploratory,
         )
         out.append(CellSummary(p, q, samples_per_cell, ng, violations, False))

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .core import NonnegVector
+from .core import NonnegVector, main_exponents
 from .errors import (
     AtBreakpoint,
     DomainError,
@@ -65,10 +65,7 @@ class PhiContext:
             for i, (a, b) in enumerate(zip(self.u.entries, self.v.entries)):
                 if a < b:
                     raise DominanceViolation(i)
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise RegimeViolation(f"need finite p and q, got ({self.p}, {self.q})")
-        if not (2.0 <= self.p <= self.q):
-            raise RegimeViolation(f"need 2 <= p <= q, got ({self.p}, {self.q})")
+        main_exponents(self.p, self.q)
 
 
 def phi(ctx: PhiContext, t: float, relaxed: bool = False) -> float:

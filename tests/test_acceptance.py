@@ -23,7 +23,7 @@ from clarkson.catalog import (
     eval_prop_1_4,
 )
 from clarkson.cli import main as cli_main
-from clarkson.core import ExponentPair, NonnegVector, p_norm, combine
+from clarkson.core import NonnegVector, p_norm, combine
 from clarkson.rearrange import (
     SwapInstance,
     brute_force_swap_oracle,
@@ -93,7 +93,7 @@ def test_criterion_01_main_extension_suite():
         for dist, density in DISTRIBUTIONS:
             spec = SampleSpec(dim_range=(1, 16), distribution=dist, density=density)
             out = counterexample_search(
-                InequalityId.MAIN_17, ExponentPair.main(p, q), spec, budget,
+                InequalityId.MAIN_17, p, q, spec, budget,
                 seed=SEED, policy=POLICY,
             )
             total += out.evaluations

@@ -59,12 +59,12 @@ def scalar_reduce(id, exps, spec, seed, indices, policy=DEFAULT_POLICY, strict=T
     gaps = []
     for i in indices:
         x, y, w = sample_pair(spec, seed, i)
-        rep = evaluate(id, x, y, exps.p, exps.q, w, policy, strict=strict)
+        rep = evaluate(id, x, y, *exps, w, policy, strict=strict)
         ng = rep.gap / rep.scale
         gaps.append(ng)
         violations += rep.verdict is Verdict.VIOLATED
         if ng < best[0]:
-            best = (ng, rep, (x, y, exps.p, exps.q, w))
+            best = (ng, rep, (x, y, *exps, w))
     return (*best, violations, gaps)
 
 
@@ -73,7 +73,7 @@ def batch_gaps(id, exps, spec, seed, indices):
     out = []
     for b in range(indices.start // _BLOCK, -(-indices.stop // _BLOCK)):
         block = sample_block(spec, seed, b)
-        ng = batch_normalized_gaps(id, block.x, block.y, exps.p, exps.q, block.w)
+        ng = batch_normalized_gaps(id, block.x, block.y, *exps, block.w)
         out.extend(ng[i - b * _BLOCK] for i in indices if i // _BLOCK == b)
     return out
 
@@ -121,9 +121,9 @@ def test_search_equals_all_scalar_reduction(id, constraint, explore):
             for exps in exponent_pairs(id):
                 *want, gaps = scalar_reduce(id, exps, spec, SEED, range(BUDGET),
                                             strict=not explore)
-                out = counterexample_search(id, exps, spec, BUDGET, SEED, explore=explore)
+                out = counterexample_search(id, *exps, spec, BUDGET, SEED, explore=explore)
                 assert (out.normalized_gap, out.best_report, out.witness) == tuple(want[:3])
-                got = search._eval_indices(id, exps, spec, SEED, range(BUDGET),
+                got = search._eval_indices(id, *exps, spec, SEED, range(BUDGET),
                                            DEFAULT_POLICY, not explore)
                 assert_same_outcome(got, want)
                 batch = batch_gaps(id, exps, spec, SEED, range(BUDGET))
@@ -144,7 +144,7 @@ def test_violation_counts_match(monkeypatch):
     spec = SampleSpec(dim_range=(1, 8))
     exps = entry.exponents(2.0, 3.0)
     want = scalar_reduce(InequalityId.MAIN_17, exps, spec, SEED, range(BUDGET))
-    got = search._eval_indices(InequalityId.MAIN_17, exps, spec, SEED, range(BUDGET),
+    got = search._eval_indices(InequalityId.MAIN_17, *exps, spec, SEED, range(BUDGET),
                                DEFAULT_POLICY)
     assert want[3] > 0.9 * BUDGET
     assert_same_outcome(got, want[:4])
@@ -173,7 +173,7 @@ def test_weighted_repaired_specs_are_rejected_before_batch_work(id, monkeypatch)
     spec = SampleSpec(dim_range=(2, 6), weights=True)
     exps = REGISTRY[id].exponents(2.0, 3.0)
     with pytest.raises(ConstraintMismatch, match="without weights"):
-        counterexample_search(id, exps, spec, BUDGET, SEED)
+        counterexample_search(id, *exps, spec, BUDGET, SEED)
     with pytest.raises(ConstraintMismatch, match="without weights"):
         scan_grid(id, [2.0], [3.0], spec, 10, SEED)
 
@@ -227,10 +227,10 @@ def test_masked_and_dense_batch_gaps_are_equal(id, monkeypatch):
         return (terms if w is None else terms * w).sum(axis=-1)
 
     for exps in exponent_pairs(id):
-        masked = batch_normalized_gaps(id, block.x, block.y, exps.p, exps.q, block.w)
+        masked = batch_normalized_gaps(id, block.x, block.y, *exps, block.w)
         with monkeypatch.context() as m:
             m.setattr(catalog, "_batch_power_sums", dense_power_sums)
-            dense = batch_normalized_gaps(id, block.x, block.y, exps.p, exps.q, block.w)
+            dense = batch_normalized_gaps(id, block.x, block.y, *exps, block.w)
         assert masked.tobytes() == dense.tobytes()
 
 
@@ -278,7 +278,7 @@ def test_non_finite_batch_gap_reaches_scalar_path(monkeypatch):
     ng = batch_normalized_gaps(InequalityId.MAIN_17, blk.x, blk.y, 2.0, 3.0)
     assert not np.isfinite(ng[row]) and np.isfinite(np.delete(ng, row)).all()
     with pytest.raises(NonFiniteGap):
-        counterexample_search(InequalityId.MAIN_17, exps, spec, 100, SEED)
+        counterexample_search(InequalityId.MAIN_17, *exps, spec, 100, SEED)
     # the row before it is the last one evaluated cleanly
-    out = counterexample_search(InequalityId.MAIN_17, exps, spec, row, SEED)
+    out = counterexample_search(InequalityId.MAIN_17, *exps, spec, row, SEED)
     assert math.isfinite(out.normalized_gap)

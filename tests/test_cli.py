@@ -216,13 +216,12 @@ class TestErrorExits:
             # x + y overflows while both norms stay finite (x*x gives inf, no exception)
             (["verify", "--ineq", "main-1.7", "--x", "1e308,1", "--y", "1e308,1",
               "--p", "2", "--q", "3"], "error: pair 0: non-finite entry at index 0"),
-            # the order of the checks: the exponent before the lengths, except
-            # where a statement checks its inputs first (dominance, its own exponent)
+            # the order of the checks: the exponents before anything else
             *[(["verify", "--ineq", name, "--x", "3,1", "--y", "1,2,3", "--p", "0.5",
                 "--q", "3"], f"error: pair 0: {message}")
-              for name, message in (("c-1.1", "p-norm needs p >= 1, got 0.5"),
-                                    ("main-1.7", "p-norm needs p >= 1, got 0.5"),
-                                    ("prop-1.4", "lengths 2 and 3 differ"),
+              for name, message in (("c-1.1", "conjugate exponent needs p > 1, got 0.5"),
+                                    ("main-1.7", "need 2 <= p <= q, got (0.5, 3.0)"),
+                                    ("prop-1.4", "need 2 <= p <= q, got (0.5, 3.0)"),
                                     ("sumpow-2.12", "lengths 2 and 3 differ"),
                                     ("rearr-2.17", "need 2 <= p <= q, got (0.5, 3.0)"))],
             (["scan", "--ineq", "main-1.7", "--p-grid", "2:2:1", "--q-grid", "nan:nan:1",
@@ -246,6 +245,23 @@ class TestErrorExits:
              f"is more than {MAX_GRID_CELLS}"),
             (["phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4",
               "--grid-size", str(MAX_GRID_CELLS + 1)], f"is more than {MAX_GRID_CELLS}"),
+            # non-finite exponents exit 2, never 1 (a violated row) or 0
+            *[(["verify", "--ineq", name, "--x", "1,0.5", "--y", "0.5,0.25",
+                "--p", "inf", "--q", "inf"], f"error: pair 0: {message}")
+              for name, message in (("main-1.7", "need finite p and q, got (inf, inf)"),
+                                    ("c-1.3-left", "need finite p, got inf"))],
+            *[(["search", "--mode", mode, "--ineq", name, "--p", "inf", "--q", "inf",
+                "--budget", "50"], f"error: {message}")
+              for mode in ("extremal", "counterexample")
+              for name, message in (("main-1.7", "need finite p and q, got (inf, inf)"),
+                                    ("c-1.1", "need finite p, got inf"),
+                                    ("sumpow-2.12", "need finite r, got inf"))],
+            (["search", "--ineq", "cor-1.6", "--p", "2", "--q", "nan", "--nmax", "1",
+              "--constraint", "dominated"], "error: need finite q, got nan"),
+            # search gives verify's regime messages
+            (["search", "--ineq", "main-1.7", "--p", "3", "--q", "2"],
+             "error: need 2 <= p <= q, got (3.0, 2.0)"),
+            (["search", "--ineq", "sumpow-2.12", "--q", "0.5"], "error: need r >= 1, got 0.5"),
         ],
     )
     def test_exit_2_with_error_line(self, argv, message, capsys):
@@ -351,7 +367,7 @@ class TestPhi:
             capsys,
         )
         assert code == 0
-        assert points == {"phi": 33, "phi_prime": 31, "breakpoints": 1}
+        assert points == {"phi": 33, "phi_prime": 31, "breakpoints": 0}
 
 
 class TestChi:

@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clarkson.core import (
-    ExponentPair,
     NonnegVector,
     RealVector,
-    Regime,
     Weights,
     combine,
     conjugate_exponent,
@@ -137,23 +135,3 @@ class TestCombine:
         with pytest.raises(LengthMismatch):
             combine(RealVector((1.0,)), RealVector((1.0, 2.0)), "plus")
 
-
-class TestExponentPair:
-    def test_main_regime_enforced(self):
-        ExponentPair.main(2.0, 5.0)
-        with pytest.raises(ExponentOutOfRange):
-            ExponentPair.main(3.0, 2.0)
-
-    def test_conjugate_regime(self):
-        pair = ExponentPair.conjugate(4.0)
-        assert pair.regime is Regime.CONJUGATE
-        assert abs(1.0 / pair.p + 1.0 / pair.q - 1.0) < 1e-12
-
-    def test_reverse_regime_bounds(self):
-        ExponentPair.reverse(1.5)
-        with pytest.raises(ExponentOutOfRange):
-            ExponentPair.reverse(3.0)
-
-    def test_p_must_exceed_one(self):
-        with pytest.raises(ExponentOutOfRange):
-            ExponentPair.scalar(1.0)

@@ -5,15 +5,18 @@ constraint is accepted, exploratory or rejected (explore off and on);
 which cells a scan over p in 1:4:0.25, q in 1:6:0.25 skips; the
 exponents `clarkson search` samples at; and the rows `clarkson verify`
 prints.  swap-2.8 has no vector-pair form and is rejected everywhere.
+Each entry's exponent builder is the one regime check, so verify,
+search and scan agree on which exponents run.
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from clarkson.catalog import Constraint, InequalityId
+from clarkson.catalog import Constraint, InequalityId, lookup
 from clarkson.cli import main
-from clarkson.core import ExponentPair
 from clarkson.errors import ClarksonError
 from clarkson.search import SampleSpec, counterexample_search, scan_grid
 
@@ -54,7 +57,7 @@ MAIN_SKIPS = (
     "xxxxxxxxxxxx.........",
 )
 COR_SKIPS = ("xxxx.................",) * 13
-SUMPOW_SKIPS = ("x....................",) * 13
+SUMPOW_SKIPS = (".....................",) * 13
 
 SKIPS = {
     "c-1.1": CONJUGATE_SKIPS,
@@ -73,13 +76,15 @@ SEARCH_POINTS = ((2.5, 3.7), (3.0, None), (1.5, 3.0), (2.0, 1.5), (1.0, 3.0), (4
 CONJUGATE_EXPS = (
     (2.5, 1.6666666666666667), (3.0, 1.5), (1.5, 3.0), (2.0, 2.0), None, (4.0, 1.3333333333333333)
 )
+# c-1.3 is stated in p alone
+C13_EXPS = ((2.5, 2.5), (3.0, 3.0), (1.5, 1.5), (2.0, 2.0), None, (4.0, 4.0))
 MAIN_EXPS = ((2.5, 3.7), (3.0, 3.0), None, None, None, None)
 SCALAR_EXPS = ((3.7, 3.7), (3.0, 3.0), (3.0, 3.0), (1.5, 1.5), (3.0, 3.0), (2.0, 2.0))
 SEARCH_EXPS = {
     "c-1.1": CONJUGATE_EXPS,
     "c-1.2": CONJUGATE_EXPS,
-    "c-1.3-left": CONJUGATE_EXPS,
-    "c-1.3-right": CONJUGATE_EXPS,
+    "c-1.3-left": C13_EXPS,
+    "c-1.3-right": C13_EXPS,
     "main-1.7": MAIN_EXPS,
     "prop-1.4": MAIN_EXPS,
     # the corollary is stated for q >= 2 only
@@ -103,7 +108,7 @@ def test_constraint_status(name):
         for explore, expected in zip((False, True), STATUS[name][constraint.value]):
             try:
                 out = counterexample_search(
-                    id, ExponentPair.main(2.0, 3.0), SampleSpec(constraint=constraint), 0,
+                    id, 2.0, 3.0, SampleSpec(constraint=constraint), 0,
                     explore=explore,
                 )
                 got = E if out.exploratory else A
@@ -245,3 +250,53 @@ def test_verify_rows_are_bit_exact(name, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert tuple(out[1:]) == rows
+
+
+# (p, q) where verify, search and scan must agree: all three run, or none does.
+AGREEMENT_PQS = ((1.0, 1.0), (2.0, 1.0), (0.5, 3.0), (4.0, 2.0), (math.inf, math.inf),
+                 (2.0, math.nan), (2.5, 3.7), (3.0, 3.0), (1.5, 3.0))
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_ROWS))
+def test_verify_search_and_scan_agree(name, tmp_path, capsys):
+    x, y = VERIFY_ROWS[name][2][0]
+    path = tmp_path / "witness.json"
+    spec = SampleSpec(dim_range=(1, 1), constraint=Constraint.DOMINATED_PAIR)
+    for p, q in AGREEMENT_PQS:
+        pq = ["--p", repr(p), "--q", repr(q)]
+        verify = main(["verify", "--ineq", name, "--x", ",".join(map(repr, x)),
+                       "--y", ",".join(map(repr, y)), *pq])
+        verified = capsys.readouterr()
+        if path.exists():
+            path.unlink()
+        searched = main(["search", "--ineq", name, *pq, "--budget", "1", "--constraint",
+                         "dominated", "--nmin", "1", "--nmax", "1", "--out", str(path)])
+        search_err = capsys.readouterr().err.strip().splitlines()
+        [cell] = scan_grid(InequalityId.from_cli(name), [p], [q], spec, 1, seed=0)
+        if verify == 2:
+            message = verified.err.strip().splitlines()[-1]
+            assert message.startswith("error: pair 0: "), (p, q)
+            assert searched == 2 and search_err[-1] == message.replace("pair 0: ", ""), (p, q)
+            assert cell.skipped, (p, q)
+        else:
+            row = verified.out.splitlines()[1].split(",")
+            assert searched in (0, 1), (p, q)
+            doc = json.loads(path.read_text())
+            assert (doc["p"], doc["q"]) == (float(row[2]), float(row[3])), (p, q)
+            assert not cell.skipped and cell.n_samples == 1, (p, q)
+
+
+exponents = st.one_of(st.floats(min_value=0.5, max_value=50.0),
+                      st.sampled_from([1.0, 2.0, math.inf, -math.inf, math.nan]))
+
+
+@given(st.sampled_from(sorted(VERIFY_ROWS)), exponents, exponents)
+def test_exponent_builders_are_idempotent(name, p, q):
+    """Search hands the pair a builder returned back to evaluate, which builds again."""
+    build = lookup(InequalityId.from_cli(name)).exponents
+    try:
+        pq = build(p, q)
+    except ClarksonError:
+        return
+    assert all(map(math.isfinite, pq))
+    assert build(*pq) == pq

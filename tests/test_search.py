@@ -4,7 +4,6 @@ import math
 import pytest
 
 from clarkson.catalog import REGISTRY, InequalityId, Verdict, eval_main_1_7, evaluate
-from clarkson.core import ExponentPair
 from clarkson.errors import ConstraintMismatch, EmptyGrid
 from clarkson.search import (
     Constraint,
@@ -87,14 +86,14 @@ class TestSamplePair:
 class TestCounterexampleSearch:
     def test_main_17_no_violation(self):
         out = counterexample_search(
-            InequalityId.MAIN_17, ExponentPair.main(2.5, 4.0), SPEC, 2000, seed=11
+            InequalityId.MAIN_17, 2.5, 4.0, SPEC, 2000, seed=11
         )
         assert out.status is SearchStatus.NO_VIOLATION
         assert out.normalized_gap >= -1e-9
 
     def test_inverted_orientation_is_caught(self, inverted_main_17):
         out = counterexample_search(
-            InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0), SPEC, 200, seed=11
+            InequalityId.MAIN_17, 2.0, 3.0, SPEC, 200, seed=11
         )
         assert out.status is SearchStatus.VIOLATION_FOUND
         # nearly every pair violates the swapped statement, and each is counted
@@ -103,7 +102,7 @@ class TestCounterexampleSearch:
 
     def test_zero_budget(self):
         out = counterexample_search(
-            InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0), SPEC, 0, seed=1
+            InequalityId.MAIN_17, 2.0, 3.0, SPEC, 0, seed=1
         )
         assert out.status is SearchStatus.BUDGET_EXHAUSTED
         assert out.evaluations == 0
@@ -111,17 +110,17 @@ class TestCounterexampleSearch:
 
     def test_seed_reproducibility(self):
         a = counterexample_search(
-            InequalityId.C11, ExponentPair.conjugate(3.0), SPEC, 500, seed=42
+            InequalityId.C11, 3.0, 1.5, SPEC, 500, seed=42
         )
         b = counterexample_search(
-            InequalityId.C11, ExponentPair.conjugate(3.0), SPEC, 500, seed=42
+            InequalityId.C11, 3.0, 1.5, SPEC, 500, seed=42
         )
         assert a.best_report == b.best_report
         assert a.normalized_gap == b.normalized_gap
 
     def test_soundness_of_witness(self, inverted_main_17):
         out = counterexample_search(
-            InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0), SPEC, 200, seed=11
+            InequalityId.MAIN_17, 2.0, 3.0, SPEC, 200, seed=11
         )
         x, y, p, q, w = out.witness
         rep = eval_main_1_7(x, y, p, q, w)
@@ -133,10 +132,10 @@ class TestCounterexampleSearch:
         spec = SampleSpec(constraint=Constraint.SIGNED)
         with pytest.raises(ConstraintMismatch):
             counterexample_search(
-                InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0), spec, 10, seed=0
+                InequalityId.MAIN_17, 2.0, 3.0, spec, 10, seed=0
             )
         out = counterexample_search(
-            InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0), spec, 10, seed=0,
+            InequalityId.MAIN_17, 2.0, 3.0, spec, 10, seed=0,
             explore=True,
         )
         assert out.exploratory
@@ -145,14 +144,14 @@ class TestCounterexampleSearch:
 class TestExtremalSearch:
     def test_p2_q2_everything_is_equality(self):
         out = extremal_search(
-            InequalityId.MAIN_17, ExponentPair.main(2.0, 2.0), SPEC, 500, seed=3
+            InequalityId.MAIN_17, 2.0, 2.0, SPEC, 500, seed=3
         )
         assert abs(out.normalized_gap) <= 1e-10
 
     def test_minimizer_approaches_equality_case(self):
         out = extremal_search(
             InequalityId.MAIN_17,
-            ExponentPair.main(2.0, 3.0),
+            2.0, 3.0,
             SampleSpec(dim_range=(2, 4)),
             5000,
             seed=3,
@@ -164,7 +163,7 @@ class TestExtremalSearch:
         """The pair is normalized jointly, so y cannot grow while the gap stalls."""
         out = extremal_search(
             InequalityId.MAIN_17,
-            ExponentPair.main(2.0, 3.0),
+            2.0, 3.0,
             SampleSpec(dim_range=(2, 4)),
             5000,
             seed=seed,
@@ -176,21 +175,21 @@ class TestExtremalSearch:
     def test_scalar_corollary_minimizer(self):
         spec = SampleSpec(dim_range=(1, 1), constraint=Constraint.DOMINATED_PAIR)
         out = extremal_search(
-            InequalityId.COR_16, ExponentPair.scalar(3.0), spec, 5000, seed=3
+            InequalityId.COR_16, 3.0, 3.0, spec, 5000, seed=3
         )
         assert out.normalized_gap <= 1e-6
 
     def test_weights_rejected(self):
         with pytest.raises(ConstraintMismatch):
             extremal_search(
-                InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0),
+                InequalityId.MAIN_17, 2.0, 3.0,
                 SampleSpec(weights=True), 100, seed=0,
             )
 
     def test_extremal_consistency(self):
         spec = SampleSpec(dim_range=(2, 4))
         out = extremal_search(
-            InequalityId.MAIN_17, ExponentPair.main(2.0, 3.0), spec, 1000, seed=5
+            InequalityId.MAIN_17, 2.0, 3.0, spec, 1000, seed=5
         )
         raw = []
         for i in range(8):

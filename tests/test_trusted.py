@@ -93,7 +93,7 @@ def test_pair_norms_equal_the_vector_operations(case):
     entry = REGISTRY[id]
     norms = [p_norm(v, p, wv) for v in
              (xv, yv, combine(xv, yv, "plus"), combine(xv, yv, "minus"))]
-    ps, qs = entry.stated_at(p, q)
+    ps, qs = entry.exponents(p, q)
     want = report(id, ps, qs, *entry.sides(*norms, ps, qs), DEFAULT_POLICY)
     assert bits(evaluate(id, xv, yv, p, q, wv)) == bits(want)
 
