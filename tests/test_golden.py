@@ -5,7 +5,7 @@ comes from the scalar evaluation, so a change to how pairs are built or
 evaluated that moves one bit of one gap shows here.  The witness file,
 where a command writes one, is pinned too; WITNESS in an argv stands for
 its path.  The `phi` and `chi` tables of the README examples are long, so
-their stdout lives in `tests/golden/`.
+their stdout lives in `tests/golden/`, as do the extremal witness files.
 """
 
 from pathlib import Path
@@ -54,6 +54,106 @@ GOLDEN = [
         ),
         None,
         id="dominated extremal prop-1.4",
+    ),
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2.5", "--q", "3",
+            "--constraint", "signed", "--explore", "--nmin", "3", "--nmax", "5", "--budget",
+            "400", "--seed", "2",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 400\n"
+            "seed: 2\n"
+            "best_normalized_gap: 1.7327086689114746e-08\n"
+            "best_verdict: holds\n"
+            "exploratory: true (constraint outside the stated regime)\n"
+        ),
+        None,
+        id="signed exploratory extremal main-1.7",
+    ),
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "c-1.1", "--p", "3", "--constraint",
+            "signed", "--nmin", "2", "--nmax", "4", "--budget", "400", "--seed", "6",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 400\n"
+            "seed: 6\n"
+            "best_normalized_gap: 7.997871856329599e-09\n"
+            "best_verdict: holds\n"
+        ),
+        None,
+        id="signed extremal c-1.1",
+    ),
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "3", "--q", "5",
+            "--nmin", "2", "--nmax", "3", "--budget", "300", "--seed", "9", "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 300\n"
+            "seed: 9\n"
+            "best_normalized_gap: 8.059020112735977e-05\n"
+            "best_verdict: holds\n"
+        ),
+        _pinned("extremal-main-1.7-witness.json"),
+        id="extremal main-1.7 with a witness file",
+    ),
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "cor-1.6", "--q", "3", "--constraint",
+            "dominated", "--nmin", "1", "--nmax", "1", "--budget", "200", "--seed", "3",
+            "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 200\n"
+            "seed: 3\n"
+            "best_normalized_gap: 0.0\n"
+            "best_verdict: borderline\n"
+        ),
+        _pinned("extremal-cor-1.6-witness.json"),
+        id="extremal cor-1.6 on one-entry pairs",
+    ),
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "sumpow-2.12", "--q", "2.5",
+            "--constraint", "dominated", "--nmin", "2", "--nmax", "3", "--budget", "300",
+            "--seed", "8", "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 300\n"
+            "seed: 8\n"
+            "best_normalized_gap: 0.0\n"
+            "best_verdict: borderline\n"
+        ),
+        _pinned("extremal-sumpow-2.12-witness.json"),
+        id="dominated extremal sumpow-2.12",
+    ),
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "rearr-2.17", "--p", "2", "--q", "3",
+            "--nmin", "2", "--nmax", "3", "--budget", "400", "--seed", "5", "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 400\n"
+            "seed: 5\n"
+            "best_normalized_gap: 0.0\n"
+            "best_verdict: borderline\n"
+        ),
+        _pinned("extremal-rearr-2.17-witness.json"),
+        id="extremal rearr-2.17",
     ),
     pytest.param(
         [
