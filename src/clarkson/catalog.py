@@ -20,9 +20,9 @@ from .core import (
     NonnegVector,
     RealVector,
     Weights,
+    _abs_powers,
     _check_entries,
     _p_norm,
-    _sum_abs_powers,
     combine,
     conjugate_exponent,
     main_exponents,
@@ -354,12 +354,15 @@ def _repaired_sums(x, y, k: float, e: float) -> tuple:
     """Sums of |.|^k over x, y and their (max, min) re-pairing; then e.
 
     Ties keep (x_i, y_i) unswapped, as in rearrange.dominance_rearrange.
+    The re-paired sums pick their terms from those of x and y.
     """
     if len(x) != len(y):
         raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
-    pairs = [(a, b) if a >= b else (b, a) for a, b in zip(x, y)]
-    u, v = zip(*pairs)
-    return (*(_sum_abs_powers(side, k) for side in (x, y, u, v)), e)
+    px, py = _abs_powers(x, k), _abs_powers(y, k)
+    swap = [a < b for a, b in zip(x, y)]
+    pu = [t if s else r for s, r, t in zip(swap, px, py)]
+    pv = [r if s else t for s, r, t in zip(swap, px, py)]
+    return math.fsum(px), math.fsum(py), math.fsum(pu), math.fsum(pv), e
 
 
 # The exponent builders.  Each raises outside its statement's regime,

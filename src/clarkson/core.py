@@ -21,8 +21,9 @@ valid by construction (``search._project``'s output).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence, Tuple
+from typing import Iterable, List, Literal, Optional, Sequence, Tuple
 
 from .errors import (
     EmptyVector,
@@ -36,6 +37,9 @@ from .errors import (
 
 # Desk-scale guard: reject accidental huge inputs.
 MAX_LEN = 1 << 20
+
+# The smallest normal float; a power sum below it has lost bits.
+_MIN_NORMAL = sys.float_info.min
 
 
 def _check_entries(entries: Sequence[float]) -> Sequence[float]:
@@ -138,6 +142,21 @@ def main_exponents(p: float, q: float) -> Tuple[float, float]:
     return p, q
 
 
+def _abs_powers(entries: Sequence[float], p: float) -> List[float]:
+    """[|x|^p for x in entries], p >= 1, as a list for math.fsum."""
+    # Fast paths avoid pow() for the common small integer exponents;
+    # |0|^p is exactly 0 for every p > 0 on all paths.
+    if p == 2.0:
+        return [x * x for x in entries]
+    if p == 3.0:
+        return [abs(x) * x * x for x in entries]
+    if p == 4.0:
+        return [(x * x) * (x * x) for x in entries]
+    if p == 1.0:
+        return [abs(x) for x in entries]
+    return [abs(x) ** p for x in entries]
+
+
 def _sum_abs_powers(
     entries: Sequence[float], p: float, masses: Optional[Sequence[float]] = None
 ) -> float:
@@ -148,28 +167,14 @@ def _sum_abs_powers(
         raise LengthMismatch(
             f"weights length {len(masses)} != vector length {len(entries)}"
         )
-    # Fast paths avoid pow() for the common small integer exponents;
-    # |0|^p is exactly 0 for every p > 0 on all paths.
-    if p == 2.0:
-        terms = (x * x for x in entries)
-    elif p == 3.0:
-        terms = (abs(x) * x * x for x in entries)
-    elif p == 4.0:
-        terms = ((x * x) * (x * x) for x in entries)
-    elif p == 1.0:
-        terms = (abs(x) for x in entries)
-    else:
-        terms = (abs(x) ** p for x in entries)
+    terms = _abs_powers(entries, p)
     if masses is None:
         return math.fsum(terms)
-    return math.fsum(w * t for w, t in zip(masses, terms))
+    return math.fsum([w * t for w, t in zip(masses, terms)])
 
 
-def _p_norm(
-    entries: Sequence[float], p: float, masses: Optional[Sequence[float]] = None
-) -> float:
-    """p_norm on plain floats: entries and masses already validated."""
-    s = _sum_abs_powers(entries, p, masses)
+def _root(s: float, p: float) -> float:
+    """s^(1/p) for a power sum s >= 0."""
     if s == 0.0:
         return 0.0
     if p == 1.0:
@@ -177,6 +182,25 @@ def _p_norm(
     if p == 2.0:
         return math.sqrt(s)
     return s ** (1.0 / p)
+
+
+def _p_norm(
+    entries: Sequence[float], p: float, masses: Optional[Sequence[float]] = None
+) -> float:
+    """p_norm on plain floats: entries and masses already validated.
+
+    A power sum below the smallest normal float has lost bits to
+    underflow, or is 0 for nonzero entries (1e-200 at p = 3).  It is
+    then taken again on the entries scaled by 2^-k, where 2^(k-1) <=
+    max |x_i| < 2^k, and the norm scaled back by 2^k.  Every norm whose
+    power sum is normal keeps its bits.
+    """
+    s = _sum_abs_powers(entries, p, masses)
+    if s >= _MIN_NORMAL:
+        return _root(s, p)
+    k = math.frexp(max(map(abs, entries)))[1]
+    scaled = [math.ldexp(x, -k) for x in entries]
+    return math.ldexp(_root(_sum_abs_powers(scaled, p, masses), p), k)
 
 
 def sum_abs_powers(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:

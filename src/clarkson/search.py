@@ -324,24 +324,29 @@ def counterexample_search(
     return SearchOutcome(rep, witness, ng, budget, seed, status, exploratory)
 
 
-def _project(
-    xv: np.ndarray, yv: np.ndarray, spec: SampleSpec, p: float
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Clamp onto the constraint set and renormalize ||x||_p^p + ||y||_p^p = 1.
+def _project(z: np.ndarray, n: int, spec: SampleSpec, p: float) -> bool:
+    """Clamp z = (x, y), x = z[:n], onto the constraint set and renormalize
+    it in place to ||x||_p^p + ||y||_p^p = 1; False when its norm is 0 or
+    not finite, and z is then of no use.
 
     The pair is scaled as a whole: a common positive factor keeps u >= v
     and keeps y from growing without bound while x is held at norm 1.
     """
     if spec.constraint is Constraint.DOMINATED_PAIR:
-        xv, yv = np.maximum(xv, yv), np.minimum(xv, yv)
-    z = np.concatenate((xv, yv))
-    if spec.constraint is not Constraint.SIGNED:
+        x, y = z[:n], z[n:]
+        u = np.maximum(x, y)
+        np.minimum(x, y, out=y)
+        x[:] = u
+    if spec.constraint is Constraint.SIGNED:
+        powers = np.abs(z) ** p
+    else:
         np.maximum(z, 0.0, out=z)
-    norm = float((np.abs(z) ** p).sum()) ** (1.0 / p)
+        powers = z**p  # z >= 0: |z|^p without the abs
+    norm = float(np.add.reduce(powers)) ** (1.0 / p)
     if norm == 0.0 or not math.isfinite(norm):
-        return None
+        return False
     z /= norm
-    return z[: len(xv)], z[len(xv):]
+    return True
 
 
 def extremal_search(
@@ -371,14 +376,15 @@ def extremal_search(
     best: Optional[Tuple[GapReport, tuple]] = None
     violated = False
 
-    def score(xv: np.ndarray, yv: np.ndarray) -> Optional[Tuple[float, GapReport, tuple]]:
+    def score(z: np.ndarray) -> Optional[Tuple[float, GapReport, tuple]]:
         nonlocal evals, violated
         if evals >= budget:
             return None
         try:
             # _project output is finite, and clamped and dominated as spec requires.
             vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
-            x, y = vec._trusted(tuple(xv.tolist())), vec._trusted(tuple(yv.tolist()))
+            zl = z.tolist()
+            x, y = vec._trusted(tuple(zl[:n])), vec._trusted(tuple(zl[n:]))
             rep = evaluate(id, x, y, p, q, None, policy, strict=not exploratory)
         except ClarksonError:
             return None
@@ -392,33 +398,34 @@ def extremal_search(
         if evals >= budget:
             break
         x0, y0, _ = sample_pair(spec, seed, s)
-        proj = _project(np.array(x0.entries), np.array(y0.entries), spec, p)
-        if proj is None:
+        n = len(x0)
+        z = np.array(x0.entries + y0.entries)
+        if not _project(z, n, spec, p):
             continue
-        xv, yv = proj
-        cur = score(xv, yv)
+        cur = score(z)
         if cur is None:
             continue
         cur_ng = cur[0]
         if cur_ng < best_ng:
             best_ng, best = cur_ng, (cur[1], cur[2])
         step = _INITIAL_STEP
-        n = len(xv)
         while step >= _MIN_STEP and evals < budget:
+            # Sweep x, then y.  An accepted move goes on from the new point
+            # at the next coordinate of the same half; then the sweep
+            # restarts from x at the same step.
             improved = False
-            for vec_idx in (0, 1):
-                for i in range(n):
+            for half in (0, n):
+                for i in range(half, half + n):
                     for delta in (step, -step):
-                        cand_x, cand_y = xv.copy(), yv.copy()
-                        (cand_x if vec_idx == 0 else cand_y)[i] += delta
-                        proj = _project(cand_x, cand_y, spec, p)
-                        if proj is None:
+                        cand = z.copy()
+                        cand[i] += delta
+                        if not _project(cand, n, spec, p):
                             continue
-                        res = score(*proj)
+                        res = score(cand)
                         if res is None:
                             continue
                         if res[0] < cur_ng:
-                            xv, yv = proj
+                            z = cand
                             cur_ng = res[0]
                             improved = True
                             if cur_ng < best_ng:

@@ -1,12 +1,15 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from clarkson.core import (
     NonnegVector,
     RealVector,
     Weights,
+    _p_norm,
+    _sum_abs_powers,
     combine,
     conjugate_exponent,
     p_norm,
@@ -62,6 +65,23 @@ class TestPNorm:
         got = p_norm(RealVector((2.0,)), 3.0, Weights((3.0,)))
         assert got == pytest.approx(24.0 ** (1.0 / 3.0), rel=1e-14)
 
+    def test_underflowing_power_sum(self):
+        # 1e-600 is below every float: the sum is rescaled, not returned as 0.
+        close = {"rel": 1e-15, "abs": 0.0}
+        assert p_norm(RealVector((1e-200,)), 3.0) == pytest.approx(1e-200, **close)
+        got = p_norm(RealVector((1e-200, 0.0)), 3.0, Weights((8.0, 1.0)))
+        assert got == pytest.approx(2e-200, **close)
+        assert p_norm(RealVector((3e-200, -4e-200)), 2.0) == pytest.approx(5e-200, **close)
+
+    @given(vectors, exponents, st.sampled_from([None, 0.5, 3.0]))
+    def test_normal_power_sums_keep_their_bits(self, entries, p, mass):
+        # The norm as computed before the underflow rescaling.
+        masses = None if mass is None else (mass,) * len(entries)
+        s = _sum_abs_powers(entries, p, masses)
+        assume(s >= sys.float_info.min)
+        root = s if p == 1.0 else math.sqrt(s) if p == 2.0 else s ** (1.0 / p)
+        assert _p_norm(entries, p, masses) == root
+
     def test_exponent_below_one_rejected(self):
         with pytest.raises(ExponentOutOfRange):
             p_norm(RealVector((1.0,)), 0.5)
@@ -71,6 +91,7 @@ class TestPNorm:
             p_norm(RealVector((1.0, 2.0)), 2.0, Weights((1.0,)))
 
     @given(vectors, exponents, st.floats(min_value=1e-3, max_value=100.0))
+    @example([4.833085374800723e-43], 7.5, 2.0)  # |x|^p is subnormal
     def test_homogeneity(self, entries, p, alpha):
         v = RealVector(tuple(entries))
         lhs = p_norm(v.scaled(alpha), p)
