@@ -132,7 +132,12 @@ def report(
     scale = max(abs(lhs), abs(rhs), 1.0)
     if not (math.isfinite(gap) and math.isfinite(scale)):
         raise NonFiniteGap(f"{id.value}: non-finite gap (lhs={lhs!r}, rhs={rhs!r})")
-    return GapReport(id, p, q, lhs, rhs, gap, scale, classify(gap, scale, policy))
+    # The same object GapReport(...) builds.  Its frozen __init__ sets each
+    # field through object.__setattr__; one dict update costs a third.
+    rep = object.__new__(GapReport)
+    rep.__dict__.update(id=id, p=p, q=q, lhs=lhs, rhs=rhs, gap=gap, scale=scale,
+                        verdict=classify(gap, scale, policy))
+    return rep
 
 
 def _evaluate(id, x, y, p, q, w, policy, entry=None) -> GapReport:

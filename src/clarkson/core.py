@@ -173,17 +173,6 @@ def _sum_abs_powers(
     return math.fsum([w * t for w, t in zip(masses, terms)])
 
 
-def _root(s: float, p: float) -> float:
-    """s^(1/p) for a power sum s >= 0."""
-    if s == 0.0:
-        return 0.0
-    if p == 1.0:
-        return s
-    if p == 2.0:
-        return math.sqrt(s)
-    return s ** (1.0 / p)
-
-
 def _p_norm(
     entries: Sequence[float], p: float, masses: Optional[Sequence[float]] = None
 ) -> float:
@@ -196,11 +185,17 @@ def _p_norm(
     power sum is normal keeps its bits.
     """
     s = _sum_abs_powers(entries, p, masses)
-    if s >= _MIN_NORMAL:
-        return _root(s, p)
-    k = math.frexp(max(map(abs, entries)))[1]
-    scaled = [math.ldexp(x, -k) for x in entries]
-    return math.ldexp(_root(_sum_abs_powers(scaled, p, masses), p), k)
+    k = 0
+    if s < _MIN_NORMAL:
+        k = math.frexp(max(map(abs, entries)))[1]
+        s = _sum_abs_powers([math.ldexp(x, -k) for x in entries], p, masses)
+    if s == 0.0 or p == 1.0:
+        norm = s
+    elif p == 2.0:
+        norm = math.sqrt(s)
+    else:
+        norm = s ** (1.0 / p)
+    return math.ldexp(norm, k) if k else norm
 
 
 def sum_abs_powers(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:

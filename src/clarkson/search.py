@@ -376,13 +376,14 @@ def extremal_search(
     best: Optional[Tuple[GapReport, tuple]] = None
     violated = False
 
+    # _project output is finite, and clamped and dominated as spec requires.
+    vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
+
     def score(z: np.ndarray) -> Optional[Tuple[float, GapReport, tuple]]:
         nonlocal evals, violated
         if evals >= budget:
             return None
         try:
-            # _project output is finite, and clamped and dominated as spec requires.
-            vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
             zl = z.tolist()
             x, y = vec._trusted(tuple(zl[:n])), vec._trusted(tuple(zl[n:]))
             rep = evaluate(id, x, y, p, q, None, policy, strict=not exploratory)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from clarkson.catalog import (
     eval_prop_1_4,
     evaluate,
     halving_substitution,
+    report,
 )
 from clarkson.core import NonnegVector, RealVector, Weights
 from clarkson.errors import (
@@ -52,6 +54,14 @@ class TestVerdict:
 
     def test_clear_violation(self):
         assert classify(-1.0, 1.0, POLICY) is Verdict.VIOLATED
+
+    def test_report_is_the_dataclass_instance(self):
+        # report fills the frozen instance's fields directly.
+        rep = report(InequalityId.MAIN_17, 2.0, 4.0, 1.5, 2.0, POLICY)
+        assert rep == GapReport(InequalityId.MAIN_17, 2.0, 4.0, 1.5, 2.0, 0.5, 2.0, Verdict.HOLDS)
+        assert set(vars(rep)) == {f.name for f in dataclasses.fields(GapReport)}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.gap = 0.0
 
 
 class TestClarkson11:
