@@ -13,9 +13,11 @@ Validation happens once, where values enter: the vector constructors
 work on the plain float tuples (``entries``, ``masses``) through the
 private float helpers ``_sum_abs_powers`` and ``_p_norm``; the public
 ``sum_abs_powers`` and ``p_norm`` are thin wrappers over them, so both
-give the same bits.  ``_trusted`` wraps floats in a vector without
-checking them, for entries validated in bulk (``SampleBlock.pair``) or
-valid by construction (``search._project``'s output).
+give the same bits.  ``_abs_powers`` takes the terms |x_i|^p for these
+sums and for the catalog's re-paired sums, as a list for ``math.fsum``.
+``_trusted`` wraps floats in a vector without checking them, for
+entries validated in bulk (``SampleBlock.pair``) or valid by
+construction (the point ``search._project`` renormalizes in place).
 """
 
 from __future__ import annotations

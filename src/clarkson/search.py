@@ -19,6 +19,13 @@ Entries are validated once: sample_block checks a whole block as the
 vector constructors would, and _project's output is valid by
 construction, so SampleBlock.pair and the extremal descent wrap their
 floats in vectors without checking them again.
+
+The extremal descent is sequential: each step starts from the point the
+last one accepted.  Its point is one float64 array z = (x, y).  A
+candidate is a copy of z with one coordinate moved; _project clamps and
+renormalizes it in place, and score splits one z.tolist() into x and y.
+The norm is numpy's power and pairwise sum: a math.fsum norm would round
+differently and move the descent onto another path.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ class TestPNorm:
         assert got == pytest.approx(24.0 ** (1.0 / 3.0), rel=1e-14)
 
     def test_underflowing_power_sum(self):
-        # 1e-600 is below every float: the sum is rescaled, not returned as 0.
+        # (1e-200)^3 = 1e-600 underflows to 0: the sum is rescaled, not returned as 0.
         close = {"rel": 1e-15, "abs": 0.0}
         assert p_norm(RealVector((1e-200,)), 3.0) == pytest.approx(1e-200, **close)
         got = p_norm(RealVector((1e-200, 0.0)), 3.0, Weights((8.0, 1.0)))

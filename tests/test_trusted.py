@@ -4,7 +4,8 @@ Vectors built with the trusted constructor, as SampleBlock.pair and the
 extremal descent build them, must give the same GapReport as vectors
 validated afresh, and the pair norms must equal those of the vector
 operations (p_norm of combine).  The public sum_abs_powers and p_norm
-must equal their float helpers.
+must equal their float helpers, and the re-paired sums those of the
+re-paired sequences.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from clarkson.catalog import (
     Constraint,
     GapReport,
     InequalityId,
+    _repaired_sums,
     evaluate,
     report,
 )
@@ -107,3 +109,15 @@ def test_public_norms_equal_the_float_helpers(entries, p, weighted, data):
     v = RealVector(entries)
     assert sum_abs_powers(v, p, w).hex() == _sum_abs_powers(tuple(entries), p, m).hex()
     assert p_norm(v, p, w).hex() == _p_norm(tuple(entries), p, m).hex()
+
+
+@given(st.lists(st.tuples(magnitudes, magnitudes) | magnitudes.map(lambda a: (a, a)),
+                min_size=1, max_size=12),
+       st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.0, 1.5]))
+def test_repaired_sums_equal_the_sums_of_the_repaired_sequences(pairs, k):
+    # The reference re-pairs the entries (ties unswapped) and sums each side.
+    x, y = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+    u, v = zip(*[(a, b) if a >= b else (b, a) for a, b in pairs])
+    want = tuple(_sum_abs_powers(side, k).hex() for side in (x, y, u, v))
+    got = _repaired_sums(x, y, k, 0.5)
+    assert tuple(t.hex() for t in got[:4]) == want and got[4] == 0.5
