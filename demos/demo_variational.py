@@ -11,11 +11,12 @@ import numpy as np
 
 from clarkson import (
     ChiContext,
+    InequalityId,
     NonnegVector,
     PhiContext,
     chi,
     chi_sign_scan,
-    eval_prop_1_4,
+    evaluate,
     monotonicity_scan,
     phi,
     phi_prime,
@@ -32,7 +33,7 @@ report = monotonicity_scan(ctx, 257)
 print(f"257-point scan: min increment = {report.min_increment:.3e}, "
       f"nondecreasing = {report.is_nondecreasing}")
 
-gap = eval_prop_1_4(ctx.u, ctx.v, ctx.p, ctx.q).gap
+gap = evaluate(InequalityId.PROP_14, ctx.u, ctx.v, ctx.p, ctx.q).gap
 print(f"endpoint identity: phi(1) - phi(0) = {phi(ctx, 1.0) - phi(ctx, 0.0):.6f} "
       f"vs inequality gap = {gap:.6f}")
 print()

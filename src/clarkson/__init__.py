@@ -8,20 +8,12 @@ from .catalog import (
     TolerancePolicy,
     Verdict,
     classify,
-    eval_clarkson_1_1,
-    eval_clarkson_1_2,
-    eval_clarkson_1_3,
-    eval_corollary_1_6,
-    eval_main_1_7,
-    eval_prop_1_4,
     evaluate,
-    halving_substitution,
 )
 from .core import (
     NonnegVector,
     RealVector,
     Weights,
-    combine,
     conjugate_exponent,
     p_norm,
     validate_vector,
@@ -32,7 +24,6 @@ from .rearrange import (
     brute_force_swap_oracle,
     check_swap_inequality,
     dominance_rearrange,
-    rearrangement_norm_gain,
     sum_power_rearrangement_gap,
 )
 from .search import (
@@ -50,7 +41,6 @@ from .search import (
 from .variational import (
     ChiContext,
     PhiContext,
-    breakpoints,
     chi,
     chi_sign_scan,
     monotonicity_scan,

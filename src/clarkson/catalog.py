@@ -23,7 +23,6 @@ from .core import (
     _abs_powers,
     _check_entries,
     _p_norm,
-    combine,
     conjugate_exponent,
     main_exponents,
 )
@@ -81,8 +80,8 @@ class TolerancePolicy:
     borderline_band: float = 1e-7
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol <= self.borderline_band):
-            raise ValueError("need 0 < rel_tol <= borderline_band")
+        if not (0.0 < self.rel_tol <= self.borderline_band < math.inf):
+            raise ValueError("need 0 < rel_tol <= borderline_band < inf")
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -138,25 +137,6 @@ def report(
     rep.__dict__.update(id=id, p=p, q=q, lhs=lhs, rhs=rhs, gap=gap, scale=scale,
                         verdict=classify(gap, scale, policy))
     return rep
-
-
-def _evaluate(id, x, y, p, q, w, policy, entry=None) -> GapReport:
-    """The report on entry's statement, by default id's as stated here.
-
-    The exponents come first: entry.exponents raises outside the regime
-    and gives the (p, q) the rest is taken at.  x, y and w are validated
-    vectors and weights; the quantities see their plain float tuples.
-    """
-    if entry is None:
-        entry = _STATEMENTS[id]
-    p, q = entry.exponents(p, q)
-    try:
-        quantities = entry.quantities(
-            x.entries, y.entries, p, q, None if w is None else w.masses)
-        lhs, rhs = entry.sides(*quantities, p, q)
-    except OverflowError as exc:  # Python's float ** and math.fsum; numpy gives inf
-        raise NonFiniteGap(f"{id.value}: non-finite gap (overflow)") from exc
-    return report(id, p, q, lhs, rhs, policy)
 
 
 def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, float, float]:
@@ -251,59 +231,6 @@ def _repaired_sides(a, b, u, v, e: float, p=None, q=None):
     return a**e + b**e, u**e + v**e
 
 
-def eval_clarkson_1_1(
-    x: RealVector,
-    y: RealVector,
-    p: float,
-    w: Optional[Weights] = None,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> GapReport:
-    """2(||x||_p^p + ||y||_p^p)^(q-1) <= ||x+y||_p^q + ||x-y||_p^q.
-
-    q is the conjugate of p; the inequality reverses for 1 < p < 2.
-    """
-    return _evaluate(InequalityId.C11, x, y, p, None, w, policy)
-
-
-def eval_clarkson_1_2(
-    x: RealVector,
-    y: RealVector,
-    p: float,
-    w: Optional[Weights] = None,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> GapReport:
-    """||x+y||_p^p + ||x-y||_p^p <= 2(||x||_p^q + ||y||_p^q)^(p-1)."""
-    return _evaluate(InequalityId.C12, x, y, p, None, w, policy)
-
-
-def eval_clarkson_1_3(
-    x: RealVector,
-    y: RealVector,
-    p: float,
-    w: Optional[Weights] = None,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> Tuple[GapReport, GapReport]:
-    """Two-sided parallelogram-type bounds on ||x+y||_p^p + ||x-y||_p^p."""
-    return tuple(_evaluate(id, x, y, p, None, w, policy)
-                 for id in (InequalityId.C13_LEFT, InequalityId.C13_RIGHT))
-
-
-def eval_main_1_7(
-    x: NonnegVector,
-    y: NonnegVector,
-    p: float,
-    q: float,
-    w: Optional[Weights] = None,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> GapReport:
-    """2(||x||_p^q + ||y||_p^q) <= ||x+y||_p^q + ||x-y||_p^q on nonneg pairs.
-
-    The formula is total on signed inputs, but only guaranteed to hold
-    for nonnegative ones; the signed case is exploration territory.
-    """
-    return _evaluate(InequalityId.MAIN_17, x, y, p, q, w, policy)
-
-
 def _dominated_norms(u, v, p, q, w):
     if len(u) != len(v):
         raise LengthMismatch(f"lengths {len(u)} and {len(v)} differ")
@@ -311,33 +238,6 @@ def _dominated_norms(u, v, p, q, w):
         if a < b:
             raise DominanceViolation(i)
     return _pair_norms(u, v, p, q, w)
-
-
-def eval_prop_1_4(
-    u: NonnegVector,
-    v: NonnegVector,
-    p: float,
-    q: float,
-    w: Optional[Weights] = None,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> GapReport:
-    """Improved bound 2(||u||^q + 2^(q-2) ||v||^q) for dominated pairs u >= v."""
-    return _evaluate(InequalityId.PROP_14, u, v, p, q, w, policy)
-
-
-def eval_corollary_1_6(
-    x: float,
-    y: float,
-    q: float,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> GapReport:
-    """Scalar case: 2(x^q + 2^(q-2) y^q) <= (x+y)^q + (x-y)^q for x >= y >= 0."""
-    return _evaluate(InequalityId.COR_16, RealVector((x,)), RealVector((y,)), q, q, None, policy)
-
-
-def halving_substitution(x: RealVector, y: RealVector) -> Tuple[RealVector, RealVector]:
-    """(x, y) -> (x+y, x-y); applying it twice gives (2x, 2y)."""
-    return combine(x, y, "plus"), combine(x, y, "minus")
 
 
 def _check_weights(id: InequalityId, entry: Inequality, w) -> None:
@@ -410,7 +310,8 @@ def _sum_power_exponents(p: float, q: float) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class Inequality:
-    """One inequality as plain data.
+    """One inequality as plain data, read by evaluate (one pair) and
+    batch_normalized_gaps (a block); nothing else restates it.
 
     exponents(p, q) is the one regime check: it raises outside the
     regime, non-finite exponents included, and otherwise returns the
@@ -459,11 +360,6 @@ REGISTRY: Dict[InequalityId, Inequality] = {
         lambda x, y, p, q, w: _batch_repaired_sums(x, y, p, q / p), weighted=False),
 }
 
-# The statements as stated here.  The eval_* functions read them, so a
-# REGISTRY entry swapped at run time (as tests do) leaves them unchanged.
-_STATEMENTS = dict(REGISTRY)
-
-
 def lookup(id: InequalityId) -> Inequality:
     """The registry entry for id; SWAP_28 has no vector-pair form."""
     try:
@@ -491,7 +387,10 @@ def evaluate(
     The signed-input inequalities (c-1.x) take their exponents from p
     alone and ignore any passed q.  The others need q (sumpow-2.12 uses
     r = q) and nonnegative inputs; strict=False lets the entry marked
-    explore (MAIN_17 only) run on signed ones.
+    explore (MAIN_17 only) run on signed ones.  After the input checks
+    the exponents come first: entry.exponents raises outside the regime
+    and gives the (p, q) the rest is taken at.  The quantities see the
+    plain float tuples of the validated vectors and weights.
     """
     entry = lookup(id)
     if entry.constraint is not Constraint.SIGNED:
@@ -500,7 +399,14 @@ def evaluate(
         if strict or not entry.explore:
             x, y = _nonneg(x), _nonneg(y)
     _check_weights(id, entry, w)
-    return _evaluate(id, x, y, p, q, w, policy, entry)
+    p, q = entry.exponents(p, q)
+    try:
+        quantities = entry.quantities(
+            x.entries, y.entries, p, q, None if w is None else w.masses)
+        lhs, rhs = entry.sides(*quantities, p, q)
+    except OverflowError as exc:  # Python's float ** and math.fsum; numpy gives inf
+        raise NonFiniteGap(f"{id.value}: non-finite gap (overflow)") from exc
+    return report(id, p, q, lhs, rhs, policy)
 
 
 def batch_normalized_gaps(

@@ -91,6 +91,14 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
+def _numbers(value) -> list:
+    """value, which must be a JSON list of numbers; booleans are not numbers."""
+    if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return value
+
+
 def _load_pairs(path: str, require_nonneg: bool):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,17 +111,20 @@ def _load_pairs(path: str, require_nonneg: bool):
     out = []
     for i, item in enumerate(pairs):
         try:
-            x = validate_vector(item["x"], require_nonneg)
-            y = validate_vector(item["y"], require_nonneg)
-            w = Weights(tuple(item["w"])) if "w" in item and item["w"] is not None else None
-        except (KeyError, TypeError, ClarksonError) as exc:
+            x = validate_vector(_numbers(item["x"]), require_nonneg)
+            y = validate_vector(_numbers(item["y"]), require_nonneg)
+            w = None if item.get("w") is None else Weights(_numbers(item["w"]))
+        except (KeyError, TypeError, OverflowError, ClarksonError) as exc:
             raise UsageError(f"bad pair at index {i}: {exc}")
         out.append((x, y, w))
     return out
 
 
 def _policy(args) -> TolerancePolicy:
-    return TolerancePolicy(rel_tol=args.rel_tol, borderline_band=args.band)
+    try:
+        return TolerancePolicy(rel_tol=args.rel_tol, borderline_band=args.band)
+    except ValueError as exc:
+        raise UsageError(f"--rel-tol {args.rel_tol!r}, --band {args.band!r}: {exc}")
 
 
 def _open_out(path: Optional[str]):
@@ -138,8 +149,10 @@ def cmd_verify(args) -> int:
         if args.input is None:
             raise UsageError("verify needs --input or both --x and --y")
         pairs = _load_pairs(args.input, nonneg)
-    ps = _parse_floats(args.p) if args.p else [2.0]
-    qs = _parse_floats(args.q) if args.q else [None]
+    ps = _parse_floats(args.p) if args.p is not None else [2.0]
+    qs = _parse_floats(args.q) if args.q is not None else [None]
+    if not (ps and qs):
+        raise UsageError("--p and --q each need at least one value")
     policy = _policy(args)
     out, close = _open_out(args.out)
     violated = False

@@ -1,6 +1,5 @@
 """Vector and exponent primitives: validated finite sequences, weighted
-p-norms, conjugate exponents, the main-regime check, and componentwise
-combination.
+p-norms, conjugate exponents and the main-regime check.
 
 All values are immutable after validation and safe to share between
 workers.  Sums of p-th powers use exact compensated accumulation
@@ -8,13 +7,13 @@ workers.  Sums of p-th powers use exact compensated accumulation
 quantities.
 
 Validation happens once, where values enter: the vector constructors
-(behind the CLI and the public evaluation calls) and the bulk checks of
+(behind the CLI and ``catalog.evaluate``) and the bulk checks of
 ``search.sample_block``.  Past that, the catalog's registry quantities
 work on the plain float tuples (``entries``, ``masses``) through the
 private float helpers ``_sum_abs_powers`` and ``_p_norm``; the public
-``sum_abs_powers`` and ``p_norm`` are thin wrappers over them, so both
-give the same bits.  ``_abs_powers`` takes the terms |x_i|^p for these
-sums and for the catalog's re-paired sums, as a list for ``math.fsum``.
+``p_norm`` is a thin wrapper over ``_p_norm``, so both give the same
+bits.  ``_abs_powers`` takes the terms |x_i|^p for these sums and for
+the catalog's re-paired sums, as a list for ``math.fsum``.
 ``_trusted`` wraps floats in a vector without checking them, for
 entries validated in bulk (``SampleBlock.pair``) or valid by
 construction (the point ``search._project`` renormalizes in place).
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, List, Literal, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     EmptyVector,
@@ -76,9 +75,6 @@ class RealVector:
         v = object.__new__(cls)
         object.__setattr__(v, "entries", entries)
         return v
-
-    def scaled(self, alpha: float) -> "RealVector":
-        return type(self)(tuple(alpha * x for x in self.entries))
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,10 @@ def _abs_powers(entries: Sequence[float], p: float) -> List[float]:
 def _sum_abs_powers(
     entries: Sequence[float], p: float, masses: Optional[Sequence[float]] = None
 ) -> float:
-    """sum_abs_powers on plain floats: entries and masses already validated."""
+    """Compensated sum of w_i * |x_i|^p (unit weights when masses is None).
+
+    entries and masses are plain floats, already validated.
+    """
     if p < 1.0:
         raise ExponentOutOfRange(f"p-norm needs p >= 1, got {p}")
     if masses is not None and len(masses) != len(entries):
@@ -200,22 +199,7 @@ def _p_norm(
     return math.ldexp(norm, k) if k else norm
 
 
-def sum_abs_powers(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:
-    """Compensated sum of w_i * |v_i|^p (unit weights when absent)."""
-    return _sum_abs_powers(v.entries, p, None if weights is None else weights.masses)
-
-
 def p_norm(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:
     """Weighted p-norm (sum_i w_i |v_i|^p)^(1/p); unit weights when absent."""
     return _p_norm(v.entries, p, None if weights is None else weights.masses)
 
-
-def combine(x: RealVector, y: RealVector, sign: Literal["plus", "minus"]) -> RealVector:
-    """Componentwise x + y or x - y."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
-    if sign == "plus":
-        return RealVector(tuple(a + b for a, b in zip(x.entries, y.entries)))
-    if sign == "minus":
-        return RealVector(tuple(a - b for a, b in zip(x.entries, y.entries)))
-    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")

@@ -43,10 +43,6 @@ class DomainError(ClarksonError):
     pass
 
 
-class AtBreakpoint(ClarksonError):
-    pass
-
-
 class TooLarge(ClarksonError):
     pass
 

@@ -99,22 +99,6 @@ def sum_power_rearrangement_gap(
     return evaluate(InequalityId.SUMPOW_212, x, y, r, r, policy=policy)
 
 
-def rearrangement_norm_gain(
-    x: NonnegVector,
-    y: NonnegVector,
-    p: float,
-    q: float,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-) -> GapReport:
-    """Dominance re-pairing does not decrease ||x||_p^q + ||y||_p^q.
-
-    Equals sum_power_rearrangement_gap applied to the p-th powers with
-    exponent r = q/p; the cross norms ||x+y||_p and ||x-y||_p are
-    invariant under the re-pairing.
-    """
-    return evaluate(InequalityId.REARR_GAIN_217, x, y, p, q, policy=policy)
-
-
 def brute_force_swap_oracle(x: NonnegVector, y: NonnegVector, r: float) -> float:
     """Maximum of (sum a)^r + (sum b)^r over all 2^n componentwise swaps.
 

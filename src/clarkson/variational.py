@@ -2,9 +2,10 @@
 
 phi(t) interpolates between the trivial t = 0 case and the full
 inequality at t = 1 for a dominated pair; it is nondecreasing on [0, 1]
-and piecewise differentiable away from the ratios u_i / v_i.  psi and chi
-probe the scalar conjugate-exponent inequality, where chi changes sign
-and monotonicity genuinely fails.
+and, since u >= v entrywise, differentiable on all of (0, 1): every
+u_i - v_i t stays >= 0 there.  psi and chi probe the scalar
+conjugate-exponent inequality, where chi changes sign and monotonicity
+genuinely fails.
 
 phi, phi_prime and chi each have one grid evaluator (`_phi_values`,
 `_phi_prime_values`, `_chi_values`).  It computes the constants of the
@@ -25,7 +26,6 @@ from typing import Callable, List, Sequence, Tuple
 
 from .core import NonnegVector, main_exponents
 from .errors import (
-    AtBreakpoint,
     DomainError,
     DominanceViolation,
     LengthMismatch,
@@ -33,55 +33,44 @@ from .errors import (
     RegimeViolation,
 )
 
-# phi is continuous but not differentiable at t = u_i / v_i; analytic
-# derivatives are refused inside this radius, finite differences need a
-# wider berth (set by callers).
-BREAKPOINT_RADIUS = 1e-9
-
 # chi_sign_scan counts a value within this of 0 as no sign.
 _ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PhiContext:
-    """Frozen inputs for phi: a dominated nonneg pair and 2 <= p <= q.
-
-    strict=False drops the dominance requirement for exploration; in the
-    dominated case no ratio u_i / v_i can fall inside (0, 1), so phi is
-    differentiable on all of (0, 1) and breakpoints only appear in
-    exploration contexts.
-    """
+    """Frozen inputs for phi: a dominated nonneg pair u >= v and 2 <= p <= q."""
 
     u: NonnegVector
     v: NonnegVector
     p: float
     q: float
-    strict: bool = True
 
     def __post_init__(self):
         if len(self.u) != len(self.v):
             raise LengthMismatch(f"lengths {len(self.u)} and {len(self.v)} differ")
-        if self.strict:
-            for i, (a, b) in enumerate(zip(self.u.entries, self.v.entries)):
-                if a < b:
-                    raise DominanceViolation(i)
+        for i, (a, b) in enumerate(zip(self.u.entries, self.v.entries)):
+            if a < b:
+                raise DominanceViolation(i)
         main_exponents(self.p, self.q)
 
 
-def phi(ctx: PhiContext, t: float, relaxed: bool = False) -> float:
-    """(sum |u+tv|^p)^(q/p) + (sum |u-tv|^p)^(q/p)
-    - 2^(q-1) ((sum u^p)^(q/p) + (sum v^p)^(q/p) t^q).
-
-    Absolute values make the formula total in t; the standard domain is
-    [0, 1] unless relaxed.
+def phi(ctx: PhiContext, t: float) -> float:
+    """(sum (u+tv)^p)^(q/p) + (sum (u-tv)^p)^(q/p)
+    - 2^(q-1) ((sum u^p)^(q/p) + (sum v^p)^(q/p) t^q), t in [0, 1].
     """
-    if not relaxed and not (0.0 <= t <= 1.0):
+    if not (0.0 <= t <= 1.0):
         raise DomainError(f"t must lie in [0, 1], got {t}")
     return _phi_values(ctx, (t,))[0]
 
 
 def _phi_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
-    """phi at each t of ts, without the domain check."""
+    """phi at each t of ts in [0, 1], without the domain check.
+
+    Every base is >= 0 (u >= v >= 0, 0 <= t <= 1), so no power takes an
+    absolute value; a -0.0 base only gives a zero term, and math.fsum
+    returns +0.0 for a sum of zeros.
+    """
     p, q = ctx.p, ctx.q
     e = q / p
     us, vs = ctx.u.entries, ctx.v.entries
@@ -90,33 +79,25 @@ def _phi_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
     sv_e = math.fsum([b**p for b in vs]) ** e
     k = 2.0 ** (q - 1.0)
     return [
-        math.fsum([abs(a + b * t) ** p for a, b in pairs]) ** e
-        + math.fsum([abs(a - b * t) ** p for a, b in pairs]) ** e
-        - k * (su_e + sv_e * abs(t) ** q)
+        math.fsum([(a + b * t) ** p for a, b in pairs]) ** e
+        + math.fsum([(a - b * t) ** p for a, b in pairs]) ** e
+        - k * (su_e + sv_e * t**q)
         for t in ts
     ]
 
 
-def breakpoints(ctx: PhiContext) -> Tuple[float, ...]:
-    """Sorted ratios u_i / v_i (v_i != 0) falling inside (0, 1)."""
-    ratios = {
-        a / b for a, b in zip(ctx.u.entries, ctx.v.entries) if b != 0.0 and 0.0 < a / b < 1.0
-    }
-    return tuple(sorted(ratios))
-
-
 def phi_prime(ctx: PhiContext, t: float) -> float:
-    """Analytic derivative of phi, valid away from breakpoints."""
+    """Analytic derivative of phi on (0, 1)."""
     if not (0.0 < t < 1.0):
         raise DomainError(f"phi_prime needs t in (0, 1), got {t}")
-    for bp in breakpoints(ctx):
-        if abs(t - bp) <= BREAKPOINT_RADIUS:
-            raise AtBreakpoint(f"t={t} within {BREAKPOINT_RADIUS} of breakpoint {bp}")
     return _phi_prime_values(ctx, (t,))[0]
 
 
 def _phi_prime_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
-    """phi_prime at each t of ts, without the domain and breakpoint checks."""
+    """phi_prime at each t of ts in (0, 1), without the domain check.
+
+    As in _phi_values, every base is >= 0 and the powers are plain.
+    """
     p, q = ctx.p, ctx.q
     e = q / p - 1.0
     p1 = p - 1.0
@@ -127,12 +108,10 @@ def _phi_prime_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
     for t in ts:
         plus = [a + b * t for a, b in zip(us, vs)]
         minus = [a - b * t for a, b in zip(us, vs)]
-        # sign-aware terms reduce to the plain powers in the dominated case,
-        # where u_i - v_i t >= u_i - v_i >= 0 on (0, 1)
-        splus = math.fsum([abs(w) ** p for w in plus])
-        sminus = math.fsum([abs(w) ** p for w in minus])
-        dplus = math.fsum([b * math.copysign(abs(w) ** p1, w) for b, w in zip(vs, plus)])
-        dminus = math.fsum([b * math.copysign(abs(w) ** p1, w) for b, w in zip(vs, minus)])
+        splus = math.fsum([w**p for w in plus])
+        sminus = math.fsum([w**p for w in minus])
+        dplus = math.fsum([b * w**p1 for b, w in zip(vs, plus)])
+        dminus = math.fsum([b * w**p1 for b, w in zip(vs, minus)])
         out.append(q * (splus**e * dplus - sminus**e * dminus - k * t**q1))
     return out
 

@@ -11,19 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from clarkson.catalog import (
-    InequalityId,
-    TolerancePolicy,
-    Verdict,
-    eval_clarkson_1_1,
-    eval_clarkson_1_2,
-    eval_clarkson_1_3,
-    eval_corollary_1_6,
-    eval_main_1_7,
-    eval_prop_1_4,
-)
+from clarkson.catalog import InequalityId, TolerancePolicy, Verdict, evaluate
 from clarkson.cli import main as cli_main
-from clarkson.core import NonnegVector, p_norm, combine
+from clarkson.core import NonnegVector, RealVector, p_norm
 from clarkson.rearrange import (
     SwapInstance,
     brute_force_swap_oracle,
@@ -42,7 +32,6 @@ from clarkson.search import (
 from clarkson.variational import (
     ChiContext,
     PhiContext,
-    breakpoints,
     chi,
     chi_sign_scan,
     monotonicity_scan,
@@ -116,8 +105,8 @@ def test_criterion_02_dominated_bound_suite():
             )
             for i in range(budget):
                 u, v, w = sample_pair(spec, SEED, i)
-                prop = eval_prop_1_4(u, v, p, q, w, POLICY)
-                main_rep = eval_main_1_7(u, v, p, q, w, POLICY)
+                prop = evaluate(InequalityId.PROP_14, u, v, p, q, w, POLICY)
+                main_rep = evaluate(InequalityId.MAIN_17, u, v, p, q, w, POLICY)
                 total += 1
                 if prop.verdict is Verdict.VIOLATED:
                     ok = False
@@ -136,9 +125,9 @@ def test_criterion_03_classical_bounds_suite():
         for i in range(per_p):
             x, y, w = sample_pair(spec, SEED + 1, i)
             reports = [
-                eval_clarkson_1_1(x, y, p, w, POLICY),
-                eval_clarkson_1_2(x, y, p, w, POLICY),
-                *eval_clarkson_1_3(x, y, p, w, POLICY),
+                evaluate(id, x, y, p, None, w, POLICY)
+                for id in (InequalityId.C11, InequalityId.C12,
+                           InequalityId.C13_LEFT, InequalityId.C13_RIGHT)
             ]
             if any(r.verdict is Verdict.VIOLATED for r in reports):
                 ok = False
@@ -152,16 +141,19 @@ def test_criterion_04_equality_cases():
         x, _, _ = sample_pair(spec, SEED + 2, i)
         zero = NonnegVector((0.0,) * len(x))
         for p, q in ((2.0, 2.0), (2.0, 3.5), (3.0, 6.0)):
-            rep = eval_main_1_7(x, zero, p, q, None, POLICY)
+            rep = evaluate(InequalityId.MAIN_17, x, zero, p, q, None, POLICY)
             if abs(rep.gap) > 1e-10 * rep.scale:
                 ok = False
     for i in range(200):
         x, y, _ = sample_pair(spec, SEED + 3, i)
-        rep = eval_main_1_7(x, y, 2.0, 2.0, None, POLICY)
+        rep = evaluate(InequalityId.MAIN_17, x, y, 2.0, 2.0, None, POLICY)
         if abs(rep.gap) > 1e-10 * rep.scale:
             ok = False
-    ok &= eval_corollary_1_6(1.0, 1.0, 2.0).gap == 0.0
-    ok &= eval_corollary_1_6(1.7, 0.0, 3.3).gap == pytest.approx(0.0, abs=1e-12)
+    def cor16(x, y, q):
+        return evaluate(InequalityId.COR_16, NonnegVector((x,)), NonnegVector((y,)), q, q)
+
+    ok &= cor16(1.0, 1.0, 2.0).gap == 0.0
+    ok &= cor16(1.7, 0.0, 3.3).gap == pytest.approx(0.0, abs=1e-12)
     _report_line(4, "Equality cases: y=0 and p=q=2 and cor-1.6", ok)
 
 
@@ -171,8 +163,8 @@ def test_criterion_05_reduction_identity():
     for i in range(1000):
         x, y, _ = sample_pair(spec, SEED + 4, i)
         for p in (2.0, 3.0, 4.5):
-            main_rep = eval_main_1_7(x, y, p, p, None, POLICY)
-            left, _ = eval_clarkson_1_3(x, y, p, None, POLICY)
+            main_rep = evaluate(InequalityId.MAIN_17, x, y, p, p, None, POLICY)
+            left = evaluate(InequalityId.C13_LEFT, x, y, p, None, None, POLICY)
             scale = max(main_rep.scale, 1.0)
             if abs(main_rep.gap - left.gap) > 1e-12 * scale:
                 ok = False
@@ -188,12 +180,9 @@ def test_criterion_06_phi_monotonicity_suite():
         report = monotonicity_scan(ctx, 257)
         if not report.is_nondecreasing:
             ok = False
-        bps = breakpoints(ctx)
         scale = max(abs(phi(ctx, 0.0)), abs(phi(ctx, 1.0)), 1.0)
         for _ in range(20):
             t = float(rng.uniform(2 * h, 1.0 - 2 * h))
-            if any(abs(t - bp) <= 1e-6 for bp in bps):
-                continue
             an = phi_prime(ctx, t)
             fd = (phi(ctx, t + h) - phi(ctx, t - h)) / (2.0 * h)
             if abs(an - fd) > 1e-4 * max(1.0, abs(an)):
@@ -207,7 +196,7 @@ def test_criterion_07_endpoint_identity():
     ok = True
     for i in range(1000):
         ctx = _dominated_context(SEED + 6, i)
-        rep = eval_prop_1_4(ctx.u, ctx.v, ctx.p, ctx.q, None, POLICY)
+        rep = evaluate(InequalityId.PROP_14, ctx.u, ctx.v, ctx.p, ctx.q, None, POLICY)
         diff = phi(ctx, 1.0) - phi(ctx, 0.0)
         if abs(diff - rep.gap) > 1e-10 * max(rep.scale, 1.0):
             ok = False
@@ -226,9 +215,10 @@ def test_criterion_08_rearrangement_oracle():
                 ok = False
         pair = dominance_rearrange(x, y)
         for p in (2.0, 3.0):
-            for sign in ("plus", "minus"):
-                orig = p_norm(combine(x, y, sign), p)
-                rearr = p_norm(combine(pair.u, pair.v, sign), p)
+            for sign in (1.0, -1.0):
+                orig = p_norm(RealVector([a + sign * b for a, b in zip(x.entries, y.entries)]), p)
+                rearr = p_norm(
+                    RealVector([a + sign * b for a, b in zip(pair.u.entries, pair.v.entries)]), p)
                 if abs(orig - rearr) > 1e-12 * max(orig, 1.0):
                     ok = False
     _report_line(8, "Rearrangement: brute-force oracle and interchange invariance", ok)

@@ -5,19 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clarkson.catalog import (
+    REGISTRY,
     GapReport,
     InequalityId,
     TolerancePolicy,
     Verdict,
+    _pair_norms,
     classify,
-    eval_clarkson_1_1,
-    eval_clarkson_1_2,
-    eval_clarkson_1_3,
-    eval_corollary_1_6,
-    eval_main_1_7,
-    eval_prop_1_4,
     evaluate,
-    halving_substitution,
     report,
 )
 from clarkson.core import NonnegVector, RealVector, Weights
@@ -45,6 +40,38 @@ def _pair(xs, ys, cls=RealVector):
     return cls(tuple(xs[:n])), cls(tuple(ys[:n]))
 
 
+def c11(x, y, p):
+    return evaluate(InequalityId.C11, x, y, p)
+
+
+def c12(x, y, p):
+    return evaluate(InequalityId.C12, x, y, p)
+
+
+def c13(x, y, p):
+    """(left, right): c-1.3 is two registry entries."""
+    return evaluate(InequalityId.C13_LEFT, x, y, p), evaluate(InequalityId.C13_RIGHT, x, y, p)
+
+
+def main17(x, y, p, q):
+    return evaluate(InequalityId.MAIN_17, x, y, p, q)
+
+
+def prop14(u, v, p, q):
+    return evaluate(InequalityId.PROP_14, u, v, p, q)
+
+
+def cor16(x, y, q):
+    """cor-1.6 on the one-entry vectors (x,) and (y,)."""
+    return evaluate(InequalityId.COR_16, NonnegVector((x,)), NonnegVector((y,)), q, q)
+
+
+def plus_minus(x, y):
+    """The substitution (x, y) -> (x + y, x - y)."""
+    return (RealVector(tuple(a + b for a, b in zip(x.entries, y.entries))),
+            RealVector(tuple(a - b for a, b in zip(x.entries, y.entries))))
+
+
 class TestVerdict:
     def test_clear_hold(self):
         assert classify(1.0, 1.0, POLICY) is Verdict.HOLDS
@@ -54,6 +81,14 @@ class TestVerdict:
 
     def test_clear_violation(self):
         assert classify(-1.0, 1.0, POLICY) is Verdict.VIOLATED
+
+    @pytest.mark.parametrize("rel_tol, band", [
+        (0.0, 1e-7), (math.nan, 1e-7), (1e-9, 1e-12), (1e-9, math.inf), (1e-9, math.nan),
+    ])
+    def test_policy_rejects_bad_tolerances(self, rel_tol, band):
+        # an infinite band would never let a verdict be violated
+        with pytest.raises(ValueError, match="need 0 < rel_tol <= borderline_band < inf"):
+            TolerancePolicy(rel_tol, band)
 
     def test_report_is_the_dataclass_instance(self):
         # report fills the frozen instance's fields directly.
@@ -67,12 +102,12 @@ class TestVerdict:
 class TestClarkson11:
     def test_equal_arguments_give_zero_gap(self):
         x = RealVector((1.0, 0.0))
-        rep = eval_clarkson_1_1(x, x, 3.0)
+        rep = c11(x, x, 3.0)
         assert rep.gap == pytest.approx(0.0, abs=1e-12 * rep.scale)
 
     def test_p4_oracle(self):
         # direct evaluation: lhs = 2*17^(1/3), rhs = 3^(4/3) + 1
-        rep = eval_clarkson_1_1(RealVector((2.0, 0.0)), RealVector((1.0, 0.0)), 4.0)
+        rep = c11(RealVector((2.0, 0.0)), RealVector((1.0, 0.0)), 4.0)
         assert rep.lhs == pytest.approx(2.0 * 17.0 ** (1.0 / 3.0), rel=1e-14)
         assert rep.rhs == pytest.approx(3.0 ** (4.0 / 3.0) + 1.0, rel=1e-14)
         assert rep.gap == pytest.approx(0.18418552960575507, rel=1e-12)
@@ -81,25 +116,25 @@ class TestClarkson11:
     def test_reverse_regime_orientation(self):
         # p = 1.5: the direction flips; disjoint-support unit vectors sit
         # exactly at equality, a generic pair holds strictly.
-        rep = eval_clarkson_1_1(RealVector((1.0, 0.0)), RealVector((0.0, 1.0)), 1.5)
+        rep = c11(RealVector((1.0, 0.0)), RealVector((0.0, 1.0)), 1.5)
         assert rep.verdict is not Verdict.VIOLATED
         assert abs(rep.gap) <= 1e-9 * rep.scale
-        rep2 = eval_clarkson_1_1(RealVector((1.0, 0.5)), RealVector((0.25, 0.75)), 1.5)
+        rep2 = c11(RealVector((1.0, 0.5)), RealVector((0.25, 0.75)), 1.5)
         assert rep2.verdict is Verdict.HOLDS
 
 
 class TestClarkson12:
     def test_equal_arguments(self):
         x = RealVector((1.0, 2.0))
-        rep = eval_clarkson_1_2(x, x, 3.0)
+        rep = c12(x, x, 3.0)
         assert abs(rep.gap) <= 1e-12 * rep.scale
 
     def test_p4_holds(self):
-        rep = eval_clarkson_1_2(RealVector((2.0, 0.0)), RealVector((1.0, 0.0)), 4.0)
+        rep = c12(RealVector((2.0, 0.0)), RealVector((1.0, 0.0)), 4.0)
         assert rep.gap >= 0.0
 
     def test_reverse_regime(self):
-        rep = eval_clarkson_1_2(RealVector((1.0, 1.0)), RealVector((1.0, 0.0)), 1.5)
+        rep = c12(RealVector((1.0, 1.0)), RealVector((1.0, 0.0)), 1.5)
         assert rep.verdict is not Verdict.VIOLATED
 
 
@@ -108,13 +143,13 @@ class TestClarkson13:
     @settings(max_examples=50)
     def test_parallelogram_identity_at_p2(self, xs, ys):
         x, y = _pair(xs, ys)
-        left, right = eval_clarkson_1_3(x, y, 2.0)
+        left, right = c13(x, y, 2.0)
         assert abs(left.gap) <= 1e-9 * left.scale
         assert abs(right.gap) <= 1e-9 * right.scale
 
     def test_equal_singletons_p3(self):
         x = RealVector((1.0,))
-        left, right = eval_clarkson_1_3(x, x, 3.0)
+        left, right = c13(x, x, 3.0)
         assert (left.lhs, left.rhs, left.gap) == (4.0, 8.0, 4.0)
         assert (right.lhs, right.rhs, right.gap) == (8.0, 8.0, 0.0)
 
@@ -122,7 +157,7 @@ class TestClarkson13:
         x = RealVector((1.5, -2.0))
         zero = RealVector((0.0, 0.0))
         p = 2.7
-        left, right = eval_clarkson_1_3(x, zero, p)
+        left, right = c13(x, zero, p)
         assert abs(left.gap) <= 1e-12 * left.scale
         expected = (2.0 ** (p - 1.0) - 2.0) * sum(abs(e) ** p for e in x.entries)
         assert right.gap == pytest.approx(expected, rel=1e-12)
@@ -132,48 +167,48 @@ class TestMain17:
     def test_zero_y_equality(self):
         x = NonnegVector((1.0, 2.0, 3.0))
         zero = NonnegVector((0.0, 0.0, 0.0))
-        rep = eval_main_1_7(x, zero, 2.5, 4.0)
+        rep = main17(x, zero, 2.5, 4.0)
         assert abs(rep.gap) <= 1e-10 * rep.scale
 
     @given(nonneg_entries, nonneg_entries)
     @settings(max_examples=50)
     def test_p2_q2_parallelogram(self, xs, ys):
         x, y = _pair(xs, ys, NonnegVector)
-        rep = eval_main_1_7(x, y, 2.0, 2.0)
+        rep = main17(x, y, 2.0, 2.0)
         assert abs(rep.gap) <= 1e-9 * rep.scale
 
     def test_p2_q3_oracle(self):
-        rep = eval_main_1_7(NonnegVector((1.0, 1.0)), NonnegVector((1.0, 0.0)), 2.0, 3.0)
+        rep = main17(NonnegVector((1.0, 1.0)), NonnegVector((1.0, 0.0)), 2.0, 3.0)
         assert rep.lhs == pytest.approx(2.0 * (2.0**1.5 + 1.0), rel=1e-14)
         assert rep.rhs == pytest.approx(5.0**1.5 + 1.0, rel=1e-14)
         assert rep.gap == pytest.approx(4.523485638006569, rel=1e-12)
 
     def test_regime_rejected(self):
         with pytest.raises(RegimeViolation):
-            eval_main_1_7(NonnegVector((1.0,)), NonnegVector((1.0,)), 3.0, 2.0)
+            main17(NonnegVector((1.0,)), NonnegVector((1.0,)), 3.0, 2.0)
 
     @given(nonneg_entries, nonneg_entries,
            st.floats(min_value=2.0, max_value=6.0), st.floats(min_value=0.0, max_value=4.0))
     @settings(max_examples=200)
     def test_never_violated_on_nonneg(self, xs, ys, p, dq):
         x, y = _pair(xs, ys, NonnegVector)
-        rep = eval_main_1_7(x, y, p, p + dq)
+        rep = main17(x, y, p, p + dq)
         assert rep.verdict is not Verdict.VIOLATED
 
 
 class TestProp14:
     def test_zero_v(self):
         u = NonnegVector((1.0, 2.0))
-        rep = eval_prop_1_4(u, NonnegVector((0.0, 0.0)), 2.0, 3.0)
+        rep = prop14(u, NonnegVector((0.0, 0.0)), 2.0, 3.0)
         assert abs(rep.gap) <= 1e-10 * rep.scale
 
     def test_u_equals_v_q2(self):
         u = NonnegVector((1.0, 2.0))
-        rep = eval_prop_1_4(u, u, 2.0, 2.0)
+        rep = prop14(u, u, 2.0, 2.0)
         assert abs(rep.gap) <= 1e-10 * rep.scale
 
     def test_dominated_example_holds(self):
-        rep = eval_prop_1_4(NonnegVector((2.0, 1.0)), NonnegVector((1.0, 1.0)), 2.0, 3.0)
+        rep = prop14(NonnegVector((2.0, 1.0)), NonnegVector((1.0, 1.0)), 2.0, 3.0)
         # brute-force both sides
         import math as m
 
@@ -187,54 +222,57 @@ class TestProp14:
 
     def test_dominance_rejected(self):
         with pytest.raises(DominanceViolation):
-            eval_prop_1_4(NonnegVector((1.0,)), NonnegVector((2.0,)), 2.0, 3.0)
+            prop14(NonnegVector((1.0,)), NonnegVector((2.0,)), 2.0, 3.0)
 
 
 class TestCorollary16:
     def test_q2_equality(self):
-        rep = eval_corollary_1_6(1.0, 1.0, 2.0)
+        rep = cor16(1.0, 1.0, 2.0)
         assert (rep.lhs, rep.rhs, rep.gap) == (4.0, 4.0, 0.0)
 
     def test_zero_y(self):
-        rep = eval_corollary_1_6(3.0, 0.0, 4.5)
+        rep = cor16(3.0, 0.0, 4.5)
         assert rep.gap == pytest.approx(0.0, abs=1e-12 * rep.scale)
 
     def test_integer_oracle(self):
-        rep = eval_corollary_1_6(2.0, 1.0, 3.0)
+        rep = cor16(2.0, 1.0, 3.0)
         assert (rep.lhs, rep.rhs, rep.gap) == (20.0, 28.0, 8.0)
 
     def test_domain_errors(self):
         with pytest.raises(DominanceViolation):
-            eval_corollary_1_6(1.0, 2.0, 3.0)
+            cor16(1.0, 2.0, 3.0)
         with pytest.raises(RegimeViolation):
-            eval_corollary_1_6(2.0, 1.0, 1.5)
+            cor16(2.0, 1.0, 1.5)
 
     @given(nonneg_entries, nonneg_entries, st.floats(min_value=2.0, max_value=6.0))
     @settings(max_examples=50)
     def test_scalar_consistency_with_prop14(self, xs, ys, q):
         x = max(xs[0], ys[0])
         y = min(xs[0], ys[0])
-        scalar = eval_corollary_1_6(x, y, q)
-        vector = eval_prop_1_4(NonnegVector((x,)), NonnegVector((y,)), q, q)
+        scalar = cor16(x, y, q)
+        vector = prop14(NonnegVector((x,)), NonnegVector((y,)), q, q)
         assert scalar.gap == pytest.approx(vector.gap, abs=1e-12 * max(scalar.scale, 1.0))
 
 
 class TestHalvingSubstitution:
+    """(x, y) -> (x + y, x - y), as the pair norms form it and as c-1.2 uses it."""
+
     def test_basic(self):
-        u, v = halving_substitution(RealVector((1.0, 0.0)), RealVector((0.0, 1.0)))
-        assert u.entries == (1.0, 1.0)
-        assert v.entries == (1.0, -1.0)
+        # ||(1, 1)||_2 and ||(1, -1)||_2
+        _, _, ns, nd = _pair_norms((1.0, 0.0), (0.0, 1.0), 2.0, None, None)
+        assert (ns, nd) == (math.sqrt(2.0), math.sqrt(2.0))
 
     def test_equal_args_give_zero_difference(self):
-        x = RealVector((2.0, 3.0))
-        _, v = halving_substitution(x, x)
-        assert v.entries == (0.0, 0.0)
+        x = (2.0, 3.0)
+        assert _pair_norms(x, x, 3.0, None, None)[3] == 0.0
 
     def test_twice_doubles(self):
+        # (x + y) + (x - y) = 2x and (x + y) - (x - y) = 2y
         x, y = RealVector((1.0, 2.0)), RealVector((3.0, -1.0))
-        u, v = halving_substitution(*halving_substitution(x, y))
-        assert u.entries == tuple(2.0 * e for e in x.entries)
-        assert v.entries == tuple(2.0 * e for e in y.entries)
+        u, v = plus_minus(x, y)
+        nx, ny, _, _ = _pair_norms(x.entries, y.entries, 2.0, None, None)
+        _, _, ns, nd = _pair_norms(u.entries, v.entries, 2.0, None, None)
+        assert (ns, nd) == (2.0 * nx, 2.0 * ny)
 
     @given(signed_entries, signed_entries, st.sampled_from([2.5, 3.0, 4.0]))
     @settings(max_examples=100)
@@ -242,9 +280,9 @@ class TestHalvingSubstitution:
         # Away from the borderline band, c-1.2 on (x, y) agrees with
         # c-1.1 on (x+y, x-y).
         x, y = _pair(xs, ys)
-        r12 = eval_clarkson_1_2(x, y, p)
-        u, v = halving_substitution(x, y)
-        r11 = eval_clarkson_1_1(u, v, p)
+        r12 = c12(x, y, p)
+        u, v = plus_minus(x, y)
+        r11 = c11(u, v, p)
         band = POLICY.borderline_band
         if abs(r12.normalized_gap) > band and abs(r11.normalized_gap) > band:
             assert r12.verdict == r11.verdict
@@ -255,8 +293,8 @@ class TestReductionInvariant:
     @settings(max_examples=100)
     def test_main_17_reduces_to_c13_left(self, xs, ys, p):
         x, y = _pair(xs, ys, NonnegVector)
-        main = eval_main_1_7(x, y, p, p)
-        left, _ = eval_clarkson_1_3(x, y, p)
+        main = main17(x, y, p, p)
+        left, _ = c13(x, y, p)
         assert main.gap == pytest.approx(left.gap, abs=1e-12 * max(main.scale, 1.0))
 
 
@@ -265,8 +303,8 @@ class TestScaleInvariance:
     @settings(max_examples=50)
     def test_verdict_unchanged_under_scaling(self, xs, ys, alpha):
         x, y = _pair(xs, ys, NonnegVector)
-        base = eval_main_1_7(x, y, 2.0, 3.0)
-        scaled = eval_main_1_7(
+        base = main17(x, y, 2.0, 3.0)
+        scaled = main17(
             NonnegVector(tuple(alpha * e for e in x.entries)),
             NonnegVector(tuple(alpha * e for e in y.entries)),
             2.0,
@@ -286,8 +324,8 @@ class TestImprovementInvariant:
         u = NonnegVector(tuple(max(a, b) for a, b in zip(xs[:n], ys[:n])))
         v = NonnegVector(tuple(min(a, b) for a, b in zip(xs[:n], ys[:n])))
         q = p + dq
-        prop = eval_prop_1_4(u, v, p, q)
-        main = eval_main_1_7(u, v, p, q)
+        prop = prop14(u, v, p, q)
+        main = main17(u, v, p, q)
         assert prop.lhs >= main.lhs - 1e-12 * max(prop.lhs, 1.0)
         if prop.verdict is Verdict.HOLDS:
             assert main.verdict is not Verdict.VIOLATED
@@ -299,10 +337,12 @@ class TestDispatch:
             assert InequalityId.from_cli(member.value) is member
 
     def test_dispatch_matches_direct(self):
+        # evaluate gives the report of its registry entry's sides
         x, y = NonnegVector((1.0, 1.0)), NonnegVector((1.0, 0.0))
         via = evaluate(InequalityId.MAIN_17, x, y, 2.0, 3.0)
-        direct = eval_main_1_7(x, y, 2.0, 3.0)
-        assert via == direct
+        entry = REGISTRY[InequalityId.MAIN_17]
+        sides = entry.sides(*entry.quantities(x.entries, y.entries, 2.0, 3.0, None), 2.0, 3.0)
+        assert via == report(InequalityId.MAIN_17, 2.0, 3.0, *sides, POLICY)
 
     def test_signed_input_rejected_for_main(self):
         with pytest.raises(NegativeEntry):

@@ -59,6 +59,63 @@ class TestVerify:
         assert code == 2
         assert "no input pairs" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        # a string used to be read character by character, "12" as (1.0, 2.0)
+        ("x", "12", "expected a list of numbers, got '12'"),
+        ("x", "1.5", "expected a list of numbers, got '1.5'"),
+        ("w", "ab", "expected a list of numbers, got 'ab'"),
+        ("y", [1.0, True], "expected a list of numbers, got [1.0, True]"),
+        ("w", [False, 1.0], "expected a list of numbers, got [False, 1.0]"),
+        ("x", [1.0, "2"], "expected a list of numbers, got [1.0, '2']"),
+        ("x", {"0": 1.0}, "expected a list of numbers, got {'0': 1.0}"),
+        ("x", [10**400, 1.0], "int too large to convert to float"),
+    ])
+    def test_vectors_must_be_lists_of_numbers(self, field, value, message, tmp_path, capsys):
+        bad = {"x": [1.0, 1.0], "y": [1.0, 0.0], "w": None, field: value}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": [{"x": [1, 1], "y": [1, 0]}, bad]}))
+        code, out, err = run(
+            ["verify", "--ineq", "main-1.7", "--input", str(path), "--p", "2", "--q", "3"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: bad pair at index 1: {message}"]
+
+    def test_integer_entries_are_numbers(self, tmp_path, capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": [{"x": [1, 1], "y": [1, 0], "w": [1, 2]}]}))
+        argv = ["verify", "--ineq", "main-1.7", "--p", "2", "--q", "3"]
+        code, out, _ = run([*argv, "--input", str(path)], capsys)
+        assert code == 0
+        path.write_text(json.dumps({"pairs": [{"x": [1.0, 1.0], "y": [1.0, 0.0], "w": [1.0, 2.0]}]}))
+        assert run([*argv, "--input", str(path)], capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("flags", [("--p", ","), ("--q", ","), ("--p", ""), ("--q", " , ")])
+    def test_empty_exponent_list(self, flags, capsys):
+        code, out, err = run(
+            ["verify", "--ineq", "main-1.7", "--x", "1,1", "--y", "1,0",
+             "--p", "2", "--q", "3", *flags],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: --p and --q each need at least one value"]
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--ineq", "main-1.7", "--x", "1,1", "--y", "1,0", "--p", "2", "--q", "3"],
+        ["scan", "--ineq", "main-1.7", "--p-grid", "2:3:1", "--q-grid", "3:4:1", "--samples", "5"],
+        ["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--budget", "5"],
+    ])
+    @pytest.mark.parametrize("flags", [
+        ("--rel-tol", "0"), ("--rel-tol", "nan"), ("--rel-tol", "-1"), ("--band", "1e-12"),
+        ("--band", "inf"), ("--band", "nan"),
+    ])
+    def test_bad_tolerance_is_a_usage_error(self, command, flags, capsys):
+        code, out, err = run([*command, *flags], capsys)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()  # no traceback
+        assert line.startswith("error: --rel-tol ")
+        assert line.endswith(": need 0 < rel_tol <= borderline_band < inf")
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "pairs.json"
         path.write_text("{not json")
@@ -346,7 +403,7 @@ class TestPhi:
         assert len(out.splitlines()) == MAX_GRID_CELLS + 2
 
     def test_each_grid_point_evaluated_once(self, monkeypatch, capsys):
-        points = {"phi": 0, "phi_prime": 0, "breakpoints": 0}
+        points = {"phi": 0, "phi_prime": 0}
 
         def counting(name, evaluate):
             def wrapped(ctx, ts):
@@ -354,20 +411,15 @@ class TestPhi:
                 return evaluate(ctx, ts)
             return wrapped
 
-        def count_breakpoints(ctx, real=variational.breakpoints):
-            points["breakpoints"] += 1
-            return real(ctx)
-
         monkeypatch.setattr(variational, "_phi_values", counting("phi", variational._phi_values))
         monkeypatch.setattr(variational, "_phi_prime_values",
                             counting("phi_prime", variational._phi_prime_values))
-        monkeypatch.setattr(variational, "breakpoints", count_breakpoints)
         code, _, _ = run(
             ["phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4", "--grid-size", "33"],
             capsys,
         )
         assert code == 0
-        assert points == {"phi": 33, "phi_prime": 31, "breakpoints": 0}
+        assert points == {"phi": 33, "phi_prime": 31}
 
 
 class TestChi:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from clarkson.catalog import REGISTRY, InequalityId, Verdict, eval_main_1_7, evaluate
+from clarkson.catalog import REGISTRY, InequalityId, Verdict, evaluate
 from clarkson.errors import ConstraintMismatch, EmptyGrid
 from clarkson.search import (
     Constraint,
@@ -118,12 +118,13 @@ class TestCounterexampleSearch:
         assert a.best_report == b.best_report
         assert a.normalized_gap == b.normalized_gap
 
-    def test_soundness_of_witness(self, inverted_main_17):
+    def test_soundness_of_witness(self, inverted_main_17, monkeypatch):
         out = counterexample_search(
             InequalityId.MAIN_17, 2.0, 3.0, SPEC, 200, seed=11
         )
         x, y, p, q, w = out.witness
-        rep = eval_main_1_7(x, y, p, q, w)
+        monkeypatch.undo()  # back to main-1.7 as stated
+        rep = evaluate(InequalityId.MAIN_17, x, y, p, q, w)
         # the witness really violates the inverted statement: its true gap
         # is strictly positive
         assert rep.gap > 0

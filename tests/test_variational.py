@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clarkson.catalog import eval_prop_1_4
+from clarkson.catalog import InequalityId, evaluate
 from clarkson.core import NonnegVector
 from clarkson.errors import (
-    AtBreakpoint,
     DomainError,
     DominanceViolation,
     NonFiniteGap,
@@ -19,7 +18,6 @@ from clarkson.variational import (
     _chi_values,
     _phi_prime_values,
     _phi_values,
-    breakpoints,
     chi,
     chi_sign_scan,
     monotonicity_scan,
@@ -79,41 +77,20 @@ class TestPhi:
         assert phi(ctx, 1.0) == pytest.approx(0.0, abs=1e-12)
         assert phi(ctx, 0.0) == pytest.approx(-2.0, rel=1e-14)
 
-    def test_domain_enforced_unless_relaxed(self):
+    def test_domain_enforced(self):
         ctx = PhiContext(NonnegVector((1.0,)), NonnegVector((1.0,)), 2.0, 3.0)
-        with pytest.raises(DomainError):
-            phi(ctx, 1.5)
-        assert math.isfinite(phi(ctx, 1.5, relaxed=True))
+        for t in (1.5, -0.5):
+            with pytest.raises(DomainError):
+                phi(ctx, t)
 
     @given(entry_lists, pq)
     @settings(max_examples=100, deadline=None)
     def test_endpoint_identity_matches_prop_1_4(self, entries, pdq):
         p, dq = pdq
         ctx = _dominated_ctx(entries, p, p + dq)
-        rep = eval_prop_1_4(ctx.u, ctx.v, ctx.p, ctx.q)
+        rep = evaluate(InequalityId.PROP_14, ctx.u, ctx.v, ctx.p, ctx.q)
         diff = phi(ctx, 1.0) - phi(ctx, 0.0)
         assert diff == pytest.approx(rep.gap, abs=1e-10 * max(rep.scale, 1.0))
-
-
-class TestBreakpoints:
-    def test_zero_v_empty(self):
-        ctx = PhiContext(NonnegVector((1.0, 2.0)), NonnegVector((0.0, 0.0)), 2.0, 3.0)
-        assert breakpoints(ctx) == ()
-
-    def test_ratios_filtered_to_unit_interval(self):
-        # non-dominated exploration context: only 1/2 lands inside (0, 1)
-        ctx = PhiContext(NonnegVector((1.0, 3.0)), NonnegVector((2.0, 1.0)), 2.0, 3.0,
-                         strict=False)
-        assert breakpoints(ctx) == (0.5,)
-
-    def test_duplicate_ratio_collapses(self):
-        ctx = PhiContext(NonnegVector((1.0, 1.0)), NonnegVector((2.0, 2.0)), 2.0, 3.0,
-                         strict=False)
-        assert breakpoints(ctx) == (0.5,)
-
-    def test_dominated_context_has_no_breakpoints(self):
-        ctx = PhiContext(NonnegVector((3.0, 6.0)), NonnegVector((1.0, 2.0)), 2.0, 3.0)
-        assert breakpoints(ctx) == ()
 
 
 class TestPhiPrime:
@@ -142,21 +119,18 @@ class TestPhiPrime:
         )
         assert phi_prime(ctx, t) == pytest.approx(expected, rel=1e-12)
 
-    def test_breakpoint_exclusion(self):
-        ctx = PhiContext(NonnegVector((1.0, 3.0)), NonnegVector((2.0, 1.0)), 2.0, 3.0,
-                         strict=False)
-        with pytest.raises(AtBreakpoint):
-            phi_prime(ctx, 0.5 + 1e-10)
-        with pytest.raises(DomainError):
-            phi_prime(ctx, 0.0)
+    def test_domain_enforced(self):
+        ctx = PhiContext(NonnegVector((3.0, 1.0)), NonnegVector((2.0, 1.0)), 2.0, 3.0)
+        for t in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                phi_prime(ctx, t)
 
     @given(entry_lists, pq, st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=200, deadline=None)
-    def test_nonnegative_away_from_breakpoints(self, entries, pdq, t):
+    def test_nonnegative_on_the_open_interval(self, entries, pdq, t):
+        # u >= v keeps every u_i - v_i t >= 0, so phi has no breakpoint in (0, 1)
         p, dq = pdq
         ctx = _dominated_ctx(entries, p, p + dq)
-        if any(abs(t - bp) <= 1e-6 for bp in breakpoints(ctx)):
-            return
         d = phi_prime(ctx, t)
         scale = max(abs(phi(ctx, 1.0)), abs(phi(ctx, 0.0)), 1.0)
         assert d >= -1e-10 * scale
@@ -203,7 +177,11 @@ def _hex(values):
 
 
 def _phi_per_point(ctx, t):
-    """phi at t as a single-point formula, for the grid evaluator to match."""
+    """phi at t as a single-point formula, for the grid evaluator to match.
+
+    It takes |.| of every base, and _phi_prime_per_point copysign as well;
+    the evaluators' plain powers must give the same bits.
+    """
     p, q = ctx.p, ctx.q
     e = q / p
     plus = math.fsum(abs(a + b * t) ** p for a, b in zip(ctx.u.entries, ctx.v.entries))
@@ -246,17 +224,15 @@ def _chi_per_point(ctx, s):
 
 @st.composite
 def phi_contexts(draw):
-    """Dominated and exploration contexts, n 1..16, p in {2, 2.5, 3}, p = q included."""
+    """Dominated contexts, n 1..16, p in {2, 2.5, 3}, p = q included; entries may be -0.0."""
     n = draw(st.integers(min_value=1, max_value=16))
-    entries = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+    entries = st.floats(min_value=0.0, max_value=5.0, allow_nan=False) | st.just(-0.0)
     us = draw(st.lists(entries, min_size=n, max_size=n))
     vs = draw(st.lists(entries, min_size=n, max_size=n))
     p = draw(st.sampled_from([2.0, 2.5, 3.0]))
     q = p + draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)))
-    if draw(st.booleans()):
-        return PhiContext(NonnegVector(tuple(max(a, b) for a, b in zip(us, vs))),
-                          NonnegVector(tuple(min(a, b) for a, b in zip(us, vs))), p, q)
-    return PhiContext(NonnegVector(tuple(us)), NonnegVector(tuple(vs)), p, q, strict=False)
+    return PhiContext(NonnegVector(tuple(max(a, b) for a, b in zip(us, vs))),
+                      NonnegVector(tuple(min(a, b) for a, b in zip(us, vs))), p, q)
 
 
 unit_points = st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8)
@@ -276,7 +252,6 @@ class TestGridEvaluators:
     @given(phi_contexts(), st.lists(st.floats(min_value=0.001, max_value=0.999), max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_phi_prime_values(self, ctx, ts):
-        ts = [t for t in ts if all(abs(t - bp) > 1e-6 for bp in breakpoints(ctx))]
         got = _hex(_phi_prime_values(ctx, ts))
         assert got == _hex([phi_prime(ctx, t) for t in ts])
         assert got == _hex([_phi_prime_per_point(ctx, t) for t in ts])
