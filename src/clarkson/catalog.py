@@ -150,14 +150,22 @@ def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, fl
     return nx, ny, ns, _p_norm(_check_entries([a - b for a, b in zip(x, y)]), p, w)
 
 
-def _batch_power_sums(z: np.ndarray, k: float, w: Optional[np.ndarray]) -> np.ndarray:
-    """Sum over the last axis of w|z|^k, for k >= 1, raising only nonzero entries.
+def _batch_powers(z: np.ndarray, k: float) -> np.ndarray:
+    """|z|^k entrywise, for k >= 1, raising only nonzero entries.
 
     Zeros, the padding among them, stay 0, which is what |0|^k gives, so
-    the sums equal the dense ones bit for bit.  Sums are numpy's, not
-    math.fsum; see search._SCREEN_MARGIN for how far they may differ.
+    the terms equal the dense ones bit for bit.
     """
-    terms = np.power(np.abs(z), k, where=z != 0, out=np.zeros(z.shape))
+    return np.power(np.abs(z), k, where=z != 0, out=np.zeros(z.shape))
+
+
+def _batch_power_sums(z: np.ndarray, k: float, w: Optional[np.ndarray]) -> np.ndarray:
+    """Sum over the last axis of w|z|^k, for k >= 1.
+
+    Sums are numpy's, not math.fsum; see search._SCREEN_MARGIN for how
+    far they may differ.
+    """
+    terms = _batch_powers(z, k)
     if w is not None:
         terms *= w
     return terms.sum(axis=-1)
@@ -172,9 +180,15 @@ def _batch_pair_norms(
 
 
 def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, k: float, e: float) -> tuple:
-    """Per row, the sums of x^k, y^k, max(x, y)^k and min(x, y)^k; then e."""
-    return (*_batch_power_sums(np.stack((x, y, np.maximum(x, y), np.minimum(x, y))), k, None),
-            e)
+    """Per row, the sums of x^k, y^k, max(x, y)^k and min(x, y)^k; then e.
+
+    As in _repaired_sums, x and y are raised once and the re-paired
+    terms are picked from theirs.
+    """
+    px, py = _batch_powers(x, k), _batch_powers(y, k)
+    swap = x < y
+    terms = (px, py, np.where(swap, py, px), np.where(swap, px, py))
+    return (*(t.sum(axis=-1) for t in terms), e)
 
 
 # Each statement below is written once, as (lhs, rhs) of the four norms
@@ -264,9 +278,8 @@ def _repaired_sums(x, y, k: float, e: float) -> tuple:
     if len(x) != len(y):
         raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
     px, py = _abs_powers(x, k), _abs_powers(y, k)
-    swap = [a < b for a, b in zip(x, y)]
-    pu = [t if s else r for s, r, t in zip(swap, px, py)]
-    pv = [r if s else t for s, r, t in zip(swap, px, py)]
+    pu = [t if a < b else r for a, b, r, t in zip(x, y, px, py)]
+    pv = [r if a < b else t for a, b, r, t in zip(x, y, px, py)]
     return math.fsum(px), math.fsum(py), math.fsum(pu), math.fsum(pv), e
 
 

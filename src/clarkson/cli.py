@@ -111,10 +111,14 @@ def _load_pairs(path: str, require_nonneg: bool):
     out = []
     for i, item in enumerate(pairs):
         try:
+            if not isinstance(item, dict):
+                raise TypeError(f"expected an object with x and y, got {item!r}")
             x = validate_vector(_numbers(item["x"]), require_nonneg)
             y = validate_vector(_numbers(item["y"]), require_nonneg)
             w = None if item.get("w") is None else Weights(_numbers(item["w"]))
-        except (KeyError, TypeError, OverflowError, ClarksonError) as exc:
+        except KeyError as exc:
+            raise UsageError(f"bad pair at index {i}: missing key {exc}")
+        except (TypeError, OverflowError, ClarksonError) as exc:
             raise UsageError(f"bad pair at index {i}: {exc}")
         out.append((x, y, w))
     return out

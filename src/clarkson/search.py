@@ -11,9 +11,18 @@ seed differ from these.
 Reductions are min/count only.  For the registry entries with batch
 quantities (c-1.1, c-1.2, c-1.3-left/right, main-1.7 and prop-1.4 on the
 pair norms, sumpow-2.12 and rearr-2.17 on the re-paired power sums; all
-but cor-1.6) a whole block is screened with numpy first; only the pairs
-the screen cannot rule out reach the scalar evaluate, which decides
-every verdict, count and witness.
+but cor-1.6) an index range is screened with numpy first, in windows of
+up to _BLOCK consecutive indices counted from its start, one batch call
+a window (a window across a block boundary joins the two blocks' rows).
+Only the pairs the screen cannot rule out reach the scalar evaluate,
+which decides every verdict, count and witness.  The screen keeps the
+rows whose batch gap is non-finite, below rel_tol + margin, or within
+2 margin of the running minimum, the lowest finite batch gap seen so far
+in the range.  This is sound: batch and scalar gaps lie at most margin
+apart (_SCREEN_MARGIN), so a row left out holds, and its scalar gap
+exceeds that of the row that set the running minimum, which was kept
+when it was seen.  The range's minimum, the rows tied with it and every
+violation are thus evaluated.
 
 Entries are validated once: sample_block checks a whole block as the
 vector constructors would, and _project's output is valid by
@@ -79,8 +88,9 @@ _MIN_STEP = 1e-8
 # - each term w|z|^k is within 3u of exact on both paths (k = p; k = 1
 #   for sumpow-2.12's plain sums, whose terms are exact); math.fsum adds
 #   u and numpy's sum of n nonnegative terms at most (n - 1)u, so the
-#   two sums S agree to (n + 6)u.  The (max, min) re-pairing only picks
-#   entries, so the re-paired sums obey the same bound;
+#   two sums S agree to (n + 6)u.  Both paths take each term of a
+#   (max, min) re-paired sum from the terms of x and y, so each term is
+#   still within 3u and the re-paired sums obey the same bound;
 # - every side raises S, and each rounded intermediate (the norm
 #   S^(1/p), inner powers and sums, the outer power), to a power of at
 #   most e = max(p, q, p/(p-1)), with at most four roundings a chain on
@@ -180,8 +190,8 @@ def _reject(bad: np.ndarray, error) -> None:
         raise error(int(np.argwhere(bad)[0, 1]))
 
 
-# sample_pair walks indices one at a time, and adjacent scan cells share
-# a block, so the last two blocks are kept.
+# sample_pair walks indices one at a time, adjacent scan cells share a
+# block, and a screen window may span two, so the last two blocks are kept.
 @functools.lru_cache(maxsize=2)
 def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     """Pairs block * _BLOCK ... block * _BLOCK + _BLOCK - 1 of (spec, seed).
@@ -244,17 +254,32 @@ def _check_constraint(id: InequalityId, spec: SampleSpec, explore: bool) -> bool
     )
 
 
-def _screen(ng: np.ndarray, rel_tol: float, margin: float) -> np.ndarray:
-    """Rows whose scalar gap may be non-finite, not a clear hold, or the minimum.
+def _screen(ng: np.ndarray, rel_tol: float, margin: float, low: float) -> Tuple[np.ndarray, float]:
+    """Rows whose scalar gap may be non-finite, not a clear hold, or the
+    range's minimum; and the running minimum low, updated.
 
-    With |batch - scalar| <= margin on every row, a row left out holds
-    and its scalar gap exceeds that of the batch argmin, which is kept.
+    low is the lowest finite batch gap seen so far in the index range
+    (inf before its first window).  With |batch - scalar| <= margin on
+    every row, a row left out holds (its batch gap is at least rel_tol +
+    margin), and its scalar gap exceeds low + margin, so it exceeds that
+    of the row that set low.  That row was kept when it was seen, as it
+    set low then; so the range's minimum, and every row tied with it, is
+    evaluated.
     """
     finite = np.isfinite(ng)
-    keep = ~finite | (ng < rel_tol + margin)
-    if finite.any():
-        keep |= ng <= ng[finite].min() + 2.0 * margin
-    return np.flatnonzero(keep)
+    low = min(low, float(np.min(ng, where=finite, initial=math.inf)))
+    keep = ~finite | (ng < rel_tol + margin) | (ng <= low + 2.0 * margin)
+    return np.flatnonzero(keep), low
+
+
+def _join(arrays: Sequence[Optional[np.ndarray]], lo: int, hi: int) -> Optional[np.ndarray]:
+    """Rows lo .. hi - 1 of one or two blocks' arrays laid end to end: a
+    slice of the first, or its tail joined to the second's head."""
+    if arrays[0] is None:
+        return None
+    if len(arrays) == 1:
+        return arrays[0][lo:hi]
+    return np.concatenate((arrays[0][lo:], arrays[1][:hi - _BLOCK]))
 
 
 def _eval_indices(
@@ -270,27 +295,33 @@ def _eval_indices(
     """Min-reduce an index range: (best_norm_gap, report, witness, violations).
 
     The result equals that of evaluating every index with the scalar
-    evaluate: entries with a batch form evaluate only the rows _screen
-    keeps.  Indices run in ascending order, so ties go to the lowest index.
-    (p, q) is a pair the entry's exponent builder returned.
+    evaluate: entries with a batch form screen windows of up to _BLOCK
+    consecutive indices, counted from the start of the range, with one
+    batch call each (a window that crosses a block boundary joins two
+    blocks' rows), and evaluate only the rows _screen keeps.  Indices
+    run in ascending order, so ties go to the lowest index.  (p, q) is
+    a pair the entry's exponent builder returned.
     """
     batch = lookup(id).batch_quantities is not None
     margin = _screen_margin(p, q, spec.dim_range[1])
+    low = math.inf
     best = (math.inf, None, None)
     violations = 0
-    for b in range(indices.start // _BLOCK, -(-indices.stop // _BLOCK)):
-        block = sample_block(spec, seed, b)
-        lo = max(indices.start - b * _BLOCK, 0)
-        hi = min(indices.stop - b * _BLOCK, _BLOCK)
+    for start in range(indices.start, indices.stop, _BLOCK):
+        stop = min(start + _BLOCK, indices.stop)
+        first = start // _BLOCK
+        blocks = [sample_block(spec, seed, b) for b in range(first, (stop - 1) // _BLOCK + 1)]
+        # Row r of the window's blocks laid end to end is row r % _BLOCK
+        # of blocks[r // _BLOCK].
+        lo, hi = start - first * _BLOCK, stop - first * _BLOCK
         rows = range(lo, hi)
         if batch:
-            gaps = batch_normalized_gaps(
-                id, block.x[lo:hi], block.y[lo:hi], p, q,
-                None if block.w is None else block.w[lo:hi],
-            )
-            rows = lo + _screen(gaps, policy.rel_tol, margin)
+            xs, ys, ws = (_join(a, lo, hi) for a in zip(*((b.x, b.y, b.w) for b in blocks)))
+            gaps = batch_normalized_gaps(id, xs, ys, p, q, ws)
+            kept, low = _screen(gaps, policy.rel_tol, margin, low)
+            rows = (lo + kept).tolist()
         for r in rows:
-            x, y, w = block.pair(r)
+            x, y, w = blocks[r // _BLOCK].pair(r % _BLOCK)
             rep = evaluate(id, x, y, p, q, w, policy, strict=strict)
             ng = rep.gap / rep.scale
             if rep.verdict is Verdict.VIOLATED:

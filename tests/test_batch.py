@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from clarkson import catalog, search
+from clarkson import catalog, cli, search
 from clarkson.catalog import (
     DEFAULT_POLICY,
     REGISTRY,
@@ -213,6 +213,101 @@ def test_diagonal_cells_evaluate_every_row(monkeypatch):
     assert abs(cell.min_normalized_gap) < 1e-14
 
 
+# Ranges that start mid-block and run over 4 blocks, so every screen
+# window joins the rows of two blocks.  The scalar minimum of the first
+# lies in its second window for main-1.7 at (2.5, 3.7), and that of the
+# second for rearr-2.17 at (2, 3) on LONG_SPARSE (both checked below).
+MID_BLOCK_RANGES = (range(37, 37 + 3 * _BLOCK + 40), range(300, 300 + 3 * _BLOCK + 40))
+
+
+@pytest.mark.parametrize(
+    "id, constraint, explore", cases(),
+    ids=lambda v: v.value if hasattr(v, "value") else ("explore" if v else "strict"),
+)
+def test_windows_across_blocks_equal_all_scalar_reduction(id, constraint, explore):
+    spec = SampleSpec(dim_range=(1, 24), distribution=Distribution.SPARSE,
+                      constraint=constraint, density=0.5, weights=id not in REPAIRED_IDS)
+    exps = exponent_pairs(id)[1]
+    for indices in MID_BLOCK_RANGES:
+        want = scalar_reduce(id, exps, spec, SEED, indices, strict=not explore)[:4]
+        got = search._eval_indices(id, *exps, spec, SEED, indices, DEFAULT_POLICY, not explore)
+        assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("id, spec, exps, indices", [
+    (InequalityId.MAIN_17, SampleSpec(dim_range=(1, 16)), (2.5, 3.7), MID_BLOCK_RANGES[0]),
+    (InequalityId.REARR_GAIN_217, LONG_SPARSE, (2.0, 3.0), MID_BLOCK_RANGES[1]),
+], ids=["main-1.7", "rearr-2.17"])
+def test_minimum_in_a_later_window(id, spec, exps, indices, monkeypatch):
+    """The running minimum: the first window keeps its own argmin, the
+    second window the range's minimum, and the last two windows, whose
+    rows all lie above it, keep none."""
+    *want, gaps = scalar_reduce(id, exps, spec, SEED, indices)
+    assert gaps.index(want[0]) >= _BLOCK
+    calls = count_evaluate_calls(monkeypatch)
+    assert_same_outcome(
+        search._eval_indices(id, *exps, spec, SEED, indices, DEFAULT_POLICY), want)
+    assert len(calls) == 2
+
+
+def test_search_small_n_evaluates_fewer_rows_than_blocks(monkeypatch, tmp_path, capsys):
+    """The search-small-n flags at budget 4000 (16 blocks): after the first
+    windows, later ones keep only rows near the running minimum."""
+    calls = count_evaluate_calls(monkeypatch)
+    for seed in range(5):
+        calls.clear()
+        assert cli.main([
+            "search", "--ineq", "main-1.7", "--p", "2.5", "--q", "3.7", "--nmin", "1",
+            "--nmax", "16", "--dist", "uniform", "--out", str(tmp_path / "witness.json"),
+            "--budget", "4000", "--seed", str(seed),
+        ]) == 0
+        assert 1 <= len(calls) < 16  # the screen kept one row a block or more before
+    capsys.readouterr()
+
+
+def test_scan_makes_one_batch_call_per_cell(monkeypatch, capsys):
+    """The scan-long-n scan at 50 samples a cell: 35 cells in the regime,
+    8 of them across a block boundary, each screened in one call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return batch_normalized_gaps(*args, **kwargs)
+
+    monkeypatch.setattr(search, "batch_normalized_gaps", counting)
+    assert cli.main([
+        "scan", "--ineq", "rearr-2.17", "--p-grid", "2:4:0.5", "--q-grid", "2:6:0.5",
+        "--nmin", "32", "--nmax", "64", "--dist", "sparse", "--density", "0.5",
+        "--samples", "50", "--seed", "1",
+    ]) == 0
+    assert calls == [50] * 35
+    capsys.readouterr()
+
+
+def four_array_repaired_sums(x, y, k, e):
+    """The re-paired sums from four raised arrays, as they were computed
+    before the re-paired terms were picked from those of x and y."""
+    z = np.stack((x, y, np.maximum(x, y), np.minimum(x, y)))
+    terms = np.power(np.abs(z), k, where=z != 0, out=np.zeros(z.shape))
+    return (*terms.sum(axis=-1), e)
+
+
+@pytest.mark.parametrize("dist", list(Distribution))
+@pytest.mark.parametrize("constraint", [Constraint.NONNEGATIVE, Constraint.DOMINATED_PAIR])
+def test_repaired_sums_equal_the_four_array_formula(dist, constraint):
+    spec = SampleSpec(dim_range=(1, 64), distribution=dist, constraint=constraint)
+    b0, b1 = sample_block(spec, SEED, 0), sample_block(spec, SEED, 1)
+    # a whole block, a slice of one, and a window joined across the boundary
+    windows = [(b0.x, b0.y), (b1.x[40:90], b1.y[40:90]),
+               (np.concatenate((b0.x[-30:], b1.x[:20])), np.concatenate((b0.y[-30:], b1.y[:20])))]
+    for x, y in windows:
+        for k in (1.0, 2.0, 2.5, 3.0, 4.0, 1 / 0.3):
+            got = catalog._batch_repaired_sums(x, y, k, 1.5)
+            want = four_array_repaired_sums(x, y, k, 1.5)
+            assert [a.tobytes() for a in got[:4]] == [a.tobytes() for a in want[:4]]
+            assert got[4] == 1.5
+
+
 @pytest.mark.parametrize("id", BATCH_IDS, ids=lambda id: id.value)
 def test_masked_and_dense_batch_gaps_are_equal(id, monkeypatch):
     """Raising only the nonzero entries leaves every batch gap bit-identical
@@ -222,16 +317,20 @@ def test_masked_and_dense_batch_gaps_are_equal(id, monkeypatch):
     block = sample_block(spec, SEED, 1)
     assert (block.n < block.x.shape[1]).any()
 
-    def dense_power_sums(z, k, w):
-        terms = np.abs(z) ** k
-        return (terms if w is None else terms * w).sum(axis=-1)
+    raised = []
+
+    def dense_powers(z, k):
+        raised.append(z.shape)
+        return np.abs(z) ** k
 
     for exps in exponent_pairs(id):
         masked = batch_normalized_gaps(id, block.x, block.y, *exps, block.w)
         with monkeypatch.context() as m:
-            m.setattr(catalog, "_batch_power_sums", dense_power_sums)
+            # both the pair norms and the re-paired sums take their terms here
+            m.setattr(catalog, "_batch_powers", dense_powers)
             dense = batch_normalized_gaps(id, block.x, block.y, *exps, block.w)
         assert masked.tobytes() == dense.tobytes()
+    assert raised
 
 
 @pytest.mark.parametrize("constraint", list(Constraint))

@@ -353,6 +353,24 @@ class TestErrorExits:
         assert code == 2
         assert err.strip().splitlines()[-1] == f"error: pair 0: {message}"
 
+    @pytest.mark.parametrize("pair, message", [
+        ({"x": [1.0, 2.0]}, "missing key 'y'"),
+        ({"y": [1.0, 2.0], "w": None}, "missing key 'x'"),
+        ([[1.0, 2.0], [0.5, 1.0]],
+         "expected an object with x and y, got [[1.0, 2.0], [0.5, 1.0]]"),
+        ("x", "expected an object with x and y, got 'x'"),
+        (None, "expected an object with x and y, got None"),
+    ])
+    def test_malformed_pair_errors(self, pair, message, tmp_path, capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": [pair]}))
+        code, out, err = run(
+            ["verify", "--ineq", "main-1.7", "--input", str(path), "--p", "2", "--q", "3"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: bad pair at index 0: {message}"]
+
     def test_weights_rejected_in_verify(self, tmp_path, capsys):
         doc = {"pairs": [{"x": [2.0, 0.0], "y": [0.0, 1.0], "w": [1.0, 2.0]}]}
         path = tmp_path / "pairs.json"

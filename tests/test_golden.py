@@ -249,6 +249,35 @@ GOLDEN = [
         id="rearr-2.17 scan with p == q cells",
     ),
     pytest.param(
+        [
+            "scan", "--ineq", "rearr-2.17", "--p-grid", "2:4:0.5", "--q-grid", "2:6:0.5",
+            "--nmin", "32", "--nmax", "64", "--dist", "sparse", "--density", "0.5",
+            "--workers", "2", "--samples", "50", "--seed", "1",
+        ],
+        0,
+        _pinned("scan-long-n-seed-1.csv"),
+        None,
+        # 45 rows: 5 with p == q, 10 skipped, and 8 cells (50 samples each)
+        # that straddle a block boundary.
+        id="the scan-long-n scan at 50 samples",
+    ),
+    pytest.param(
+        [
+            "search", "--ineq", "main-1.7", "--p", "2.5", "--q", "3.7", "--nmin", "1",
+            "--nmax", "16", "--budget", "4000", "--seed", "0", "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 4000\n"
+            "seed: 0\n"
+            "best_normalized_gap: 3.936431996216e-08\n"
+            "best_verdict: holds\n"
+        ),
+        _pinned("search-small-n-witness.json"),
+        id="the search-small-n search over 16 blocks",
+    ),
+    pytest.param(
         ["phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4", "--grid-size", "257"],
         0,
         _pinned("phi-readme.csv"),
