@@ -269,6 +269,14 @@ def _one_entry_terms(x, y, p, q, w):
     return a, b, a + b, a - b
 
 
+def _batch_one_entry_terms(x, y, p, q, w):
+    """_one_entry_terms per row of a (B, 1) block.  A wider block is nan on
+    every row: the screen keeps them all, and the scalar path raises on
+    the first longer pair."""
+    a, b = (x[:, 0], y[:, 0]) if x.shape[1] == 1 else (np.full(len(x), math.nan),) * 2
+    return a, b, a + b, a - b
+
+
 def _repaired_sums(x, y, k: float, e: float) -> tuple:
     """Sums of |.|^k over x, y and their (max, min) re-pairing; then e.
 
@@ -334,8 +342,7 @@ class Inequality:
     are those of one pair, given as the float tuples of validated
     vectors and weights (w None when unweighted), exact (math.fsum
     sums), after the checks the statement needs; batch_quantities takes
-    the same arguments on (B, nmax) blocks and is None where a block
-    cannot be screened (cor-1.6 needs one-entry rows).  constraint is the
+    the same arguments on (B, nmax) blocks.  constraint is the
     widest input set covered; explore admits signed inputs in
     exploration mode; weighted=False rejects weights.
     """
@@ -344,7 +351,7 @@ class Inequality:
     exponents: Callable[[float, Optional[float]], Tuple[float, float]]
     sides: Callable[..., tuple]
     quantities: Callable[..., tuple] = _pair_norms
-    batch_quantities: Optional[Callable[..., tuple]] = _batch_pair_norms
+    batch_quantities: Callable[..., tuple] = _batch_pair_norms
     weighted: bool = True
     explore: bool = False
 
@@ -362,7 +369,7 @@ REGISTRY: Dict[InequalityId, Inequality] = {
         Constraint.DOMINATED_PAIR, main_exponents, _prop_sides, _dominated_norms),
     InequalityId.COR_16: Inequality(
         Constraint.DOMINATED_PAIR, _cor_exponents, _prop_sides, _one_entry_terms,
-        batch_quantities=None, weighted=False),
+        _batch_one_entry_terms, weighted=False),
     InequalityId.SUMPOW_212: Inequality(
         Constraint.NONNEGATIVE, _sum_power_exponents, _repaired_sides,
         lambda x, y, p, q, w: _repaired_sums(x, y, 1.0, q),
@@ -439,8 +446,6 @@ def batch_normalized_gaps(
     """
     entry = lookup(id)
     p, q = entry.exponents(p, q)
-    if entry.batch_quantities is None:
-        raise ClarksonError(f"{id.value} has no batch form")
     _check_weights(id, entry, w)
     with np.errstate(all="ignore"):
         lhs, rhs = entry.sides(*entry.batch_quantities(x, y, p, q, w), p, q)

@@ -8,6 +8,7 @@ formatting so reruns with identical flags and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -131,10 +132,24 @@ def _policy(args) -> TolerancePolicy:
         raise UsageError(f"--rel-tol {args.rel_tol!r}, --band {args.band!r}: {exc}")
 
 
-def _open_out(path: Optional[str]):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _create(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {exc}")
+
+
+@contextlib.contextmanager
+def _table(path: Optional[str], header: Sequence[str]):
+    """A CSV writer on path (stdout for None or "-"), header written."""
+    out = sys.stdout if path is None or path == "-" else _create(path)
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        yield writer
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _inline_pair(args, require_nonneg: bool):
@@ -158,11 +173,9 @@ def cmd_verify(args) -> int:
     if not (ps and qs):
         raise UsageError("--p and --q each need at least one value")
     policy = _policy(args)
-    out, close = _open_out(args.out)
     violated = False
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["ineq_id", "pair", "p", "q", "lhs", "rhs", "gap", "scale", "verdict"])
+    header = ["ineq_id", "pair", "p", "q", "lhs", "rhs", "gap", "scale", "verdict"]
+    with _table(args.out, header) as writer:
         for idx, (x, y, w) in enumerate(pairs):
             for p in ps:
                 for q in qs:
@@ -176,9 +189,6 @@ def cmd_verify(args) -> int:
                         [rep.id.value, idx, _fmt(rep.p), _fmt(rep.q), _fmt(rep.lhs),
                          _fmt(rep.rhs), _fmt(rep.gap), _fmt(rep.scale), rep.verdict.value]
                     )
-    finally:
-        if close:
-            out.close()
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
@@ -216,29 +226,16 @@ def cmd_scan(args) -> int:
     cells = search.scan_grid(
         ineq, p_grid, q_grid, spec, args.samples, args.seed, policy, explore=args.explore
     )
-    out, close = _open_out(args.out)
-    violated = False
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["ineq_id", "p", "q", "n_samples", "min_normalized_gap", "violations", "seed"]
-        )
+    header = ["ineq_id", "p", "q", "n_samples", "min_normalized_gap", "violations", "seed"]
+    with _table(args.out, header) as writer:
+        # A skipped cell has no samples and no violations.
         for cell in cells:
-            if cell.skipped:
-                writer.writerow(
-                    [ineq.value, _fmt(cell.p), _fmt(cell.q), 0, "skipped", 0, args.seed]
-                )
-                continue
-            if cell.violations:
-                violated = True
             writer.writerow(
                 [ineq.value, _fmt(cell.p), _fmt(cell.q), cell.n_samples,
-                 _fmt(cell.min_normalized_gap), cell.violations, args.seed]
+                 "skipped" if cell.skipped else _fmt(cell.min_normalized_gap),
+                 cell.violations, args.seed]
             )
-    finally:
-        if close:
-            out.close()
-    return EXIT_VIOLATION if violated else EXIT_OK
+    return EXIT_VIOLATION if any(cell.violations for cell in cells) else EXIT_OK
 
 
 def cmd_search(args) -> int:
@@ -278,7 +275,7 @@ def cmd_search(args) -> int:
             "q": qv,
             "seed": outcome.seed,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _create(args.out) as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     if outcome.status is search.SearchStatus.VIOLATION_FOUND:
@@ -303,27 +300,21 @@ def cmd_phi(args) -> int:
     except ClarksonError as exc:
         raise UsageError(str(exc))
     _check_grid_size(args.grid_size, 2)
-    ts, vals, report = variational._phi_scan(ctx, args.grid_size)
+    report = variational.monotonicity_scan(ctx, args.grid_size)
     # ctx is dominated, so phi has no breakpoint in (0, 1) and no row is
     # breakpoint-adjacent; phi_prime is defined at every inner point.
-    inner = [t for t in ts if 0.0 < t < 1.0]
+    inner = [t for t in report.grid if 0.0 < t < 1.0]
     derivs = iter(
         variational._finite_values("phi_prime", variational._phi_prime_values, ctx, inner)
     )
-    out, close = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["t", "phi", "phi_prime", "is_breakpoint_adjacent"])
-        for t, val in zip(ts, vals):
+    with _table(args.out, ["t", "phi", "phi_prime", "is_breakpoint_adjacent"]) as writer:
+        for t, val in zip(report.grid, report.values):
             deriv = _fmt(next(derivs)) if 0.0 < t < 1.0 else ""
             writer.writerow([_fmt(t), _fmt(val), deriv, "false"])
         writer.writerow(
             ["summary", _fmt(report.min_increment),
              f"is_nondecreasing={str(report.is_nondecreasing).lower()}", ""]
         )
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -333,12 +324,9 @@ def cmd_chi(args) -> int:
         ctx = variational.ChiContext(args.p_value, args.q_value, args.c)
     except ClarksonError as exc:
         raise UsageError(str(exc))
-    ss, vals, report = variational._chi_scan(ctx, args.grid_size)
-    out, close = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["s", "chi"])
-        for s, val in zip(ss, vals):
+    report = variational.chi_sign_scan(ctx, args.grid_size)
+    with _table(args.out, ["s", "chi"]) as writer:
+        for s, val in zip(report.grid, report.values):
             writer.writerow([_fmt(s), _fmt(val)])
         intervals = ";".join(f"({_fmt(a)},{_fmt(b)})" for a, b in report.sign_change_intervals)
         writer.writerow(
@@ -347,9 +335,6 @@ def cmd_chi(args) -> int:
              f" has_negative={str(report.has_negative).lower()}"
              f" sign_changes={intervals or 'none'}"]
         )
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

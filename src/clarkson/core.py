@@ -1,8 +1,7 @@
 """Vector and exponent primitives: validated finite sequences, weighted
 p-norms, conjugate exponents and the main-regime check.
 
-All values are immutable after validation and safe to share between
-workers.  Sums of p-th powers use exact compensated accumulation
+All values are immutable after validation.  Sums of p-th powers use exact compensated accumulation
 (``math.fsum``) because downstream gap functionals subtract nearly equal
 quantities.
 

@@ -8,12 +8,13 @@ bit-identical regardless of evaluation order.  Earlier versions drew
 one stream per index, so their samples, and the CLI output, for a given
 seed differ from these.
 
-Reductions are min/count only.  For the registry entries with batch
-quantities (c-1.1, c-1.2, c-1.3-left/right, main-1.7 and prop-1.4 on the
-pair norms, sumpow-2.12 and rearr-2.17 on the re-paired power sums; all
-but cor-1.6) an index range is screened with numpy first, in windows of
-up to _BLOCK consecutive indices counted from its start, one batch call
-a window (a window across a block boundary joins the two blocks' rows).
+Reductions are min/count only.  An index range is screened with numpy
+first, on each registry entry's batch quantities (the pair norms for
+c-1.1, c-1.2, c-1.3-left/right, main-1.7 and prop-1.4, the entries
+themselves for cor-1.6, the re-paired power sums for sumpow-2.12 and
+rearr-2.17), in windows of up to _BLOCK consecutive indices counted from
+its start, one batch call a window (a window across a block boundary
+joins the two blocks' rows).
 Only the pairs the screen cannot rule out reach the scalar evaluate,
 which decides every verdict, count and witness.  The screen keeps the
 rows whose batch gap is non-finite, below rel_tol + margin, or within
@@ -96,7 +97,9 @@ _MIN_STEP = 1e-8
 #   most e = max(p, q, p/(p-1)), with at most four roundings a chain on
 #   each path, so the sides agree to delta = e(n + 14)u.  The re-paired
 #   statements raise S once, to q/p <= q (rearr-2.17) or r = q
-#   (sumpow-2.12), and add two such powers;
+#   (sumpow-2.12), and add two such powers.  cor-1.6 (n = 1) takes
+#   x, y, x + y and x - y themselves, the same floats on both paths,
+#   and raises them to q, a shorter chain than a norm's;
 # - both sides are nonnegative, so |gap| <= scale, and the normalized
 #   gaps agree to 3 delta + 3u.
 # For p in [2, 6], q <= 30 and n <= 64 that is below 8e-13, and the
@@ -153,10 +156,11 @@ class SearchStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SampleBlock:
-    """_BLOCK sampled pairs as zero-padded (_BLOCK, nmax) arrays.
+    """Sampled pairs as zero-padded (rows, nmax) arrays: a block of _BLOCK
+    (sample_block) or a window of at most _BLOCK (_sample_rows).
 
     Row r holds a pair of length n[r]; x, y and w are zero past it.
-    The arrays are read-only: blocks are cached and shared.
+    A block's arrays are read-only: blocks are cached and shared.
     """
 
     n: np.ndarray
@@ -272,14 +276,21 @@ def _screen(ng: np.ndarray, rel_tol: float, margin: float, low: float) -> Tuple[
     return np.flatnonzero(keep), low
 
 
-def _join(arrays: Sequence[Optional[np.ndarray]], lo: int, hi: int) -> Optional[np.ndarray]:
-    """Rows lo .. hi - 1 of one or two blocks' arrays laid end to end: a
-    slice of the first, or its tail joined to the second's head."""
-    if arrays[0] is None:
-        return None
-    if len(arrays) == 1:
-        return arrays[0][lo:hi]
-    return np.concatenate((arrays[0][lo:], arrays[1][:hi - _BLOCK]))
+def _sample_rows(spec: SampleSpec, seed: int, start: int, stop: int) -> SampleBlock:
+    """Pairs start ... stop - 1 of (spec, seed), at most _BLOCK of them: a
+    slice of one cached block, or one block's tail joined to the next
+    block's head."""
+    b, lo = divmod(start, _BLOCK)
+    hi = lo + stop - start
+    one = sample_block(spec, seed, b)
+    arrays = (one.n, one.x, one.y, one.w)
+    if hi <= _BLOCK:
+        rows = [None if a is None else a[lo:hi] for a in arrays]
+    else:
+        two = sample_block(spec, seed, b + 1)
+        rows = [None if a is None else np.concatenate((a[lo:], c[:hi - _BLOCK]))
+                for a, c in zip(arrays, (two.n, two.x, two.y, two.w))]
+    return SampleBlock(*rows, one.signed)
 
 
 def _eval_indices(
@@ -295,33 +306,22 @@ def _eval_indices(
     """Min-reduce an index range: (best_norm_gap, report, witness, violations).
 
     The result equals that of evaluating every index with the scalar
-    evaluate: entries with a batch form screen windows of up to _BLOCK
-    consecutive indices, counted from the start of the range, with one
-    batch call each (a window that crosses a block boundary joins two
-    blocks' rows), and evaluate only the rows _screen keeps.  Indices
-    run in ascending order, so ties go to the lowest index.  (p, q) is
-    a pair the entry's exponent builder returned.
+    evaluate: windows of up to _BLOCK consecutive indices, counted from
+    the start of the range, are screened with one batch call each, and
+    only the rows _screen keeps are evaluated.  Indices run in ascending
+    order, so ties go to the lowest index.  (p, q) is a pair the entry's
+    exponent builder returned.
     """
-    batch = lookup(id).batch_quantities is not None
     margin = _screen_margin(p, q, spec.dim_range[1])
     low = math.inf
     best = (math.inf, None, None)
     violations = 0
     for start in range(indices.start, indices.stop, _BLOCK):
-        stop = min(start + _BLOCK, indices.stop)
-        first = start // _BLOCK
-        blocks = [sample_block(spec, seed, b) for b in range(first, (stop - 1) // _BLOCK + 1)]
-        # Row r of the window's blocks laid end to end is row r % _BLOCK
-        # of blocks[r // _BLOCK].
-        lo, hi = start - first * _BLOCK, stop - first * _BLOCK
-        rows = range(lo, hi)
-        if batch:
-            xs, ys, ws = (_join(a, lo, hi) for a in zip(*((b.x, b.y, b.w) for b in blocks)))
-            gaps = batch_normalized_gaps(id, xs, ys, p, q, ws)
-            kept, low = _screen(gaps, policy.rel_tol, margin, low)
-            rows = (lo + kept).tolist()
-        for r in rows:
-            x, y, w = blocks[r // _BLOCK].pair(r % _BLOCK)
+        rows = _sample_rows(spec, seed, start, min(start + _BLOCK, indices.stop))
+        gaps = batch_normalized_gaps(id, rows.x, rows.y, p, q, rows.w)
+        kept, low = _screen(gaps, policy.rel_tol, margin, low)
+        for r in kept.tolist():
+            x, y, w = rows.pair(r)
             rep = evaluate(id, x, y, p, q, w, policy, strict=strict)
             ng = rep.gap / rep.scale
             if rep.verdict is Verdict.VIOLATED:

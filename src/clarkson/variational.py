@@ -13,9 +13,10 @@ context once, then each point with the formula in the same association
 order, all powers in Python `**`.  The public functions check their
 domain and call it on one point, and `monotonicity_scan` and
 `chi_sign_scan` call it on their whole grid, so a scanned value has the
-bits of the public call at that point.  The CLI prints the scanned
-values and the report from one pass.  Both scans raise NonFiniteGap on
-an overflow or a non-finite value instead of reporting it.
+bits of the public call at that point.  Each scan's report carries its
+grid and values, which the CLI prints, so a table takes one pass.  Both
+scans raise NonFiniteGap on an overflow or a non-finite value instead of
+reporting it.
 """
 
 from __future__ import annotations
@@ -135,21 +136,18 @@ def _finite_values(
 
 @dataclass(frozen=True)
 class MonotonicityReport:
+    """The smallest step of phi over its grid; values holds phi on grid."""
+
     min_increment: float
     argmin: float
     is_nondecreasing: bool
     scale: float
+    grid: Tuple[float, ...]
+    values: Tuple[float, ...]
 
 
 def monotonicity_scan(ctx: PhiContext, grid_size: int) -> MonotonicityReport:
     """Check phi for nondecrease on a uniform grid over [0, 1]."""
-    return _phi_scan(ctx, grid_size)[2]
-
-
-def _phi_scan(
-    ctx: PhiContext, grid_size: int
-) -> Tuple[List[float], List[float], MonotonicityReport]:
-    """The grid of monotonicity_scan, phi on it, and the report."""
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     d = grid_size - 1
@@ -159,7 +157,8 @@ def _phi_scan(
     incs = [b - a for a, b in zip(vals, vals[1:])]
     min_inc = min(incs)  # min and index both take the first of equal minima
     argmin = ts[incs.index(min_inc)]
-    return ts, vals, MonotonicityReport(min_inc, argmin, min_inc >= -1e-8 * scale, scale)
+    return MonotonicityReport(
+        min_inc, argmin, min_inc >= -1e-8 * scale, scale, tuple(ts), tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -229,20 +228,17 @@ def _chi_values(ctx: ChiContext, ss: Sequence[float]) -> List[float]:
 
 @dataclass(frozen=True)
 class SignScanReport:
+    """The signs of chi over its grid; values holds chi on grid."""
+
     has_positive: bool
     has_negative: bool
     sign_change_intervals: Tuple[Tuple[float, float], ...]
+    grid: Tuple[float, ...]
+    values: Tuple[float, ...]
 
 
 def chi_sign_scan(ctx: ChiContext, grid_size: int) -> SignScanReport:
     """Scan chi over a uniform grid on [0, c] for sign behaviour."""
-    return _chi_scan(ctx, grid_size)[2]
-
-
-def _chi_scan(
-    ctx: ChiContext, grid_size: int
-) -> Tuple[List[float], List[float], SignScanReport]:
-    """The grid of chi_sign_scan, chi on it, and the report."""
     if grid_size < 3:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
     c, d = ctx.c, grid_size - 1
@@ -267,4 +263,4 @@ def _chi_scan(
             intervals.append((prev_s, s))
         prev_sign = sign
         prev_s = s
-    return ss, vals, SignScanReport(has_pos, has_neg, tuple(intervals))
+    return SignScanReport(has_pos, has_neg, tuple(intervals), tuple(ss), tuple(vals))

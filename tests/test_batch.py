@@ -1,7 +1,7 @@
 """The block sampler and the batch screen against the scalar path.
 
-search._eval_indices evaluates, for the entries with a batch form, only
-the rows its numpy screen keeps.  Its outcome must equal evaluating every
+search._eval_indices evaluates, for every registry entry, only the rows
+its numpy screen keeps.  Its outcome must equal evaluating every
 row with the scalar evaluate: the same best gap bits, report and witness,
 and the same violation count.  The reference below is that all-scalar
 loop, built on sample_pair.
@@ -22,7 +22,7 @@ from clarkson.catalog import (
     batch_normalized_gaps,
     evaluate,
 )
-from clarkson.errors import ConstraintMismatch, NonFiniteGap
+from clarkson.errors import ConstraintMismatch, LengthMismatch, NonFiniteGap
 from clarkson.search import (
     _BLOCK,
     _SCREEN_MARGIN,
@@ -38,10 +38,13 @@ from clarkson.search import (
 SEED = 2026
 BUDGET = 260  # one full block and part of the next
 
-BATCH_IDS = [id for id, entry in REGISTRY.items() if entry.batch_quantities is not None]
+BATCH_IDS = list(REGISTRY)
 
 # The statements on the re-paired power sums; they take no weights.
 REPAIRED_IDS = (InequalityId.SUMPOW_212, InequalityId.REARR_GAIN_217)
+
+# cor-1.6 is stated on one-entry pairs only, and without weights.
+COR = InequalityId.COR_16
 
 # (p, q) per id family: the reverse regime p < 2 for c-1.x, and q/p up
 # to 15 (q = 16 at p = 1.0667, q = 30 at p = 2, q = 45 at p = 3).  The
@@ -50,6 +53,12 @@ REPAIRED_IDS = (InequalityId.SUMPOW_212, InequalityId.REARR_GAIN_217)
 CONJUGATE_PS = (1.0667, 1.5, 3.0)
 MAIN_PQS = ((2.5, 3.7), (2.0, 30.0), (3.0, 45.0))
 REPAIRED_PQS = ((2.5, 2.5), *MAIN_PQS)
+# cor-1.6 at q = 2 is the parallelogram identity: every gap is about 0.
+COR_PQS = ((2.0, 2.0), (2.0, 3.0), *MAIN_PQS)
+
+
+def nmax_for(id, nmax):
+    return 1 if id is COR else nmax
 
 
 def scalar_reduce(id, exps, spec, seed, indices, policy=DEFAULT_POLICY, strict=True):
@@ -95,7 +104,8 @@ def exponent_pairs(id):
     build = REGISTRY[id].exponents
     if REGISTRY[id].constraint is Constraint.SIGNED:
         return [build(p, p) for p in CONJUGATE_PS]
-    return [build(p, q) for p, q in (REPAIRED_PQS if id in REPAIRED_IDS else MAIN_PQS)]
+    pqs = COR_PQS if id is COR else REPAIRED_PQS if id in REPAIRED_IDS else MAIN_PQS
+    return [build(p, q) for p, q in pqs]
 
 
 def assert_same_outcome(got, want):
@@ -113,9 +123,9 @@ def assert_same_outcome(got, want):
 def test_search_equals_all_scalar_reduction(id, constraint, explore):
     worst = 0.0
     for dist in Distribution:
-        for weighted in (False,) if id in REPAIRED_IDS else (False, True):
+        for weighted in (False, True) if REGISTRY[id].weighted else (False,):
             # sparse pairs run up to the longest vectors a spec allows
-            nmax = 64 if dist is Distribution.SPARSE else 16
+            nmax = nmax_for(id, 64 if dist is Distribution.SPARSE else 16)
             spec = SampleSpec(dim_range=(1, nmax), distribution=dist, constraint=constraint,
                               density=0.5, weights=weighted)
             for exps in exponent_pairs(id):
@@ -225,8 +235,8 @@ MID_BLOCK_RANGES = (range(37, 37 + 3 * _BLOCK + 40), range(300, 300 + 3 * _BLOCK
     ids=lambda v: v.value if hasattr(v, "value") else ("explore" if v else "strict"),
 )
 def test_windows_across_blocks_equal_all_scalar_reduction(id, constraint, explore):
-    spec = SampleSpec(dim_range=(1, 24), distribution=Distribution.SPARSE,
-                      constraint=constraint, density=0.5, weights=id not in REPAIRED_IDS)
+    spec = SampleSpec(dim_range=(1, nmax_for(id, 24)), distribution=Distribution.SPARSE,
+                      constraint=constraint, density=0.5, weights=REGISTRY[id].weighted)
     exps = exponent_pairs(id)[1]
     for indices in MID_BLOCK_RANGES:
         want = scalar_reduce(id, exps, spec, SEED, indices, strict=not explore)[:4]
@@ -248,6 +258,39 @@ def test_minimum_in_a_later_window(id, spec, exps, indices, monkeypatch):
     assert_same_outcome(
         search._eval_indices(id, *exps, spec, SEED, indices, DEFAULT_POLICY), want)
     assert len(calls) == 2
+
+
+def test_cor_1_6_on_two_entry_pairs_raises_as_the_scalar_path(monkeypatch):
+    """A two-entry block screens as nan on every row, so every row up to
+    the first two-entry pair is evaluated, and that pair raises the
+    scalar path's error."""
+    spec = SampleSpec(dim_range=(1, 2), constraint=Constraint.DOMINATED_PAIR)
+    exps = REGISTRY[COR].exponents(2.0, 3.0)
+    block = sample_block(spec, SEED, 0)
+    assert np.isnan(batch_normalized_gaps(COR, block.x, block.y, *exps)).all()
+    first = int(np.argmax(block.n == 2))
+    calls = count_evaluate_calls(monkeypatch)
+    with pytest.raises(LengthMismatch) as want:
+        scalar_reduce(COR, exps, spec, SEED, range(BUDGET))
+    with pytest.raises(LengthMismatch) as got:
+        search._eval_indices(COR, *exps, spec, SEED, range(BUDGET), DEFAULT_POLICY)
+    assert str(got.value) == str(want.value) == "cor-1.6 takes scalars (1-entry vectors)"
+    assert len(calls) == first + 1  # the scalar reference calls catalog.evaluate itself
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_cor_1_6_screen_thins_off_the_identity(seed, monkeypatch):
+    """cor-1.6 at budget 4000 on one-entry pairs: at q = 3 the screen keeps
+    a few rows; at q = 2, the parallelogram identity, every gap ties near 0
+    and it keeps them all."""
+    spec = SampleSpec(dim_range=(1, 1), constraint=Constraint.DOMINATED_PAIR)
+    calls = count_evaluate_calls(monkeypatch)
+    out = counterexample_search(COR, 3.0, 3.0, spec, 4000, seed)
+    assert out.status is search.SearchStatus.NO_VIOLATION
+    assert 1 <= len(calls) < 16
+    calls.clear()
+    counterexample_search(COR, 2.0, 2.0, spec, 4000, seed)
+    assert len(calls) == 4000
 
 
 def test_search_small_n_evaluates_fewer_rows_than_blocks(monkeypatch, tmp_path, capsys):
@@ -308,12 +351,13 @@ def test_repaired_sums_equal_the_four_array_formula(dist, constraint):
             assert got[4] == 1.5
 
 
-@pytest.mark.parametrize("id", BATCH_IDS, ids=lambda id: id.value)
+# cor-1.6 raises no power sums: its quantities are the entries themselves.
+@pytest.mark.parametrize("id", [id for id in BATCH_IDS if id is not COR], ids=lambda id: id.value)
 def test_masked_and_dense_batch_gaps_are_equal(id, monkeypatch):
     """Raising only the nonzero entries leaves every batch gap bit-identical
     to raising every entry, padding and sparse zeros included."""
     spec = SampleSpec(dim_range=(1, 40), distribution=Distribution.SPARSE,
-                      constraint=REGISTRY[id].constraint, weights=id not in REPAIRED_IDS)
+                      constraint=REGISTRY[id].constraint, weights=REGISTRY[id].weighted)
     block = sample_block(spec, SEED, 1)
     assert (block.n < block.x.shape[1]).any()
 
@@ -351,6 +395,17 @@ def test_sample_pair_is_the_block_row(constraint, weighted):
             assert w.masses == tuple(block.w[r, :k].tolist())
         else:
             assert w is None and block.w is None
+
+
+@pytest.mark.parametrize("start, stop", [
+    (0, _BLOCK), (40, 90), (_BLOCK - 30, _BLOCK + 20), (300, 300 + _BLOCK),
+], ids=["block", "slice", "joined", "joined-full"])
+def test_sample_rows_are_the_indexed_pairs(start, stop):
+    spec = SampleSpec(dim_range=(1, 9), distribution=Distribution.SPARSE, weights=True)
+    rows = search._sample_rows(spec, SEED, start, stop)
+    assert len(rows.n) == len(rows.x) == len(rows.w) == stop - start
+    for r in range(stop - start):
+        assert rows.pair(r) == sample_pair(spec, SEED, start + r)
 
 
 def test_blocks_are_read_only():

@@ -371,6 +371,25 @@ class TestErrorExits:
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: bad pair at index 0: {message}"]
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--ineq", "main-1.7", "--x", "1,1", "--y", "1,0", "--p", "2", "--q", "3"],
+        ["scan", "--ineq", "main-1.7", "--p-grid", "2:2:1", "--q-grid", "3:3:1",
+         "--samples", "5"],
+        ["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--budget", "5"],
+        ["phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4", "--grid-size", "3"],
+        ["chi", "--p", "2", "--q", "2", "--c", "1", "--grid-size", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out"
+        code, out, err = run(argv + ["--out", str(path)], capsys)
+        assert code == 2
+        # search has printed its report before it writes the witness
+        assert out.startswith("status: no-violation\n") if argv[0] == "search" else out == ""
+        assert err.splitlines() == [
+            f"error: cannot write output file {path}: "
+            f"[Errno 2] No such file or directory: '{path}'"
+        ]
+
     def test_weights_rejected_in_verify(self, tmp_path, capsys):
         doc = {"pairs": [{"x": [2.0, 0.0], "y": [0.0, 1.0], "w": [1.0, 2.0]}]}
         path = tmp_path / "pairs.json"

@@ -278,6 +278,61 @@ GOLDEN = [
         id="the search-small-n search over 16 blocks",
     ),
     pytest.param(
+        [
+            "search", "--ineq", "cor-1.6", "--q", "3", "--constraint", "dominated", "--nmin",
+            "1", "--nmax", "1", "--budget", "4000", "--seed", "0", "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 4000\n"
+            "seed: 0\n"
+            "best_normalized_gap: 1.223833293368329e-07\n"
+            "best_verdict: holds\n"
+        ),
+        (
+            "{\n"
+            '  "pairs": [\n'
+            "    {\n"
+            '      "x": [\n'
+            "        0.8874001854866611\n"
+            "      ],\n"
+            '      "y": [\n'
+            "        0.00017924592412543738\n"
+            "      ],\n"
+            '      "w": null\n'
+            "    }\n"
+            "  ],\n"
+            '  "p": 3.0,\n'
+            '  "q": 3.0,\n'
+            '  "seed": 0\n'
+            "}\n"
+        ),
+        id="cor-1.6 search on one-entry pairs",
+    ),
+    pytest.param(
+        [
+            "scan", "--ineq", "cor-1.6", "--p-grid", "2:2:1", "--q-grid", "1:4.5:0.5",
+            "--nmin", "1", "--nmax", "1", "--constraint", "dominated", "--samples", "300",
+            "--seed", "3",
+        ],
+        0,
+        (
+            "ineq_id,p,q,n_samples,min_normalized_gap,violations,seed\n"
+            "cor-1.6,2.0,1.0,0,skipped,0,3\n"
+            "cor-1.6,2.0,1.5,0,skipped,0,3\n"
+            "cor-1.6,2.0,2.0,300,-3.133204391580634e-16,0,3\n"
+            "cor-1.6,2.0,2.5,300,2.5526344741254124e-07,0,3\n"
+            "cor-1.6,2.0,3.0,300,1.8592846066922686e-06,0,3\n"
+            "cor-1.6,2.0,3.5,300,2.2790126635297697e-05,0,3\n"
+            "cor-1.6,2.0,4.0,300,6.57319503549747e-07,0,3\n"
+            "cor-1.6,2.0,4.5,300,2.6837882503905473e-09,0,3\n"
+        ),
+        None,
+        # q < 2 is outside the regime; cells 2 to 7 cross block boundaries.
+        id="cor-1.6 scan with skipped cells",
+    ),
+    pytest.param(
         ["phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4", "--grid-size", "257"],
         0,
         _pinned("phi-readme.csv"),
@@ -321,3 +376,16 @@ def test_output_is_pinned(argv, code, stdout, witness, tmp_path, capsys):
     if witness is not None:
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == witness
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--ineq", "cor-1.6", "--q", "3", "--budget", "100"],
+    ["scan", "--ineq", "cor-1.6", "--p-grid", "2:2:1", "--q-grid", "1:3:1", "--samples", "30"],
+], ids=["search", "scan"])
+def test_cor_1_6_on_two_entry_pairs_is_pinned(argv, capsys):
+    """Pairs of up to two entries: the first two-entry pair stops the run."""
+    spec = ["--constraint", "dominated", "--nmin", "1", "--nmax", "2", "--seed", "0"]
+    assert main(argv + spec) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cor-1.6 takes scalars (1-entry vectors)\n"

@@ -266,6 +266,8 @@ class TestGridEvaluators:
             if vals[k + 1] - vals[k] < min_inc:
                 min_inc, argmin = vals[k + 1] - vals[k], ts[k]
         report = monotonicity_scan(ctx, 65)
+        assert report.grid == tuple(ts)
+        assert _hex(report.values) == _hex(vals)
         assert report.min_increment.hex() == min_inc.hex()
         assert report.argmin == argmin
         assert report.scale == max(1.0, max(abs(v) for v in vals))
@@ -375,6 +377,8 @@ class TestChiSignScan:
         ctx = ChiContext(4.0 / 3.0, 4.0, c)
         report = chi_sign_scan(ctx, 7)
         assert report.has_negative
+        assert report.grid[-1] == c
+        assert _hex(report.values) == _hex([chi(ctx, s) for s in report.grid])
         assert _chi_values(ctx, [c]) == [chi(ctx, c)]
 
     def test_overflow_is_an_error(self):
