@@ -46,6 +46,7 @@ from .variational import (
     monotonicity_scan,
     phi,
     phi_prime,
+    phi_prime_values,
     psi,
     psi_prime,
 )

@@ -22,6 +22,7 @@ from .core import (
     Weights,
     _abs_powers,
     _check_entries,
+    _check_pair,
     _p_norm,
     conjugate_exponent,
     main_exponents,
@@ -29,7 +30,6 @@ from .core import (
 from .errors import (
     ClarksonError,
     ConstraintMismatch,
-    DominanceViolation,
     ExponentOutOfRange,
     LengthMismatch,
     NonFiniteGap,
@@ -142,8 +142,6 @@ def report(
 def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, float, float]:
     """(||x||, ||y||, ||x+y||, ||x-y||) at exponent p, on float sequences."""
     nx, ny = _p_norm(x, p, w), _p_norm(y, p, w)
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
     # x + y and x - y are checked as RealVector checks them: an overflow
     # raises NonFiniteEntry at its index.
     ns = _p_norm(_check_entries([a + b for a, b in zip(x, y)]), p, w)
@@ -245,15 +243,6 @@ def _repaired_sides(a, b, u, v, e: float, p=None, q=None):
     return a**e + b**e, u**e + v**e
 
 
-def _dominated_norms(u, v, p, q, w):
-    if len(u) != len(v):
-        raise LengthMismatch(f"lengths {len(u)} and {len(v)} differ")
-    for i, (a, b) in enumerate(zip(u, v)):
-        if a < b:
-            raise DominanceViolation(i)
-    return _pair_norms(u, v, p, q, w)
-
-
 def _check_weights(id: InequalityId, entry: Inequality, w) -> None:
     if w is not None and not entry.weighted:
         raise ConstraintMismatch(f"{id.value} is stated without weights")
@@ -264,8 +253,6 @@ def _one_entry_terms(x, y, p, q, w):
     if len(x) != 1 or len(y) != 1:
         raise LengthMismatch("cor-1.6 takes scalars (1-entry vectors)")
     (a,), (b,) = x, y
-    if b < 0.0 or a < b:
-        raise DominanceViolation(0, f"need x >= y >= 0, got x={a}, y={b}")
     return a, b, a + b, a - b
 
 
@@ -283,8 +270,6 @@ def _repaired_sums(x, y, k: float, e: float) -> tuple:
     Ties keep (x_i, y_i) unswapped, as in rearrange.dominance_rearrange.
     The re-paired sums pick their terms from those of x and y.
     """
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
     px, py = _abs_powers(x, k), _abs_powers(y, k)
     pu = [t if a < b else r for a, b, r, t in zip(x, y, px, py)]
     pv = [r if a < b else t for a, b, r, t in zip(x, y, px, py)]
@@ -339,9 +324,10 @@ class Inequality:
     (p, q) the statement is taken at, which everything after it uses and
     the report records.  At that (p, q) the statement is
     sides(*quantities(x, y, p, q, w), p, q) -> (lhs, rhs).  quantities
-    are those of one pair, given as the float tuples of validated
-    vectors and weights (w None when unweighted), exact (math.fsum
-    sums), after the checks the statement needs; batch_quantities takes
+    are those of one pair, exact (math.fsum sums): plain arithmetic on
+    the float tuples of vectors and weights (w None when unweighted)
+    that evaluate has already checked, the pair by core._check_pair
+    (x >= y when constraint is DOMINATED_PAIR); batch_quantities takes
     the same arguments on (B, nmax) blocks.  constraint is the
     widest input set covered; explore admits signed inputs in
     exploration mode; weighted=False rejects weights.
@@ -366,7 +352,7 @@ REGISTRY: Dict[InequalityId, Inequality] = {
     InequalityId.MAIN_17: Inequality(
         Constraint.NONNEGATIVE, main_exponents, _main_sides, explore=True),
     InequalityId.PROP_14: Inequality(
-        Constraint.DOMINATED_PAIR, main_exponents, _prop_sides, _dominated_norms),
+        Constraint.DOMINATED_PAIR, main_exponents, _prop_sides),
     InequalityId.COR_16: Inequality(
         Constraint.DOMINATED_PAIR, _cor_exponents, _prop_sides, _one_entry_terms,
         _batch_one_entry_terms, weighted=False),
@@ -409,8 +395,9 @@ def evaluate(
     r = q) and nonnegative inputs; strict=False lets the entry marked
     explore (MAIN_17 only) run on signed ones.  After the input checks
     the exponents come first: entry.exponents raises outside the regime
-    and gives the (p, q) the rest is taken at.  The quantities see the
-    plain float tuples of the validated vectors and weights.
+    and gives the (p, q) the rest is taken at.  Then core._check_pair
+    checks the pair once, and the quantities see the plain float tuples
+    of the checked vectors and weights.
     """
     entry = lookup(id)
     if entry.constraint is not Constraint.SIGNED:
@@ -420,9 +407,10 @@ def evaluate(
             x, y = _nonneg(x), _nonneg(y)
     _check_weights(id, entry, w)
     p, q = entry.exponents(p, q)
+    masses = None if w is None else w.masses
+    _check_pair(x.entries, y.entries, masses, entry.constraint is Constraint.DOMINATED_PAIR)
     try:
-        quantities = entry.quantities(
-            x.entries, y.entries, p, q, None if w is None else w.masses)
+        quantities = entry.quantities(x.entries, y.entries, p, q, masses)
         lhs, rhs = entry.sides(*quantities, p, q)
     except OverflowError as exc:  # Python's float ** and math.fsum; numpy gives inf
         raise NonFiniteGap(f"{id.value}: non-finite gap (overflow)") from exc

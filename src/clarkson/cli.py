@@ -242,6 +242,8 @@ def cmd_search(args) -> int:
     ineq = InequalityId.from_cli(args.ineq)
     if args.budget < 0:
         raise UsageError(f"--budget must be nonnegative, got {args.budget}")
+    if args.out == "-":  # stdout carries the key: value report
+        raise UsageError("search --out needs a file path, not '-'")
     spec = _spec_from_args(args)
     policy = _policy(args)
     q = args.q_value if args.q_value is not None else args.p_value
@@ -304,9 +306,7 @@ def cmd_phi(args) -> int:
     # ctx is dominated, so phi has no breakpoint in (0, 1) and no row is
     # breakpoint-adjacent; phi_prime is defined at every inner point.
     inner = [t for t in report.grid if 0.0 < t < 1.0]
-    derivs = iter(
-        variational._finite_values("phi_prime", variational._phi_prime_values, ctx, inner)
-    )
+    derivs = iter(variational.phi_prime_values(ctx, inner))
     with _table(args.out, ["t", "phi", "phi_prime", "is_breakpoint_adjacent"]) as writer:
         for t, val in zip(report.grid, report.values):
             deriv = _fmt(next(derivs)) if 0.0 < t < 1.0 else ""

@@ -7,11 +7,12 @@ quantities.
 
 Validation happens once, where values enter: the vector constructors
 (behind the CLI and ``catalog.evaluate``) and the bulk checks of
-``search.sample_block``.  Past that, the catalog's registry quantities
-work on the plain float tuples (``entries``, ``masses``) through the
-private float helpers ``_sum_abs_powers`` and ``_p_norm``; the public
-``p_norm`` is a thin wrapper over ``_p_norm``, so both give the same
-bits.  ``_abs_powers`` takes the terms |x_i|^p for these sums and for
+``search.sample_block``; a pair's rules (lengths, dominance) are
+``_check_pair``'s.  Past that, the catalog's registry quantities work
+on the plain float tuples (``entries``, ``masses``) through the private
+float helpers ``_sum_abs_powers`` and ``_p_norm``, which check nothing;
+the public ``p_norm`` checks p and the weights, then calls ``_p_norm``,
+so both give the same bits.  ``_abs_powers`` takes the terms |x_i|^p for these sums and for
 the catalog's re-paired sums, as a list for ``math.fsum``.
 ``_trusted`` wraps floats in a vector without checking them, for
 entries validated in bulk (``SampleBlock.pair``) or valid by
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
+    DominanceViolation,
     EmptyVector,
     ExponentOutOfRange,
     LengthMismatch,
@@ -115,6 +117,22 @@ class Weights:
         return w
 
 
+def _check_pair(x, y, masses=None, dominated: bool = False) -> None:
+    """The rules on a pair of float sequences, in this order: the weights
+    as long as x, then as long as y; x and y of one length; x >= y
+    entrywise when dominated."""
+    if masses is not None:
+        for v in (x, y):
+            if len(masses) != len(v):
+                raise LengthMismatch(f"weights length {len(masses)} != vector length {len(v)}")
+    if len(x) != len(y):
+        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
+    if dominated:
+        for i, (a, b) in enumerate(zip(x, y)):
+            if a < b:
+                raise DominanceViolation(i)
+
+
 def validate_vector(raw: Iterable[float], require_nonneg: bool = False) -> RealVector:
     """Validate a raw sequence into a RealVector (or NonnegVector)."""
     entries = tuple(float(x) for x in raw)
@@ -159,14 +177,8 @@ def _sum_abs_powers(
 ) -> float:
     """Compensated sum of w_i * |x_i|^p (unit weights when masses is None).
 
-    entries and masses are plain floats, already validated.
+    entries and masses are plain floats, already checked, and p >= 1.
     """
-    if p < 1.0:
-        raise ExponentOutOfRange(f"p-norm needs p >= 1, got {p}")
-    if masses is not None and len(masses) != len(entries):
-        raise LengthMismatch(
-            f"weights length {len(masses)} != vector length {len(entries)}"
-        )
     terms = _abs_powers(entries, p)
     if masses is None:
         return math.fsum(terms)
@@ -200,5 +212,9 @@ def _p_norm(
 
 def p_norm(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:
     """Weighted p-norm (sum_i w_i |v_i|^p)^(1/p); unit weights when absent."""
-    return _p_norm(v.entries, p, None if weights is None else weights.masses)
+    if p < 1.0:
+        raise ExponentOutOfRange(f"p-norm needs p >= 1, got {p}")
+    masses = None if weights is None else weights.masses
+    _check_pair(v.entries, v.entries, masses)  # the weights as long as v
+    return _p_norm(v.entries, p, masses)
 

@@ -22,13 +22,8 @@ from .catalog import (
     evaluate,
     report,
 )
-from .core import NonnegVector
-from .errors import (
-    DominanceViolation,
-    ExponentOutOfRange,
-    LengthMismatch,
-    TooLarge,
-)
+from .core import NonnegVector, _check_pair
+from .errors import DominanceViolation, ExponentOutOfRange, TooLarge
 
 ORACLE_MAX_LEN = 16
 
@@ -65,8 +60,7 @@ class RearrangedPair:
 
 def dominance_rearrange(x: NonnegVector, y: NonnegVector) -> RearrangedPair:
     """Componentwise (max, min) re-pairing; ties keep (x_i, y_i) unswapped."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
+    _check_pair(x.entries, y.entries)
     u, v, swapped = [], [], []
     for i, (a, b) in enumerate(zip(x.entries, y.entries)):
         if a >= b:
@@ -105,8 +99,7 @@ def brute_force_swap_oracle(x: NonnegVector, y: NonnegVector, r: float) -> float
     Independent oracle certifying that the dominance re-pairing attains
     the maximum; guarded to n <= 16.
     """
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
+    _check_pair(x.entries, y.entries)
     if r < 1.0:
         raise ExponentOutOfRange(f"need r >= 1, got {r}")
     n = len(x)

@@ -417,8 +417,9 @@ def extremal_search(
     # _project output is finite, and clamped and dominated as spec requires.
     vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
 
-    def score(z: np.ndarray) -> Optional[Tuple[float, GapReport, tuple]]:
-        nonlocal evals, violated
+    def score(z: np.ndarray) -> Optional[float]:
+        """The normalized gap at z, or None; records the best point seen."""
+        nonlocal evals, violated, best_ng, best
         if evals >= budget:
             return None
         try:
@@ -431,7 +432,10 @@ def extremal_search(
             evals += 1
         if rep.verdict is Verdict.VIOLATED:
             violated = True
-        return rep.gap / rep.scale, rep, (x, y, p, q, None)
+        ng = rep.gap / rep.scale
+        if ng < best_ng:
+            best_ng, best = ng, (rep, (x, y, p, q, None))
+        return ng
 
     for s in range(_STARTS):
         if evals >= budget:
@@ -439,14 +443,9 @@ def extremal_search(
         x0, y0, _ = sample_pair(spec, seed, s)
         n = len(x0)
         z = np.array(x0.entries + y0.entries)
-        if not _project(z, n, spec, p):
+        cur_ng = score(z) if _project(z, n, spec, p) else None
+        if cur_ng is None:
             continue
-        cur = score(z)
-        if cur is None:
-            continue
-        cur_ng = cur[0]
-        if cur_ng < best_ng:
-            best_ng, best = cur_ng, (cur[1], cur[2])
         step = _INITIAL_STEP
         while step >= _MIN_STEP and evals < budget:
             # Sweep x, then y.  An accepted move goes on from the new point
@@ -458,17 +457,9 @@ def extremal_search(
                     for delta in (step, -step):
                         cand = z.copy()
                         cand[i] += delta
-                        if not _project(cand, n, spec, p):
-                            continue
-                        res = score(cand)
-                        if res is None:
-                            continue
-                        if res[0] < cur_ng:
-                            z = cand
-                            cur_ng = res[0]
-                            improved = True
-                            if cur_ng < best_ng:
-                                best_ng, best = cur_ng, (res[1], res[2])
+                        ng = score(cand) if _project(cand, n, spec, p) else None
+                        if ng is not None and ng < cur_ng:
+                            z, cur_ng, improved = cand, ng, True
                             break
                 if improved:
                     break

@@ -11,12 +11,11 @@ phi, phi_prime and chi each have one grid evaluator (`_phi_values`,
 `_phi_prime_values`, `_chi_values`).  It computes the constants of the
 context once, then each point with the formula in the same association
 order, all powers in Python `**`.  The public functions check their
-domain and call it on one point, and `monotonicity_scan` and
-`chi_sign_scan` call it on their whole grid, so a scanned value has the
+domain and call it on one point; `monotonicity_scan`, `chi_sign_scan`
+and `phi_prime_values` call it on their whole grid, so a value has the
 bits of the public call at that point.  Each scan's report carries its
-grid and values, which the CLI prints, so a table takes one pass.  Both
-scans raise NonFiniteGap on an overflow or a non-finite value instead of
-reporting it.
+grid and values, which the CLI prints, so a table takes one pass.  They
+and phi_prime raise NonFiniteGap on an overflow or a non-finite value.
 """
 
 from __future__ import annotations
@@ -25,14 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .core import NonnegVector, main_exponents
-from .errors import (
-    DomainError,
-    DominanceViolation,
-    LengthMismatch,
-    NonFiniteGap,
-    RegimeViolation,
-)
+from .core import NonnegVector, _check_pair, main_exponents
+from .errors import DomainError, NonFiniteGap, RegimeViolation
 
 # chi_sign_scan counts a value within this of 0 as no sign.
 _ZERO_TOL = 1e-12
@@ -48,11 +41,7 @@ class PhiContext:
     q: float
 
     def __post_init__(self):
-        if len(self.u) != len(self.v):
-            raise LengthMismatch(f"lengths {len(self.u)} and {len(self.v)} differ")
-        for i, (a, b) in enumerate(zip(self.u.entries, self.v.entries)):
-            if a < b:
-                raise DominanceViolation(i)
+        _check_pair(self.u.entries, self.v.entries, dominated=True)
         main_exponents(self.p, self.q)
 
 
@@ -89,9 +78,16 @@ def _phi_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
 
 def phi_prime(ctx: PhiContext, t: float) -> float:
     """Analytic derivative of phi on (0, 1)."""
-    if not (0.0 < t < 1.0):
-        raise DomainError(f"phi_prime needs t in (0, 1), got {t}")
-    return _phi_prime_values(ctx, (t,))[0]
+    return phi_prime_values(ctx, (t,))[0]
+
+
+def phi_prime_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
+    """phi_prime at each t of ts, all in (0, 1); an overflow or a non-finite
+    value raises NonFiniteGap."""
+    bad = next((t for t in ts if not 0.0 < t < 1.0), None)
+    if bad is not None:
+        raise DomainError(f"phi_prime needs t in (0, 1), got {bad}")
+    return _finite_values("phi_prime", _phi_prime_values, ctx, ts)
 
 
 def _phi_prime_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:

@@ -227,6 +227,18 @@ class TestSearch:
         assert "pairs" in doc and doc["p"] == 2.0 and doc["q"] == 3.0
         assert doc["seed"] == 3
 
+    def test_witness_to_stdout_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # stdout carries the key: value report, so "-" cannot name the witness
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            ["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--budget", "5",
+             "--out", "-"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: search --out needs a file path, not '-'"]
+        assert not (tmp_path / "-").exists()
+
 
     @pytest.mark.parametrize("seed", range(8))
     def test_dominated_extremal_uses_budget(self, seed, capsys):
@@ -319,6 +331,18 @@ class TestErrorExits:
             (["search", "--ineq", "main-1.7", "--p", "3", "--q", "2"],
              "error: need 2 <= p <= q, got (3.0, 2.0)"),
             (["search", "--ineq", "sumpow-2.12", "--q", "0.5"], "error: need r >= 1, got 0.5"),
+            # one pair check for every id: equal lengths, then dominance where stated
+            *[(["verify", "--ineq", ineq.value, "--x", "3,1", "--y", "1,2,0.5",
+                "--p", "2.5", "--q", "3"], "error: pair 0: lengths 2 and 3 differ")
+              for ineq in catalog.REGISTRY],
+            (["verify", "--ineq", "prop-1.4", "--x", "1,2", "--y", "1,3", "--p", "2",
+              "--q", "3"], "error: pair 0: dominance violated at index 1"),
+            *[(["verify", "--ineq", "cor-1.6", "--x", x, "--y", y, "--q", "3"],
+               f"error: pair 0: {message}")
+              for x, y, message in (("2", "3", "dominance violated at index 0"),
+                                    ("2", "1,0.5", "lengths 1 and 2 differ"),
+                                    ("1,2", "2,1", "dominance violated at index 0"),
+                                    ("2,1", "1,0.5", "cor-1.6 takes scalars (1-entry vectors)"))],
         ],
     )
     def test_exit_2_with_error_line(self, argv, message, capsys):
@@ -348,6 +372,23 @@ class TestErrorExits:
         path.write_text(json.dumps({"pairs": [{"x": x, "y": y, "w": w}]}))
         code, _, err = run(
             ["verify", "--ineq", "main-1.7", "--input", str(path), "--p", "2", "--q", "3"],
+            capsys,
+        )
+        assert code == 2
+        assert err.strip().splitlines()[-1] == f"error: pair 0: {message}"
+
+    @pytest.mark.parametrize("x, y, w, message", [
+        # the weights are checked before the lengths and the dominance
+        ([1.0, 2.0], [3.0, 1.0, 2.0], [1.0, 2.0, 3.0], "weights length 3 != vector length 2"),
+        ([1.0, 2.0], [3.0, 1.0], [1.0, 2.0, 3.0], "weights length 3 != vector length 2"),
+        ([1.0, 2.0], [3.0, 1.0, 2.0], [1.0, 2.0], "weights length 2 != vector length 3"),
+        ([2.0, 2.0], [1.0, 3.0], [1.0, 2.0], "dominance violated at index 1"),
+    ])
+    def test_dominated_weighted_input_errors(self, x, y, w, message, tmp_path, capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": [{"x": x, "y": y, "w": w}]}))
+        code, _, err = run(
+            ["verify", "--ineq", "prop-1.4", "--input", str(path), "--p", "2", "--q", "3"],
             capsys,
         )
         assert code == 2

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from clarkson.catalog import _pair_norms
+from clarkson.catalog import InequalityId, _pair_norms, evaluate
 from clarkson.core import (
     NonnegVector,
     RealVector,
@@ -156,5 +156,7 @@ class TestCombine:
         assert _pair_norms((2.0, 0.0), (0.0, 3.0), 2.5, None, None)[3] == want
 
     def test_length_mismatch(self):
+        # the lengths are checked once, by evaluate, before the norms are formed
         with pytest.raises(LengthMismatch):
-            _pair_norms((1.0,), (1.0, 2.0), 2.0, None, None)
+            evaluate(InequalityId.MAIN_17, NonnegVector((1.0,)), NonnegVector((1.0, 2.0)),
+                     2.0, 3.0)

@@ -137,6 +137,10 @@ class TestBruteForceOracle:
         got = brute_force_swap_oracle(x, y, 1.0)
         assert got == pytest.approx(sum(x.entries) + sum(y.entries), rel=1e-15)
 
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch, match="lengths 2 and 1 differ"):
+            brute_force_swap_oracle(NonnegVector((1.0, 3.0)), NonnegVector((2.0,)), 2.0)
+
     def test_size_guard(self):
         big = NonnegVector((1.0,) * 17)
         with pytest.raises(TooLarge):

@@ -9,6 +9,7 @@ from clarkson.core import NonnegVector
 from clarkson.errors import (
     DomainError,
     DominanceViolation,
+    LengthMismatch,
     NonFiniteGap,
     RegimeViolation,
 )
@@ -23,6 +24,7 @@ from clarkson.variational import (
     monotonicity_scan,
     phi,
     phi_prime,
+    phi_prime_values,
     psi,
     psi_prime,
 )
@@ -47,6 +49,10 @@ class TestPhiContext:
     def test_rejects_non_dominated(self):
         with pytest.raises(DominanceViolation):
             PhiContext(NonnegVector((1.0,)), NonnegVector((2.0,)), 2.0, 3.0)
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(LengthMismatch, match="lengths 1 and 2 differ"):
+            PhiContext(NonnegVector((2.0,)), NonnegVector((1.0, 0.5)), 2.0, 3.0)
 
     def test_rejects_bad_regime(self):
         with pytest.raises(RegimeViolation):
@@ -124,6 +130,25 @@ class TestPhiPrime:
         for t in (0.0, 1.0):
             with pytest.raises(DomainError):
                 phi_prime(ctx, t)
+
+    def test_values_check_every_point(self):
+        ctx = PhiContext(NonnegVector((3.0, 1.0)), NonnegVector((2.0, 1.0)), 2.0, 3.0)
+        for ts in ([0.5, 1.0], [0.0, 0.5], [0.5, math.nan]):
+            with pytest.raises(DomainError, match="phi_prime needs t in"):
+                phi_prime_values(ctx, ts)
+        assert phi_prime_values(ctx, []) == []
+
+    def test_values_equal_the_per_point_derivative(self):
+        ctx = PhiContext(NonnegVector((2.0, 1.0)), NonnegVector((1.0, 0.5)), 2.5, 4.0)
+        ts = [k / 16 for k in range(1, 16)]
+        assert _hex(phi_prime_values(ctx, ts)) == _hex(_phi_prime_values(ctx, ts))
+
+    def test_overflow_raises_non_finite_gap(self):
+        ctx = PhiContext(NonnegVector((1.0, 2.0)), NonnegVector((0.5, 1.0)), 2.0, 900.0)
+        with pytest.raises(NonFiniteGap, match="phi_prime: non-finite value"):
+            phi_prime_values(ctx, [0.5])
+        with pytest.raises(NonFiniteGap, match="phi_prime: non-finite value"):
+            phi_prime(ctx, 0.5)
 
     @given(entry_lists, pq, st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=200, deadline=None)
