@@ -16,7 +16,6 @@ from .core import (
     Weights,
     conjugate_exponent,
     p_norm,
-    validate_vector,
 )
 from .rearrange import (
     RearrangedPair,

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 from . import catalog, search, variational
 from .catalog import Constraint, InequalityId, TolerancePolicy
-from .core import NonnegVector, Weights, validate_vector
+from .core import NonnegVector, RealVector, Weights
 from .errors import ClarksonError
 from .search import Distribution, SampleSpec
 
@@ -37,14 +37,6 @@ MAX_GRID_CELLS = 10_000
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return repr(x)
-    return str(x)
 
 
 def _parse_floats(text: str) -> List[float]:
@@ -100,7 +92,7 @@ def _numbers(value) -> list:
     return value
 
 
-def _load_pairs(path: str, require_nonneg: bool):
+def _load_pairs(path: str, vec: type):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -114,8 +106,8 @@ def _load_pairs(path: str, require_nonneg: bool):
         try:
             if not isinstance(item, dict):
                 raise TypeError(f"expected an object with x and y, got {item!r}")
-            x = validate_vector(_numbers(item["x"]), require_nonneg)
-            y = validate_vector(_numbers(item["y"]), require_nonneg)
+            x = vec(_numbers(item["x"]))
+            y = vec(_numbers(item["y"]))
             w = None if item.get("w") is None else Weights(_numbers(item["w"]))
         except KeyError as exc:
             raise UsageError(f"bad pair at index {i}: missing key {exc}")
@@ -152,22 +144,20 @@ def _table(path: Optional[str], header: Sequence[str]):
             out.close()
 
 
-def _inline_pair(args, require_nonneg: bool):
+def _inline_pair(args, vec: type):
     if args.x is None or args.y is None:
         return None
-    x = validate_vector(_parse_floats(args.x), require_nonneg)
-    y = validate_vector(_parse_floats(args.y), require_nonneg)
-    return [(x, y, None)]
+    return [(vec(_parse_floats(args.x)), vec(_parse_floats(args.y)), None)]
 
 
 def cmd_verify(args) -> int:
     ineq = InequalityId.from_cli(args.ineq)
-    nonneg = catalog.lookup(ineq).constraint is not Constraint.SIGNED
-    pairs = _inline_pair(args, nonneg)
+    vec = RealVector if catalog.lookup(ineq).constraint is Constraint.SIGNED else NonnegVector
+    pairs = _inline_pair(args, vec)
     if pairs is None:
         if args.input is None:
             raise UsageError("verify needs --input or both --x and --y")
-        pairs = _load_pairs(args.input, nonneg)
+        pairs = _load_pairs(args.input, vec)
     ps = _parse_floats(args.p) if args.p is not None else [2.0]
     qs = _parse_floats(args.q) if args.q is not None else [None]
     if not (ps and qs):
@@ -186,8 +176,8 @@ def cmd_verify(args) -> int:
                     if rep.verdict is catalog.Verdict.VIOLATED:
                         violated = True
                     writer.writerow(
-                        [rep.id.value, idx, _fmt(rep.p), _fmt(rep.q), _fmt(rep.lhs),
-                         _fmt(rep.rhs), _fmt(rep.gap), _fmt(rep.scale), rep.verdict.value]
+                        [rep.id.value, idx, repr(rep.p), repr(rep.q), repr(rep.lhs),
+                         repr(rep.rhs), repr(rep.gap), repr(rep.scale), rep.verdict.value]
                     )
     return EXIT_VIOLATION if violated else EXIT_OK
 
@@ -231,8 +221,8 @@ def cmd_scan(args) -> int:
         # A skipped cell has no samples and no violations.
         for cell in cells:
             writer.writerow(
-                [ineq.value, _fmt(cell.p), _fmt(cell.q), cell.n_samples,
-                 "skipped" if cell.skipped else _fmt(cell.min_normalized_gap),
+                [ineq.value, repr(cell.p), repr(cell.q), cell.n_samples,
+                 "skipped" if cell.skipped else repr(cell.min_normalized_gap),
                  cell.violations, args.seed]
             )
     return EXIT_VIOLATION if any(cell.violations for cell in cells) else EXIT_OK
@@ -247,19 +237,13 @@ def cmd_search(args) -> int:
     spec = _spec_from_args(args)
     policy = _policy(args)
     q = args.q_value if args.q_value is not None else args.p_value
-    if args.mode == "extremal":
-        outcome = search.extremal_search(
-            ineq, args.p_value, q, spec, args.budget, args.seed, policy, explore=args.explore
-        )
-    else:
-        outcome = search.counterexample_search(
-            ineq, args.p_value, q, spec, args.budget, args.seed, policy, explore=args.explore
-        )
+    run = search.extremal_search if args.mode == "extremal" else search.counterexample_search
+    outcome = run(ineq, args.p_value, q, spec, args.budget, args.seed, policy, explore=args.explore)
     print(f"status: {outcome.status.value}")
     print(f"evaluations: {outcome.evaluations}")
     print(f"seed: {outcome.seed}")
     if outcome.best_report is not None:
-        print(f"best_normalized_gap: {_fmt(outcome.normalized_gap)}")
+        print(f"best_normalized_gap: {outcome.normalized_gap!r}")
         print(f"best_verdict: {outcome.best_report.verdict.value}")
     if outcome.exploratory:
         print("exploratory: true (constraint outside the stated regime)")
@@ -295,12 +279,9 @@ def _check_grid_size(grid_size: int, minimum: int) -> None:
 def cmd_phi(args) -> int:
     if args.u is None or args.v is None:
         raise UsageError("phi needs --u and --v")
-    try:
-        u = NonnegVector(tuple(_parse_floats(args.u)))
-        v = NonnegVector(tuple(_parse_floats(args.v)))
-        ctx = variational.PhiContext(u, v, args.p_value, args.q_value)
-    except ClarksonError as exc:
-        raise UsageError(str(exc))
+    u = NonnegVector(tuple(_parse_floats(args.u)))
+    v = NonnegVector(tuple(_parse_floats(args.v)))
+    ctx = variational.PhiContext(u, v, args.p_value, args.q_value)
     _check_grid_size(args.grid_size, 2)
     report = variational.monotonicity_scan(ctx, args.grid_size)
     # ctx is dominated, so phi has no breakpoint in (0, 1) and no row is
@@ -309,10 +290,10 @@ def cmd_phi(args) -> int:
     derivs = iter(variational.phi_prime_values(ctx, inner))
     with _table(args.out, ["t", "phi", "phi_prime", "is_breakpoint_adjacent"]) as writer:
         for t, val in zip(report.grid, report.values):
-            deriv = _fmt(next(derivs)) if 0.0 < t < 1.0 else ""
-            writer.writerow([_fmt(t), _fmt(val), deriv, "false"])
+            deriv = repr(next(derivs)) if 0.0 < t < 1.0 else ""
+            writer.writerow([repr(t), repr(val), deriv, "false"])
         writer.writerow(
-            ["summary", _fmt(report.min_increment),
+            ["summary", repr(report.min_increment),
              f"is_nondecreasing={str(report.is_nondecreasing).lower()}", ""]
         )
     return EXIT_OK
@@ -320,15 +301,12 @@ def cmd_phi(args) -> int:
 
 def cmd_chi(args) -> int:
     _check_grid_size(args.grid_size, 3)
-    try:
-        ctx = variational.ChiContext(args.p_value, args.q_value, args.c)
-    except ClarksonError as exc:
-        raise UsageError(str(exc))
+    ctx = variational.ChiContext(args.p_value, args.q_value, args.c)
     report = variational.chi_sign_scan(ctx, args.grid_size)
     with _table(args.out, ["s", "chi"]) as writer:
         for s, val in zip(report.grid, report.values):
-            writer.writerow([_fmt(s), _fmt(val)])
-        intervals = ";".join(f"({_fmt(a)},{_fmt(b)})" for a, b in report.sign_change_intervals)
+            writer.writerow([repr(s), repr(val)])
+        intervals = ";".join(f"({a!r},{b!r})" for a, b in report.sign_change_intervals)
         writer.writerow(
             ["summary",
              f"has_positive={str(report.has_positive).lower()}"

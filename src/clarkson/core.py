@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     DominanceViolation,
@@ -106,9 +106,6 @@ class Weights:
             if m <= 0.0:
                 raise NegativeEntry(i)
 
-    def __len__(self) -> int:
-        return len(self.masses)
-
     @classmethod
     def _trusted(cls, masses: tuple[float, ...]) -> "Weights":
         """Weights on a tuple of already validated masses; nothing is checked."""
@@ -131,14 +128,6 @@ def _check_pair(x, y, masses=None, dominated: bool = False) -> None:
         for i, (a, b) in enumerate(zip(x, y)):
             if a < b:
                 raise DominanceViolation(i)
-
-
-def validate_vector(raw: Iterable[float], require_nonneg: bool = False) -> RealVector:
-    """Validate a raw sequence into a RealVector (or NonnegVector)."""
-    entries = tuple(float(x) for x in raw)
-    if require_nonneg:
-        return NonnegVector(entries)
-    return RealVector(entries)
 
 
 def conjugate_exponent(p: float) -> float:

@@ -4,9 +4,7 @@ Samples come in blocks of _BLOCK pairs.  Block b of a seed is drawn from
 one counter-based Philox stream, keyed by the seed, at counter b * 2^64,
 and sample i is row i % _BLOCK of block i // _BLOCK.  Every sample is
 thus a pure function of (spec, seed, index), so results are
-bit-identical regardless of evaluation order.  Earlier versions drew
-one stream per index, so their samples, and the CLI output, for a given
-seed differ from these.
+bit-identical regardless of evaluation order.
 
 Reductions are min/count only.  An index range is screened with numpy
 first, on each registry entry's batch quantities (the pair norms for
@@ -32,8 +30,9 @@ floats in vectors without checking them again.
 
 The extremal descent is sequential: each step starts from the point the
 last one accepted.  Its point is one float64 array z = (x, y).  A
-candidate is a copy of z with one coordinate moved; _project clamps and
-renormalizes it in place, and score splits one z.tolist() into x and y.
+candidate is a copy of z with one coordinate moved; score has _project
+clamp and renormalize it in place, then splits one z.tolist() into x
+and y.
 The norm is numpy's power and pairwise sum: a math.fsum norm would round
 differently and move the descent onto another path.
 """
@@ -68,6 +67,7 @@ from .errors import (
     EmptyGrid,
     NegativeEntry,
     NonFiniteEntry,
+    NonFiniteGap,
 )
 
 # Pairs per sample block.  Part of the stream layout: changing it
@@ -94,7 +94,8 @@ _MIN_STEP = 1e-8
 #   still within 3u and the re-paired sums obey the same bound;
 # - every side raises S, and each rounded intermediate (the norm
 #   S^(1/p), inner powers and sums, the outer power), to a power of at
-#   most e = max(p, q, p/(p-1)), with at most four roundings a chain on
+#   most e = max(p, q) (q = p/(p-1) for c-1.1 and c-1.2, whose (p, q)
+#   is resolved by then), with at most four roundings a chain on
 #   each path, so the sides agree to delta = e(n + 14)u.  The re-paired
 #   statements raise S once, to q/p <= q (rearr-2.17) or r = q
 #   (sumpow-2.12), and add two such powers.  cor-1.6 (n = 1) takes
@@ -109,9 +110,7 @@ _SCREEN_MARGIN = 1e-12
 
 
 def _screen_margin(p: float, q: float, nmax: int) -> float:
-    # p/(p-1) is the conjugate of p, which c-1.1 and c-1.2 raise to.  At
-    # p = 1, which only sumpow-2.12 at r = 1 reaches, no power exceeds 1.
-    e = max(p, q, p / (p - 1.0) if p > 1.0 else 1.0)
+    e = max(p, q)
     return max(_SCREEN_MARGIN, (3.0 * e * (nmax + 14) + 3.0) * 2.0**-53)
 
 
@@ -418,18 +417,19 @@ def extremal_search(
     vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
 
     def score(z: np.ndarray) -> Optional[float]:
-        """The normalized gap at z, or None; records the best point seen."""
+        """Project z in place and return its normalized gap; None when z
+        projects to no point, the budget is spent or the gap is not
+        finite.  Records the best point seen."""
         nonlocal evals, violated, best_ng, best
-        if evals >= budget:
+        if not _project(z, n, spec, p) or evals >= budget:
             return None
+        evals += 1
+        zl = z.tolist()
+        x, y = vec._trusted(tuple(zl[:n])), vec._trusted(tuple(zl[n:]))
         try:
-            zl = z.tolist()
-            x, y = vec._trusted(tuple(zl[:n])), vec._trusted(tuple(zl[n:]))
             rep = evaluate(id, x, y, p, q, None, policy, strict=not exploratory)
-        except ClarksonError:
+        except NonFiniteGap:
             return None
-        finally:
-            evals += 1
         if rep.verdict is Verdict.VIOLATED:
             violated = True
         ng = rep.gap / rep.scale
@@ -443,26 +443,23 @@ def extremal_search(
         x0, y0, _ = sample_pair(spec, seed, s)
         n = len(x0)
         z = np.array(x0.entries + y0.entries)
-        cur_ng = score(z) if _project(z, n, spec, p) else None
-        if cur_ng is None:
-            continue
+        cur_ng = score(z)
         step = _INITIAL_STEP
-        while step >= _MIN_STEP and evals < budget:
-            # Sweep x, then y.  An accepted move goes on from the new point
-            # at the next coordinate of the same half; then the sweep
-            # restarts from x at the same step.
+        while cur_ng is not None and step >= _MIN_STEP and evals < budget:
+            # Sweep x (z[:n]), then y.  An accepted move goes on from the
+            # new point at the next coordinate; once x has had one, the
+            # sweep restarts from x at the same step instead of entering y.
             improved = False
-            for half in (0, n):
-                for i in range(half, half + n):
-                    for delta in (step, -step):
-                        cand = z.copy()
-                        cand[i] += delta
-                        ng = score(cand) if _project(cand, n, spec, p) else None
-                        if ng is not None and ng < cur_ng:
-                            z, cur_ng, improved = cand, ng, True
-                            break
-                if improved:
+            for i in range(2 * n):
+                if i == n and improved:
                     break
+                for delta in (step, -step):
+                    cand = z.copy()
+                    cand[i] += delta
+                    ng = score(cand)
+                    if ng is not None and ng < cur_ng:
+                        z, cur_ng, improved = cand, ng, True
+                        break
             if not improved:
                 step *= 0.5
 

@@ -207,6 +207,17 @@ class TestSearch:
         assert code == 0
         assert "budget-exhausted" in out
 
+    def test_extremal_with_only_zero_starts(self, capsys):
+        # every start projects to no point, so nothing is evaluated
+        code, out, _ = run(
+            ["search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "3",
+             "--dist", "sparse", "--density", "1e-12", "--nmin", "1", "--nmax", "3",
+             "--budget", "100"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[:2] == ["status: budget-exhausted", "evaluations: 0"]
+
     def test_constraint_mismatch_without_explore(self, capsys):
         code, _, err = run(
             ["search", "--ineq", "main-1.7", "--p", "2", "--q", "3",
@@ -343,6 +354,23 @@ class TestErrorExits:
                                     ("2", "1,0.5", "lengths 1 and 2 differ"),
                                     ("1,2", "2,1", "dominance violated at index 0"),
                                     ("2,1", "1,0.5", "cor-1.6 takes scalars (1-entry vectors)"))],
+            (["verify", "--ineq", "main-1.7", "--p", "2", "--q", "3"],
+             "error: verify needs --input or both --x and --y"),
+            (["verify", "--ineq", "main-1.7", "--x", "a", "--y", "1", "--p", "2", "--q", "3"],
+             "error: cannot parse number list 'a'"),
+            (["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--nmin", "0"],
+             "error: dim_range must satisfy 1 <= lo <= hi <= 64, got (0, 16)"),
+            (["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--dist", "sparse",
+              "--density", "0"], "error: density must lie in (0, 1], got 0.0"),
+            (["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--dist", "bad"],
+             "error: unknown distribution 'bad'"),
+            (["scan", "--ineq", "main-1.7", "--p-grid", "2:3:1", "--q-grid", "3:4:1",
+              "--samples", "5", "--constraint", "bad"], "error: unknown constraint 'bad'"),
+            # both search modes reject a pair the statement cannot take
+            *[(["search", "--ineq", "cor-1.6", "--mode", mode, "--constraint", "dominated",
+                "--nmin", "2", "--nmax", "2", "--p", "2", "--q", "3", "--budget", "100"],
+               "error: cor-1.6 takes scalars (1-entry vectors)")
+              for mode in ("extremal", "counterexample")],
         ],
     )
     def test_exit_2_with_error_line(self, argv, message, capsys):

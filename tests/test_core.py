@@ -13,7 +13,6 @@ from clarkson.core import (
     _sum_abs_powers,
     conjugate_exponent,
     p_norm,
-    validate_vector,
 )
 from clarkson.errors import (
     EmptyVector,
@@ -29,28 +28,30 @@ exponents = st.floats(min_value=1.0, max_value=8.0)
 
 
 class TestValidateVector:
+    """The vector constructors validate their entries."""
+
     def test_well_formed_nonneg(self):
-        v = validate_vector([1.0, 2.0], require_nonneg=True)
+        v = NonnegVector([1.0, 2.0])
         assert isinstance(v, NonnegVector)
         assert v.entries == (1.0, 2.0)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntry) as exc:
-            validate_vector([1.0, -1.0], require_nonneg=True)
+            NonnegVector([1.0, -1.0])
         assert exc.value.index == 1
 
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteEntry) as exc:
-            validate_vector([float("nan")])
+            RealVector([float("nan")])
         assert exc.value.index == 0
 
     def test_inf_rejected(self):
         with pytest.raises(NonFiniteEntry):
-            validate_vector([1.0, float("inf")])
+            RealVector([1.0, float("inf")])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyVector):
-            validate_vector([])
+            RealVector([])
 
 
 class TestPNorm:

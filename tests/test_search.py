@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
 
 from clarkson.catalog import REGISTRY, InequalityId, Verdict, evaluate
-from clarkson.errors import ConstraintMismatch, EmptyGrid
+from clarkson import search
+from clarkson.errors import ConstraintMismatch, EmptyGrid, NonFiniteGap
 from clarkson.search import (
     Constraint,
     Distribution,
@@ -186,6 +188,22 @@ class TestExtremalSearch:
                 InequalityId.MAIN_17, 2.0, 3.0,
                 SampleSpec(weights=True), 100, seed=0,
             )
+
+    def test_non_finite_gap_is_skipped(self, monkeypatch):
+        """A candidate whose gap overflows is passed over; the budget is still spent."""
+        calls = itertools.count()
+        real = search.evaluate
+
+        def overflow_every_third(*args, **kwargs):
+            if next(calls) % 3 == 1:
+                raise NonFiniteGap("overflow")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "evaluate", overflow_every_third)
+        out = extremal_search(InequalityId.MAIN_17, 2.0, 4.0, SampleSpec(dim_range=(4, 4)),
+                              300, seed=1)
+        assert out.evaluations == 300
+        assert out.status is SearchStatus.NO_VIOLATION
 
     def test_extremal_consistency(self):
         spec = SampleSpec(dim_range=(2, 4))
