@@ -40,6 +40,41 @@ GOLDEN = [
     ),
     pytest.param(
         [
+            "search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "4",
+            "--nmin", "8", "--nmax", "8", "--budget", "4000", "--seed", "1", "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 4000\n"
+            "seed: 1\n"
+            "best_normalized_gap: -4.440892098500628e-16\n"
+            "best_verdict: borderline\n"
+        ),
+        _pinned("extremal-descent-seed-1-witness.json"),
+        # The full budget reaches the small steps, where the descent
+        # revisits points it has already scored.
+        id="the extremal-descent search at its full budget",
+    ),
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "prop-1.4", "--constraint", "dominated",
+            "--p", "2", "--q", "6", "--nmin", "4", "--nmax", "4", "--budget", "4000",
+            "--seed", "2",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 4000\n"
+            "seed: 2\n"
+            "best_normalized_gap: -6.661338147750944e-16\n"
+            "best_verdict: borderline\n"
+        ),
+        None,
+        id="dominated extremal prop-1.4 at a full budget",
+    ),
+    pytest.param(
+        [
             "search", "--mode", "extremal", "--ineq", "prop-1.4", "--p", "2", "--q", "3",
             "--constraint", "dominated", "--nmin", "4", "--nmax", "6", "--budget", "300",
             "--seed", "1",
