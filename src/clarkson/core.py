@@ -12,8 +12,10 @@ Validation happens once, where values enter: the vector constructors
 on the plain float tuples (``entries``, ``masses``) through the private
 float helpers ``_sum_abs_powers`` and ``_p_norm``, which check nothing;
 the public ``p_norm`` checks p and the weights, then calls ``_p_norm``,
-so both give the same bits.  ``_abs_powers`` takes the terms |x_i|^p for these sums and for
-the catalog's re-paired sums, as a list for ``math.fsum``.
+so both give the same bits.  ``_abs_powers`` yields the terms |x_i|^p
+for these sums and for the catalog's re-paired sums, from ``map`` over
+C-level callables (``operator.mul`` on the p = 2, 3, 4 fast paths,
+builtin ``pow`` otherwise), so ``math.fsum`` reads them without a list.
 ``_trusted`` wraps floats in a vector without checking them, for
 entries validated in bulk (``SampleBlock.pair``) or valid by
 construction (the point ``search._project`` renormalizes in place).
@@ -24,7 +26,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import mul
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     DominanceViolation,
@@ -146,19 +150,21 @@ def main_exponents(p: float, q: float) -> Tuple[float, float]:
     return p, q
 
 
-def _abs_powers(entries: Sequence[float], p: float) -> List[float]:
-    """[|x|^p for x in entries], p >= 1, as a list for math.fsum."""
+def _abs_powers(entries: Sequence[float], p: float) -> Iterator[float]:
+    """Yield |x|^p for x in entries, p >= 1, for math.fsum to read."""
     # Fast paths avoid pow() for the common small integer exponents;
-    # |0|^p is exactly 0 for every p > 0 on all paths.
+    # |0|^p is exactly 0 for every p > 0 on all paths.  Every term comes
+    # from a C-level callable over map: abs(x) * x * x is (abs(x) * x) * x.
     if p == 2.0:
-        return [x * x for x in entries]
+        return map(mul, entries, entries)
     if p == 3.0:
-        return [abs(x) * x * x for x in entries]
+        return map(mul, map(mul, map(abs, entries), entries), entries)
     if p == 4.0:
-        return [(x * x) * (x * x) for x in entries]
+        squares = list(map(mul, entries, entries))
+        return map(mul, squares, squares)
     if p == 1.0:
-        return [abs(x) for x in entries]
-    return [abs(x) ** p for x in entries]
+        return map(abs, entries)
+    return map(pow, map(abs, entries), repeat(p))
 
 
 def _sum_abs_powers(
@@ -171,7 +177,7 @@ def _sum_abs_powers(
     terms = _abs_powers(entries, p)
     if masses is None:
         return math.fsum(terms)
-    return math.fsum([w * t for w, t in zip(masses, terms)])
+    return math.fsum(map(mul, masses, terms))
 
 
 def _p_norm(
@@ -182,14 +188,17 @@ def _p_norm(
     A power sum below the smallest normal float has lost bits to
     underflow, or is 0 for nonzero entries (1e-200 at p = 3).  It is
     then taken again on the entries scaled by 2^-k, where 2^(k-1) <=
-    max |x_i| < 2^k, and the norm scaled back by 2^k.  Every norm whose
-    power sum is normal keeps its bits.
+    max |x_i| < 2^k, and the norm scaled back by 2^k.  At k = 0 (every
+    entry 0, or the largest in [1/2, 1)) that scaling is the identity,
+    and the sum is not taken again.  Every norm whose power sum is
+    normal keeps its bits.
     """
     s = _sum_abs_powers(entries, p, masses)
     k = 0
     if s < _MIN_NORMAL:
         k = math.frexp(max(map(abs, entries)))[1]
-        s = _sum_abs_powers([math.ldexp(x, -k) for x in entries], p, masses)
+        if k:
+            s = _sum_abs_powers([math.ldexp(x, -k) for x in entries], p, masses)
     if s == 0.0 or p == 1.0:
         norm = s
     elif p == 2.0:

@@ -32,7 +32,12 @@ The extremal descent is sequential: each step starts from the point the
 last one accepted.  Its point is one float64 array z = (x, y).  A
 candidate is a copy of z with one coordinate moved; score has _project
 clamp and renormalize it in place, then splits one z.tolist() into x
-and y.
+and y.  A start's last 8n distinct points scored are kept by their
+bytes with their gaps (None for a non-finite one), and a point among
+them is not evaluated again: a coordinate at 0 pushed by -step clamps
+back to the same bits.  The repeat still counts one evaluation toward
+the budget, and its gap is the first visit's, which has already been
+recorded, so no output changes.
 The norm is numpy's power and pairwise sum: a math.fsum norm would round
 differently and move the descent onto another path.
 """
@@ -42,6 +47,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
@@ -86,17 +92,20 @@ _MIN_STEP = 1e-8
 # How far a batch normalized gap may lie from the scalar one, to first
 # order in u = 2^-53, for pairs of n <= nmax entries (pow within 1 ulp
 # on both paths):
-# - each term w|z|^k is within 3u of exact on both paths (k = p; k = 1
-#   for sumpow-2.12's plain sums, whose terms are exact); math.fsum adds
-#   u and numpy's sum of n nonnegative terms at most (n - 1)u, so the
-#   two sums S agree to (n + 6)u.  Both paths take each term of a
-#   (max, min) re-paired sum from the terms of x and y, so each term is
-#   still within 3u and the re-paired sums obey the same bound;
+# - each term w|z|^k is within 4u of exact on both paths (k = p; k = 1
+#   for sumpow-2.12's plain sums, whose terms are exact): at k = 2, 3
+#   and 4 both take the same products, and with weights a k = 4 term
+#   (x*x)*(x*x)*w has four roundings, x*x counted twice; any other k
+#   is pow, within 1 ulp, then w.  math.fsum adds u and numpy's sum of
+#   n nonnegative terms at most (n - 1)u, so the two sums S agree to
+#   (n + 8)u.  Both paths take each term of a (max, min) re-paired sum
+#   from the terms of x and y, so each term is still within 4u and the
+#   re-paired sums obey the same bound;
 # - every side raises S, and each rounded intermediate (the norm
 #   S^(1/p), inner powers and sums, the outer power), to a power of at
 #   most e = max(p, q) (q = p/(p-1) for c-1.1 and c-1.2, whose (p, q)
 #   is resolved by then), with at most four roundings a chain on
-#   each path, so the sides agree to delta = e(n + 14)u.  The re-paired
+#   each path, so the sides agree to delta = e(n + 16)u.  The re-paired
 #   statements raise S once, to q/p <= q (rearr-2.17) or r = q
 #   (sumpow-2.12), and add two such powers.  cor-1.6 (n = 1) takes
 #   x, y, x + y and x - y themselves, the same floats on both paths,
@@ -105,13 +114,16 @@ _MIN_STEP = 1e-8
 #   gaps agree to 3 delta + 3u.
 # For p in [2, 6], q <= 30 and n <= 64 that is below 8e-13, and the
 # measured difference stays below 1e-14; beyond that range the bound
-# itself is the margin.
+# itself is the margin.  A pair-norm power sum that underflows lies
+# outside this first-order bound (the scalar norm rescales it); its
+# batch norm is nan, so the row is kept (catalog._batch_pair_norms).
+# tests/test_batch.py checks the bound for p <= 200, q <= 400, n <= 64.
 _SCREEN_MARGIN = 1e-12
 
 
 def _screen_margin(p: float, q: float, nmax: int) -> float:
     e = max(p, q)
-    return max(_SCREEN_MARGIN, (3.0 * e * (nmax + 14) + 3.0) * 2.0**-53)
+    return max(_SCREEN_MARGIN, (3.0 * e * (nmax + 16) + 3.0) * 2.0**-53)
 
 
 class Distribution(enum.Enum):
@@ -419,22 +431,33 @@ def extremal_search(
     def score(z: np.ndarray) -> Optional[float]:
         """Project z in place and return its normalized gap; None when z
         projects to no point, the budget is spent or the gap is not
-        finite.  Records the best point seen."""
+        finite.  Records the best point seen.  A point still in memo,
+        the start's last 8n distinct points scored, counts one
+        evaluation and takes the gap of its first visit, which has
+        already been recorded."""
         nonlocal evals, violated, best_ng, best
         if not _project(z, n, spec, p) or evals >= budget:
             return None
         evals += 1
+        key = z.tobytes()
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
         zl = z.tolist()
         x, y = vec._trusted(tuple(zl[:n])), vec._trusted(tuple(zl[n:]))
         try:
             rep = evaluate(id, x, y, p, q, None, policy, strict=not exploratory)
         except NonFiniteGap:
-            return None
-        if rep.verdict is Verdict.VIOLATED:
-            violated = True
-        ng = rep.gap / rep.scale
-        if ng < best_ng:
-            best_ng, best = ng, (rep, (x, y, p, q, None))
+            ng = None
+        else:
+            if rep.verdict is Verdict.VIOLATED:
+                violated = True
+            ng = rep.gap / rep.scale
+            if ng < best_ng:
+                best_ng, best = ng, (rep, (x, y, p, q, None))
+        memo[key] = ng
+        if len(memo) > 8 * n:
+            memo.popitem(last=False)
         return ng
 
     for s in range(_STARTS):
@@ -442,6 +465,7 @@ def extremal_search(
             break
         x0, y0, _ = sample_pair(spec, seed, s)
         n = len(x0)
+        memo: OrderedDict = OrderedDict()
         z = np.array(x0.entries + y0.entries)
         cur_ng = score(z)
         step = _INITIAL_STEP

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from clarkson import catalog, cli, search
 from clarkson.catalog import (
@@ -22,10 +23,12 @@ from clarkson.catalog import (
     batch_normalized_gaps,
     evaluate,
 )
+from clarkson.core import NonnegVector, RealVector, Weights, _abs_powers
 from clarkson.errors import ConstraintMismatch, LengthMismatch, NonFiniteGap
 from clarkson.search import (
     _BLOCK,
     _SCREEN_MARGIN,
+    _screen_margin,
     Constraint,
     Distribution,
     SampleSpec,
@@ -139,6 +142,77 @@ def test_search_equals_all_scalar_reduction(id, constraint, explore):
                 batch = batch_gaps(id, exps, spec, SEED, range(BUDGET))
                 worst = max(worst, max(abs(b - s) for b, s in zip(batch, gaps)))
     assert worst <= _SCREEN_MARGIN / 100
+
+
+@st.composite
+def margin_cases(draw):
+    """(id, p, q, x, y, w, nmax): a pair meeting id's constraint, as float
+    lists, at a (p, q) id's exponent builder returned, with p up to 200
+    and q up to 400, and the width nmax <= 64 of the row it is padded to."""
+    id = draw(st.sampled_from(BATCH_IDS))
+    entry = REGISTRY[id]
+    if entry.constraint is Constraint.SIGNED:
+        # q = p/(p - 1) is at most 400
+        p = q = draw(st.floats(400 / 399, 200.0))
+    elif id is COR or id is InequalityId.SUMPOW_212:
+        p = q = draw(st.floats(2.0 if id is COR else 1.0, 400.0))
+    else:
+        p = draw(st.floats(2.0, 200.0))
+        q = draw(st.floats(p, 400.0))
+    p, q = entry.exponents(p, q)
+    nmax = 1 if id is COR else draw(st.integers(1, 64))
+    n = draw(st.integers(1, nmax))
+    side = st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)
+    x, y = draw(side), draw(side)
+    if entry.constraint is Constraint.SIGNED:
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2 * n, max_size=2 * n))
+        x = [s * a for s, a in zip(signs, x)]
+        y = [s * b for s, b in zip(signs[n:], y)]
+    elif entry.constraint is Constraint.DOMINATED_PAIR:
+        x, y = [max(a, b) for a, b in zip(x, y)], [min(a, b) for a, b in zip(x, y)]
+    w = None
+    if entry.weighted and draw(st.booleans()):
+        w = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    return id, p, q, x, y, w, nmax
+
+
+@given(margin_cases())
+@settings(max_examples=300, deadline=None)
+# 0.01^199 underflows; screened as finite, this row's batch gap was 0.0295, scalar 0.0392
+@example((InequalityId.C11, *REGISTRY[InequalityId.C11].exponents(199.0, None),
+          [0.01], [0.02], None, 1))
+def test_batch_gap_lies_within_the_screen_margin(case):
+    """|batch - scalar| <= _screen_margin(p, q, nmax) on every row whose
+    gaps are finite, over the whole exponent range the screen is used at."""
+    id, p, q, x, y, w, nmax = case
+
+    def row(v):
+        return np.array([v + [0.0] * (nmax - len(v))])
+
+    batch = batch_normalized_gaps(id, row(x), row(y), p, q, None if w is None else row(w))[0]
+    vec = RealVector if REGISTRY[id].constraint is Constraint.SIGNED else NonnegVector
+    try:
+        rep = evaluate(id, vec(x), vec(y), p, q, None if w is None else Weights(w))
+    except NonFiniteGap:
+        assert not np.isfinite(batch)
+        return
+    if np.isfinite(batch):
+        assert abs(batch - rep.gap / rep.scale) <= _screen_margin(p, q, nmax)
+
+
+def test_underflowing_power_sums_reach_the_scalar_path():
+    """c-1.1 at p = 199 on short uniform pairs: the p-th power sum of
+    entries below about 0.03 underflows, which the scalar norm restores
+    by rescaling and numpy's sum does not.  Those rows screen as nan, so
+    the minimum is the all-scalar one (it was 0.0003876 against 6.0e-08
+    at seed 0 when they screened as finite)."""
+    spec = SampleSpec(dim_range=(1, 3))
+    exps = REGISTRY[InequalityId.C11].exponents(199.0, None)
+    for seed in (0, 1, 3):
+        want = scalar_reduce(InequalityId.C11, exps, spec, seed, range(2 * _BLOCK))[:4]
+        got = search._eval_indices(InequalityId.C11, *exps, spec, seed, range(2 * _BLOCK),
+                                   DEFAULT_POLICY)
+        assert_same_outcome(got, want)
 
 
 def test_violation_counts_match(monkeypatch):
@@ -329,10 +403,28 @@ def test_scan_makes_one_batch_call_per_cell(monkeypatch, capsys):
 
 def four_array_repaired_sums(x, y, k, e):
     """The re-paired sums from four raised arrays, as they were computed
-    before the re-paired terms were picked from those of x and y."""
+    before the re-paired terms were picked from those of x and y.  Each
+    array is raised as the batch path raises entries (checked against
+    the scalar terms below)."""
     z = np.stack((x, y, np.maximum(x, y), np.minimum(x, y)))
-    terms = np.power(np.abs(z), k, where=z != 0, out=np.zeros(z.shape))
+    terms = catalog._batch_abs_powers(z, k)
     return (*terms.sum(axis=-1), e)
+
+
+@pytest.mark.parametrize("constraint", list(Constraint))
+def test_batch_terms_take_the_scalar_fast_paths(constraint):
+    """At k = 1, 2, 3 and 4 each batch term equals core._abs_powers' bit
+    for bit; at any other k it is numpy's power of every entry."""
+    spec = SampleSpec(dim_range=(1, 64), distribution=Distribution.SPARSE,
+                      constraint=constraint, density=0.5)
+    block = sample_block(spec, SEED, 0)
+    for z in (block.x, block.x - block.y):
+        for k in (1.0, 2.0, 3.0, 4.0):
+            got = catalog._batch_abs_powers(z, k)
+            want = [list(_abs_powers(row, k)) for row in z.tolist()]
+            assert got.tobytes() == np.array(want).tobytes()
+        for k in (2.5, 1 / 0.3):
+            assert catalog._batch_abs_powers(z, k).tobytes() == (np.abs(z) ** k).tobytes()
 
 
 @pytest.mark.parametrize("dist", list(Distribution))

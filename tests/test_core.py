@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from clarkson import core
 from clarkson.catalog import InequalityId, _pair_norms, evaluate
 from clarkson.core import (
     NonnegVector,
@@ -73,6 +74,25 @@ class TestPNorm:
         got = p_norm(RealVector((1e-200, 0.0)), 3.0, Weights((8.0, 1.0)))
         assert got == pytest.approx(2e-200, **close)
         assert p_norm(RealVector((3e-200, -4e-200)), 2.0) == pytest.approx(5e-200, **close)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 3.7])
+    def test_zero_vector_takes_one_power_sum(self, p, monkeypatch):
+        # Its sum 0 is below the smallest normal float, but the rescaling
+        # would be by 2^0: the sum is not taken again.
+        sums = []
+        real = core._sum_abs_powers
+
+        def counting(*args):
+            sums.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(core, "_sum_abs_powers", counting)
+        assert _p_norm((0.0, 0.0, 0.0), p) == 0.0
+        assert p_norm(RealVector((0.0,)), p, Weights((2.0,))) == 0.0
+        assert len(sums) == 2
+        sums.clear()
+        assert _p_norm((1e-200, 0.0), p) > 0.0  # a rescaled sum is taken twice
+        assert len(sums) == 2
 
     @given(vectors, exponents, st.sampled_from([None, 0.5, 3.0]))
     def test_normal_power_sums_keep_their_bits(self, entries, p, mass):
@@ -155,6 +175,21 @@ class TestCombine:
         # (2, 0) - (0, 3) = (2, -3), whose entry -3 enters the 2.5-norm as |-3|
         want = (2.0**2.5 + 3.0**2.5) ** (1.0 / 2.5)
         assert _pair_norms((2.0, 0.0), (0.0, 3.0), 2.5, None, None)[3] == want
+
+    def test_overflowing_entry_is_named(self):
+        with pytest.raises(NonFiniteEntry) as exc:
+            _pair_norms((1.0, 1e308), (1.0, 1e308), 2.0, None, None)
+        assert exc.value.index == 1
+        with pytest.raises(NonFiniteEntry) as exc:
+            _pair_norms((1e308, 1.0), (-1e308, 1.0), 2.0, None, None)
+        assert exc.value.index == 0
+
+    def test_sum_norm_comes_before_the_difference_check(self):
+        # x + y is finite, but its squares overflow math.fsum before x - y,
+        # whose last entry is inf, is checked.
+        x, y = (5e153, 5e153, 1e308), (5e153, 5e153, -1e308)
+        with pytest.raises(OverflowError):
+            _pair_norms(x, y, 2.0, None, None)
 
     def test_length_mismatch(self):
         # the lengths are checked once, by evaluate, before the norms are formed

@@ -205,6 +205,55 @@ class TestExtremalSearch:
         assert out.evaluations == 300
         assert out.status is SearchStatus.NO_VIOLATION
 
+    @pytest.mark.parametrize("id, p, q, spec, seed", [
+        (InequalityId.MAIN_17, 2.0, 4.0, SampleSpec(dim_range=(8, 8)), 1),
+        (InequalityId.PROP_14, 2.0, 6.0,
+         SampleSpec(dim_range=(4, 4), constraint=Constraint.DOMINATED_PAIR), 2),
+    ], ids=["extremal-descent", "dominated-prop-1.4"])
+    def test_revisited_points_are_evaluated_once(self, id, p, q, spec, seed, monkeypatch):
+        """At the full budget of 4000 the small steps revisit points.  No
+        point is evaluated again while it is among its start's last 8n
+        scored points, and a revisit still counts as an evaluation."""
+        events = []
+        real_project, real_evaluate, real_sample = (
+            search._project, search.evaluate, search.sample_pair)
+
+        def projecting(z, n, spec, p):
+            ok = real_project(z, n, spec, p)
+            if ok:
+                events.append(("point", n, z.tobytes()))
+            return ok
+
+        def evaluating(*args, **kwargs):
+            events.append(("evaluate",))
+            return real_evaluate(*args, **kwargs)
+
+        def starting(*args):
+            events.append(("start",))
+            return real_sample(*args)
+
+        monkeypatch.setattr(search, "_project", projecting)
+        monkeypatch.setattr(search, "evaluate", evaluating)
+        monkeypatch.setattr(search, "sample_pair", starting)
+        out = extremal_search(id, p, q, spec, 4000, seed=seed)
+        assert out.evaluations == 4000
+        # The points scored are the first 4000 that project; a later one
+        # finds the budget spent.
+        scored, points, calls = [], 0, 0
+        for i, event in enumerate(events):
+            if event[0] == "start":
+                scored = []
+            elif event[0] == "evaluate":
+                calls += 1
+            elif points < out.evaluations:
+                points += 1
+                _, n, key = event
+                if i + 1 < len(events) and events[i + 1][0] == "evaluate":
+                    assert key not in scored[-8 * n:]
+                scored.append(key)
+        assert points == out.evaluations
+        assert calls < out.evaluations
+
     def test_extremal_consistency(self):
         spec = SampleSpec(dim_range=(2, 4))
         out = extremal_search(
