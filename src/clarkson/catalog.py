@@ -144,13 +144,10 @@ def report(
 def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, float, float]:
     """(||x||, ||y||, ||x+y||, ||x-y||) at exponent p, on float sequences."""
     nx, ny = _p_norm(x, p, w), _p_norm(y, p, w)
-    plus, minus = list(map(add, x, y)), list(map(sub, x, y))
-    if math.isfinite(sum(plus) + sum(minus)):  # false whenever an entry is inf or nan
-        return nx, ny, _p_norm(plus, p, w), _p_norm(minus, p, w)
-    # x + y and x - y are checked as RealVector checks them, in this
-    # order: an overflow raises NonFiniteEntry at its index.
-    ns = _p_norm(_check_entries(plus), p, w)
-    return nx, ny, ns, _p_norm(_check_entries(minus), p, w)
+    # x + y and x - y are checked as RealVector checks them: an overflow
+    # raises NonFiniteEntry at its index.
+    ns = _p_norm(_check_entries(list(map(add, x, y))), p, w)
+    return nx, ny, ns, _p_norm(_check_entries(list(map(sub, x, y))), p, w)
 
 
 def _batch_powers(z: np.ndarray, k: float) -> np.ndarray:
