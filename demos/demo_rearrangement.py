@@ -6,15 +6,13 @@ untouched but never decreases (sum x)^r + (sum y)^r.  The brute-force
 oracle enumerates all 2^n swap patterns to certify the claim.
 """
 
-import numpy as np
-
 from clarkson import (
+    InequalityId,
     NonnegVector,
     brute_force_swap_oracle,
-    check_swap_inequality,
     dominance_rearrange,
+    evaluate,
     sum_power_rearrangement_gap,
-    SwapInstance,
 )
 
 x = NonnegVector((1.0, 3.0, 0.5))
@@ -38,9 +36,10 @@ for r in (1.0, 1.5, 2.0, 3.0):
 print()
 
 print("the single-swap engine behind the argument:")
-inst = SwapInstance(A=2.0, a=3.0, B=1.0, b=1.0, r=2.0)
-rep = check_swap_inequality(inst)
+# (A+a)^r + (B+b)^r >= (A+b)^r + (B+a)^r is sumpow-2.12 on x = (A, b), y = (B, a)
+A, a, B, b = 2.0, 3.0, 1.0, 1.0
+rep = evaluate(InequalityId.SUMPOW_212, NonnegVector((A, b)), NonnegVector((B, a)), 2.0, 2.0)
 print(f"  (A+a)^r + (B+b)^r = {rep.rhs:.0f} > (A+b)^r + (B+a)^r = {rep.lhs:.0f}")
 
-rep = check_swap_inequality(SwapInstance(A=2.0, a=3.0, B=1.0, b=1.0, r=1.0))
+rep = evaluate(InequalityId.SUMPOW_212, NonnegVector((A, b)), NonnegVector((B, a)), 1.0, 1.0)
 print(f"  at r = 1 both sides agree exactly: gap = {rep.gap}")

@@ -19,9 +19,7 @@ from .core import (
 )
 from .rearrange import (
     RearrangedPair,
-    SwapInstance,
     brute_force_swap_oracle,
-    check_swap_inequality,
     dominance_rearrange,
     sum_power_rearrangement_gap,
 )

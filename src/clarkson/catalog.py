@@ -47,7 +47,6 @@ class InequalityId(enum.Enum):
     MAIN_17 = "main-1.7"
     PROP_14 = "prop-1.4"
     COR_16 = "cor-1.6"
-    SWAP_28 = "swap-2.8"
     SUMPOW_212 = "sumpow-2.12"
     REARR_GAIN_217 = "rearr-2.17"
 
@@ -56,7 +55,8 @@ class InequalityId(enum.Enum):
         for member in cls:
             if member.value == name:
                 return member
-        raise ClarksonError(f"unknown inequality id {name!r}")
+        known = ", ".join(member.value for member in cls)
+        raise ClarksonError(f"unknown inequality id {name!r}; known ids: {known}")
 
 
 class Constraint(enum.Enum):
@@ -398,13 +398,6 @@ REGISTRY: Dict[InequalityId, Inequality] = {
         lambda x, y, p, q, w: _batch_repaired_sums(x, y, p, q / p), weighted=False),
 }
 
-def lookup(id: InequalityId) -> Inequality:
-    """The registry entry for id; SWAP_28 has no vector-pair form."""
-    try:
-        return REGISTRY[id]
-    except KeyError:
-        raise ClarksonError(f"{id.value} cannot be evaluated on a vector pair") from None
-
 
 def _nonneg(v: RealVector) -> NonnegVector:
     return v if isinstance(v, NonnegVector) else NonnegVector(v.entries)
@@ -431,7 +424,7 @@ def evaluate(
     checks the pair once, and the quantities see the plain float tuples
     of the checked vectors and weights.
     """
-    entry = lookup(id)
+    entry = REGISTRY[id]
     if entry.constraint is not Constraint.SIGNED:
         if q is None:
             raise RegimeViolation(f"{id.value} requires an explicit q")
@@ -464,7 +457,7 @@ def batch_normalized_gaps(
     raising, so a non-finite value marks a row whose scalar evaluation
     may raise.  Only a screen: every verdict comes from evaluate.
     """
-    entry = lookup(id)
+    entry = REGISTRY[id]
     p, q = entry.exponents(p, q)
     _check_weights(id, entry, w)
     with np.errstate(all="ignore"):

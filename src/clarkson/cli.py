@@ -152,7 +152,7 @@ def _inline_pair(args, vec: type):
 
 def cmd_verify(args) -> int:
     ineq = InequalityId.from_cli(args.ineq)
-    vec = RealVector if catalog.lookup(ineq).constraint is Constraint.SIGNED else NonnegVector
+    vec = RealVector if catalog.REGISTRY[ineq].constraint is Constraint.SIGNED else NonnegVector
     pairs = _inline_pair(args, vec)
     if pairs is None:
         if args.input is None:
@@ -163,22 +163,24 @@ def cmd_verify(args) -> int:
     if not (ps and qs):
         raise UsageError("--p and --q each need at least one value")
     policy = _policy(args)
-    violated = False
+    # Every row is built before the table opens, so an error leaves no
+    # partial output.
+    reports = []
+    for idx, (x, y, w) in enumerate(pairs):
+        for p in ps:
+            for q in qs:
+                try:
+                    reports.append((idx, catalog.evaluate(ineq, x, y, p, q, w, policy)))
+                except ClarksonError as exc:
+                    raise UsageError(f"pair {idx}: {exc}")
     header = ["ineq_id", "pair", "p", "q", "lhs", "rhs", "gap", "scale", "verdict"]
     with _table(args.out, header) as writer:
-        for idx, (x, y, w) in enumerate(pairs):
-            for p in ps:
-                for q in qs:
-                    try:
-                        rep = catalog.evaluate(ineq, x, y, p, q, w, policy)
-                    except ClarksonError as exc:
-                        raise UsageError(f"pair {idx}: {exc}")
-                    if rep.verdict is catalog.Verdict.VIOLATED:
-                        violated = True
-                    writer.writerow(
-                        [rep.id.value, idx, repr(rep.p), repr(rep.q), repr(rep.lhs),
-                         repr(rep.rhs), repr(rep.gap), repr(rep.scale), rep.verdict.value]
-                    )
+        for idx, rep in reports:
+            writer.writerow(
+                [rep.id.value, idx, repr(rep.p), repr(rep.q), repr(rep.lhs),
+                 repr(rep.rhs), repr(rep.gap), repr(rep.scale), rep.verdict.value]
+            )
+    violated = any(rep.verdict is catalog.Verdict.VIOLATED for _, rep in reports)
     return EXIT_VIOLATION if violated else EXIT_OK
 
 

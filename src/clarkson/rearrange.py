@@ -1,4 +1,4 @@
-"""Dominance rearrangement and the pairwise swap machinery.
+"""Dominance rearrangement.
 
 Re-pairing two nonnegative sequences into componentwise (max, min) leaves
 the multisets {x_i + y_i} and {|x_i - y_i|} untouched while never
@@ -14,41 +14,11 @@ from typing import FrozenSet
 
 import numpy as np
 
-from .catalog import (
-    DEFAULT_POLICY,
-    GapReport,
-    InequalityId,
-    TolerancePolicy,
-    evaluate,
-    report,
-)
+from .catalog import DEFAULT_POLICY, GapReport, InequalityId, TolerancePolicy, evaluate
 from .core import NonnegVector, _check_pair
-from .errors import DominanceViolation, ExponentOutOfRange, TooLarge
+from .errors import ExponentOutOfRange, TooLarge
 
 ORACLE_MAX_LEN = 16
-
-
-@dataclass(frozen=True)
-class SwapInstance:
-    """Nonnegative reals with A >= B and a > b, plus an exponent r >= 1."""
-
-    A: float
-    a: float
-    B: float
-    b: float
-    r: float
-
-    def __post_init__(self):
-        for name in ("A", "a", "B", "b", "r"):
-            val = getattr(self, name)
-            if not math.isfinite(val) or val < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {val}")
-        if self.A < self.B:
-            raise DominanceViolation(0, f"need A >= B, got A={self.A}, B={self.B}")
-        if self.a <= self.b:
-            raise DominanceViolation(1, f"need a > b, got a={self.a}, b={self.b}")
-        if self.r < 1.0:
-            raise ExponentOutOfRange(f"need r >= 1, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -71,16 +41,6 @@ def dominance_rearrange(x: NonnegVector, y: NonnegVector) -> RearrangedPair:
             v.append(a)
             swapped.append(i)
     return RearrangedPair(NonnegVector(tuple(u)), NonnegVector(tuple(v)), frozenset(swapped))
-
-
-def check_swap_inequality(
-    inst: SwapInstance, policy: TolerancePolicy = DEFAULT_POLICY
-) -> GapReport:
-    """(A+a)^r + (B+b)^r >= (A+b)^r + (B+a)^r, strict for r > 1, A > B."""
-    r = inst.r
-    lhs = (inst.A + inst.b) ** r + (inst.B + inst.a) ** r
-    rhs = (inst.A + inst.a) ** r + (inst.B + inst.b) ** r
-    return report(InequalityId.SWAP_28, r, r, lhs, rhs, policy)
 
 
 def sum_power_rearrangement_gap(

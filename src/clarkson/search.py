@@ -56,6 +56,7 @@ import numpy as np
 
 from .catalog import (
     DEFAULT_POLICY,
+    REGISTRY,
     Constraint,
     GapReport,
     InequalityId,
@@ -63,7 +64,6 @@ from .catalog import (
     Verdict,
     batch_normalized_gaps,
     evaluate,
-    lookup,
 )
 from .core import NonnegVector, RealVector, Weights
 from .errors import (
@@ -258,7 +258,7 @@ def _check_constraint(id: InequalityId, spec: SampleSpec, explore: bool) -> bool
     signed inputs into a nonnegative statement are accepted only with
     explore=True and only where the entry has an exploration formula.
     """
-    entry = lookup(id)
+    entry = REGISTRY[id]
     if spec.constraint.within(entry.constraint):
         return False
     if spec.constraint is Constraint.SIGNED and entry.explore and explore:
@@ -362,7 +362,7 @@ def counterexample_search(
     (p, q) go through the entry's exponent builder first; the witness
     records the pair it returns.
     """
-    p, q = lookup(id).exponents(p, q)
+    p, q = REGISTRY[id].exponents(p, q)
     exploratory = _check_constraint(id, spec, explore)
     if budget <= 0:
         return _no_result(p, q, 0, seed, exploratory)
@@ -416,7 +416,7 @@ def extremal_search(
     the descent moves the entries only.  (p, q) are resolved as in
     counterexample_search.
     """
-    p, q = lookup(id).exponents(p, q)
+    p, q = REGISTRY[id].exponents(p, q)
     exploratory = _check_constraint(id, spec, explore)
     if spec.weights:
         raise ConstraintMismatch("extremal search does not take weights")
@@ -522,7 +522,7 @@ def scan_grid(
     if not p_grid or not q_grid:
         raise EmptyGrid("empty p or q grid")
     exploratory = _check_constraint(id, spec, explore)
-    build = lookup(id).exponents
+    build = REGISTRY[id].exponents
     out: List[CellSummary] = []
     for cell_index, (p, q) in enumerate(product(p_grid, q_grid)):
         try:

@@ -15,9 +15,7 @@ from clarkson.catalog import InequalityId, TolerancePolicy, Verdict, evaluate
 from clarkson.cli import main as cli_main
 from clarkson.core import NonnegVector, RealVector, p_norm
 from clarkson.rearrange import (
-    SwapInstance,
     brute_force_swap_oracle,
-    check_swap_inequality,
     dominance_rearrange,
     sum_power_rearrangement_gap,
 )
@@ -224,6 +222,11 @@ def test_criterion_08_rearrangement_oracle():
     _report_line(8, "Rearrangement: brute-force oracle and interchange invariance", ok)
 
 
+def _single_swap(A, a, B, b, r):
+    """(A+a)^r + (B+b)^r >= (A+b)^r + (B+a)^r is sumpow-2.12 on x = (A, b), y = (B, a)."""
+    return evaluate(InequalityId.SUMPOW_212, NonnegVector((A, b)), NonnegVector((B, a)), r, r)
+
+
 def test_criterion_09_swap_inequality():
     ok = True
     rng = np.random.Generator(np.random.Philox(key=np.uint64(SEED + 8)))
@@ -233,18 +236,18 @@ def test_criterion_09_swap_inequality():
         b = float(rng.uniform(0.0, 10.0))
         a = b + float(rng.uniform(1e-9, 10.0))
         r = float(rng.uniform(1.0, 6.0))
-        rep = check_swap_inequality(SwapInstance(A, a, B, b, r))
+        rep = _single_swap(A, a, B, b, r)
         if rep.gap < -1e-12 * rep.scale:
             ok = False
     for A, B, a, b in ((3, 1, 2, 0), (5, 2, 4, 1), (9, 9, 3, 2)):
-        rep = check_swap_inequality(SwapInstance(float(A), float(a), float(B), float(b), 1.0))
+        rep = _single_swap(float(A), float(a), float(B), float(b), 1.0)
         if rep.gap != 0.0:
             ok = False
     for A, B, a, b, r in ((3, 1, 2, 0, 2.0), (5, 2, 4, 1, 3.0), (7, 3, 6, 2, 1.5)):
-        rep = check_swap_inequality(SwapInstance(float(A), float(a), float(B), float(b), r))
+        rep = _single_swap(float(A), float(a), float(B), float(b), r)
         if not rep.gap > 0.0:
             ok = False
-    _report_line(9, "swap-2.8: weak bound, exact r=1 zero, strict r>1", ok)
+    _report_line(9, "single swap as sumpow-2.12: weak bound, exact r=1 zero, strict r>1", ok)
 
 
 def test_criterion_10_chi_sign_change():

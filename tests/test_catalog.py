@@ -348,10 +348,13 @@ class TestDispatch:
         with pytest.raises(NegativeEntry):
             evaluate(InequalityId.MAIN_17, RealVector((-1.0,)), RealVector((1.0,)), 2.0, 3.0)
 
-    def test_swap_has_no_pair_form(self):
-        x = NonnegVector((1.0,))
-        with pytest.raises(ClarksonError):
-            evaluate(InequalityId.SWAP_28, x, x, 2.0, 3.0)
+    def test_unknown_id_lists_known_ids(self):
+        with pytest.raises(ClarksonError) as exc:
+            InequalityId.from_cli("swap-2.8")
+        assert str(exc.value) == (
+            "unknown inequality id 'swap-2.8'; known ids: c-1.1, c-1.2, c-1.3-left, "
+            "c-1.3-right, main-1.7, prop-1.4, cor-1.6, sumpow-2.12, rearr-2.17"
+        )
 
     @pytest.mark.parametrize(
         "id", [InequalityId.COR_16, InequalityId.SUMPOW_212, InequalityId.REARR_GAIN_217]

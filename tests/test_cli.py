@@ -59,6 +59,19 @@ class TestVerify:
         assert code == 2
         assert "no input pairs" in err
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_error_leaves_no_partial_table(self, to_file, tmp_path, capsys):
+        # pair 0 holds; pair 1 fails, and no row of pair 0 may be written
+        doc = {"pairs": [{"x": [1, 2], "y": [0.5, 1]}, {"x": [1, 2, 3], "y": [1, 2]}]}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "out.csv"
+        argv = ["verify", "--ineq", "main-1.7", "--input", str(path), "--p", "2", "--q", "3"]
+        code, out, err = run([*argv, "--out", str(out_path)] if to_file else argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: pair 1: lengths 3 and 2 differ"]
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("field, value, message", [
         # a string used to be read character by character, "12" as (1.0, 2.0)
         ("x", "12", "expected a list of numbers, got '12'"),
@@ -270,7 +283,7 @@ class TestErrorExits:
         [
             (["verify", "--ineq", "bogus", "--x", "1", "--y", "1"], "unknown inequality id"),
             (["scan", "--ineq", "swap-2.8", "--p-grid", "2:3:1", "--q-grid", "2:3:1",
-              "--samples", "5"], "vector pair"),
+              "--samples", "5"], "unknown inequality id 'swap-2.8'"),
             (["verify", "--ineq", "main-1.7", "--x", "1e200,1", "--y", "1e200,0",
               "--p", "2.5", "--q", "3"], "non-finite gap"),
             (["verify", "--ineq", "main-1.7", "--x", "1e200,1", "--y", "1e200,0",

@@ -4,8 +4,7 @@ For every id this records, as literal tables: whether each input
 constraint is accepted, exploratory or rejected (explore off and on);
 which cells a scan over p in 1:4:0.25, q in 1:6:0.25 skips; the
 exponents `clarkson search` samples at; and the rows `clarkson verify`
-prints.  swap-2.8 has no vector-pair form and is rejected everywhere.
-Each entry's exponent builder is the one regime check, so verify,
+prints.  Each entry's exponent builder is the one regime check, so verify,
 search and scan agree on which exponents run.
 """
 
@@ -15,7 +14,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from clarkson.catalog import Constraint, InequalityId, lookup
+from clarkson.catalog import REGISTRY, Constraint, InequalityId
 from clarkson.cli import main
 from clarkson.errors import ClarksonError
 from clarkson.search import SampleSpec, counterexample_search, scan_grid
@@ -31,7 +30,6 @@ STATUS = {
     "main-1.7": {"nonnegative": (A, A), "signed": (R, E), "dominated": (A, A)},
     "prop-1.4": {"nonnegative": (R, R), "signed": (R, R), "dominated": (A, A)},
     "cor-1.6": {"nonnegative": (R, R), "signed": (R, R), "dominated": (A, A)},
-    "swap-2.8": {"nonnegative": (R, R), "signed": (R, R), "dominated": (R, R)},
     "sumpow-2.12": {"nonnegative": (A, A), "signed": (R, R), "dominated": (A, A)},
     "rearr-2.17": {"nonnegative": (A, A), "signed": (R, R), "dominated": (A, A)},
 }
@@ -89,7 +87,6 @@ SEARCH_EXPS = {
     "prop-1.4": MAIN_EXPS,
     # the corollary is stated for q >= 2 only
     "cor-1.6": ((3.7, 3.7), (3.0, 3.0), (3.0, 3.0), None, (3.0, 3.0), (2.0, 2.0)),
-    "swap-2.8": (None,) * len(SEARCH_POINTS),
     "sumpow-2.12": SCALAR_EXPS,
     "rearr-2.17": MAIN_EXPS,
 }
@@ -97,8 +94,8 @@ SEARCH_EXPS = {
 
 def test_tables_cover_every_id():
     ids = {member.value for member in InequalityId}
-    assert set(STATUS) == ids == set(SEARCH_EXPS)
-    assert set(SKIPS) == ids - {"swap-2.8"}
+    assert set(STATUS) == ids == set(SEARCH_EXPS) == set(SKIPS)
+    assert set(REGISTRY) == set(InequalityId)
 
 
 @pytest.mark.parametrize("name", sorted(STATUS))
@@ -126,11 +123,6 @@ def test_scan_skip_set(name):
         for i in range(len(P_GRID))
     )
     assert got == SKIPS[name]
-
-
-def test_scan_rejects_swap():
-    with pytest.raises(ClarksonError):
-        scan_grid(InequalityId.SWAP_28, P_GRID, Q_GRID, SampleSpec(), 1, seed=0)
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_EXPS))
@@ -293,7 +285,7 @@ exponents = st.one_of(st.floats(min_value=0.5, max_value=50.0),
 @given(st.sampled_from(sorted(VERIFY_ROWS)), exponents, exponents)
 def test_exponent_builders_are_idempotent(name, p, q):
     """Search hands the pair a builder returned back to evaluate, which builds again."""
-    build = lookup(InequalityId.from_cli(name)).exponents
+    build = REGISTRY[InequalityId.from_cli(name)].exponents
     try:
         pq = build(p, q)
     except ClarksonError:
