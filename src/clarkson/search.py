@@ -24,20 +24,27 @@ when it was seen.  The range's minimum, the rows tied with it and every
 violation are thus evaluated.
 
 Entries are validated once: sample_block checks a whole block as the
-vector constructors would, and _project's output is valid by
-construction, so SampleBlock.pair and the extremal descent wrap their
-floats in vectors without checking them again.
+vector constructors would, and the extremal descent's points stay valid
+by construction (a start is a validated sample, a move is put back on
+the constraint set, and a positive factor keeps both), so
+SampleBlock.pair and the extremal descent wrap their floats in vectors
+without checking them again.
 
 The extremal descent is sequential: each step starts from the point the
-last one accepted.  Its point is one float64 array z = (x, y).  A
-candidate is a copy of z with one coordinate moved; score has _project
-clamp and renormalize it in place, then splits one z.tolist() into x
-and y.  A start's last 8n distinct points scored are kept by their
-bytes with their gaps (None for a non-finite one), and a point among
-them is not evaluated again: a coordinate at 0 pushed by -step clamps
-back to the same bits.  The repeat still counts one evaluation toward
-the budget, and its gap is the first visit's, which has already been
-recorded, so no output changes.
+last one accepted.  Its point is one float64 array z = (x, y) on the
+constraint set.  A candidate is a copy of z with one coordinate moved,
+and _move puts only that coordinate back on the set: it clamps it at 0,
+and for dominated pairs first re-pairs it with its partner as (max,
+min); the rest of z is on the set already.  _project then renormalizes
+the candidate in place, and score splits one z.tolist() into x and y.
+A move the clamp undoes (a coordinate at 0 pushed by -step) gives back
+z, whose projection is scored instead: one projected copy per current
+point, reused by every such move.  A start's last 8n distinct points
+scored are kept by their bytes with their gaps (None for a non-finite
+one), and a point among them is not evaluated again: the projected copy
+of z is scored at each undone move.  The repeat still counts one
+evaluation toward the budget, and its gap is the first visit's, which
+has already been recorded, so no output changes.
 The norm is numpy's power and pairwise sum: a math.fsum norm would round
 differently and move the descent onto another path.
 """
@@ -373,23 +380,50 @@ def counterexample_search(
     return SearchOutcome(rep, witness, ng, budget, seed, status, exploratory)
 
 
-def _project(z: np.ndarray, n: int, spec: SampleSpec, p: float) -> bool:
-    """Clamp z = (x, y), x = z[:n], onto the constraint set and renormalize
-    it in place to ||x||_p^p + ||y||_p^p = 1; False when its norm is 0 or
-    not finite, and z is then of no use.
+def _move(
+    z: np.ndarray, n: int, i: int, delta: float, constraint: Constraint
+) -> Optional[np.ndarray]:
+    """A copy of z = (x, y), x = z[:n], with z[i] moved by delta and put
+    back on the constraint set; None when that gives back z bit for bit.
 
-    The pair is scaled as a whole: a common positive factor keeps u >= v
-    and keeps y from growing without bound while x is held at norm 1.
+    z lies on the set, so only the moved coordinate is clamped at 0 (not
+    for SIGNED), after DOMINATED_PAIR re-pairs it with its partner as
+    (max, min): the whole-vector clamp and re-pairing would leave
+    every other coordinate as it is.  Under those two constraints z holds
+    no -0.0 (sample_block's entries and the clamp's 0.0 are +0.0), so
+    equal values are equal bits.
     """
-    if spec.constraint is Constraint.DOMINATED_PAIR:
-        x, y = z[:n], z[n:]
-        u = np.maximum(x, y)
-        np.minimum(x, y, out=y)
-        x[:] = u
-    if spec.constraint is Constraint.SIGNED:
+    v = z.item(i) + delta
+    if constraint is Constraint.DOMINATED_PAIR:
+        j = i % n
+        a, b = (v, z.item(n + j)) if i < n else (z.item(j), v)
+        u, w = max(a, b, 0.0), max(min(a, b), 0.0)
+        if u == z.item(j) and w == z.item(n + j):
+            return None
+        cand = z.copy()
+        cand[j], cand[n + j] = u, w
+        return cand
+    if constraint is Constraint.NONNEGATIVE:
+        v = max(v, 0.0)
+        if v == z.item(i):
+            return None
+    cand = z.copy()
+    cand[i] = v
+    return cand
+
+
+def _project(z: np.ndarray, p: float, signed: bool) -> bool:
+    """Renormalize z = (x, y), a point on the constraint set, in place to
+    ||x||_p^p + ||y||_p^p = 1; False when its norm is 0 or not finite,
+    and z is then of no use.
+
+    The pair is scaled as a whole: a common positive factor keeps it on
+    the set and keeps y from growing without bound while x is held at
+    norm 1.
+    """
+    if signed:
         powers = np.abs(z) ** p
     else:
-        np.maximum(z, 0.0, out=z)
         powers = z**p  # z >= 0: |z|^p without the abs
     norm = float(np.add.reduce(powers)) ** (1.0 / p)
     if norm == 0.0 or not math.isfinite(norm):
@@ -425,18 +459,18 @@ def extremal_search(
     best: Optional[Tuple[GapReport, tuple]] = None
     violated = False
 
-    # _project output is finite, and clamped and dominated as spec requires.
-    vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
+    # Every point scored is finite, and clamped and dominated as spec requires.
+    signed = spec.constraint is Constraint.SIGNED
+    vec = RealVector if signed else NonnegVector
 
     def score(z: np.ndarray) -> Optional[float]:
-        """Project z in place and return its normalized gap; None when z
-        projects to no point, the budget is spent or the gap is not
-        finite.  Records the best point seen.  A point still in memo,
-        the start's last 8n distinct points scored, counts one
-        evaluation and takes the gap of its first visit, which has
-        already been recorded."""
+        """Return the normalized gap of z, a projected point; None when
+        the budget is spent or the gap is not finite.  Records the best
+        point seen.  A point still in memo, the start's last 8n distinct
+        points scored, counts one evaluation and takes the gap of its
+        first visit, which has already been recorded."""
         nonlocal evals, violated, best_ng, best
-        if not _project(z, n, spec, p) or evals >= budget:
+        if evals >= budget:
             return None
         evals += 1
         key = z.tobytes()
@@ -467,7 +501,9 @@ def extremal_search(
         n = len(x0)
         memo: OrderedDict = OrderedDict()
         z = np.array(x0.entries + y0.entries)
-        cur_ng = score(z)
+        # sample_block has validated the start: it is on the constraint set.
+        cur_ng = score(z) if _project(z, p, signed) else None
+        z_again = None  # z projected once more, for the moves the clamp undoes
         step = _INITIAL_STEP
         while cur_ng is not None and step >= _MIN_STEP and evals < budget:
             # Sweep x (z[:n]), then y.  An accepted move goes on from the
@@ -478,11 +514,17 @@ def extremal_search(
                 if i == n and improved:
                     break
                 for delta in (step, -step):
-                    cand = z.copy()
-                    cand[i] += delta
+                    cand = _move(z, n, i, delta, spec.constraint)
+                    if cand is None:
+                        if z_again is None:
+                            z_again = z.copy()
+                            _project(z_again, p, signed)  # z has norm 1: this succeeds
+                        cand = z_again
+                    elif not _project(cand, p, signed):
+                        continue
                     ng = score(cand)
                     if ng is not None and ng < cur_ng:
-                        z, cur_ng, improved = cand, ng, True
+                        z, cur_ng, improved, z_again = cand, ng, True, None
                         break
             if not improved:
                 step *= 0.5

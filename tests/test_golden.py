@@ -60,7 +60,7 @@ GOLDEN = [
         [
             "search", "--mode", "extremal", "--ineq", "prop-1.4", "--constraint", "dominated",
             "--p", "2", "--q", "6", "--nmin", "4", "--nmax", "4", "--budget", "4000",
-            "--seed", "2",
+            "--seed", "2", "--out", "WITNESS",
         ],
         0,
         (
@@ -70,8 +70,45 @@ GOLDEN = [
             "best_normalized_gap: -6.661338147750944e-16\n"
             "best_verdict: borderline\n"
         ),
-        None,
+        _pinned("extremal-prop-1.4-dominated-witness.json"),
         id="dominated extremal prop-1.4 at a full budget",
+    ),
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "4",
+            "--dist", "sparse", "--nmin", "8", "--nmax", "8", "--budget", "4000", "--seed", "1",
+            "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 4000\n"
+            "seed: 1\n"
+            "best_normalized_gap: -4.440892098500628e-16\n"
+            "best_verdict: borderline\n"
+        ),
+        _pinned("extremal-main-1.7-sparse-witness.json"),
+        # The sparse starts have zero coordinates, so moves that the clamp
+        # undoes come from the first sweep on.
+        id="extremal main-1.7 from sparse starts at a full budget",
+    ),
+    pytest.param(
+        [
+            "search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2.5", "--q", "3",
+            "--constraint", "signed", "--explore", "--nmin", "3", "--nmax", "5", "--budget",
+            "4000", "--seed", "2", "--out", "WITNESS",
+        ],
+        0,
+        (
+            "status: no-violation\n"
+            "evaluations: 4000\n"
+            "seed: 2\n"
+            "best_normalized_gap: -3.3306690738754696e-16\n"
+            "best_verdict: borderline\n"
+            "exploratory: true (constraint outside the stated regime)\n"
+        ),
+        _pinned("extremal-main-1.7-signed-witness.json"),
+        id="signed exploratory extremal main-1.7 at a full budget",
     ),
     pytest.param(
         [

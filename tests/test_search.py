@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter, OrderedDict
 
+import numpy as np
 import pytest
 
 from clarkson.catalog import REGISTRY, InequalityId, Verdict, evaluate
@@ -215,14 +217,14 @@ class TestExtremalSearch:
         point is evaluated again while it is among its start's last 8n
         scored points, and a revisit still counts as an evaluation."""
         events = []
-        real_project, real_evaluate, real_sample = (
-            search._project, search.evaluate, search.sample_pair)
+        real_evaluate, real_sample = search.evaluate, search.sample_pair
 
-        def projecting(z, n, spec, p):
-            ok = real_project(z, n, spec, p)
-            if ok:
-                events.append(("point", n, z.tobytes()))
-            return ok
+        class Memo(OrderedDict):
+            """score looks up the key of each point it scores here."""
+
+            def __contains__(self, key):
+                events.append(("point", len(key) // 16, key))  # 2n float64s
+                return super().__contains__(key)
 
         def evaluating(*args, **kwargs):
             events.append(("evaluate",))
@@ -232,13 +234,13 @@ class TestExtremalSearch:
             events.append(("start",))
             return real_sample(*args)
 
-        monkeypatch.setattr(search, "_project", projecting)
+        monkeypatch.setattr(search, "OrderedDict", Memo)
         monkeypatch.setattr(search, "evaluate", evaluating)
         monkeypatch.setattr(search, "sample_pair", starting)
         out = extremal_search(id, p, q, spec, 4000, seed=seed)
         assert out.evaluations == 4000
-        # The points scored are the first 4000 that project; a later one
-        # finds the budget spent.
+        # score takes a key only within the budget, so every point seen
+        # here is scored.
         scored, points, calls = [], 0, 0
         for i, event in enumerate(events):
             if event[0] == "start":
@@ -254,6 +256,33 @@ class TestExtremalSearch:
         assert points == out.evaluations
         assert calls < out.evaluations
 
+    def test_current_point_is_projected_at_most_once(self, monkeypatch):
+        """On the extremal-descent flags, the moves the clamp undoes all
+        score one projected copy of the current point: no output of a
+        projection is projected again more than once."""
+        starts, outputs, again = [], set(), Counter()
+        real_project, real_sample = search._project, search.sample_pair
+
+        def projecting(z, *args):
+            key = z.tobytes()
+            if key in outputs:
+                again[len(starts), key] += 1
+            ok = real_project(z, *args)
+            outputs.add(z.tobytes())
+            return ok
+
+        def starting(*args):
+            starts.append(args)
+            outputs.clear()
+            return real_sample(*args)
+
+        monkeypatch.setattr(search, "_project", projecting)
+        monkeypatch.setattr(search, "sample_pair", starting)
+        out = extremal_search(InequalityId.MAIN_17, 2.0, 4.0, SampleSpec(dim_range=(8, 8)),
+                              4000, seed=1)
+        assert out.evaluations == 4000
+        assert again and max(again.values()) == 1
+
     def test_extremal_consistency(self):
         spec = SampleSpec(dim_range=(2, 4))
         out = extremal_search(
@@ -268,6 +297,38 @@ class TestExtremalSearch:
                 continue
             raw.append(rep.gap / rep.scale)
         assert out.normalized_gap <= min(raw) + 1e-15
+
+
+class TestMove:
+    """search._move: one coordinate moved and put back on the constraint set."""
+
+    def test_nonnegative(self):
+        z = np.array([0.0, 0.5, 0.3, 0.2])
+        assert search._move(z, 2, 0, -0.1, Constraint.NONNEGATIVE) is None
+        assert search._move(z, 2, 1, -0.6, Constraint.NONNEGATIVE).tolist() == [0.0, 0.0, 0.3, 0.2]
+        assert search._move(z, 2, 0, 0.1, Constraint.NONNEGATIVE).tolist() == [0.1, 0.5, 0.3, 0.2]
+        assert z.tolist() == [0.0, 0.5, 0.3, 0.2]
+
+    def test_dominated(self):
+        # x = (0.5, 0), y = (0.25, 0)
+        z = np.array([0.5, 0.0, 0.25, 0.0])
+
+        def move(i, delta):
+            return search._move(z, 2, i, delta, Constraint.DOMINATED_PAIR)
+
+        assert move(0, -0.375).tolist() == [0.25, 0.0, 0.125, 0.0]  # x_0 below y_0: swapped
+        assert move(2, -0.5).tolist() == [0.5, 0.0, 0.0, 0.0]
+        assert move(2, 0.5).tolist() == [0.75, 0.0, 0.5, 0.0]
+        assert move(1, -0.1) is None and move(3, -0.1) is None  # the pair at 0
+        assert move(1, 0.1).tolist() == [0.5, 0.1, 0.25, 0.0]
+        assert z.tolist() == [0.5, 0.0, 0.25, 0.0]
+
+    def test_signed_never_gives_back_z(self):
+        z = np.array([0.0, -0.5, 0.25, 0.0])
+        for i, delta in itertools.product(range(4), (0.1, -0.1, 1e-8, -1e-8)):
+            cand = search._move(z, 2, i, delta, Constraint.SIGNED)
+            assert cand is not None and cand[i] == z[i] + delta
+            assert np.delete(cand, i).tolist() == np.delete(z, i).tolist()
 
 
 class TestScanGrid:
