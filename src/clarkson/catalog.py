@@ -150,24 +150,14 @@ def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, fl
     return nx, ny, ns, _p_norm(_check_entries(list(map(sub, x, y))), p, w)
 
 
-def _batch_powers(z: np.ndarray, k: float) -> np.ndarray:
-    """|z|^k entrywise, for k >= 1, raising only nonzero entries.
-
-    Zeros, the padding among them, stay 0, which is what |0|^k gives, so
-    the terms equal the dense ones bit for bit.  |z| is raised in place:
-    one block-sized temporary instead of two keeps the heap from being
-    trimmed and regrown between windows (page faults on every window).
-    """
-    a = np.abs(z)
-    return np.power(a, k, where=a != 0, out=a)
-
-
 def _batch_abs_powers(z: np.ndarray, k: float) -> np.ndarray:
-    """|z|^k entrywise, for k >= 1: the products of core._abs_powers at
-    k = 2, 3 and 4, so the terms equal the scalar path's bit for bit, and
-    _batch_powers at any other k (at k = 1 that is |z| exactly).  The
-    masked power leaves numpy's fast paths; the products take a fifth of
-    its time.
+    """|z|^k entrywise, for k >= 1, path for path as core._abs_powers, so
+    at k = 1, 2, 3 and 4 the terms equal the scalar path's bit for bit.
+    At any other k only nonzero entries are raised, in place in |z| (one
+    block-sized temporary, not two, keeps the heap from being trimmed and
+    regrown between windows); zeros, padding included, stay 0 = |0|^k, so
+    the terms equal the dense ones bit for bit.  The masked power leaves
+    numpy's fast paths; the products take a fifth of its time.
     """
     if k == 2.0:
         return z * z
@@ -176,19 +166,10 @@ def _batch_abs_powers(z: np.ndarray, k: float) -> np.ndarray:
     if k == 4.0:
         squares = z * z
         return squares * squares
-    return _batch_powers(z, k)
-
-
-def _batch_power_sums(z: np.ndarray, k: float, w: Optional[np.ndarray]) -> np.ndarray:
-    """Sum over the last axis of w|z|^k, for k >= 1.
-
-    Sums are numpy's, not math.fsum; see search._SCREEN_MARGIN for how
-    far they may differ.
-    """
-    terms = _batch_abs_powers(z, k)
-    if w is not None:
-        terms *= w
-    return terms.sum(axis=-1)
+    a = np.abs(z)
+    if k == 1.0:
+        return a
+    return np.power(a, k, where=a != 0, out=a)
 
 
 def _batch_pair_norms(
@@ -196,13 +177,17 @@ def _batch_pair_norms(
 ) -> Tuple[np.ndarray, ...]:
     """_pair_norms per row of zero-padded (B, nmax) arrays.
 
-    A power sum below the smallest normal float, of entries not all 0,
-    has lost bits to underflow, which core._p_norm restores by
-    rescaling and numpy's sum does not: its norm is nan, so the screen
-    keeps the row for the scalar path.
+    Sums are numpy's, not math.fsum; see search._SCREEN_MARGIN for how
+    far they may differ.  A power sum below the smallest normal float,
+    of entries not all 0, has lost bits to underflow, which
+    core._p_norm restores by rescaling and numpy's sum does not: its
+    norm is nan, so the screen keeps the row for the scalar path.
     """
     z = np.stack((x, y, x + y, x - y))
-    sums = _batch_power_sums(z, p, w)
+    terms = _batch_abs_powers(z, p)
+    if w is not None:
+        terms *= w
+    sums = terms.sum(axis=-1)
     lost = sums < _MIN_NORMAL
     if lost.any():
         sums[lost & z.any(axis=-1)] = math.nan
@@ -275,8 +260,9 @@ def _repaired_sides(a, b, u, v, e: float, p=None, q=None):
     return a**e + b**e, u**e + v**e
 
 
-def _check_weights(id: InequalityId, entry: Inequality, w) -> None:
-    if w is not None and not entry.weighted:
+def _check_weights(id: InequalityId, weighted: bool) -> None:
+    """The weights rule: weights only where entry id's statement has them."""
+    if weighted and not REGISTRY[id].weighted:
         raise ConstraintMismatch(f"{id.value} is stated without weights")
 
 
@@ -430,7 +416,7 @@ def evaluate(
             raise RegimeViolation(f"{id.value} requires an explicit q")
         if strict or not entry.explore:
             x, y = _nonneg(x), _nonneg(y)
-    _check_weights(id, entry, w)
+    _check_weights(id, w is not None)
     p, q = entry.exponents(p, q)
     masses = None if w is None else w.masses
     _check_pair(x.entries, y.entries, masses, entry.constraint is Constraint.DOMINATED_PAIR)
@@ -447,19 +433,20 @@ def batch_normalized_gaps(
     x: np.ndarray,
     y: np.ndarray,
     p: float,
-    q: Optional[float],
+    q: float,
     w: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """gap / scale of entry id's statement on each row of (B, nmax) arrays.
 
-    Rows are zero-padded pairs meeting the entry's constraint; w holds the
-    weights on the same layout.  Overflow gives inf or nan instead of
-    raising, so a non-finite value marks a row whose scalar evaluation
-    may raise.  Only a screen: every verdict comes from evaluate.
+    Rows are zero-padded pairs meeting the entry's constraint, w their
+    weights (None unless the entry is weighted) and (p, q) a pair its
+    exponent builder returned; search checks these once a run, and
+    nothing here checks them again.  Overflow gives inf or nan instead
+    of raising, so a non-finite value marks a row whose scalar
+    evaluation may raise.  Only a screen: every verdict comes from
+    evaluate.
     """
     entry = REGISTRY[id]
-    p, q = entry.exponents(p, q)
-    _check_weights(id, entry, w)
     with np.errstate(all="ignore"):
         lhs, rhs = entry.sides(*entry.batch_quantities(x, y, p, q, w), p, q)
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)

@@ -5,20 +5,20 @@ All values are immutable after validation.  Sums of p-th powers use exact compen
 (``math.fsum``) because downstream gap functionals subtract nearly equal
 quantities.
 
-Validation happens once, where values enter: the vector constructors
-(behind the CLI and ``catalog.evaluate``) and the bulk checks of
-``search.sample_block``; a pair's rules (lengths, dominance) are
-``_check_pair``'s.  Past that, the catalog's registry quantities work
-on the plain float tuples (``entries``, ``masses``) through the private
-float helpers ``_sum_abs_powers`` and ``_p_norm``, which check nothing;
-the public ``p_norm`` checks p and the weights, then calls ``_p_norm``,
-so both give the same bits.  ``_abs_powers`` yields the terms |x_i|^p
+Validation happens once, where values enter: the vector constructors,
+behind the CLI and ``catalog.evaluate``; a pair's rules (lengths,
+dominance) are ``_check_pair``'s.  Sampled values are valid by
+construction and are not checked.  Past that, the catalog's registry
+quantities work on the plain float tuples (``entries``, ``masses``)
+through the private float helpers ``_sum_abs_powers`` and ``_p_norm``,
+which check nothing; the public ``p_norm`` checks p and the weights,
+then calls ``_p_norm``, so both give the same bits.  ``_abs_powers`` yields the terms |x_i|^p
 for these sums and for the catalog's re-paired sums, from ``map`` over
 C-level callables (``operator.mul`` on the p = 2, 3, 4 fast paths,
 builtin ``pow`` otherwise), so ``math.fsum`` reads them without a list.
 ``_trusted`` wraps floats in a vector without checking them, for
-entries validated in bulk (``SampleBlock.pair``) or valid by
-construction (the point ``search._project`` renormalizes in place).
+entries valid by construction (``SampleBlock.pair`` and the point
+``search._project`` renormalizes in place).
 """
 
 from __future__ import annotations

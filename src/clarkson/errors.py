@@ -34,8 +34,8 @@ class RegimeViolation(ClarksonError):
 
 
 class DominanceViolation(ClarksonError):
-    def __init__(self, index: int = -1, message: str = ""):
-        super().__init__(message or f"dominance violated at index {index}")
+    def __init__(self, index: int):
+        super().__init__(f"dominance violated at index {index}")
         self.index = index
 
 

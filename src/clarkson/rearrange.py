@@ -14,7 +14,8 @@ from typing import FrozenSet
 
 import numpy as np
 
-from .catalog import DEFAULT_POLICY, GapReport, InequalityId, TolerancePolicy, evaluate
+from . import catalog
+from .catalog import DEFAULT_POLICY, GapReport, InequalityId, TolerancePolicy
 from .core import NonnegVector, _check_pair
 from .errors import ExponentOutOfRange, TooLarge
 
@@ -50,7 +51,7 @@ def sum_power_rearrangement_gap(
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> GapReport:
     """(sum u)^r + (sum v)^r >= (sum x)^r + (sum y)^r for the (max, min) pair."""
-    return evaluate(InequalityId.SUMPOW_212, x, y, r, r, policy=policy)
+    return catalog.evaluate(InequalityId.SUMPOW_212, x, y, r, r, policy=policy)
 
 
 def brute_force_swap_oracle(x: NonnegVector, y: NonnegVector, r: float) -> float:

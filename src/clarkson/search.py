@@ -23,12 +23,16 @@ exceeds that of the row that set the running minimum, which was kept
 when it was seen.  The range's minimum, the rows tied with it and every
 violation are thus evaluated.
 
-Entries are validated once: sample_block checks a whole block as the
-vector constructors would, and the extremal descent's points stay valid
-by construction (a start is a validated sample, a move is put back on
-the constraint set, and a positive factor keeps both), so
-SampleBlock.pair and the extremal descent wrap their floats in vectors
-without checking them again.
+Sampled entries are valid by construction and are not checked:
+uniform draws lie in [0, 1), exponential ones are finite and >= 0,
+sparse ones are a uniform draw times a 0/1 mask, signs only flip, a
+dominated pair is the (max, min) of two draws, and weights lie in
+[0.5, 2).  The extremal descent's points stay on the constraint set too
+(a start is a sample, a move is put back on the set, and a positive
+factor keeps both).  So SampleBlock.pair and the descent wrap their
+floats in vectors unchecked.  The constraint and the weights rule are
+checked once a run, the exponents once a run (a scan: once a cell), and
+the batch screen, given the resolved (p, q), checks nothing.
 
 The extremal descent is sequential: each step starts from the point the
 last one accepted.  Its point is one float64 array z = (x, y) on the
@@ -69,19 +73,12 @@ from .catalog import (
     InequalityId,
     TolerancePolicy,
     Verdict,
+    _check_weights,
     batch_normalized_gaps,
     evaluate,
 )
 from .core import NonnegVector, RealVector, Weights
-from .errors import (
-    ClarksonError,
-    ConstraintMismatch,
-    DominanceViolation,
-    EmptyGrid,
-    NegativeEntry,
-    NonFiniteEntry,
-    NonFiniteGap,
-)
+from .errors import ClarksonError, ConstraintMismatch, EmptyGrid, NonFiniteGap
 
 # Pairs per sample block.  Part of the stream layout: changing it
 # changes every sample of every seed.
@@ -188,7 +185,7 @@ class SampleBlock:
     signed: bool
 
     def pair(self, row: int) -> Tuple[RealVector, RealVector, Optional[Weights]]:
-        """Row row as vectors; sample_block has validated every entry."""
+        """Row row as vectors; sample_block's entries are valid by construction."""
         k = int(self.n[row])
         vec = RealVector if self.signed else NonnegVector
         w = None if self.w is None else Weights._trusted(tuple(self.w[row, :k].tolist()))
@@ -206,20 +203,14 @@ def _draw(rng: np.random.Generator, shape: Tuple[int, int], spec: SampleSpec) ->
     return vals * mask
 
 
-def _reject(bad: np.ndarray, error) -> None:
-    """Raise error(entry index) for the first flagged entry, as the vector types do."""
-    if bad.any():
-        raise error(int(np.argwhere(bad)[0, 1]))
-
-
 # sample_pair walks indices one at a time, adjacent scan cells share a
 # block, and a screen window may span two, so the last two blocks are kept.
 @functools.lru_cache(maxsize=2)
 def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     """Pairs block * _BLOCK ... block * _BLOCK + _BLOCK - 1 of (spec, seed).
 
-    One Philox stream per block.  The whole block is validated the way
-    the vector constructors validate one pair, and raises their errors.
+    One Philox stream per block.  The entries are valid by construction
+    (see the module docstring), so none is checked.
     """
     bits = np.random.Philox(key=np.uint64(seed & (2**64 - 1)), counter=block * _STREAM_STRIDE)
     rng = np.random.Generator(bits)
@@ -235,16 +226,6 @@ def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
         b = b * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
     elif spec.constraint is Constraint.DOMINATED_PAIR:
         a, b = np.maximum(a, b), np.minimum(a, b)
-    _reject(~np.isfinite(a), NonFiniteEntry)
-    _reject(~np.isfinite(b), NonFiniteEntry)
-    if spec.constraint is not Constraint.SIGNED:
-        _reject(a < 0.0, NegativeEntry)
-        _reject(b < 0.0, NegativeEntry)
-    if spec.constraint is Constraint.DOMINATED_PAIR:
-        _reject(a < b, DominanceViolation)
-    if w is not None:
-        _reject(~np.isfinite(w), NonFiniteEntry)
-        _reject(live & ~(w > 0.0), NegativeEntry)
     for arr in (n, a, b, w):
         if arr is not None:
             arr.flags.writeable = False
@@ -371,6 +352,7 @@ def counterexample_search(
     """
     p, q = REGISTRY[id].exponents(p, q)
     exploratory = _check_constraint(id, spec, explore)
+    _check_weights(id, spec.weights)
     if budget <= 0:
         return _no_result(p, q, 0, seed, exploratory)
     ng, rep, witness, violations = _eval_indices(
@@ -501,7 +483,7 @@ def extremal_search(
         n = len(x0)
         memo: OrderedDict = OrderedDict()
         z = np.array(x0.entries + y0.entries)
-        # sample_block has validated the start: it is on the constraint set.
+        # A sample is on the constraint set by construction.
         cur_ng = score(z) if _project(z, p, signed) else None
         z_again = None  # z projected once more, for the moves the clamp undoes
         step = _INITIAL_STEP
@@ -564,6 +546,7 @@ def scan_grid(
     if not p_grid or not q_grid:
         raise EmptyGrid("empty p or q grid")
     exploratory = _check_constraint(id, spec, explore)
+    _check_weights(id, spec.weights)
     build = REGISTRY[id].exponents
     out: List[CellSummary] = []
     for cell_index, (p, q) in enumerate(product(p_grid, q_grid)):

@@ -14,8 +14,9 @@ order, all powers in Python `**`.  The public functions check their
 domain and call it on one point; `monotonicity_scan`, `chi_sign_scan`
 and `phi_prime_values` call it on their whole grid, so a value has the
 bits of the public call at that point.  Each scan's report carries its
-grid and values, which the CLI prints, so a table takes one pass.  They
-and phi_prime raise NonFiniteGap on an overflow or a non-finite value.
+grid and values, which the CLI prints, so a table takes one pass.  Each
+call goes through `_finite_values`, so all of them raise NonFiniteGap
+on an overflow or a non-finite value.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def phi(ctx: PhiContext, t: float) -> float:
     """
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"t must lie in [0, 1], got {t}")
-    return _phi_values(ctx, (t,))[0]
+    return _finite_values("phi", _phi_values, ctx, (t,))[0]
 
 
 def _phi_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
@@ -206,7 +207,7 @@ def chi(ctx: ChiContext, s: float) -> float:
     """
     if not (0.0 <= s <= ctx.c):
         raise DomainError(f"s must lie in [0, {ctx.c}], got {s}")
-    return _chi_values(ctx, (s,))[0]
+    return _finite_values("chi", _chi_values, ctx, (s,))[0]
 
 
 def _chi_values(ctx: ChiContext, ss: Sequence[float]) -> List[float]:

@@ -31,3 +31,13 @@ def test_reference_round_has_no_problems(name, tmp_path):
     rnd = workload.run_round(0)
     assert rnd.problems == []
     assert rnd.items > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_traced_round_sees_evaluate(name, tmp_path):
+    """Every workload reaches evaluate through a name the tracer wraps, so
+    its verdict counts count something."""
+    workload = workloads.FACTORIES[name](tmp_path, **workloads.REFERENCE_SIZES[name])
+    rnd, layers = workloads.traced_round(workload, 0)
+    assert rnd.problems == []
+    assert layers["catalog.evaluate.calls"] > 0

@@ -384,6 +384,12 @@ class TestErrorExits:
                 "--nmin", "2", "--nmax", "2", "--p", "2", "--q", "3", "--budget", "100"],
                "error: cor-1.6 takes scalars (1-entry vectors)")
               for mode in ("extremal", "counterexample")],
+            # the weights rule is checked once a run, even when no sample is drawn:
+            # every cell skipped, or a zero budget
+            (["scan", "--ineq", "sumpow-2.12", "--p-grid", "1:1:1", "--q-grid", "0.5:0.5:1",
+              "--weighted"], "error: sumpow-2.12 is stated without weights"),
+            (["search", "--ineq", "sumpow-2.12", "--p", "2", "--q", "2", "--weighted",
+              "--budget", "0"], "error: sumpow-2.12 is stated without weights"),
         ],
     )
     def test_exit_2_with_error_line(self, argv, message, capsys):

@@ -86,6 +86,30 @@ class TestSamplePair:
         assert w is not None
         assert all(m > 0 for m in w.masses)
 
+    @pytest.mark.parametrize("weights", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("constraint", list(Constraint), ids=lambda c: c.value)
+    @pytest.mark.parametrize("dist", list(Distribution), ids=lambda d: d.value)
+    def test_blocks_are_valid_by_construction(self, dist, constraint, weights):
+        """sample_block checks nothing, so every block must meet the rules the
+        vector constructors check: finite entries, no negatives unless
+        signed, x >= y when dominated, positive weights, zero padding."""
+        spec = SampleSpec(dim_range=(1, 64), distribution=dist, constraint=constraint,
+                          density=0.5, weights=weights)
+        for seed, b in ((0, 0), (7, 1), (2**64 - 1, 12345)):
+            block = search.sample_block(spec, seed, b)
+            live = np.arange(64) < block.n[:, None]
+            assert np.isfinite(block.x).all() and np.isfinite(block.y).all()
+            assert not (block.x[~live].any() or block.y[~live].any())
+            if constraint is not Constraint.SIGNED:
+                assert (block.x >= 0.0).all() and (block.y >= 0.0).all()
+            if constraint is Constraint.DOMINATED_PAIR:
+                assert (block.x >= block.y).all()
+            if weights:
+                assert np.isfinite(block.w).all() and (block.w[live] > 0.0).all()
+                assert not block.w[~live].any()
+            else:
+                assert block.w is None
+
 
 class TestCounterexampleSearch:
     def test_main_17_no_violation(self):

@@ -188,6 +188,10 @@ class TestMonotonicityScan:
         ctx = PhiContext(NonnegVector((1.0, 2.0)), NonnegVector((0.5, 1.0)), 2.0, 900.0)
         with pytest.raises(NonFiniteGap, match="overflow"):
             monotonicity_scan(ctx, 257)
+        # the one-point phi takes the same check
+        ctx = PhiContext(NonnegVector((1e10,)), NonnegVector((1.0,)), 2.0, 900.0)
+        with pytest.raises(NonFiniteGap, match=r"phi: non-finite value \(overflow\)"):
+            phi(ctx, 0.5)
 
     def test_non_finite_value_is_an_error(self):
         # 2^999 (sum u^p)^(q/p) is inf with no exception, so phi(0) = -inf; the
@@ -409,6 +413,9 @@ class TestChiSignScan:
     def test_overflow_is_an_error(self):
         with pytest.raises(NonFiniteGap, match="overflow"):
             chi_sign_scan(ChiContext(1.0000001, 1e6, 1.0), 5)
+        # the one-point chi takes the same check
+        with pytest.raises(NonFiniteGap, match=r"chi: non-finite value \(overflow\)"):
+            chi(ChiContext(1.5, 3000.0, 1.0), 0.9)
 
     def test_non_finite_value_is_an_error(self):
         # (q c) (...) overflows to inf near s = 1 with no exception
