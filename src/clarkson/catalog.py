@@ -76,6 +76,12 @@ class Verdict(enum.Enum):
     VIOLATED = "violated"
 
 
+# An Enum attribute lookup costs several times a global's; evaluate and
+# classify, which run once a pair, read these.
+_SIGNED, _DOMINATED = Constraint.SIGNED, Constraint.DOMINATED_PAIR
+_HOLDS, _BORDERLINE, _VIOLATED = Verdict.HOLDS, Verdict.BORDERLINE, Verdict.VIOLATED
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
     rel_tol: float = 1e-9
@@ -96,10 +102,10 @@ def classify(gap: float, scale: float, policy: TolerancePolicy = DEFAULT_POLICY)
     reported as violations under roundoff, hence the borderline band.
     """
     if gap >= policy.rel_tol * scale:
-        return Verdict.HOLDS
+        return _HOLDS
     if gap <= -policy.borderline_band * scale:
-        return Verdict.VIOLATED
-    return Verdict.BORDERLINE
+        return _VIOLATED
+    return _BORDERLINE
 
 
 @dataclass(frozen=True)
@@ -128,26 +134,50 @@ def report(
     rhs: float,
     policy: TolerancePolicy,
 ) -> GapReport:
-    """The report on lhs <= rhs; a non-finite gap or scale raises NonFiniteGap."""
+    """The report on lhs <= rhs, with scale = max(|lhs|, |rhs|, 1.0) and the
+    verdict classify gives; a non-finite gap raises NonFiniteGap.
+
+    Only the gap is checked: rhs - lhs is finite only when both sides
+    are, and then so is the scale.
+    """
     gap = rhs - lhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    if not (math.isfinite(gap) and math.isfinite(scale)):
+    if not math.isfinite(gap):
         raise NonFiniteGap(f"{id.value}: non-finite gap (lhs={lhs!r}, rhs={rhs!r})")
-    # The same object GapReport(...) builds.  Its frozen __init__ sets each
-    # field through object.__setattr__; one dict update costs a third.
+    a, b = abs(lhs), abs(rhs)
+    scale = a if a > b else b  # max() with its 1.0 floor, without the call
+    if scale < 1.0:
+        scale = 1.0
+    # The same object GapReport(...) builds: its frozen __init__ sets each
+    # field through object.__setattr__, which costs three times a dict store.
     rep = object.__new__(GapReport)
-    rep.__dict__.update(id=id, p=p, q=q, lhs=lhs, rhs=rhs, gap=gap, scale=scale,
-                        verdict=classify(gap, scale, policy))
+    d = rep.__dict__
+    d["id"], d["p"], d["q"], d["lhs"], d["rhs"] = id, p, q, lhs, rhs
+    d["gap"], d["scale"], d["verdict"] = gap, scale, classify(gap, scale, policy)
     return rep
 
 
 def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, float, float]:
-    """(||x||, ||y||, ||x+y||, ||x-y||) at exponent p, on float sequences."""
+    """(||x||, ||y||, ||x+y||, ||x-y||) at exponent p, on float sequences.
+
+    An entry of x + y or x - y that overflows raises NonFiniteEntry at
+    its index, as RealVector would, and before that vector's norm could
+    raise.  Such an entry makes its norm inf or nan, or its power sum
+    raise OverflowError, so the entries are checked only then: when both
+    norms come out finite, none needs a check; otherwise both norms are
+    taken again in the eager order, each after its vector's check.
+    """
     nx, ny = _p_norm(x, p, w), _p_norm(y, p, w)
-    # x + y and x - y are checked as RealVector checks them: an overflow
-    # raises NonFiniteEntry at its index.
-    ns = _p_norm(_check_entries(list(map(add, x, y))), p, w)
-    return nx, ny, ns, _p_norm(_check_entries(list(map(sub, x, y))), p, w)
+    s, d = list(map(add, x, y)), list(map(sub, x, y))
+    try:
+        ns = _p_norm(s, p, w)
+        if ns < math.inf:
+            nd = _p_norm(d, p, w)
+            if nd < math.inf:
+                return nx, ny, ns, nd
+    except OverflowError:
+        pass
+    ns = _p_norm(_check_entries(s), p, w)
+    return nx, ny, ns, _p_norm(_check_entries(d), p, w)
 
 
 def _batch_abs_powers(z: np.ndarray, k: float) -> np.ndarray:
@@ -260,9 +290,9 @@ def _repaired_sides(a, b, u, v, e: float, p=None, q=None):
     return a**e + b**e, u**e + v**e
 
 
-def _check_weights(id: InequalityId, weighted: bool) -> None:
+def _check_weights(id: InequalityId, entry: "Inequality", weighted: bool) -> None:
     """The weights rule: weights only where entry id's statement has them."""
-    if weighted and not REGISTRY[id].weighted:
+    if weighted and not entry.weighted:
         raise ConstraintMismatch(f"{id.value} is stated without weights")
 
 
@@ -411,15 +441,16 @@ def evaluate(
     of the checked vectors and weights.
     """
     entry = REGISTRY[id]
-    if entry.constraint is not Constraint.SIGNED:
+    constraint = entry.constraint
+    if constraint is not _SIGNED:
         if q is None:
             raise RegimeViolation(f"{id.value} requires an explicit q")
         if strict or not entry.explore:
             x, y = _nonneg(x), _nonneg(y)
-    _check_weights(id, w is not None)
+    _check_weights(id, entry, w is not None)
     p, q = entry.exponents(p, q)
     masses = None if w is None else w.masses
-    _check_pair(x.entries, y.entries, masses, entry.constraint is Constraint.DOMINATED_PAIR)
+    _check_pair(x.entries, y.entries, masses, constraint is _DOMINATED)
     try:
         quantities = entry.quantities(x.entries, y.entries, p, q, masses)
         lhs, rhs = entry.sides(*quantities, p, q)

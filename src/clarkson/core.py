@@ -10,15 +10,20 @@ behind the CLI and ``catalog.evaluate``; a pair's rules (lengths,
 dominance) are ``_check_pair``'s.  Sampled values are valid by
 construction and are not checked.  Past that, the catalog's registry
 quantities work on the plain float tuples (``entries``, ``masses``)
-through the private float helpers ``_sum_abs_powers`` and ``_p_norm``,
-which check nothing; the public ``p_norm`` checks p and the weights,
-then calls ``_p_norm``, so both give the same bits.  ``_abs_powers`` yields the terms |x_i|^p
-for these sums and for the catalog's re-paired sums, from ``map`` over
-C-level callables (``operator.mul`` on the p = 2, 3, 4 fast paths,
-builtin ``pow`` otherwise), so ``math.fsum`` reads them without a list.
-``_trusted`` wraps floats in a vector without checking them, for
-entries valid by construction (``SampleBlock.pair`` and the point
-``search._project`` renormalizes in place).
+through the private float helper ``_p_norm``, which checks nothing: it
+takes its power sum in its own frame, as ``_sum_abs_powers`` does (the
+compensated sum of ``_abs_powers``' terms), and calls
+``_sum_abs_powers`` only to take the sum again on rescaled entries.  The
+public ``p_norm`` checks p (finite, >= 1) and the weights, then calls
+``_p_norm``, so both give the same bits.  ``_abs_powers`` yields the
+terms |x_i|^p for these sums and for the catalog's re-paired sums, from
+``map`` over C-level callables (``operator.mul`` on the p = 2, 3, 4 fast
+paths, builtin ``pow`` otherwise), so ``math.fsum`` reads them without a
+list.  ``_trusted_pair`` wraps floats in a pair of vectors without
+checking them, for entries valid by construction: ``SampleBlock.pair``
+wraps a sampled pair, and the extremal descent's ``score`` the point
+``search._project`` renormalized in place (``Weights._trusted`` wraps a
+sampled pair's weights).
 """
 
 from __future__ import annotations
@@ -75,11 +80,12 @@ class RealVector:
         return len(self.entries)
 
     @classmethod
-    def _trusted(cls, entries: tuple[float, ...]):
-        """A vector on a tuple of floats already valid for cls; nothing is checked."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "entries", entries)
-        return v
+    def _trusted_pair(cls, x: tuple[float, ...], y: tuple[float, ...]):
+        """Two vectors on tuples of floats already valid for cls; nothing is checked."""
+        u, v = object.__new__(cls), object.__new__(cls)
+        # What the frozen __setattr__ would store, in a third of its time.
+        u.__dict__["entries"], v.__dict__["entries"] = x, y
+        return u, v
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,9 @@ def _check_pair(x, y, masses=None, dominated: bool = False) -> None:
 
 
 def conjugate_exponent(p: float) -> float:
-    """q = p/(p-1), so that 1/p + 1/q = 1."""
+    """q = p/(p-1), so that 1/p + 1/q = 1, for finite p > 1."""
+    if not math.isfinite(p):
+        raise ExponentOutOfRange(f"conjugate exponent needs finite p, got {p}")
     if p <= 1.0:
         raise ExponentOutOfRange(f"conjugate exponent needs p > 1, got {p}")
     return p / (p - 1.0)
@@ -175,9 +183,7 @@ def _sum_abs_powers(
     entries and masses are plain floats, already checked, and p >= 1.
     """
     terms = _abs_powers(entries, p)
-    if masses is None:
-        return math.fsum(terms)
-    return math.fsum(map(mul, masses, terms))
+    return math.fsum(terms if masses is None else map(mul, masses, terms))
 
 
 def _p_norm(
@@ -193,7 +199,8 @@ def _p_norm(
     and the sum is not taken again.  Every norm whose power sum is
     normal keeps its bits.
     """
-    s = _sum_abs_powers(entries, p, masses)
+    terms = _abs_powers(entries, p)  # _sum_abs_powers, without the call
+    s = math.fsum(terms if masses is None else map(mul, masses, terms))
     k = 0
     if s < _MIN_NORMAL:
         k = math.frexp(max(map(abs, entries)))[1]
@@ -210,6 +217,8 @@ def _p_norm(
 
 def p_norm(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:
     """Weighted p-norm (sum_i w_i |v_i|^p)^(1/p); unit weights when absent."""
+    if not math.isfinite(p):
+        raise ExponentOutOfRange(f"p-norm needs finite p, got {p}")
     if p < 1.0:
         raise ExponentOutOfRange(f"p-norm needs p >= 1, got {p}")
     masses = None if weights is None else weights.masses

@@ -72,7 +72,7 @@ from .catalog import (
     GapReport,
     InequalityId,
     TolerancePolicy,
-    Verdict,
+    _VIOLATED,
     _check_weights,
     batch_normalized_gaps,
     evaluate,
@@ -189,8 +189,8 @@ class SampleBlock:
         k = int(self.n[row])
         vec = RealVector if self.signed else NonnegVector
         w = None if self.w is None else Weights._trusted(tuple(self.w[row, :k].tolist()))
-        return (vec._trusted(tuple(self.x[row, :k].tolist())),
-                vec._trusted(tuple(self.y[row, :k].tolist())), w)
+        x, y = vec._trusted_pair(tuple(self.x[row, :k].tolist()), tuple(self.y[row, :k].tolist()))
+        return x, y, w
 
 
 def _draw(rng: np.random.Generator, shape: Tuple[int, int], spec: SampleSpec) -> np.ndarray:
@@ -321,9 +321,9 @@ def _eval_indices(
         kept, low = _screen(gaps, policy.rel_tol, margin, low)
         for r in kept.tolist():
             x, y, w = rows.pair(r)
-            rep = evaluate(id, x, y, p, q, w, policy, strict=strict)
+            rep = evaluate(id, x, y, p, q, w, policy, strict)
             ng = rep.gap / rep.scale
-            if rep.verdict is Verdict.VIOLATED:
+            if rep.verdict is _VIOLATED:
                 violations += 1
             if ng < best[0]:
                 best = (ng, rep, (x, y, p, q, w))
@@ -350,9 +350,10 @@ def counterexample_search(
     (p, q) go through the entry's exponent builder first; the witness
     records the pair it returns.
     """
-    p, q = REGISTRY[id].exponents(p, q)
+    entry = REGISTRY[id]
+    p, q = entry.exponents(p, q)
     exploratory = _check_constraint(id, spec, explore)
-    _check_weights(id, spec.weights)
+    _check_weights(id, entry, spec.weights)
     if budget <= 0:
         return _no_result(p, q, 0, seed, exploratory)
     ng, rep, witness, violations = _eval_indices(
@@ -444,6 +445,7 @@ def extremal_search(
     # Every point scored is finite, and clamped and dominated as spec requires.
     signed = spec.constraint is Constraint.SIGNED
     vec = RealVector if signed else NonnegVector
+    strict = not exploratory
 
     def score(z: np.ndarray) -> Optional[float]:
         """Return the normalized gap of z, a projected point; None when
@@ -460,13 +462,13 @@ def extremal_search(
             memo.move_to_end(key)
             return memo[key]
         zl = z.tolist()
-        x, y = vec._trusted(tuple(zl[:n])), vec._trusted(tuple(zl[n:]))
+        x, y = vec._trusted_pair(tuple(zl[:n]), tuple(zl[n:]))
         try:
-            rep = evaluate(id, x, y, p, q, None, policy, strict=not exploratory)
+            rep = evaluate(id, x, y, p, q, None, policy, strict)
         except NonFiniteGap:
             ng = None
         else:
-            if rep.verdict is Verdict.VIOLATED:
+            if rep.verdict is _VIOLATED:
                 violated = True
             ng = rep.gap / rep.scale
             if ng < best_ng:
@@ -546,8 +548,9 @@ def scan_grid(
     if not p_grid or not q_grid:
         raise EmptyGrid("empty p or q grid")
     exploratory = _check_constraint(id, spec, explore)
-    _check_weights(id, spec.weights)
-    build = REGISTRY[id].exponents
+    entry = REGISTRY[id]
+    _check_weights(id, entry, spec.weights)
+    build = entry.exponents
     out: List[CellSummary] = []
     for cell_index, (p, q) in enumerate(product(p_grid, q_grid)):
         try:

@@ -7,16 +7,17 @@ u_i - v_i t stays >= 0 there.  psi and chi probe the scalar
 conjugate-exponent inequality, where chi changes sign and monotonicity
 genuinely fails.
 
-phi, phi_prime and chi each have one grid evaluator (`_phi_values`,
-`_phi_prime_values`, `_chi_values`).  It computes the constants of the
-context once, then each point with the formula in the same association
-order, all powers in Python `**`.  The public functions check their
-domain and call it on one point; `monotonicity_scan`, `chi_sign_scan`
-and `phi_prime_values` call it on their whole grid, so a value has the
-bits of the public call at that point.  Each scan's report carries its
-grid and values, which the CLI prints, so a table takes one pass.  Each
-call goes through `_finite_values`, so all of them raise NonFiniteGap
-on an overflow or a non-finite value.
+phi, phi_prime, psi, psi_prime and chi each have one grid evaluator
+(`_phi_values`, `_phi_prime_values`, `_psi_values`, `_psi_prime_values`,
+`_chi_values`).  It computes the constants of the context once, then
+each point with the formula in the same association order, all powers
+in Python `**`.  The public functions check their domain and call it on
+one point; `monotonicity_scan`, `chi_sign_scan` and `phi_prime_values`
+call it on their whole grid, so a value has the bits of the public call
+at that point.  Each scan's report carries its grid and values, which
+the CLI prints, so a table takes one pass.  Each call goes through
+`_finite_values`, so all of them raise NonFiniteGap on an overflow or a
+non-finite value.
 """
 
 from __future__ import annotations
@@ -179,8 +180,16 @@ def psi(ctx: ChiContext, t: float) -> float:
     """(1+ct)^q + (1-ct)^q - 2(1 + c^p t^p)^(q-1) on [0, 1]."""
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"t must lie in [0, 1], got {t}")
+    return _finite_values("psi", _psi_values, ctx, (t,))[0]
+
+
+def _psi_values(ctx: ChiContext, ts: Sequence[float]) -> List[float]:
+    """psi at each t of ts, without the domain check."""
     c, p, q = ctx.c, ctx.p, ctx.q
-    return (1.0 + c * t) ** q + (1.0 - c * t) ** q - 2.0 * (1.0 + c**p * t**p) ** (q - 1.0)
+    return [
+        (1.0 + c * t) ** q + (1.0 - c * t) ** q - 2.0 * (1.0 + c**p * t**p) ** (q - 1.0)
+        for t in ts
+    ]
 
 
 def psi_prime(ctx: ChiContext, t: float) -> float:
@@ -190,14 +199,20 @@ def psi_prime(ctx: ChiContext, t: float) -> float:
     """
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"t must lie in [0, 1], got {t}")
+    return _finite_values("psi_prime", _psi_prime_values, ctx, (t,))[0]
+
+
+def _psi_prime_values(ctx: ChiContext, ts: Sequence[float]) -> List[float]:
+    """psi_prime at each t of ts, without the domain check."""
     c, p, q = ctx.c, ctx.p, ctx.q
-    if t == 0.0:
-        return 0.0
-    return (
+    return [
         q * c * (1.0 + c * t) ** (q - 1.0)
         - q * c * (1.0 - c * t) ** (q - 1.0)
         - 2.0 * p * (q - 1.0) * (1.0 + c**p * t**p) ** (q - 2.0) * c**p * t ** (p - 1.0)
-    )
+        if t != 0.0
+        else 0.0
+        for t in ts
+    ]
 
 
 def chi(ctx: ChiContext, s: float) -> float:

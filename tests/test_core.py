@@ -78,15 +78,16 @@ class TestPNorm:
     @pytest.mark.parametrize("p", [2.0, 3.0, 3.7])
     def test_zero_vector_takes_one_power_sum(self, p, monkeypatch):
         # Its sum 0 is below the smallest normal float, but the rescaling
-        # would be by 2^0: the sum is not taken again.
+        # would be by 2^0: the sum is not taken again.  Each power sum
+        # reads the terms of one _abs_powers call.
         sums = []
-        real = core._sum_abs_powers
+        real = core._abs_powers
 
         def counting(*args):
             sums.append(args)
             return real(*args)
 
-        monkeypatch.setattr(core, "_sum_abs_powers", counting)
+        monkeypatch.setattr(core, "_abs_powers", counting)
         assert _p_norm((0.0, 0.0, 0.0), p) == 0.0
         assert p_norm(RealVector((0.0,)), p, Weights((2.0,))) == 0.0
         assert len(sums) == 2
@@ -106,6 +107,13 @@ class TestPNorm:
     def test_exponent_below_one_rejected(self):
         with pytest.raises(ExponentOutOfRange):
             p_norm(RealVector((1.0,)), 0.5)
+
+    @pytest.mark.parametrize("entries", [(0.5,), (3.0, 4.0)])
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, entries, p):
+        # the sum of |v_i|^inf gave 0.0 for (0.5,) and 1.0 for (3, 4)
+        with pytest.raises(ExponentOutOfRange):
+            p_norm(RealVector(entries), p)
 
     def test_weights_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -154,6 +162,12 @@ class TestConjugateExponent:
     def test_rejects_p_at_most_one(self):
         with pytest.raises(ExponentOutOfRange):
             conjugate_exponent(1.0)
+
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_p(self, p):
+        # inf / (inf - 1) would be nan
+        with pytest.raises(ExponentOutOfRange):
+            conjugate_exponent(p)
 
     @given(st.floats(min_value=1.0001, max_value=100.0))
     def test_holder_identity(self, p):

@@ -72,7 +72,7 @@ def vectors(id, x, y, w, trusted):
     vec = RealVector if REGISTRY[id].constraint is Constraint.SIGNED else NonnegVector
     if trusted:
         weights = None if w is None else Weights._trusted(tuple(w))
-        return vec._trusted(tuple(x)), vec._trusted(tuple(y)), weights
+        return (*vec._trusted_pair(tuple(x), tuple(y)), weights)
     return vec(x), vec(y), None if w is None else Weights(w)
 
 

@@ -330,6 +330,11 @@ class TestPsi:
         expected = 1.5**4 + 0.5**4 - 2.0 * (1.0 + 0.5 ** (4.0 / 3.0)) ** 3
         assert psi(ctx, t) == pytest.approx(expected, rel=1e-14)
 
+    def test_overflow_is_an_error(self):
+        # (1 + 0.9)^3000 overflows Python's float **
+        with pytest.raises(NonFiniteGap, match=r"psi: non-finite value \(overflow\)"):
+            psi(ChiContext(1.5, 3000.0, 1.0), 0.9)
+
 
 class TestPsiPrime:
     def test_limit_zero_at_origin(self):
@@ -348,6 +353,11 @@ class TestPsiPrime:
         ctx = ChiContext(2.0, 2.0, 0.9)
         for t in (0.1, 0.5, 1.0):
             assert psi_prime(ctx, t) == pytest.approx(0.0, abs=1e-13)
+
+    def test_overflow_is_an_error(self):
+        # (1 + 0.9)^2999 overflows Python's float **
+        with pytest.raises(NonFiniteGap, match=r"psi_prime: non-finite value \(overflow\)"):
+            psi_prime(ChiContext(1.5, 3000.0, 1.0), 0.9)
 
 
 class TestChi:
