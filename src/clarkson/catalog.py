@@ -50,6 +50,11 @@ class InequalityId(enum.Enum):
     SUMPOW_212 = "sumpow-2.12"
     REARR_GAIN_217 = "rearr-2.17"
 
+    # Members are singletons and compare by identity, so they hash by it:
+    # Enum's own __hash__ runs in Python, and evaluate looks REGISTRY up
+    # once a pair.
+    __hash__ = object.__hash__
+
     @classmethod
     def from_cli(cls, name: str) -> "InequalityId":
         for member in cls:
@@ -228,9 +233,13 @@ def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, k: float, e: float) -> tu
     """Per row, the sums of x^k, y^k, max(x, y)^k and min(x, y)^k; then e.
 
     As in _repaired_sums, x and y are raised once and the re-paired
-    terms are picked from theirs.
+    terms are picked from theirs, and at e = 1 both sides are the one
+    sum of all 2n terms, so the gap is 0.0 on every finite row.
     """
     px, py = _batch_abs_powers(x, k), _batch_abs_powers(y, k)
+    if e == 1.0:
+        s = (px + py).sum(axis=-1)
+        return s, 0.0, s, 0.0, e
     swap = x < y
     terms = (px, py, np.where(swap, py, px), np.where(swap, px, py))
     return (*(t.sum(axis=-1) for t in terms), e)
@@ -317,8 +326,23 @@ def _repaired_sums(x, y, k: float, e: float) -> tuple:
 
     Ties keep (x_i, y_i) unswapped, as in rearrange.dominance_rearrange.
     The re-paired sums pick their terms from those of x and y.
+
+    The statement is an identity on two kinds of cell (Inequality.identity),
+    and there the gap is exactly 0.0.  At e = 1 (r = 1 for sumpow-2.12,
+    p == q for rearr-2.17) both sides are the sum of the same 2n terms:
+    each is taken as one math.fsum S of them, returned as (S, 0.0, S, 0.0),
+    so both are the same correctly rounded float.  Should S overflow
+    math.fsum, the four sums are taken as at any other e, and raise or go
+    to inf as they do there.  On a dominated pair (x >= y) the re-pairing
+    swaps nothing, so u == a and v == b bit for bit.
     """
     px, py = list(_abs_powers(x, k)), list(_abs_powers(y, k))
+    if e == 1.0:
+        try:
+            s = math.fsum(px + py)
+            return s, 0.0, s, 0.0, e
+        except OverflowError:
+            pass
     pu = [t if a < b else r for a, b, r, t in zip(x, y, px, py)]
     pv = [r if a < b else t for a, b, r, t in zip(x, y, px, py)]
     return math.fsum(px), math.fsum(py), math.fsum(pu), math.fsum(pv), e
@@ -379,6 +403,10 @@ class Inequality:
     the same arguments on (B, nmax) blocks.  constraint is the
     widest input set covered; explore admits signed inputs in
     exploration mode; weighted=False rejects weights.
+    identity(p, q, constraint) is True on the cells where the statement
+    is an identity, at a (p, q) exponents returned and on inputs meeting
+    constraint: there every scalar gap that evaluate does not raise on is
+    exactly 0.0, and every finite batch gap is 0.0 (search reads it).
     """
 
     constraint: Constraint
@@ -388,6 +416,7 @@ class Inequality:
     batch_quantities: Callable[..., tuple] = _batch_pair_norms
     weighted: bool = True
     explore: bool = False
+    identity: Callable[[float, float, Constraint], bool] = lambda p, q, constraint: False
 
 
 REGISTRY: Dict[InequalityId, Inequality] = {
@@ -407,11 +436,13 @@ REGISTRY: Dict[InequalityId, Inequality] = {
     InequalityId.SUMPOW_212: Inequality(
         Constraint.NONNEGATIVE, _sum_power_exponents, _repaired_sides,
         lambda x, y, p, q, w: _repaired_sums(x, y, 1.0, q),
-        lambda x, y, p, q, w: _batch_repaired_sums(x, y, 1.0, q), weighted=False),
+        lambda x, y, p, q, w: _batch_repaired_sums(x, y, 1.0, q), weighted=False,
+        identity=lambda p, q, constraint: q == 1.0 or constraint is _DOMINATED),
     InequalityId.REARR_GAIN_217: Inequality(
         Constraint.NONNEGATIVE, main_exponents, _repaired_sides,
         lambda x, y, p, q, w: _repaired_sums(x, y, p, q / p),
-        lambda x, y, p, q, w: _batch_repaired_sums(x, y, p, q / p), weighted=False),
+        lambda x, y, p, q, w: _batch_repaired_sums(x, y, p, q / p), weighted=False,
+        identity=lambda p, q, constraint: p == q or constraint is _DOMINATED),
 }
 
 
@@ -459,6 +490,10 @@ def evaluate(
     return report(id, p, q, lhs, rhs, policy)
 
 
+# Sides above this screen as nan (batch_normalized_gaps).
+_NEAR_OVERFLOW = 2.0**1000
+
+
 def batch_normalized_gaps(
     id: InequalityId,
     x: np.ndarray,
@@ -474,11 +509,15 @@ def batch_normalized_gaps(
     exponent builder returned; search checks these once a run, and
     nothing here checks them again.  Overflow gives inf or nan instead
     of raising, so a non-finite value marks a row whose scalar
-    evaluation may raise.  Only a screen: every verdict comes from
+    evaluation may raise.  A row whose sides come within 2^24 of
+    overflow is nan too: there numpy's rounding may stay finite where
+    the scalar path overflows.  Only a screen: every verdict comes from
     evaluate.
     """
     entry = REGISTRY[id]
     with np.errstate(all="ignore"):
         lhs, rhs = entry.sides(*entry.batch_quantities(x, y, p, q, w), p, q)
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-        return (rhs - lhs) / scale
+        ng = (rhs - lhs) / scale
+    ng[scale > _NEAR_OVERFLOW] = math.nan
+    return ng

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import traceback
 from typing import List, Optional, Sequence
@@ -35,8 +36,26 @@ EXIT_ERROR = 2
 MAX_GRID_CELLS = 10_000
 
 
+# Flags whose value is a number or a comma-separated list of numbers.
+# argparse reads a value such as -0.2,0.1 or -1e-3 as an option string,
+# not as a negative number, so main passes a value after one of these
+# flags that starts with a minus and a digit as --flag=value.
+_NUMBER_FLAGS = frozenset({"--x", "--y", "--u", "--v", "--p", "--q", "--c"})
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 class UsageError(Exception):
     pass
+
+
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    out: List[str] = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_FLAGS and _NEGATIVE_NUMBER.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _parse_floats(text: str) -> List[float]:
@@ -355,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = subs.add_parser("verify", help="evaluate inequalities on explicit pairs")
     pv.add_argument("--ineq", required=True)
     pv.add_argument("--input", help="JSON file {\"pairs\":[{\"x\":[...],\"y\":[...]}]}")
-    pv.add_argument("--x", help="inline vector, comma separated")
-    pv.add_argument("--y", help="inline vector, comma separated")
+    pv.add_argument("--x", help="inline vector, comma separated, e.g. --x -0.3,0.7")
+    pv.add_argument("--y", help="inline vector, comma separated, e.g. --y -0.2,0.1")
     pv.add_argument("--p", help="comma-separated p values")
     pv.add_argument("--q", help="comma-separated q values")
     pv.add_argument("--out")
@@ -410,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

@@ -23,6 +23,15 @@ exceeds that of the row that set the running minimum, which was kept
 when it was seen.  The range's minimum, the rows tied with it and every
 violation are thus evaluated.
 
+On an identity cell (Inequality.identity: rearr-2.17 at p == q,
+sumpow-2.12 at r = 1, and both on dominated specs) every scalar gap is
+exactly 0.0, and every finite batch gap is 0.0 too, so noise cannot pick
+the minimum.  There the screen keeps the range's first row, which is the
+minimum at the lowest index, and the rows whose batch gap is non-finite,
+which may raise; a row with a finite batch gap has a finite scalar one
+(catalog.batch_normalized_gaps).  One pair a range is evaluated unless
+some overflow.
+
 Sampled entries are valid by construction and are not checked:
 uniform draws lie in [0, 1), exponential ones are finite and >= 0,
 sparse ones are a uniform draw times a 0/1 mask, signs only flip, a
@@ -307,10 +316,12 @@ def _eval_indices(
     The result equals that of evaluating every index with the scalar
     evaluate: windows of up to _BLOCK consecutive indices, counted from
     the start of the range, are screened with one batch call each, and
-    only the rows _screen keeps are evaluated.  Indices run in ascending
+    only the rows _screen keeps are evaluated (on an identity cell, the
+    range's first row and the non-finite ones).  Indices run in ascending
     order, so ties go to the lowest index.  (p, q) is a pair the entry's
     exponent builder returned.
     """
+    identity = REGISTRY[id].identity(p, q, spec.constraint)
     margin = _screen_margin(p, q, spec.dim_range[1])
     low = math.inf
     best = (math.inf, None, None)
@@ -318,7 +329,12 @@ def _eval_indices(
     for start in range(indices.start, indices.stop, _BLOCK):
         rows = _sample_rows(spec, seed, start, min(start + _BLOCK, indices.stop))
         gaps = batch_normalized_gaps(id, rows.x, rows.y, p, q, rows.w)
-        kept, low = _screen(gaps, policy.rel_tol, margin, low)
+        if identity:
+            keep = ~np.isfinite(gaps)
+            keep[0] |= start == indices.start
+            kept = np.flatnonzero(keep)
+        else:
+            kept, low = _screen(gaps, policy.rel_tol, margin, low)
         for r in kept.tolist():
             x, y, w = rows.pair(r)
             rep = evaluate(id, x, y, p, q, w, policy, strict)

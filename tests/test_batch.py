@@ -52,7 +52,7 @@ COR = InequalityId.COR_16
 # (p, q) per id family: the reverse regime p < 2 for c-1.x, and q/p up
 # to 15 (q = 16 at p = 1.0667, q = 30 at p = 2, q = 45 at p = 3).  The
 # re-paired statements add p == q: rearr-2.17's outer exponent is then
-# e = 1, both sides are the same sum and every row is borderline.
+# e = 1, both sides are the same float and every gap is exactly 0.0.
 CONJUGATE_PS = (1.0667, 1.5, 3.0)
 MAIN_PQS = ((2.5, 3.7), (2.0, 30.0), (3.0, 45.0))
 REPAIRED_PQS = ((2.5, 2.5), *MAIN_PQS)
@@ -200,6 +200,72 @@ def test_batch_gap_lies_within_the_screen_margin(case):
         assert abs(batch - rep.gap / rep.scale) <= _screen_margin(p, q, nmax)
 
 
+# Entries for the identity property: zeros, and magnitudes from 1e-200,
+# where powers underflow, to 1e150, where they overflow.
+IDENTITY_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(-200.0, 150.0).map(lambda t: 10.0**t),
+    st.floats(1e-200, 1e150),
+)
+
+
+@st.composite
+def identity_cases(draw):
+    """(id, p, q, constraint, rows, nmax): an identity cell of a re-paired
+    statement, and up to four pairs meeting constraint, ties among their
+    entries, for rows of a block of width nmax."""
+    id = draw(st.sampled_from(REPAIRED_IDS))
+    constraint = draw(st.sampled_from([Constraint.NONNEGATIVE, Constraint.DOMINATED_PAIR]))
+    dominated = constraint is Constraint.DOMINATED_PAIR
+    if id is InequalityId.SUMPOW_212:
+        p = q = draw(st.floats(1.0, 400.0)) if dominated else 1.0
+    else:
+        p = draw(st.sampled_from([2.0, 3.0, 4.0]) | st.floats(2.0, 400.0))
+        q = draw(st.floats(p, 400.0)) if dominated else p
+    p, q = REGISTRY[id].exponents(p, q)
+    nmax = draw(st.integers(1, 16))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, nmax))
+        pairs = draw(st.lists(st.tuples(IDENTITY_ENTRIES, IDENTITY_ENTRIES)
+                              | IDENTITY_ENTRIES.map(lambda a: (a, a)), min_size=n, max_size=n))
+        if dominated:
+            pairs = [(max(a, b), min(a, b)) for a, b in pairs]
+        rows.append(([a for a, _ in pairs], [b for _, b in pairs]))
+    return id, p, q, constraint, rows, nmax
+
+
+@given(identity_cases())
+@settings(max_examples=300, deadline=None)
+# The 2n = 4 terms sum past the largest float, which math.fsum raises on,
+# while numpy's sum rounds to it; the row is kept as near overflow.
+@example((InequalityId.SUMPOW_212, 1.0, 1.0, Constraint.NONNEGATIVE,
+          [([4.4942328371557713e+307, 4.494232837155805e+307],
+            [4.494232837155831e+307, 4.4942328371557513e+307])], 2))
+def test_identity_cells_give_exactly_zero(case):
+    """Where identity(p, q, constraint) holds, evaluate gives lhs == rhs
+    and gap 0.0 bit for bit, or raises NonFiniteGap, and the batch gap is
+    0.0 on every finite row and non-finite on every row evaluate raises on."""
+    id, p, q, constraint, rows, nmax = case
+    assert REGISTRY[id].identity(p, q, constraint)
+
+    def block(k):
+        return np.array([r[k] + [0.0] * (nmax - len(r[k])) for r in rows])
+
+    batch = batch_normalized_gaps(id, block(0), block(1), p, q)
+    for (x, y), ng in zip(rows, batch.tolist()):
+        try:
+            rep = evaluate(id, NonnegVector(x), NonnegVector(y), p, q)
+        except NonFiniteGap:
+            assert not math.isfinite(ng)
+            continue
+        assert rep.lhs.hex() == rep.rhs.hex()
+        assert rep.gap.hex() == (0.0).hex()
+        assert rep.verdict is Verdict.BORDERLINE
+        if math.isfinite(ng):
+            assert ng.hex() == (0.0).hex()
+
+
 def test_underflowing_power_sums_reach_the_scalar_path():
     """c-1.1 at p = 199 on short uniform pairs: the p-th power sum of
     entries below about 0.03 underflows, which the scalar norm restores
@@ -289,12 +355,72 @@ def test_screen_evaluates_few_rows_off_the_diagonal(monkeypatch):
             assert 1 <= len(calls) <= 3
 
 
-def test_diagonal_cells_evaluate_every_row(monkeypatch):
-    """At p == q, e = 1: every row ties near gap 0, so the screen keeps it."""
+def test_diagonal_cells_evaluate_one_row(monkeypatch):
+    """At p == q, e = 1: every gap is exactly 0.0, so only the cell's first
+    row is evaluated, and it is the minimum."""
     calls = count_evaluate_calls(monkeypatch)
     [cell] = scan_grid(InequalityId.REARR_GAIN_217, [2.5], [2.5], LONG_SPARSE, 50, SEED)
-    assert len(calls) == 50
-    assert abs(cell.min_normalized_gap) < 1e-14
+    assert len(calls) == 1
+    assert cell.min_normalized_gap.hex() == (0.0).hex()
+    assert cell.violations == 0
+
+
+# Identity cells: (id, constraint, (p, q) to resolve).  rearr-2.17 at
+# p == q is in exponent_pairs already; here sumpow-2.12 at r = 1 and the
+# dominated specs of both ids off the diagonal.
+IDENTITY_CASES = [
+    (InequalityId.SUMPOW_212, Constraint.NONNEGATIVE, (1.0, 1.0)),
+    (InequalityId.SUMPOW_212, Constraint.DOMINATED_PAIR, (2.5, 3.7)),
+    (InequalityId.REARR_GAIN_217, Constraint.DOMINATED_PAIR, (2.5, 3.7)),
+]
+
+
+@pytest.mark.parametrize("id, constraint, pq", IDENTITY_CASES,
+                         ids=["sumpow-2.12-r1", "sumpow-2.12-dominated", "rearr-2.17-dominated"])
+def test_identity_cells_equal_all_scalar_reduction(id, constraint, pq, monkeypatch):
+    """Every gap of an identity cell is exactly 0.0: the search evaluates
+    the range's first row only, and its outcome is the all-scalar one."""
+    exps = REGISTRY[id].exponents(*pq)
+    assert REGISTRY[id].identity(*exps, constraint)
+    calls = count_evaluate_calls(monkeypatch)
+    for dist in Distribution:
+        spec = SampleSpec(dim_range=(1, 64 if dist is Distribution.SPARSE else 16),
+                          distribution=dist, constraint=constraint, density=0.5)
+        *want, gaps = scalar_reduce(id, exps, spec, SEED, range(BUDGET))
+        assert {g.hex() for g in gaps} == {(0.0).hex()}
+        calls.clear()
+        got = search._eval_indices(id, *exps, spec, SEED, range(BUDGET), DEFAULT_POLICY)
+        assert_same_outcome(got, want)
+        assert len(calls) == 1
+
+
+def test_overflowing_identity_cell_raises_at_the_all_scalar_pair(monkeypatch):
+    """rearr-2.17 at p = q = 300 on exponential draws: the first pair whose
+    300th powers overflow raises the same error on both paths, and the
+    search evaluates no pair with a finite batch gap past the first."""
+    spec = SampleSpec(dim_range=(1, 64), distribution=Distribution.EXPONENTIAL_1)
+    id, exps = InequalityId.REARR_GAIN_217, (300.0, 300.0)
+    for raised in range(BUDGET):  # the all-scalar loop, up to the pair it stops at
+        x, y, _ = sample_pair(spec, SEED, raised)
+        try:
+            evaluate(id, x, y, *exps)
+        except NonFiniteGap as exc:
+            want = str(exc)
+            break
+    # that pair's batch gap is the only non-finite one up to it
+    nonfinite = np.flatnonzero(~np.isfinite(batch_gaps(id, exps, spec, SEED, range(raised + 1))))
+    assert nonfinite.tolist() == [raised] and raised > 1
+    pairs = []
+
+    def recording(id, x, y, *args):
+        pairs.append((x, y))
+        return evaluate(id, x, y, *args)
+
+    monkeypatch.setattr(search, "evaluate", recording)
+    with pytest.raises(NonFiniteGap) as got:
+        search._eval_indices(id, *exps, spec, SEED, range(BUDGET), DEFAULT_POLICY)
+    assert str(got.value) == want == "rearr-2.17: non-finite gap (overflow)"
+    assert pairs == [sample_pair(spec, SEED, 0)[:2], sample_pair(spec, SEED, raised)[:2]]
 
 
 # Ranges that start mid-block and run over 4 blocks, so every screen

@@ -27,6 +27,25 @@ class TestVerify:
         assert cells[0] == "main-1.7"
         assert float(cells[6]) == pytest.approx(4.523485638006569, rel=1e-12)
 
+    @pytest.mark.parametrize("x, y", [("0.3,0.7", "-0.2,0.1"), ("-.3,0.7", "-2e-1,0.1")])
+    def test_inline_vectors_may_start_with_a_minus(self, x, y, capsys):
+        """argparse reads -0.2,0.1 as an option string; verify takes it as
+        the value of --x or --y, as it takes --y=-0.2,0.1."""
+        flags = ["--ineq", "c-1.1", "--p", "3"]
+        want = run(["verify", *flags, f"--x={x}", f"--y={y}"], capsys)
+        got = run(["verify", *flags, "--x", x, "--y", y], capsys)
+        assert got == want
+        assert got[0] == 0 and got[1].splitlines()[1].endswith(",holds")
+
+    def test_negative_exponent_values(self, capsys):
+        """A value after --p, --q or --c that starts like a negative number is
+        that flag's value, so these exit 2 with the regime error."""
+        code, _, err = run(["verify", "--ineq", "c-1.1", "--x", "1", "--y", "0", "--p", "-1e-3"],
+                           capsys)
+        assert code == 2 and err == "error: pair 0: conjugate exponent needs p > 1, got -0.001\n"
+        code, _, err = run(["chi", "--p", "2", "--q", "3", "--c", "-1e-3"], capsys)
+        assert code == 2 and err == "error: need 0 < c <= 1, got c=-0.001\n"
+
     def test_file_input(self, tmp_path, capsys):
         doc = {"pairs": [{"x": [1.0, 1.0], "y": [1.0, 0.0]}]}
         path = tmp_path / "pairs.json"

@@ -310,12 +310,12 @@ GOLDEN = [
         0,
         (
             "ineq_id,p,q,n_samples,min_normalized_gap,violations,seed\n"
-            "rearr-2.17,2.0,2.0,40,-1.9375578935390168e-16,0,5\n"
+            "rearr-2.17,2.0,2.0,40,0.0,0,5\n"
             "rearr-2.17,2.0,3.0,40,0.04549904300484101,0,5\n"
             "rearr-2.17,2.5,2.0,0,skipped,0,5\n"
             "rearr-2.17,2.5,3.0,40,0.0,0,5\n"
             "rearr-2.17,3.0,2.0,0,skipped,0,5\n"
-            "rearr-2.17,3.0,3.0,40,-1.693060069473285e-16,0,5\n"
+            "rearr-2.17,3.0,3.0,40,0.0,0,5\n"
         ),
         None,
         id="rearr-2.17 scan with p == q cells",

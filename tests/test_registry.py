@@ -125,6 +125,51 @@ def test_scan_skip_set(name):
     assert got == SKIPS[name]
 
 
+# The identity cells (Inequality.identity) of the scan grid above, one
+# row per p and one column per q: "=" where the statement is an identity
+# on nonnegative (and so on dominated) inputs, "d" where only on dominated
+# ones, "." elsewhere in the regime and "x" at a skipped cell.  The other
+# ids have none: their table is SKIPS.
+IDENTITY_CELLS = {
+    "sumpow-2.12": ("=dddddddddddddddddddd",) * 13,
+    "rearr-2.17": (
+        "xxxxxxxxxxxxxxxxxxxxx",
+        "xxxxxxxxxxxxxxxxxxxxx",
+        "xxxxxxxxxxxxxxxxxxxxx",
+        "xxxxxxxxxxxxxxxxxxxxx",
+        "xxxx=dddddddddddddddd",
+        "xxxxx=ddddddddddddddd",
+        "xxxxxx=dddddddddddddd",
+        "xxxxxxx=ddddddddddddd",
+        "xxxxxxxx=dddddddddddd",
+        "xxxxxxxxx=ddddddddddd",
+        "xxxxxxxxxx=dddddddddd",
+        "xxxxxxxxxxx=ddddddddd",
+        "xxxxxxxxxxxx=dddddddd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATUS))
+def test_identity_cells(name):
+    entry = REGISTRY[InequalityId.from_cli(name)]
+    got = []
+    for p in P_GRID:
+        row = ""
+        for q in Q_GRID:
+            try:
+                exps = entry.exponents(p, q)
+            except ClarksonError:
+                row += "x"
+                continue
+            plain = entry.identity(*exps, Constraint.NONNEGATIVE)
+            dominated = entry.identity(*exps, Constraint.DOMINATED_PAIR)
+            assert dominated or not plain
+            row += "=" if plain else "d" if dominated else "."
+        got.append(row)
+    assert tuple(got) == IDENTITY_CELLS.get(name, SKIPS[name])
+
+
 @pytest.mark.parametrize("name", sorted(SEARCH_EXPS))
 def test_search_exponents(name, tmp_path, capsys):
     path = tmp_path / "witness.json"
