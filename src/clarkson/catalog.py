@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -113,9 +113,11 @@ def classify(gap: float, scale: float, policy: TolerancePolicy = DEFAULT_POLICY)
     return _BORDERLINE
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """One inequality evaluation: sides, oriented gap, and verdict."""
+class GapReport(NamedTuple):
+    """One inequality evaluation: sides, oriented gap, and verdict.
+
+    A tuple: it equals the plain tuple of its fields, in this order.
+    """
 
     id: InequalityId
     p: float
@@ -152,13 +154,7 @@ def report(
     scale = a if a > b else b  # max() with its 1.0 floor, without the call
     if scale < 1.0:
         scale = 1.0
-    # The same object GapReport(...) builds: its frozen __init__ sets each
-    # field through object.__setattr__, which costs three times a dict store.
-    rep = object.__new__(GapReport)
-    d = rep.__dict__
-    d["id"], d["p"], d["q"], d["lhs"], d["rhs"] = id, p, q, lhs, rhs
-    d["gap"], d["scale"], d["verdict"] = gap, scale, classify(gap, scale, policy)
-    return rep
+    return GapReport(id, p, q, lhs, rhs, gap, scale, classify(gap, scale, policy))
 
 
 def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, float, float]:

@@ -30,18 +30,21 @@ the minimum.  There the screen keeps the range's first row, which is the
 minimum at the lowest index, and the rows whose batch gap is non-finite,
 which may raise; a row with a finite batch gap has a finite scalar one
 (catalog.batch_normalized_gaps).  One pair a range is evaluated unless
-some overflow.
+some overflow.  The extremal descent stops at its first finite score
+there: no later point can score lower.
 
-Sampled entries are valid by construction and are not checked:
-uniform draws lie in [0, 1), exponential ones are finite and >= 0,
-sparse ones are a uniform draw times a 0/1 mask, signs only flip, a
-dominated pair is the (max, min) of two draws, and weights lie in
-[0.5, 2).  The extremal descent's points stay on the constraint set too
-(a start is a sample, a move is put back on the set, and a positive
-factor keeps both).  So SampleBlock.pair and the descent wrap their
-floats in vectors unchecked.  The constraint and the weights rule are
-checked once a run, the exponents once a run (a scan: once a cell), and
-the batch screen, given the resolved (p, q), checks nothing.
+Sampled entries are valid by construction, and the screen does not
+check them: uniform draws lie in [0, 1), exponential ones are finite
+and >= 0, sparse ones are a uniform draw times a 0/1 mask, signs only
+flip, a dominated pair is the (max, min) of two draws, and weights lie
+in [0.5, 2).  The extremal descent's points stay on the constraint set
+too (a start is a sample, a move is put back on the set, and a positive
+factor keeps both).  The constraint and the weights rule are checked
+once a run, the exponents once a run (a scan: once a cell), and the
+batch screen, given the resolved (p, q), checks nothing.  The few rows
+the screen keeps are built by the public vector and weight constructors
+(SampleBlock.pair), which check them; only the descent's points, every
+one of which is scored, are wrapped unchecked (RealVector._trusted_pair).
 
 The extremal descent is sequential: each step starts from the point the
 last one accepted.  Its point is one float64 array z = (x, y) on the
@@ -194,12 +197,11 @@ class SampleBlock:
     signed: bool
 
     def pair(self, row: int) -> Tuple[RealVector, RealVector, Optional[Weights]]:
-        """Row row as vectors; sample_block's entries are valid by construction."""
+        """Row row as vectors and weights, checked by their constructors."""
         k = int(self.n[row])
         vec = RealVector if self.signed else NonnegVector
-        w = None if self.w is None else Weights._trusted(tuple(self.w[row, :k].tolist()))
-        x, y = vec._trusted_pair(tuple(self.x[row, :k].tolist()), tuple(self.y[row, :k].tolist()))
-        return x, y, w
+        w = None if self.w is None else Weights(self.w[row, :k].tolist())
+        return vec(self.x[row, :k].tolist()), vec(self.y[row, :k].tolist()), w
 
 
 def _draw(rng: np.random.Generator, shape: Tuple[int, int], spec: SampleSpec) -> np.ndarray:
@@ -453,6 +455,7 @@ def extremal_search(
     exploratory = _check_constraint(id, spec, explore)
     if spec.weights:
         raise ConstraintMismatch("extremal search does not take weights")
+    identity = REGISTRY[id].identity(p, q, spec.constraint)  # every finite gap is 0.0
     evals = 0
     best_ng = math.inf
     best: Optional[Tuple[GapReport, tuple]] = None
@@ -503,6 +506,8 @@ def extremal_search(
         z = np.array(x0.entries + y0.entries)
         # A sample is on the constraint set by construction.
         cur_ng = score(z) if _project(z, p, signed) else None
+        if identity and cur_ng is not None:
+            break
         z_again = None  # z projected once more, for the moves the clamp undoes
         step = _INITIAL_STEP
         while cur_ng is not None and step >= _MIN_STEP and evals < budget:

@@ -24,7 +24,13 @@ from clarkson.catalog import (
     evaluate,
 )
 from clarkson.core import NonnegVector, RealVector, Weights, _abs_powers
-from clarkson.errors import ConstraintMismatch, LengthMismatch, NonFiniteGap
+from clarkson.errors import (
+    ConstraintMismatch,
+    LengthMismatch,
+    NegativeEntry,
+    NonFiniteEntry,
+    NonFiniteGap,
+)
 from clarkson.search import (
     _BLOCK,
     _SCREEN_MARGIN,
@@ -617,6 +623,29 @@ def test_sample_pair_is_the_block_row(constraint, weighted):
             assert w.masses == tuple(block.w[r, :k].tolist())
         else:
             assert w is None and block.w is None
+
+
+@pytest.mark.parametrize("array, value, error", [
+    ("x", -0.5, NegativeEntry), ("y", math.nan, NonFiniteEntry),
+    ("w", 0.0, NegativeEntry), ("w", math.inf, NonFiniteEntry),
+])
+def test_sample_pair_checks_its_row(array, value, error, monkeypatch):
+    """A row that breaks the rules raises: SampleBlock.pair builds its
+    vectors and weights with the checking constructors."""
+    real = search.sample_block
+    row = 3
+
+    def with_bad_entry(spec, seed, block):
+        blk = real(spec, seed, block)
+        a = getattr(blk, array).copy()
+        a[row, 0] = value
+        return dataclasses.replace(blk, **{array: a})
+
+    monkeypatch.setattr(search, "sample_block", with_bad_entry)
+    spec = SampleSpec(dim_range=(2, 4), weights=True)
+    with pytest.raises(error):
+        sample_pair(spec, SEED, row)
+    sample_pair(spec, SEED, row + 1)
 
 
 @pytest.mark.parametrize("start, stop", [

@@ -203,7 +203,7 @@ GOLDEN = [
         0,
         (
             "status: no-violation\n"
-            "evaluations: 300\n"
+            "evaluations: 1\n"
             "seed: 8\n"
             "best_normalized_gap: 0.0\n"
             "best_verdict: borderline\n"

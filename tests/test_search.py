@@ -307,6 +307,37 @@ class TestExtremalSearch:
         assert out.evaluations == 4000
         assert again and max(again.values()) == 1
 
+    @pytest.mark.parametrize("id, p, q, constraint", [
+        (InequalityId.REARR_GAIN_217, 2.0, 2.0, Constraint.NONNEGATIVE),
+        (InequalityId.SUMPOW_212, 2.5, 2.5, Constraint.DOMINATED_PAIR),
+    ], ids=["rearr-2.17-at-p-eq-q", "dominated-sumpow-2.12"])
+    @pytest.mark.parametrize("overflows", [0, 1])
+    def test_identity_cell_stops_at_the_first_finite_score(
+            self, id, p, q, constraint, overflows, monkeypatch):
+        """Every finite gap of an identity cell is 0.0, so no later point
+        can be better: the descent stops at its first finite score, with
+        the witness the full descent reports."""
+        spec = SampleSpec(dim_range=(8, 8), constraint=constraint)
+        entry = REGISTRY[id]
+        with monkeypatch.context() as m:
+            m.setitem(REGISTRY, id, dataclasses.replace(entry, identity=lambda *args: False))
+            full = extremal_search(id, p, q, spec, 4000, seed=1)
+        calls = itertools.count()
+        real = search.evaluate
+
+        def counting(*args, **kwargs):
+            if next(calls) < overflows:
+                raise NonFiniteGap("overflow")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "evaluate", counting)
+        out = extremal_search(id, p, q, spec, 4000, seed=1)
+        assert next(calls) == out.evaluations == overflows + 1 < full.evaluations
+        assert out.normalized_gap == full.normalized_gap == 0.0
+        assert out.status is full.status is SearchStatus.NO_VIOLATION
+        if not overflows:
+            assert out.witness == full.witness and out.best_report == full.best_report
+
     def test_extremal_consistency(self):
         spec = SampleSpec(dim_range=(2, 4))
         out = extremal_search(

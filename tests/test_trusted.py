@@ -1,11 +1,10 @@
 """Past validation, evaluation runs on floats and gives the same bits.
 
-Vectors built with the trusted constructor, as SampleBlock.pair and the
-extremal descent build them, must give the same GapReport as vectors
-validated afresh, and the pair norms must equal those of the vector
-operations (p_norm of x + y and x - y).  The public p_norm must equal
-its float helper, and the re-paired sums those of the re-paired
-sequences.
+Vectors built with the trusted constructor, as the extremal descent
+builds them, must give the same GapReport as vectors validated afresh,
+and the pair norms must equal those of the vector operations (p_norm of
+x + y and x - y).  The public p_norm must equal its float helper, and
+the re-paired sums those of the re-paired sequences.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -65,15 +64,15 @@ def cases(draw):
 
 
 def bits(rep: GapReport) -> tuple:
-    return tuple(v.hex() if isinstance(v, float) else v for v in rep.__dict__.values())
+    return tuple(v.hex() if isinstance(v, float) else v for v in tuple(rep))
 
 
 def vectors(id, x, y, w, trusted):
     vec = RealVector if REGISTRY[id].constraint is Constraint.SIGNED else NonnegVector
+    weights = None if w is None else Weights(w)
     if trusted:
-        weights = None if w is None else Weights._trusted(tuple(w))
         return (*vec._trusted_pair(tuple(x), tuple(y)), weights)
-    return vec(x), vec(y), None if w is None else Weights(w)
+    return vec(x), vec(y), weights
 
 
 @given(cases())
