@@ -23,7 +23,6 @@ from .core import (
     RealVector,
     Weights,
     _abs_powers,
-    _check_entries,
     _check_pair,
     _p_norm,
     conjugate_exponent,
@@ -160,25 +159,12 @@ def report(
 def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, float, float]:
     """(||x||, ||y||, ||x+y||, ||x-y||) at exponent p, on float sequences.
 
-    An entry of x + y or x - y that overflows raises NonFiniteEntry at
-    its index, as RealVector would, and before that vector's norm could
-    raise.  Such an entry makes its norm inf or nan, or its power sum
-    raise OverflowError, so the entries are checked only then: when both
-    norms come out finite, none needs a check; otherwise both norms are
-    taken again in the eager order, each after its vector's check.
+    An entry of x + y or x - y that overflows is inf, which makes its
+    norm inf or its power sum raise OverflowError; evaluate raises
+    NonFiniteGap either way.
     """
-    nx, ny = _p_norm(x, p, w), _p_norm(y, p, w)
     s, d = list(map(add, x, y)), list(map(sub, x, y))
-    try:
-        ns = _p_norm(s, p, w)
-        if ns < math.inf:
-            nd = _p_norm(d, p, w)
-            if nd < math.inf:
-                return nx, ny, ns, nd
-    except OverflowError:
-        pass
-    ns = _p_norm(_check_entries(s), p, w)
-    return nx, ny, ns, _p_norm(_check_entries(d), p, w)
+    return _p_norm(x, p, w), _p_norm(y, p, w), _p_norm(s, p, w), _p_norm(d, p, w)
 
 
 def _batch_abs_powers(z: np.ndarray, k: float) -> np.ndarray:
@@ -328,17 +314,14 @@ def _repaired_sums(x, y, k: float, e: float) -> tuple:
     p == q for rearr-2.17) both sides are the sum of the same 2n terms:
     each is taken as one math.fsum S of them, returned as (S, 0.0, S, 0.0),
     so both are the same correctly rounded float.  Should S overflow
-    math.fsum, the four sums are taken as at any other e, and raise or go
-    to inf as they do there.  On a dominated pair (x >= y) the re-pairing
-    swaps nothing, so u == a and v == b bit for bit.
+    math.fsum, the OverflowError reaches evaluate, which raises
+    NonFiniteGap.  On a dominated pair (x >= y) the re-pairing swaps
+    nothing, so u == a and v == b bit for bit.
     """
     px, py = list(_abs_powers(x, k)), list(_abs_powers(y, k))
     if e == 1.0:
-        try:
-            s = math.fsum(px + py)
-            return s, 0.0, s, 0.0, e
-        except OverflowError:
-            pass
+        s = math.fsum(px + py)
+        return s, 0.0, s, 0.0, e
     pu = [t if a < b else r for a, b, r, t in zip(x, y, px, py)]
     pv = [r if a < b else t for a, b, r, t in zip(x, y, px, py)]
     return math.fsum(px), math.fsum(py), math.fsum(pu), math.fsum(pv), e

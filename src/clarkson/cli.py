@@ -298,8 +298,6 @@ def _check_grid_size(grid_size: int, minimum: int) -> None:
 
 
 def cmd_phi(args) -> int:
-    if args.u is None or args.v is None:
-        raise UsageError("phi needs --u and --v")
     u = NonnegVector(tuple(_parse_floats(args.u)))
     v = NonnegVector(tuple(_parse_floats(args.v)))
     ctx = variational.PhiContext(u, v, args.p_value, args.q_value)

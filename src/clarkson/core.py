@@ -11,10 +11,9 @@ dominance) are ``_check_pair``'s.  Sampled blocks are valid by
 construction, and the batch screen does not check them.  Past that,
 the catalog's registry quantities work on the plain float tuples
 (``entries``, ``masses``) through the private float helper ``_p_norm``,
-which checks nothing: it takes its power sum in its own frame, as
-``_sum_abs_powers`` does (the compensated sum of ``_abs_powers``'
-terms), and calls ``_sum_abs_powers`` only to take the sum again on
-rescaled entries.  The public ``p_norm`` checks p (finite, >= 1) and
+which checks nothing: it takes the compensated sum of ``_abs_powers``'
+terms, and calls itself once on rescaled entries when that sum
+underflows.  The public ``p_norm`` checks p (finite, >= 1) and
 the weights, then calls ``_p_norm``, so both give the same bits.
 ``_abs_powers`` yields the terms |x_i|^p for these sums and for the
 catalog's re-paired sums, from ``map`` over C-level callables
@@ -142,12 +141,19 @@ def _check_pair(x, y, masses=None, dominated: bool = False) -> None:
 
 
 def conjugate_exponent(p: float) -> float:
-    """q = p/(p-1), so that 1/p + 1/q = 1, for finite p > 1."""
+    """q = p/(p-1), so that 1/p + 1/q = 1, for finite p > 1.
+
+    From p just above 2^53 on, q rounds to 1.0, where no statement
+    taken at q means what it says; such p is out of range too.
+    """
     if not math.isfinite(p):
         raise ExponentOutOfRange(f"conjugate exponent needs finite p, got {p}")
     if p <= 1.0:
         raise ExponentOutOfRange(f"conjugate exponent needs p > 1, got {p}")
-    return p / (p - 1.0)
+    q = p / (p - 1.0)
+    if q == 1.0:
+        raise ExponentOutOfRange(f"conjugate exponent of p = {p} rounds to 1")
+    return q
 
 
 def main_exponents(p: float, q: float) -> Tuple[float, float]:
@@ -176,44 +182,30 @@ def _abs_powers(entries: Sequence[float], p: float) -> Iterator[float]:
     return map(pow, map(abs, entries), repeat(p))
 
 
-def _sum_abs_powers(
-    entries: Sequence[float], p: float, masses: Optional[Sequence[float]] = None
-) -> float:
-    """Compensated sum of w_i * |x_i|^p (unit weights when masses is None).
-
-    entries and masses are plain floats, already checked, and p >= 1.
-    """
-    terms = _abs_powers(entries, p)
-    return math.fsum(terms if masses is None else map(mul, masses, terms))
-
-
 def _p_norm(
     entries: Sequence[float], p: float, masses: Optional[Sequence[float]] = None
 ) -> float:
     """p_norm on plain floats: entries and masses already validated.
 
     A power sum below the smallest normal float has lost bits to
-    underflow, or is 0 for nonzero entries (1e-200 at p = 3).  It is
-    then taken again on the entries scaled by 2^-k, where 2^(k-1) <=
-    max |x_i| < 2^k, and the norm scaled back by 2^k.  At k = 0 (every
-    entry 0, or the largest in [1/2, 1)) that scaling is the identity,
-    and the sum is not taken again.  Every norm whose power sum is
-    normal keeps its bits.
+    underflow, or is 0 for nonzero entries (1e-200 at p = 3).  The norm
+    is then that of the entries scaled by 2^-k, where 2^(k-1) <=
+    max |x_i| < 2^k, scaled back by 2^k.  At k = 0 (every entry 0, or
+    the largest in [1/2, 1)) the sum is not taken again, so the call on
+    the scaled entries, whose largest lies in [1/2, 1), does not recurse.
+    Every norm whose power sum is normal keeps its bits.
     """
-    terms = _abs_powers(entries, p)  # _sum_abs_powers, without the call
+    terms = _abs_powers(entries, p)
     s = math.fsum(terms if masses is None else map(mul, masses, terms))
-    k = 0
     if s < _MIN_NORMAL:
         k = math.frexp(max(map(abs, entries)))[1]
         if k:
-            s = _sum_abs_powers([math.ldexp(x, -k) for x in entries], p, masses)
+            return math.ldexp(_p_norm([math.ldexp(x, -k) for x in entries], p, masses), k)
     if s == 0.0 or p == 1.0:
-        norm = s
-    elif p == 2.0:
-        norm = math.sqrt(s)
-    else:
-        norm = s ** (1.0 / p)
-    return math.ldexp(norm, k) if k else norm
+        return s
+    if p == 2.0:
+        return math.sqrt(s)
+    return s ** (1.0 / p)
 
 
 def p_norm(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from . import catalog
 from .catalog import DEFAULT_POLICY, GapReport, InequalityId, TolerancePolicy
 from .core import NonnegVector, _check_pair
-from .errors import ExponentOutOfRange, TooLarge
+from .errors import TooLarge
 
 ORACLE_MAX_LEN = 16
 
@@ -58,11 +58,11 @@ def brute_force_swap_oracle(x: NonnegVector, y: NonnegVector, r: float) -> float
     """Maximum of (sum a)^r + (sum b)^r over all 2^n componentwise swaps.
 
     Independent oracle certifying that the dominance re-pairing attains
-    the maximum; guarded to n <= 16.
+    the maximum; guarded to n <= 16.  r is checked as sumpow-2.12's r:
+    finite and >= 1.
     """
     _check_pair(x.entries, y.entries)
-    if r < 1.0:
-        raise ExponentOutOfRange(f"need r >= 1, got {r}")
+    catalog._sum_power_exponents(r, r)
     n = len(x)
     if n > ORACLE_MAX_LEN:
         raise TooLarge(f"oracle limited to n <= {ORACLE_MAX_LEN}, got {n}")

@@ -295,6 +295,42 @@ class TestSearch:
         assert "evaluations: 500" in out
         assert math.isfinite(float(out.split("best_normalized_gap: ")[1].split()[0]))
 
+    def test_extremal_violation_exits_1(self, capsys):
+        # With a band of 1e-300 the descent's rounding noise below 0 is violated.
+        code, out, _ = run(
+            ["search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "4",
+             "--nmin", "8", "--nmax", "8", "--budget", "4000", "--seed", "1",
+             "--rel-tol", "1e-300", "--band", "1e-300"],
+            capsys,
+        )
+        assert code == 1
+        assert out.splitlines()[0] == "status: violation-found"
+        assert out.splitlines()[-1] == "best_verdict: violated"
+
+
+class TestConjugateRoundsToOne:
+    """From p near 1e16 on, p/(p-1) is 1.0: c-1.1 and c-1.2 are out of
+    range there.  verify printed violated (lhs 2.0, rhs 0.0) at 1e300."""
+
+    @pytest.mark.parametrize("p", ["1e16", "1e300"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--ineq", "c-1.1", "--x", "0.3,-0.7", "--y", "0.2,0.1"],
+        ["search", "--ineq", "c-1.1", "--budget", "50", "--seed", "1"],
+        ["search", "--mode", "extremal", "--ineq", "c-1.2", "--budget", "50", "--seed", "1"],
+    ], ids=["verify", "search", "extremal"])
+    def test_exits_2(self, argv, p, capsys):
+        code, out, err = run([*argv, "--p", p], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"conjugate exponent of p = {float(p)} rounds to 1")
+
+    @pytest.mark.parametrize("grid", ["1e16:2e16:1e16", "1e300:1e300:1e300"])
+    def test_scan_skips_the_cells(self, grid, capsys):
+        code, out, _ = run(["scan", "--ineq", "c-1.1", "--p-grid", grid, "--q-grid", "2:2:1",
+                            "--samples", "5", "--seed", "1"], capsys)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert rows and all(row.split(",")[3:5] == ["0", "skipped"] for row in rows)
+
 
 class TestErrorExits:
     @pytest.mark.parametrize(
@@ -325,9 +361,10 @@ class TestErrorExits:
                                ("sumpow-2.12", ("--q", "3")))],
             (["verify", "--ineq", "c-1.3-right", "--x", "1e200,2", "--y", "2,1e200", "--p", "2"],
              "c-1.3-right: non-finite gap"),
-            # x + y overflows while both norms stay finite (x*x gives inf, no exception)
+            # x + y overflows: no entry is named, and x*x gives inf, not an exception
             (["verify", "--ineq", "main-1.7", "--x", "1e308,1", "--y", "1e308,1",
-              "--p", "2", "--q", "3"], "error: pair 0: non-finite entry at index 0"),
+              "--p", "2", "--q", "3"],
+             "error: pair 0: main-1.7: non-finite gap (lhs=inf, rhs=inf)"),
             # the order of the checks: the exponents before anything else
             *[(["verify", "--ineq", name, "--x", "3,1", "--y", "1,2,3", "--p", "0.5",
                 "--q", "3"], f"error: pair 0: {message}")
@@ -431,7 +468,7 @@ class TestErrorExits:
         ([1.0, 2.0], [3.0, 1.0, 2.0], [1.0, 2.0, 3.0], "weights length 3 != vector length 2"),
         # y is checked against the weights before x against y
         ([1.0, 2.0], [3.0, 1.0, 2.0], [1.0, 2.0], "weights length 2 != vector length 3"),
-        ([1e308, 2.0], [1e308, 1.0], [0.5, 2.0], "non-finite entry at index 0"),
+        ([1e308, 2.0], [1e308, 1.0], [0.5, 2.0], "main-1.7: non-finite gap (lhs=inf, rhs=inf)"),
     ])
     def test_weighted_input_errors(self, x, y, w, message, tmp_path, capsys):
         path = tmp_path / "pairs.json"
@@ -643,6 +680,13 @@ class TestSeedEnvVar:
         )
         assert code == 0
         assert "seed: 99" in out
+
+    def test_invalid_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CLARKSON_SEED", "abc")
+        code, out, err = run(["search", "--ineq", "main-1.7", "--p", "2", "--q", "3",
+                              "--budget", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: CLARKSON_SEED must be an integer, got 'abc'\n"
 
 
 class TestParserReuse:

@@ -11,7 +11,6 @@ from clarkson.core import (
     RealVector,
     Weights,
     _p_norm,
-    _sum_abs_powers,
     conjugate_exponent,
     p_norm,
 )
@@ -21,6 +20,8 @@ from clarkson.errors import (
     LengthMismatch,
     NegativeEntry,
     NonFiniteEntry,
+    NonFiniteGap,
+    TooLarge,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -53,6 +54,12 @@ class TestValidateVector:
     def test_empty_rejected(self):
         with pytest.raises(EmptyVector):
             RealVector([])
+
+    def test_too_long_rejected(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_LEN", 3)
+        assert len(RealVector([1.0, 2.0, 3.0])) == 3
+        with pytest.raises(TooLarge, match="vector length 4 exceeds maximum 3"):
+            RealVector([1.0, 2.0, 3.0, 4.0])
 
 
 class TestPNorm:
@@ -99,7 +106,8 @@ class TestPNorm:
     def test_normal_power_sums_keep_their_bits(self, entries, p, mass):
         # The norm as computed before the underflow rescaling.
         masses = None if mass is None else (mass,) * len(entries)
-        s = _sum_abs_powers(entries, p, masses)
+        terms = list(core._abs_powers(entries, p))
+        s = math.fsum(terms if masses is None else [m * t for m, t in zip(masses, terms)])
         assume(s >= sys.float_info.min)
         root = s if p == 1.0 else math.sqrt(s) if p == 2.0 else s ** (1.0 / p)
         assert _p_norm(entries, p, masses) == root
@@ -169,6 +177,15 @@ class TestConjugateExponent:
         with pytest.raises(ExponentOutOfRange):
             conjugate_exponent(p)
 
+    @pytest.mark.parametrize("p", [1e16, 1e300])
+    def test_rejects_p_whose_conjugate_rounds_to_one(self, p):
+        # p - 1 rounds to p, so p/(p-1) would be 1.0
+        with pytest.raises(ExponentOutOfRange, match="rounds to 1"):
+            conjugate_exponent(p)
+
+    def test_keeps_p_whose_conjugate_exceeds_one(self):
+        assert conjugate_exponent(1e15) > 1.0
+
     @given(st.floats(min_value=1.0001, max_value=100.0))
     def test_holder_identity(self, p):
         q = conjugate_exponent(p)
@@ -190,17 +207,18 @@ class TestCombine:
         want = (2.0**2.5 + 3.0**2.5) ** (1.0 / 2.5)
         assert _pair_norms((2.0, 0.0), (0.0, 3.0), 2.5, None, None)[3] == want
 
-    def test_overflowing_entry_is_named(self):
-        with pytest.raises(NonFiniteEntry) as exc:
-            _pair_norms((1.0, 1e308), (1.0, 1e308), 2.0, None, None)
-        assert exc.value.index == 1
-        with pytest.raises(NonFiniteEntry) as exc:
-            _pair_norms((1e308, 1.0), (-1e308, 1.0), 2.0, None, None)
-        assert exc.value.index == 0
+    def test_overflowing_entry_makes_its_norm_infinite(self):
+        # x + y of the first pair overflows at index 1, x - y of the second
+        # at index 0: no entry is named, and evaluate reports a non-finite gap.
+        assert _pair_norms((1.0, 1e308), (1.0, 1e308), 2.0, None, None)[2] == math.inf
+        assert _pair_norms((1e308, 1.0), (-1e308, 1.0), 2.0, None, None)[3] == math.inf
+        with pytest.raises(NonFiniteGap, match="non-finite gap"):
+            evaluate(InequalityId.MAIN_17, NonnegVector((1.0, 1e308)),
+                     NonnegVector((1.0, 1e308)), 2.0, 3.0)
 
     def test_sum_norm_comes_before_the_difference_check(self):
-        # x + y is finite, but its squares overflow math.fsum before x - y,
-        # whose last entry is inf, is checked.
+        # x + y is finite, but its squares overflow math.fsum before the
+        # norm of x - y, whose last entry is inf, is taken.
         x, y = (5e153, 5e153, 1e308), (5e153, 5e153, -1e308)
         with pytest.raises(OverflowError):
             _pair_norms(x, y, 2.0, None, None)

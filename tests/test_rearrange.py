@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from clarkson.catalog import InequalityId, Verdict, evaluate
 from clarkson.core import NonnegVector, RealVector, p_norm
-from clarkson.errors import LengthMismatch, TooLarge
+from clarkson.errors import ExponentOutOfRange, LengthMismatch, RegimeViolation, TooLarge
 from clarkson.rearrange import (
     RearrangedPair,
     brute_force_swap_oracle,
@@ -144,6 +144,26 @@ class TestBruteForceOracle:
         big = NonnegVector((1.0,) * 17)
         with pytest.raises(TooLarge):
             brute_force_swap_oracle(big, big, 2.0)
+
+    @pytest.mark.parametrize("r, error, text", [
+        (math.nan, RegimeViolation, "need finite r, got nan"),
+        (math.inf, RegimeViolation, "need finite r, got inf"),
+        (0.5, ExponentOutOfRange, "need r >= 1, got 0.5"),
+    ])
+    def test_r_outside_the_regime(self, r, error, text):
+        # r is sumpow-2.12's r: nan returned nan, and inf returned 1.0
+        x = NonnegVector((1.0, 3.0))
+        with pytest.raises(error) as exc:
+            brute_force_swap_oracle(x, x, r)
+        assert str(exc.value) == text
+
+    def test_check_order(self):
+        # the pair, then r, then the size
+        with pytest.raises(LengthMismatch):
+            brute_force_swap_oracle(NonnegVector((1.0, 3.0)), NonnegVector((2.0,)), math.nan)
+        big = NonnegVector((1.0,) * 17)
+        with pytest.raises(ExponentOutOfRange):
+            brute_force_swap_oracle(big, big, 0.5)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=10),

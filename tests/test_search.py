@@ -201,6 +201,11 @@ class TestExtremalSearch:
         x, y = out.witness[0], out.witness[1]
         assert max(x.entries + y.entries) <= 1.0
 
+    def test_inverted_orientation_is_caught(self, inverted_main_17):
+        out = extremal_search(InequalityId.MAIN_17, 2.0, 3.0, SPEC, 200, seed=11)
+        assert out.status is SearchStatus.VIOLATION_FOUND
+        assert out.best_report.verdict is Verdict.VIOLATED
+
     def test_scalar_corollary_minimizer(self):
         spec = SampleSpec(dim_range=(1, 1), constraint=Constraint.DOMINATED_PAIR)
         out = extremal_search(

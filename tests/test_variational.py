@@ -314,6 +314,26 @@ class TestGridEvaluators:
         assert got == _hex([_chi_per_point(ctx, s) for s in ss])
 
 
+class TestChiContext:
+    @pytest.mark.parametrize("p, q", [(1.0, 3.0), (0.5, 3.0), (2.0, 1.0), (2.0, -1.0)])
+    def test_rejects_exponents_at_most_one(self, p, q):
+        with pytest.raises(RegimeViolation, match="need p > 1 and q > 1"):
+            ChiContext(p, q, 0.5)
+
+
+class TestDomains:
+    @pytest.mark.parametrize("fn", [psi, psi_prime])
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+    def test_psi_needs_t_in_the_unit_interval(self, fn, t):
+        with pytest.raises(DomainError, match="t must lie in"):
+            fn(ChiContext(1.5, 3.0, 0.8), t)
+
+    @pytest.mark.parametrize("s", [-0.1, 0.9, math.nan])
+    def test_chi_needs_s_up_to_c(self, s):
+        with pytest.raises(DomainError, match=r"s must lie in \[0, 0.8\]"):
+            chi(ChiContext(1.5, 3.0, 0.8), s)
+
+
 class TestPsi:
     def test_zero_at_origin(self):
         ctx = ChiContext(1.5, 3.0, 0.8)
