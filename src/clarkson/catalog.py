@@ -172,7 +172,7 @@ def _batch_abs_powers(z: np.ndarray, k: float) -> np.ndarray:
     at k = 1, 2, 3 and 4 the terms equal the scalar path's bit for bit.
     At any other k only nonzero entries are raised, in place in |z| (one
     block-sized temporary, not two, keeps the heap from being trimmed and
-    regrown between windows); zeros, padding included, stay 0 = |0|^k, so
+    regrown between batch calls); zeros, padding included, stay 0 = |0|^k, so
     the terms equal the dense ones bit for bit.  The masked power leaves
     numpy's fast paths; the products take a fifth of its time.
     """
@@ -248,14 +248,18 @@ def _c12_sides(nx, ny, ns, nd, p: float, q: float):
     return (rhs, lhs) if p < 2.0 else (lhs, rhs)
 
 
-def _c13_sides(nx, ny, ns, nd, p: float, q: float):
-    """(left, right) sides of 2(||x||^p + ||y||^p) <= mid <= 2^(p-1)(...)."""
-    base = nx**p + ny**p
-    mid = ns**p + nd**p
-    left, right = (2.0 * base, mid), (mid, 2.0 ** (p - 1.0) * base)
-    if p < 2.0:
-        return left[::-1], right[::-1]
-    return left, right
+def _c13_left_sides(nx, ny, ns, nd, p: float, q: float):
+    """2(||x||^p + ||y||^p) <= ||x+y||^p + ||x-y||^p."""
+    lhs = 2.0 * (nx**p + ny**p)
+    rhs = ns**p + nd**p
+    return (rhs, lhs) if p < 2.0 else (lhs, rhs)
+
+
+def _c13_right_sides(nx, ny, ns, nd, p: float, q: float):
+    """||x+y||^p + ||x-y||^p <= 2^(p-1)(||x||^p + ||y||^p)."""
+    lhs = ns**p + nd**p
+    rhs = 2.0 ** (p - 1.0) * (nx**p + ny**p)
+    return (rhs, lhs) if p < 2.0 else (lhs, rhs)
 
 
 def _main_sides(nx, ny, ns, nd, p: float, q: float):
@@ -401,10 +405,8 @@ class Inequality:
 REGISTRY: Dict[InequalityId, Inequality] = {
     InequalityId.C11: Inequality(Constraint.SIGNED, _conjugate_exponents, _c11_sides),
     InequalityId.C12: Inequality(Constraint.SIGNED, _conjugate_exponents, _c12_sides),
-    InequalityId.C13_LEFT: Inequality(
-        Constraint.SIGNED, _c13_exponents, lambda *norms_p_q: _c13_sides(*norms_p_q)[0]),
-    InequalityId.C13_RIGHT: Inequality(
-        Constraint.SIGNED, _c13_exponents, lambda *norms_p_q: _c13_sides(*norms_p_q)[1]),
+    InequalityId.C13_LEFT: Inequality(Constraint.SIGNED, _c13_exponents, _c13_left_sides),
+    InequalityId.C13_RIGHT: Inequality(Constraint.SIGNED, _c13_exponents, _c13_right_sides),
     InequalityId.MAIN_17: Inequality(
         Constraint.NONNEGATIVE, main_exponents, _main_sides, explore=True),
     InequalityId.PROP_14: Inequality(

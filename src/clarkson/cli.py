@@ -66,7 +66,8 @@ def _parse_floats(text: str) -> List[float]:
 
 
 def _parse_grid(text: str) -> List[float]:
-    """start:stop:step, inclusive of stop within half a step; finite, at most MAX_GRID_CELLS."""
+    """start:stop:step, inclusive of stop within half a step; finite, at most
+    MAX_GRID_CELLS, no value twice.  start:start:step is [start] at any step."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be start:stop:step, got {text!r}")
@@ -78,6 +79,8 @@ def _parse_grid(text: str) -> List[float]:
         raise UsageError(f"grid step must be positive, got {step}")
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise UsageError(f"grid start, stop and step must be finite, got {text!r}")
+    if start == stop:
+        return [start + 0.0]  # -0.0 reads 0.0, as start + 0 * step does below
     out = []
     k = 0
     while True:
@@ -90,6 +93,8 @@ def _parse_grid(text: str) -> List[float]:
         k += 1
     if not out:
         raise UsageError(f"grid {text!r} is empty")
+    if len(set(out)) < len(out):
+        raise UsageError(f"grid {text!r} repeats values: step {step!r} is below their float spacing")
     return out
 
 

@@ -10,9 +10,8 @@ Reductions are min/count only.  An index range is screened with numpy
 first, on each registry entry's batch quantities (the pair norms for
 c-1.1, c-1.2, c-1.3-left/right, main-1.7 and prop-1.4, the entries
 themselves for cor-1.6, the re-paired power sums for sumpow-2.12 and
-rearr-2.17), in windows of up to _BLOCK consecutive indices counted from
-its start, one batch call a window (a window across a block boundary
-joins the two blocks' rows).
+rearr-2.17), one batch call for the slice of each block the range
+touches.
 Only the pairs the screen cannot rule out reach the scalar evaluate,
 which decides every verdict, count and witness.  The screen keeps the
 rows whose batch gap is non-finite, below rel_tol + margin, or within
@@ -183,11 +182,10 @@ class SearchStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SampleBlock:
-    """Sampled pairs as zero-padded (rows, nmax) arrays: a block of _BLOCK
-    (sample_block) or a window of at most _BLOCK (_sample_rows).
+    """The _BLOCK pairs of a sample block as zero-padded (_BLOCK, nmax) arrays.
 
     Row r holds a pair of length n[r]; x, y and w are zero past it.
-    A block's arrays are read-only: blocks are cached and shared.
+    The arrays are read-only: blocks are cached and shared.
     """
 
     n: np.ndarray
@@ -214,9 +212,10 @@ def _draw(rng: np.random.Generator, shape: Tuple[int, int], spec: SampleSpec) ->
     return vals * mask
 
 
-# sample_pair walks indices one at a time, adjacent scan cells share a
-# block, and a screen window may span two, so the last two blocks are kept.
-@functools.lru_cache(maxsize=2)
+# Every caller reads blocks in ascending order (scan cells ascend, a
+# search's range starts at 0, the descent's starts lie in block 0), and
+# adjacent scan cells share a block, so the last block is kept.
+@functools.lru_cache(maxsize=1)
 def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     """Pairs block * _BLOCK ... block * _BLOCK + _BLOCK - 1 of (spec, seed).
 
@@ -273,7 +272,7 @@ def _screen(ng: np.ndarray, rel_tol: float, margin: float, low: float) -> Tuple[
     range's minimum; and the running minimum low, updated.
 
     low is the lowest finite batch gap seen so far in the index range
-    (inf before its first window).  With |batch - scalar| <= margin on
+    (inf before its first block).  With |batch - scalar| <= margin on
     every row, a row left out holds (its batch gap is at least rel_tol +
     margin), and its scalar gap exceeds low + margin, so it exceeds that
     of the row that set low.  That row was kept when it was seen, as it
@@ -284,23 +283,6 @@ def _screen(ng: np.ndarray, rel_tol: float, margin: float, low: float) -> Tuple[
     low = min(low, float(np.min(ng, where=finite, initial=math.inf)))
     keep = ~finite | (ng < rel_tol + margin) | (ng <= low + 2.0 * margin)
     return np.flatnonzero(keep), low
-
-
-def _sample_rows(spec: SampleSpec, seed: int, start: int, stop: int) -> SampleBlock:
-    """Pairs start ... stop - 1 of (spec, seed), at most _BLOCK of them: a
-    slice of one cached block, or one block's tail joined to the next
-    block's head."""
-    b, lo = divmod(start, _BLOCK)
-    hi = lo + stop - start
-    one = sample_block(spec, seed, b)
-    arrays = (one.n, one.x, one.y, one.w)
-    if hi <= _BLOCK:
-        rows = [None if a is None else a[lo:hi] for a in arrays]
-    else:
-        two = sample_block(spec, seed, b + 1)
-        rows = [None if a is None else np.concatenate((a[lo:], c[:hi - _BLOCK]))
-                for a, c in zip(arrays, (two.n, two.x, two.y, two.w))]
-    return SampleBlock(*rows, one.signed)
 
 
 def _eval_indices(
@@ -316,21 +298,24 @@ def _eval_indices(
     """Min-reduce an index range: (best_norm_gap, report, witness, violations).
 
     The result equals that of evaluating every index with the scalar
-    evaluate: windows of up to _BLOCK consecutive indices, counted from
-    the start of the range, are screened with one batch call each, and
-    only the rows _screen keeps are evaluated (on an identity cell, the
-    range's first row and the non-finite ones).  Indices run in ascending
-    order, so ties go to the lowest index.  (p, q) is a pair the entry's
-    exponent builder returned.
+    evaluate: the slice of each block the range touches is screened with
+    one batch call, and only the rows _screen keeps are evaluated (on an
+    identity cell, the range's first row and the non-finite ones).
+    Indices run in ascending order, so ties go to the lowest index.
+    (p, q) is a pair the entry's exponent builder returned.
     """
     identity = REGISTRY[id].identity(p, q, spec.constraint)
     margin = _screen_margin(p, q, spec.dim_range[1])
     low = math.inf
     best = (math.inf, None, None)
     violations = 0
-    for start in range(indices.start, indices.stop, _BLOCK):
-        rows = _sample_rows(spec, seed, start, min(start + _BLOCK, indices.stop))
-        gaps = batch_normalized_gaps(id, rows.x, rows.y, p, q, rows.w)
+    start = indices.start
+    while start < indices.stop:
+        b, lo = divmod(start, _BLOCK)
+        hi = min(_BLOCK, lo + indices.stop - start)
+        blk = sample_block(spec, seed, b)
+        gaps = batch_normalized_gaps(id, blk.x[lo:hi], blk.y[lo:hi], p, q,
+                                     None if blk.w is None else blk.w[lo:hi])
         if identity:
             keep = ~np.isfinite(gaps)
             keep[0] |= start == indices.start
@@ -338,13 +323,14 @@ def _eval_indices(
         else:
             kept, low = _screen(gaps, policy.rel_tol, margin, low)
         for r in kept.tolist():
-            x, y, w = rows.pair(r)
+            x, y, w = blk.pair(lo + r)
             rep = evaluate(id, x, y, p, q, w, policy, strict)
             ng = rep.gap / rep.scale
             if rep.verdict is _VIOLATED:
                 violations += 1
             if ng < best[0]:
                 best = (ng, rep, (x, y, p, q, w))
+        start += hi - lo
     return (*best, violations)
 
 

@@ -429,10 +429,11 @@ def test_overflowing_identity_cell_raises_at_the_all_scalar_pair(monkeypatch):
     assert pairs == [sample_pair(spec, SEED, 0)[:2], sample_pair(spec, SEED, raised)[:2]]
 
 
-# Ranges that start mid-block and run over 4 blocks, so every screen
-# window joins the rows of two blocks.  The scalar minimum of the first
-# lies in its second window for main-1.7 at (2.5, 3.7), and that of the
-# second for rearr-2.17 at (2, 3) on LONG_SPARSE (both checked below).
+# Ranges that start mid-block and end mid-block 3 blocks later, so their
+# first and last screened slices are partial blocks.  The scalar minimum
+# of the first lies in its second block for main-1.7 at (2.5, 3.7), and
+# that of the second in its third block for rearr-2.17 at (2, 3) on
+# LONG_SPARSE (both checked below).
 MID_BLOCK_RANGES = (range(37, 37 + 3 * _BLOCK + 40), range(300, 300 + 3 * _BLOCK + 40))
 
 
@@ -450,20 +451,21 @@ def test_windows_across_blocks_equal_all_scalar_reduction(id, constraint, explor
         assert_same_outcome(got, want)
 
 
-@pytest.mark.parametrize("id, spec, exps, indices", [
-    (InequalityId.MAIN_17, SampleSpec(dim_range=(1, 16)), (2.5, 3.7), MID_BLOCK_RANGES[0]),
-    (InequalityId.REARR_GAIN_217, LONG_SPARSE, (2.0, 3.0), MID_BLOCK_RANGES[1]),
+@pytest.mark.parametrize("id, spec, exps, indices, blocks_to_minimum", [
+    (InequalityId.MAIN_17, SampleSpec(dim_range=(1, 16)), (2.5, 3.7), MID_BLOCK_RANGES[0], 2),
+    (InequalityId.REARR_GAIN_217, LONG_SPARSE, (2.0, 3.0), MID_BLOCK_RANGES[1], 3),
 ], ids=["main-1.7", "rearr-2.17"])
-def test_minimum_in_a_later_window(id, spec, exps, indices, monkeypatch):
-    """The running minimum: the first window keeps its own argmin, the
-    second window the range's minimum, and the last two windows, whose
-    rows all lie above it, keep none."""
+def test_minimum_in_a_later_window(id, spec, exps, indices, blocks_to_minimum, monkeypatch):
+    """The running minimum: each block's slice, up to the one holding the
+    range's minimum, keeps one row that lowers it, and the later slices,
+    whose rows all lie above it, keep none."""
     *want, gaps = scalar_reduce(id, exps, spec, SEED, indices)
-    assert gaps.index(want[0]) >= _BLOCK
+    first = indices.start // _BLOCK
+    assert (indices.start + gaps.index(want[0])) // _BLOCK == first + blocks_to_minimum - 1
     calls = count_evaluate_calls(monkeypatch)
     assert_same_outcome(
         search._eval_indices(id, *exps, spec, SEED, indices, DEFAULT_POLICY), want)
-    assert len(calls) == 2
+    assert len(calls) == blocks_to_minimum
 
 
 def test_cor_1_6_on_two_entry_pairs_raises_as_the_scalar_path(monkeypatch):
@@ -501,7 +503,7 @@ def test_cor_1_6_screen_thins_off_the_identity(seed, monkeypatch):
 
 def test_search_small_n_evaluates_fewer_rows_than_blocks(monkeypatch, tmp_path, capsys):
     """The search-small-n flags at budget 4000 (16 blocks): after the first
-    windows, later ones keep only rows near the running minimum."""
+    blocks, later ones keep only rows near the running minimum."""
     calls = count_evaluate_calls(monkeypatch)
     for seed in range(5):
         calls.clear()
@@ -514,9 +516,10 @@ def test_search_small_n_evaluates_fewer_rows_than_blocks(monkeypatch, tmp_path, 
     capsys.readouterr()
 
 
-def test_scan_makes_one_batch_call_per_cell(monkeypatch, capsys):
-    """The scan-long-n scan at 50 samples a cell: 35 cells in the regime,
-    8 of them across a block boundary, each screened in one call."""
+def test_scan_makes_one_batch_call_per_block_a_cell_touches(monkeypatch, capsys):
+    """The scan-long-n scan at 50 samples a cell: 35 cells in the regime.
+    Cells 5, 10, ..., 40 cross a block boundary and are screened in two
+    calls, one a block; the other 27 in one call."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -529,7 +532,7 @@ def test_scan_makes_one_batch_call_per_cell(monkeypatch, capsys):
         "--nmin", "32", "--nmax", "64", "--dist", "sparse", "--density", "0.5",
         "--samples", "50", "--seed", "1",
     ]) == 0
-    assert calls == [50] * 35
+    assert len(calls) == 43 and calls.count(50) == 27 and sum(calls) == 35 * 50
     capsys.readouterr()
 
 
@@ -564,10 +567,10 @@ def test_batch_terms_take_the_scalar_fast_paths(constraint):
 def test_repaired_sums_equal_the_four_array_formula(dist, constraint):
     spec = SampleSpec(dim_range=(1, 64), distribution=dist, constraint=constraint)
     b0, b1 = sample_block(spec, SEED, 0), sample_block(spec, SEED, 1)
-    # a whole block, a slice of one, and a window joined across the boundary
-    windows = [(b0.x, b0.y), (b1.x[40:90], b1.y[40:90]),
-               (np.concatenate((b0.x[-30:], b1.x[:20])), np.concatenate((b0.y[-30:], b1.y[:20])))]
-    for x, y in windows:
+    # a whole block, a slice of one, and a new array of rows from both
+    arrays = [(b0.x, b0.y), (b1.x[40:90], b1.y[40:90]),
+              (np.concatenate((b0.x[-30:], b1.x[:20])), np.concatenate((b0.y[-30:], b1.y[:20])))]
+    for x, y in arrays:
         for k in (1.0, 2.0, 2.5, 3.0, 4.0, 1 / 0.3):
             got = catalog._batch_repaired_sums(x, y, k, 1.5)
             want = four_array_repaired_sums(x, y, k, 1.5)
@@ -646,17 +649,6 @@ def test_sample_pair_checks_its_row(array, value, error, monkeypatch):
     with pytest.raises(error):
         sample_pair(spec, SEED, row)
     sample_pair(spec, SEED, row + 1)
-
-
-@pytest.mark.parametrize("start, stop", [
-    (0, _BLOCK), (40, 90), (_BLOCK - 30, _BLOCK + 20), (300, 300 + _BLOCK),
-], ids=["block", "slice", "joined", "joined-full"])
-def test_sample_rows_are_the_indexed_pairs(start, stop):
-    spec = SampleSpec(dim_range=(1, 9), distribution=Distribution.SPARSE, weights=True)
-    rows = search._sample_rows(spec, SEED, start, stop)
-    assert len(rows.n) == len(rows.x) == len(rows.w) == stop - start
-    for r in range(stop - start):
-        assert rows.pair(r) == sample_pair(spec, SEED, start + r)
 
 
 def test_blocks_are_read_only():

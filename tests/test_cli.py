@@ -211,6 +211,30 @@ class TestParseGrid:
     def test_cap_is_inclusive(self):
         assert len(_parse_grid(f"1:{MAX_GRID_CELLS}:1")) == MAX_GRID_CELLS
 
+    @pytest.mark.parametrize("text, value", [
+        ("1e300:1e300:1", 1e300), ("3:3:1e-20", 3.0), ("3:3:0.7", 3.0), ("-0:-0:1", 0.0),
+        ("1.0000000000000002:1.0000000000000002:2.220446049250313e-16", 1.0000000000000002),
+    ])
+    def test_one_value_grid_at_any_step(self, text, value):
+        got = _parse_grid(text)
+        assert got == [value] and repr(got[0]) == repr(value)
+
+    def test_one_value_grid_scans_one_row(self, capsys):
+        code, out, _ = run(["scan", "--ineq", "c-1.1", "--p-grid", "3:3:1e-20", "--q-grid",
+                            "2:2:1", "--samples", "5", "--seed", "1"], capsys)
+        assert code == 0 and len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("text", ["1:1.0000000000000002:1e-17", "1e16:10000000000000002:0.5"])
+    def test_repeating_values_rejected(self, text):
+        with pytest.raises(UsageError, match="repeats values: step .* is below"):
+            _parse_grid(text)
+
+    def test_repeating_grid_exits_2(self, capsys):
+        code, out, err = run(["scan", "--ineq", "main-1.7", "--p-grid", "2:2:1", "--q-grid",
+                              "1:1.0000000000000002:1e-17", "--samples", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert "step 1e-17" in err.splitlines()[-1]
+
     @pytest.mark.parametrize("text, message", [
         ("2:3:0", "step must be positive"), ("2:3:-inf", "step must be positive"),
         ("3:2:1", "is empty"), ("2:3", "start:stop:step"), ("a:3:1", "cannot parse"),

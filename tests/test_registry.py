@@ -275,9 +275,39 @@ VERIFY_ROWS = {
 }
 
 
+# Each c-1.3 side in its other orientation (c-1.3-left at p < 2, c-1.3-right
+# at p >= 2), so that both orientations of both sides are pinned.
+C13_OTHER_ROWS = {
+    'c-1.3-left': (
+        '1.5', None, VERIFY_ROWS['c-1.3-left'][2],
+        (
+            'c-1.3-left,0,1.5,1.5,14.371010585179604,18.75626587609219,4.3852552909125855,18.75626587609219,holds',
+            'c-1.3-left,1,1.5,1.5,10.828427124746188,12.392304845413264,1.563877720667076,12.392304845413264,holds',
+            'c-1.3-left,2,1.5,1.5,13.70121394283335,16.302977833966693,2.601763891133343,16.302977833966693,holds',
+        ),
+    ),
+    'c-1.3-right': (
+        '3', None, VERIFY_ROWS['c-1.3-right'][2],
+        (
+            'c-1.3-right,0,3.0,3.0,129.49999999999994,144.49999999999997,15.000000000000028,144.49999999999997,holds',
+            'c-1.3-right,1,3.0,3.0,71.99999999999997,112.0,40.00000000000003,112.0,holds',
+            'c-1.3-right,2,3.0,3.0,49.91199999999999,72.65599999999998,22.743999999999986,72.65599999999998,holds',
+        ),
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(VERIFY_ROWS))
 def test_verify_rows_are_bit_exact(name, tmp_path, capsys):
-    p, q, pairs, rows = VERIFY_ROWS[name]
+    check_verify_rows(name, *VERIFY_ROWS[name], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(C13_OTHER_ROWS))
+def test_c13_other_orientation_rows_are_bit_exact(name, tmp_path, capsys):
+    check_verify_rows(name, *C13_OTHER_ROWS[name], tmp_path, capsys)
+
+
+def check_verify_rows(name, p, q, pairs, rows, tmp_path, capsys):
     path = tmp_path / "pairs.json"
     path.write_text(json.dumps({"pairs": [{"x": x, "y": y} for x, y in pairs]}))
     argv = ["verify", "--ineq", name, "--input", str(path), "--p", p]
