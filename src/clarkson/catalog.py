@@ -29,7 +29,6 @@ from .core import (
     main_exponents,
 )
 from .errors import (
-    ClarksonError,
     ConstraintMismatch,
     ExponentOutOfRange,
     LengthMismatch,
@@ -53,14 +52,6 @@ class InequalityId(enum.Enum):
     # Enum's own __hash__ runs in Python, and evaluate looks REGISTRY up
     # once a pair.
     __hash__ = object.__hash__
-
-    @classmethod
-    def from_cli(cls, name: str) -> "InequalityId":
-        for member in cls:
-            if member.value == name:
-                return member
-        known = ", ".join(member.value for member in cls)
-        raise ClarksonError(f"unknown inequality id {name!r}; known ids: {known}")
 
 
 class Constraint(enum.Enum):
@@ -291,6 +282,12 @@ def _check_weights(id: InequalityId, entry: "Inequality", weighted: bool) -> Non
         raise ConstraintMismatch(f"{id.value} is stated without weights")
 
 
+def _check_q(id: InequalityId, entry: "Inequality", q: Optional[float]) -> None:
+    """The q rule: every entry but the signed-input ones reads q."""
+    if q is None and entry.constraint is not _SIGNED:
+        raise RegimeViolation(f"{id.value} requires an explicit q")
+
+
 def _one_entry_terms(x, y, p, q, w):
     """(x, y, x+y, x-y): the four norms of one-entry vectors x >= y >= 0."""
     if len(x) != 1 or len(y) != 1:
@@ -454,11 +451,9 @@ def evaluate(
     """
     entry = REGISTRY[id]
     constraint = entry.constraint
-    if constraint is not _SIGNED:
-        if q is None:
-            raise RegimeViolation(f"{id.value} requires an explicit q")
-        if strict or not entry.explore:
-            x, y = _nonneg(x), _nonneg(y)
+    _check_q(id, entry, q)
+    if constraint is not _SIGNED and (strict or not entry.explore):
+        x, y = _nonneg(x), _nonneg(y)
     _check_weights(id, entry, w is not None)
     p, q = entry.exponents(p, q)
     masses = None if w is None else w.masses

@@ -20,7 +20,7 @@ import traceback
 from typing import List, Optional, Sequence
 
 from . import catalog, search, variational
-from .catalog import Constraint, InequalityId, TolerancePolicy
+from .catalog import DEFAULT_POLICY, Constraint, InequalityId, TolerancePolicy
 from .core import NonnegVector, RealVector, Weights
 from .errors import ClarksonError
 from .search import Distribution, SampleSpec
@@ -87,6 +87,8 @@ def _parse_grid(text: str) -> List[float]:
         val = start + k * step
         if val > stop + step / 2:
             break
+        if val == math.inf:  # stop + step / 2 is inf too, so the test above never ends it
+            raise UsageError(f"grid {text!r} overflows to inf at index {k}")
         if k == MAX_GRID_CELLS:
             raise UsageError(f"grid {text!r} has more than {MAX_GRID_CELLS} values")
         out.append(val)
@@ -175,7 +177,7 @@ def _inline_pair(args, vec: type):
 
 
 def cmd_verify(args) -> int:
-    ineq = InequalityId.from_cli(args.ineq)
+    ineq = InequalityId(args.ineq)
     vec = RealVector if catalog.REGISTRY[ineq].constraint is Constraint.SIGNED else NonnegVector
     pairs = _inline_pair(args, vec)
     if pairs is None:
@@ -209,17 +211,11 @@ def cmd_verify(args) -> int:
 
 
 def _spec_from_args(args) -> SampleSpec:
-    dist = {d.value: d for d in Distribution}.get(args.dist)
-    if dist is None:
-        raise UsageError(f"unknown distribution {args.dist!r}")
-    constraint = {c.value: c for c in Constraint}.get(args.constraint)
-    if constraint is None:
-        raise UsageError(f"unknown constraint {args.constraint!r}")
     try:
         return SampleSpec(
             dim_range=(args.nmin, args.nmax),
-            distribution=dist,
-            constraint=constraint,
+            distribution=Distribution(args.dist),
+            constraint=Constraint(args.constraint),
             density=args.density,
             weights=args.weighted,
         )
@@ -228,7 +224,7 @@ def _spec_from_args(args) -> SampleSpec:
 
 
 def cmd_scan(args) -> int:
-    ineq = InequalityId.from_cli(args.ineq)
+    ineq = InequalityId(args.ineq)
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     p_grid = _parse_grid(args.p_grid)
@@ -255,7 +251,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_search(args) -> int:
-    ineq = InequalityId.from_cli(args.ineq)
+    ineq = InequalityId(args.ineq)
     if args.budget < 0:
         raise UsageError(f"--budget must be nonnegative, got {args.budget}")
     if args.out == "-":  # stdout carries the key: value report
@@ -295,9 +291,7 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _check_grid_size(grid_size: int, minimum: int) -> None:
-    if grid_size < minimum:
-        raise UsageError(f"grid too coarse, minimum {minimum}")
+def _check_grid_size(grid_size: int) -> None:
     if grid_size > MAX_GRID_CELLS:
         raise UsageError(f"--grid-size {grid_size} is more than {MAX_GRID_CELLS}")
 
@@ -306,7 +300,7 @@ def cmd_phi(args) -> int:
     u = NonnegVector(tuple(_parse_floats(args.u)))
     v = NonnegVector(tuple(_parse_floats(args.v)))
     ctx = variational.PhiContext(u, v, args.p_value, args.q_value)
-    _check_grid_size(args.grid_size, 2)
+    _check_grid_size(args.grid_size)
     report = variational.monotonicity_scan(ctx, args.grid_size)
     # ctx is dominated, so phi has no breakpoint in (0, 1) and no row is
     # breakpoint-adjacent; phi_prime is defined at every inner point.
@@ -324,7 +318,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    _check_grid_size(args.grid_size, 3)
+    _check_grid_size(args.grid_size)
     ctx = variational.ChiContext(args.p_value, args.q_value, args.c)
     report = variational.chi_sign_scan(ctx, args.grid_size)
     with _table(args.out, ["s", "chi"]) as writer:
@@ -341,19 +335,18 @@ def cmd_chi(args) -> int:
 
 
 def _add_tolerance_flags(sub):
-    sub.add_argument("--rel-tol", type=float, default=1e-9)
-    sub.add_argument("--band", type=float, default=1e-7)
+    sub.add_argument("--rel-tol", type=float, default=DEFAULT_POLICY.rel_tol)
+    sub.add_argument("--band", type=float, default=DEFAULT_POLICY.borderline_band)
 
 
 def _add_spec_flags(sub):
     sub.add_argument("--nmin", type=int, default=1)
     sub.add_argument("--nmax", type=int, default=16)
-    sub.add_argument("--dist", default="uniform",
-                     help="uniform | exponential | sparse")
+    sub.add_argument("--dist", choices=[d.value for d in Distribution], default="uniform")
     sub.add_argument("--density", type=float, default=0.5,
                      help="nonzero density for the sparse distribution")
-    sub.add_argument("--constraint", default="nonnegative",
-                     help="nonnegative | signed | dominated")
+    sub.add_argument("--constraint", choices=[c.value for c in Constraint],
+                     default="nonnegative")
     sub.add_argument("--weighted", action="store_true")
     sub.add_argument("--explore", action="store_true",
                      help="allow constraint combinations outside the stated regime")
@@ -373,9 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify and explore Clarkson-type norm inequalities.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    ids = [i.value for i in InequalityId]
 
     pv = subs.add_parser("verify", help="evaluate inequalities on explicit pairs")
-    pv.add_argument("--ineq", required=True)
+    pv.add_argument("--ineq", choices=ids, required=True)
     pv.add_argument("--input", help="JSON file {\"pairs\":[{\"x\":[...],\"y\":[...]}]}")
     pv.add_argument("--x", help="inline vector, comma separated, e.g. --x -0.3,0.7")
     pv.add_argument("--y", help="inline vector, comma separated, e.g. --y -0.2,0.1")
@@ -386,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     ps = subs.add_parser("scan", help="seeded random scan over a (p, q) grid")
-    ps.add_argument("--ineq", required=True)
+    ps.add_argument("--ineq", choices=ids, required=True)
     ps.add_argument("--p-grid", required=True, help="start:stop:step")
     ps.add_argument("--q-grid", required=True, help="start:stop:step")
     ps.add_argument("--samples", type=int, default=1000)
@@ -397,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_scan)
 
     pr = subs.add_parser("search", help="counterexample or extremal search")
-    pr.add_argument("--ineq", required=True)
+    pr.add_argument("--ineq", choices=ids, required=True)
     pr.add_argument("--p", dest="p_value", type=float, default=2.0)
     pr.add_argument("--q", dest="q_value", type=float, default=None)
     pr.add_argument("--mode", choices=["counterexample", "extremal"],

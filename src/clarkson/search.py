@@ -84,6 +84,7 @@ from .catalog import (
     InequalityId,
     TolerancePolicy,
     _VIOLATED,
+    _check_q,
     _check_weights,
     batch_normalized_gaps,
     evaluate,
@@ -342,7 +343,7 @@ def _no_result(p: float, q: float, evals: int, seed: int, exploratory: bool) -> 
 def counterexample_search(
     id: InequalityId,
     p: float,
-    q: float,
+    q: Optional[float],
     spec: SampleSpec,
     budget: int,
     seed: int = 0,
@@ -351,10 +352,11 @@ def counterexample_search(
 ) -> SearchOutcome:
     """Sample up to budget pairs and return the most negative normalized gap.
 
-    (p, q) go through the entry's exponent builder first; the witness
-    records the pair it returns.
+    (p, q) go through evaluate's q rule and the entry's exponent builder
+    first; the witness records the pair the builder returns.
     """
     entry = REGISTRY[id]
+    _check_q(id, entry, q)
     p, q = entry.exponents(p, q)
     exploratory = _check_constraint(id, spec, explore)
     _check_weights(id, entry, spec.weights)
@@ -422,7 +424,7 @@ def _project(z: np.ndarray, p: float, signed: bool) -> bool:
 def extremal_search(
     id: InequalityId,
     p: float,
-    q: float,
+    q: Optional[float],
     spec: SampleSpec,
     budget: int,
     seed: int = 0,
@@ -437,11 +439,13 @@ def extremal_search(
     the descent moves the entries only.  (p, q) are resolved as in
     counterexample_search.
     """
-    p, q = REGISTRY[id].exponents(p, q)
+    entry = REGISTRY[id]
+    _check_q(id, entry, q)
+    p, q = entry.exponents(p, q)
     exploratory = _check_constraint(id, spec, explore)
     if spec.weights:
         raise ConstraintMismatch("extremal search does not take weights")
-    identity = REGISTRY[id].identity(p, q, spec.constraint)  # every finite gap is 0.0
+    identity = entry.identity(p, q, spec.constraint)  # every finite gap is 0.0
     evals = 0
     best_ng = math.inf
     best: Optional[Tuple[GapReport, tuple]] = None
@@ -566,9 +570,12 @@ def scan_grid(
             out.append(CellSummary(p, q, 0, math.nan, 0, True))
             continue
         base = cell_index * samples_per_cell
-        ng, _, _, violations = _eval_indices(
-            id, *exps, spec, seed, range(base, base + samples_per_cell), policy,
-            not exploratory,
-        )
+        try:
+            ng, _, _, violations = _eval_indices(
+                id, *exps, spec, seed, range(base, base + samples_per_cell), policy,
+                not exploratory,
+            )
+        except NonFiniteGap as exc:
+            raise NonFiniteGap(f"cell p={p!r}, q={q!r}: {exc}") from exc
         out.append(CellSummary(p, q, samples_per_cell, ng, violations, False))
     return out

@@ -1,10 +1,13 @@
 import json
 import math
+import re
 
 import pytest
 
 from clarkson import catalog, variational
+from clarkson.catalog import Constraint, InequalityId
 from clarkson.cli import MAX_GRID_CELLS, UsageError, _parse_grid, build_parser, main
+from clarkson.search import Distribution
 
 
 def run(argv, capsys):
@@ -211,6 +214,15 @@ class TestParseGrid:
     def test_cap_is_inclusive(self):
         assert len(_parse_grid(f"1:{MAX_GRID_CELLS}:1")) == MAX_GRID_CELLS
 
+    def test_overflow_rejected(self):
+        # 1e308 + 8e307 is inf, and so is stop + step / 2, so the stop test never ends it
+        with pytest.raises(UsageError, match="overflows to inf at index 1"):
+            _parse_grid("1e308:1.7e308:8e307")
+
+    def test_values_up_to_overflow_kept(self):
+        # the ninth value is inf, past stop + step / 2, so the stop test ends the grid
+        assert _parse_grid("1e308:1.7e308:1e307") == [1e308 + k * 1e307 for k in range(8)]
+
     @pytest.mark.parametrize("text, value", [
         ("1e300:1e300:1", 1e300), ("3:3:1e-20", 3.0), ("3:3:0.7", 3.0), ("-0:-0:1", 0.0),
         ("1.0000000000000002:1.0000000000000002:2.220446049250313e-16", 1.0000000000000002),
@@ -360,9 +372,9 @@ class TestErrorExits:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["verify", "--ineq", "bogus", "--x", "1", "--y", "1"], "unknown inequality id"),
+            (["verify", "--ineq", "bogus", "--x", "1", "--y", "1"], "invalid choice: 'bogus'"),
             (["scan", "--ineq", "swap-2.8", "--p-grid", "2:3:1", "--q-grid", "2:3:1",
-              "--samples", "5"], "unknown inequality id 'swap-2.8'"),
+              "--samples", "5"], "invalid choice: 'swap-2.8'"),
             (["verify", "--ineq", "main-1.7", "--x", "1e200,1", "--y", "1e200,0",
               "--p", "2.5", "--q", "3"], "non-finite gap"),
             (["verify", "--ineq", "main-1.7", "--x", "1e200,1", "--y", "1e200,0",
@@ -456,9 +468,9 @@ class TestErrorExits:
             (["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--dist", "sparse",
               "--density", "0"], "error: density must lie in (0, 1], got 0.0"),
             (["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--dist", "bad"],
-             "error: unknown distribution 'bad'"),
+             "invalid choice: 'bad'"),
             (["scan", "--ineq", "main-1.7", "--p-grid", "2:3:1", "--q-grid", "3:4:1",
-              "--samples", "5", "--constraint", "bad"], "error: unknown constraint 'bad'"),
+              "--samples", "5", "--constraint", "bad"], "invalid choice: 'bad'"),
             # both search modes reject a pair the statement cannot take
             *[(["search", "--ineq", "cor-1.6", "--mode", mode, "--constraint", "dominated",
                 "--nmin", "2", "--nmax", "2", "--p", "2", "--q", "3", "--budget", "100"],
@@ -470,13 +482,47 @@ class TestErrorExits:
               "--weighted"], "error: sumpow-2.12 is stated without weights"),
             (["search", "--ineq", "sumpow-2.12", "--p", "2", "--q", "2", "--weighted",
               "--budget", "0"], "error: sumpow-2.12 is stated without weights"),
+            # the grid-size minima are the library's
+            (["phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4", "--grid-size", "1"],
+             "error: grid_size must be >= 2, got 1"),
+            (["scan", "--ineq", "main-1.7", "--p-grid", "2:2:1", "--q-grid",
+              "1e308:1.7e308:8e307"], "error: grid '1e308:1.7e308:8e307' overflows"),
         ],
     )
     def test_exit_2_with_error_line(self, argv, message, capsys):
         code, _, err = run(argv, capsys)
         assert code == 2
         last = err.strip().splitlines()[-1]
-        assert last.startswith("error:") and message in last
+        # argparse's own errors name the subcommand first
+        assert last.startswith(("error:", f"clarkson {argv[0]}: error:")) and message in last
+
+    @pytest.mark.parametrize("argv, flag, enum", [
+        (["verify", "--ineq", "bogus", "--x", "1", "--y", "1"], "--ineq", InequalityId),
+        (["scan", "--ineq", "swap-2.8", "--p-grid", "2:3:1", "--q-grid", "2:3:1"],
+         "--ineq", InequalityId),
+        (["search", "--ineq", "swap-2.8"], "--ineq", InequalityId),
+        (["search", "--ineq", "main-1.7", "--dist", "gauss"], "--dist", Distribution),
+        (["scan", "--ineq", "main-1.7", "--p-grid", "2:3:1", "--q-grid", "2:3:1",
+          "--constraint", "positive"], "--constraint", Constraint),
+    ])
+    def test_invalid_choice_lists_every_choice(self, argv, flag, enum, capsys):
+        """An unknown id, distribution or constraint exits 2 with argparse's
+        error line, which names every valid value; only the quoting of the
+        list differs between Python versions."""
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        last = err.strip().splitlines()[-1]
+        bad = argv[argv.index(flag) + 1]
+        assert f"argument {flag}: invalid choice: {bad!r}" in last
+        listed = re.search(r"\(choose from (.*)\)$", last).group(1).split(", ")
+        assert [name.strip("'") for name in listed] == [member.value for member in enum]
+
+    def test_scan_names_the_overflowing_cell(self, capsys):
+        code, out, err = run(["scan", "--ineq", "c-1.1", "--p-grid", "2:3000:998", "--q-grid",
+                              "2:2:1", "--samples", "20", "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.strip().splitlines()[-1] == (
+            "error: cell p=1998.0, q=2.0: c-1.1: non-finite gap (overflow)")
 
     def test_crash_exits_2_not_1(self, monkeypatch, capsys):
         def crash(*args, **kwargs):
@@ -664,7 +710,7 @@ class TestChi:
             capsys,
         )
         assert code == 2
-        assert "grid too coarse" in err
+        assert err.strip().splitlines()[-1] == "error: grid_size must be >= 3, got 2"
 
     def test_largest_grid_accepted(self, capsys):
         code, out, _ = run(
@@ -739,3 +785,17 @@ class TestParserReuse:
         got.append(run(self.SEARCH, capsys))
         assert build_parser() is parser
         assert got == want
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command, flags", [
+        ("verify", ["--ineq"]),
+        ("scan", ["--ineq", "--dist", "--constraint"]),
+        ("search", ["--ineq", "--dist", "--constraint"]),
+    ])
+    def test_help_names_every_choice(self, command, flags, capsys):
+        code, out, _ = run([command, "--help"], capsys)
+        assert code == 0
+        enums = {"--ineq": InequalityId, "--dist": Distribution, "--constraint": Constraint}
+        for flag in flags:
+            assert f"{flag} {{{','.join(m.value for m in enums[flag])}}}" in out

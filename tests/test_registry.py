@@ -100,7 +100,7 @@ def test_tables_cover_every_id():
 
 @pytest.mark.parametrize("name", sorted(STATUS))
 def test_constraint_status(name):
-    id = InequalityId.from_cli(name)
+    id = InequalityId(name)
     for constraint in Constraint:
         for explore, expected in zip((False, True), STATUS[name][constraint.value]):
             try:
@@ -117,7 +117,7 @@ def test_constraint_status(name):
 @pytest.mark.parametrize("name", sorted(SKIPS))
 def test_scan_skip_set(name):
     spec = SampleSpec(dim_range=(1, 1), constraint=Constraint.DOMINATED_PAIR)
-    cells = scan_grid(InequalityId.from_cli(name), P_GRID, Q_GRID, spec, 1, seed=0)
+    cells = scan_grid(InequalityId(name), P_GRID, Q_GRID, spec, 1, seed=0)
     got = tuple(
         "".join("x" if cells[i * len(Q_GRID) + j].skipped else "." for j in range(len(Q_GRID)))
         for i in range(len(P_GRID))
@@ -152,7 +152,7 @@ IDENTITY_CELLS = {
 
 @pytest.mark.parametrize("name", sorted(STATUS))
 def test_identity_cells(name):
-    entry = REGISTRY[InequalityId.from_cli(name)]
+    entry = REGISTRY[InequalityId(name)]
     got = []
     for p in P_GRID:
         row = ""
@@ -339,7 +339,7 @@ def test_verify_search_and_scan_agree(name, tmp_path, capsys):
         searched = main(["search", "--ineq", name, *pq, "--budget", "1", "--constraint",
                          "dominated", "--nmin", "1", "--nmax", "1", "--out", str(path)])
         search_err = capsys.readouterr().err.strip().splitlines()
-        [cell] = scan_grid(InequalityId.from_cli(name), [p], [q], spec, 1, seed=0)
+        [cell] = scan_grid(InequalityId(name), [p], [q], spec, 1, seed=0)
         if verify == 2:
             message = verified.err.strip().splitlines()[-1]
             assert message.startswith("error: pair 0: "), (p, q)
@@ -360,7 +360,7 @@ exponents = st.one_of(st.floats(min_value=0.5, max_value=50.0),
 @given(st.sampled_from(sorted(VERIFY_ROWS)), exponents, exponents)
 def test_exponent_builders_are_idempotent(name, p, q):
     """Search hands the pair a builder returned back to evaluate, which builds again."""
-    build = REGISTRY[InequalityId.from_cli(name)].exponents
+    build = REGISTRY[InequalityId(name)].exponents
     try:
         pq = build(p, q)
     except ClarksonError:

@@ -8,7 +8,8 @@ import pytest
 
 from clarkson.catalog import REGISTRY, InequalityId, Verdict, evaluate
 from clarkson import search
-from clarkson.errors import ConstraintMismatch, EmptyGrid, NonFiniteGap
+from clarkson.core import NonnegVector
+from clarkson.errors import ConstraintMismatch, EmptyGrid, NonFiniteGap, RegimeViolation
 from clarkson.search import (
     Constraint,
     Distribution,
@@ -168,6 +169,26 @@ class TestCounterexampleSearch:
             explore=True,
         )
         assert out.exploratory
+
+
+@pytest.mark.parametrize("run", [counterexample_search, extremal_search])
+@pytest.mark.parametrize(
+    "id", [InequalityId.MAIN_17, InequalityId.COR_16, InequalityId.SUMPOW_212])
+def test_search_without_q_raises_as_evaluate_does(run, id, monkeypatch):
+    """An id that reads q raises evaluate's RegimeViolation on q None,
+    before the first sample is drawn."""
+    one = NonnegVector((1.0,))
+    with pytest.raises(RegimeViolation) as want:
+        evaluate(id, one, one, 2.0, None)
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the q check")
+
+    monkeypatch.setattr(search, "sample_block", no_sampling)
+    monkeypatch.setattr(search, "sample_pair", no_sampling)
+    with pytest.raises(RegimeViolation) as got:
+        run(id, 2.0, None, SPEC, 10, seed=0)
+    assert str(got.value) == str(want.value) == f"{id.value} requires an explicit q"
 
 
 class TestExtremalSearch:
