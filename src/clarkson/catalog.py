@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from operator import add, sub
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .core import (
     _MIN_NORMAL,
     NonnegVector,

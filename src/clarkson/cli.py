@@ -36,11 +36,13 @@ EXIT_ERROR = 2
 MAX_GRID_CELLS = 10_000
 
 
-# Flags whose value is a number or a comma-separated list of numbers.
-# argparse reads a value such as -0.2,0.1 or -1e-3 as an option string,
-# not as a negative number, so main passes a value after one of these
-# flags that starts with a minus and a digit as --flag=value.
-_NUMBER_FLAGS = frozenset({"--x", "--y", "--u", "--v", "--p", "--q", "--c"})
+# Flags whose value is a number, a comma-separated list of numbers or a
+# start:stop:step grid.  argparse reads a value such as -0.2,0.1, -1e-3 or
+# -0:-0:1 as an option string, not as a negative number, so main passes a
+# value after one of these flags that starts with a minus and a digit as
+# --flag=value.
+_NUMBER_FLAGS = frozenset({"--x", "--y", "--u", "--v", "--p", "--q", "--c",
+                           "--p-grid", "--q-grid", "--rel-tol", "--band", "--density"})
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 

@@ -74,8 +74,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .catalog import (
     DEFAULT_POLICY,
     REGISTRY,

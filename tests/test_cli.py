@@ -49,6 +49,30 @@ class TestVerify:
         code, _, err = run(["chi", "--p", "2", "--q", "3", "--c", "-1e-3"], capsys)
         assert code == 2 and err == "error: need 0 < c <= 1, got c=-0.001\n"
 
+    @pytest.mark.parametrize("argv, flag, value, code, line", [
+        (["scan", "--ineq", "main-1.7", "--p-grid", "2:2:1", "--samples", "2", "--seed", "1"],
+         "--q-grid", "-0:-0:1", 0, "main-1.7,2.0,0.0,0,skipped,0,1\n"),
+        (["scan", "--ineq", "main-1.7", "--q-grid", "3:3:1", "--samples", "2", "--seed", "1"],
+         "--p-grid", "-2:2:1", 0, "main-1.7,-2.0,3.0,0,skipped,0,1\n"),
+        (["verify", "--ineq", "main-1.7", "--x", "1", "--y", "0", "--p", "2", "--q", "3"],
+         "--rel-tol", "-1e-9",
+         2, "error: --rel-tol -1e-09, --band 1e-07: need 0 < rel_tol <= borderline_band < inf\n"),
+        (["search", "--ineq", "main-1.7", "--budget", "5", "--seed", "1"], "--band", "-1e-7",
+         2, "error: --rel-tol 1e-09, --band -1e-07: need 0 < rel_tol <= borderline_band < inf\n"),
+        (["search", "--ineq", "main-1.7", "--budget", "5", "--seed", "1", "--dist", "sparse"],
+         "--density", "-5e-1", 2, "error: density must lie in (0, 1], got -0.5\n"),
+    ], ids=["q-grid", "p-grid", "rel-tol", "band", "density"])
+    def test_negative_grid_tolerance_and_density_values(self, argv, flag, value, code, line,
+                                                        capsys):
+        """A grid, tolerance or density value that starts like a negative
+        number is that flag's value, as with --flag=value, so it reaches the
+        grid parser, the regime skip or the flag's own range check."""
+        want = run([*argv, f"{flag}={value}"], capsys)
+        got = run([*argv, flag, value], capsys)
+        assert got == want
+        assert got[0] == code
+        assert line in (got[1] if code == 0 else got[2]).splitlines(keepends=True)
+
     def test_file_input(self, tmp_path, capsys):
         doc = {"pairs": [{"x": [1.0, 1.0], "y": [1.0, 0.0]}]}
         path = tmp_path / "pairs.json"
