@@ -13,7 +13,8 @@ the catalog's registry quantities work on the plain float tuples
 (``entries``, ``masses``) through the private float helper ``_p_norm``,
 which checks nothing: it takes the compensated sum of ``_abs_powers``'
 terms, and calls itself once on rescaled entries when that sum
-underflows.  The public ``p_norm`` checks p (finite, >= 1) and
+underflows; ``search._project`` normalizes the extremal descent's
+points with it too.  The public ``p_norm`` checks p (finite, >= 1) and
 the weights, then calls ``_p_norm``, so both give the same bits.
 ``_abs_powers`` yields the terms |x_i|^p for these sums and for the
 catalog's re-paired sums, from ``map`` over C-level callables
@@ -21,7 +22,7 @@ catalog's re-paired sums, from ``map`` over C-level callables
 otherwise), so ``math.fsum`` reads them without a list.
 ``_trusted_pair`` wraps floats in a pair of vectors without
 checking them; its one caller is the extremal descent's ``score``, which
-wraps the point ``search._project`` renormalized in place.  Sampled
+wraps the halves of the tuple ``search._project`` returned.  Sampled
 pairs and their weights are built by the public constructors.
 """
 
@@ -86,7 +87,7 @@ class RealVector:
         cost about three times as much: for a pair at n = 8 the checking
         constructors take 4.4-4.8 us, against 1.3-1.7 us here (Python 3.11
         on a shared 2-core Xeon), where the descent scores a point in
-        about 18 us.
+        about 17 us, its projection included.
         """
         u, v = object.__new__(cls), object.__new__(cls)
         # What the frozen __setattr__ would store, in a third of its time.

@@ -46,22 +46,24 @@ the screen keeps are built by the public vector and weight constructors
 one of which is scored, are wrapped unchecked (RealVector._trusted_pair).
 
 The extremal descent is sequential: each step starts from the point the
-last one accepted.  Its point is one float64 array z = (x, y) on the
-constraint set.  A candidate is a copy of z with one coordinate moved,
+last one accepted.  Its point is a tuple of floats z = (x, y) on the
+constraint set.  A candidate is a new tuple with one coordinate moved,
 and _move puts only that coordinate back on the set: it clamps it at 0,
 and for dominated pairs first re-pairs it with its partner as (max,
-min); the rest of z is on the set already.  _project then renormalizes
-the candidate in place, and score splits one z.tolist() into x and y.
-A move the clamp undoes (a coordinate at 0 pushed by -step) gives back
-z, whose projection is scored instead: one projected copy per current
-point, reused by every such move.  A start's last 8n distinct points
-scored are kept by their bytes with their gaps (None for a non-finite
-one), and a point among them is not evaluated again: the projected copy
-of z is scored at each undone move.  The repeat still counts one
-evaluation toward the budget, and its gap is the first visit's, which
-has already been recorded, so no output changes.
-The norm is numpy's power and pairwise sum: a math.fsum norm would round
-differently and move the descent onto another path.
+min); the rest of z is on the set already.  _project then divides the
+candidate by its norm, taken by core._p_norm, the kernel evaluate takes
+its norms with; math.fsum rounds that sum correctly, so the descent's
+path does not depend on the CPU or the numpy version.  score splits z
+into x = z[:n] and y = z[n:].  A move the clamp undoes (a coordinate at
+0 pushed by -step) gives back z, whose projection is scored instead: one
+projected copy per current point, reused by every such move.  A start's
+last 8n distinct points scored are kept with their gaps (None for a
+non-finite one), keyed by the tuple itself, and a point among them is
+not evaluated again: the projected copy of z is scored at each undone
+move.  The repeat still counts one evaluation toward the budget, and
+its gap is the first visit's, which has already been recorded, so no
+output changes.  A -0.0 key equals a 0.0 key; both points have the same
+norms, and so the same gap.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from .catalog import (
     batch_normalized_gaps,
     evaluate,
 )
-from .core import NonnegVector, RealVector, Weights
+from .core import NonnegVector, RealVector, Weights, _p_norm
 from .errors import ClarksonError, ConstraintMismatch, EmptyGrid, NonFiniteGap
 
 # Pairs per sample block.  Part of the stream layout: changing it
@@ -369,8 +371,8 @@ def counterexample_search(
 
 
 def _move(
-    z: np.ndarray, n: int, i: int, delta: float, constraint: Constraint
-) -> Optional[np.ndarray]:
+    z: Tuple[float, ...], n: int, i: int, delta: float, constraint: Constraint
+) -> Optional[Tuple[float, ...]]:
     """A copy of z = (x, y), x = z[:n], with z[i] moved by delta and put
     back on the constraint set; None when that gives back z bit for bit.
 
@@ -381,43 +383,37 @@ def _move(
     no -0.0 (sample_block's entries and the clamp's 0.0 are +0.0), so
     equal values are equal bits.
     """
-    v = z.item(i) + delta
+    v = z[i] + delta
     if constraint is Constraint.DOMINATED_PAIR:
         j = i % n
-        a, b = (v, z.item(n + j)) if i < n else (z.item(j), v)
+        a, b = (v, z[n + j]) if i < n else (z[j], v)
         u, w = max(a, b, 0.0), max(min(a, b), 0.0)
-        if u == z.item(j) and w == z.item(n + j):
+        if u == z[j] and w == z[n + j]:
             return None
-        cand = z.copy()
-        cand[j], cand[n + j] = u, w
-        return cand
+        return z[:j] + (u,) + z[j + 1:n + j] + (w,) + z[n + j + 1:]
     if constraint is Constraint.NONNEGATIVE:
         v = max(v, 0.0)
-        if v == z.item(i):
+        if v == z[i]:
             return None
-    cand = z.copy()
-    cand[i] = v
-    return cand
+    return z[:i] + (v,) + z[i + 1:]
 
 
-def _project(z: np.ndarray, p: float, signed: bool) -> bool:
-    """Renormalize z = (x, y), a point on the constraint set, in place to
-    ||x||_p^p + ||y||_p^p = 1; False when its norm is 0 or not finite,
-    and z is then of no use.
+def _project(z: Tuple[float, ...], p: float) -> Optional[Tuple[float, ...]]:
+    """z = (x, y), a point on the constraint set, scaled to
+    ||x||_p^p + ||y||_p^p = 1; None when its norm is 0 or not finite.
 
+    The norm is core._p_norm, the kernel evaluate takes its norms with.
     The pair is scaled as a whole: a common positive factor keeps it on
     the set and keeps y from growing without bound while x is held at
     norm 1.
     """
-    if signed:
-        powers = np.abs(z) ** p
-    else:
-        powers = z**p  # z >= 0: |z|^p without the abs
-    norm = float(np.add.reduce(powers)) ** (1.0 / p)
+    try:
+        norm = _p_norm(z, p)
+    except OverflowError:  # a term or the sum beyond the largest float
+        return None
     if norm == 0.0 or not math.isfinite(norm):
-        return False
-    z /= norm
-    return True
+        return None
+    return tuple([v / norm for v in z])
 
 
 def extremal_search(
@@ -451,11 +447,10 @@ def extremal_search(
     violated = False
 
     # Every point scored is finite, and clamped and dominated as spec requires.
-    signed = spec.constraint is Constraint.SIGNED
-    vec = RealVector if signed else NonnegVector
+    vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
     strict = not exploratory
 
-    def score(z: np.ndarray) -> Optional[float]:
+    def score(z: Tuple[float, ...]) -> Optional[float]:
         """Return the normalized gap of z, a projected point; None when
         the budget is spent or the gap is not finite.  Records the best
         point seen.  A point still in memo, the start's last 8n distinct
@@ -465,12 +460,10 @@ def extremal_search(
         if evals >= budget:
             return None
         evals += 1
-        key = z.tobytes()
-        if key in memo:
-            memo.move_to_end(key)
-            return memo[key]
-        zl = z.tolist()
-        x, y = vec._trusted_pair(tuple(zl[:n]), tuple(zl[n:]))
+        if z in memo:
+            memo.move_to_end(z)
+            return memo[z]
+        x, y = vec._trusted_pair(z[:n], z[n:])
         try:
             rep = evaluate(id, x, y, p, q, None, policy, strict)
         except NonFiniteGap:
@@ -481,7 +474,7 @@ def extremal_search(
             ng = rep.gap / rep.scale
             if ng < best_ng:
                 best_ng, best = ng, (rep, (x, y, p, q, None))
-        memo[key] = ng
+        memo[z] = ng
         if len(memo) > 8 * n:
             memo.popitem(last=False)
         return ng
@@ -492,9 +485,9 @@ def extremal_search(
         x0, y0, _ = sample_pair(spec, seed, s)
         n = len(x0)
         memo: OrderedDict = OrderedDict()
-        z = np.array(x0.entries + y0.entries)
         # A sample is on the constraint set by construction.
-        cur_ng = score(z) if _project(z, p, signed) else None
+        z = _project(x0.entries + y0.entries, p)
+        cur_ng = None if z is None else score(z)
         if identity and cur_ng is not None:
             break
         z_again = None  # z projected once more, for the moves the clamp undoes
@@ -511,11 +504,12 @@ def extremal_search(
                     cand = _move(z, n, i, delta, spec.constraint)
                     if cand is None:
                         if z_again is None:
-                            z_again = z.copy()
-                            _project(z_again, p, signed)  # z has norm 1: this succeeds
+                            z_again = _project(z, p)  # z has norm 1: this succeeds
                         cand = z_again
-                    elif not _project(cand, p, signed):
-                        continue
+                    else:
+                        cand = _project(cand, p)
+                        if cand is None:
+                            continue
                     ng = score(cand)
                     if ng is not None and ng < cur_ng:
                         z, cur_ng, improved, z_again = cand, ng, True, None

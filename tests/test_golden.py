@@ -6,8 +6,13 @@ evaluated that moves one bit of one gap shows here.  The witness file,
 where a command writes one, is pinned too; WITNESS in an argv stands for
 its path.  The `phi` and `chi` tables of the README examples are long, so
 their stdout lives in `tests/golden/`, as do the extremal witness files.
+Each pinned extremal witness that `verify` accepts replays to its pinned
+gap.
 """
 
+import csv
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -121,7 +126,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 300\n"
             "seed: 1\n"
-            "best_normalized_gap: 9.464984351793039e-12\n"
+            "best_normalized_gap: 9.464984351793045e-12\n"
             "best_verdict: borderline\n"
         ),
         None,
@@ -138,7 +143,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 400\n"
             "seed: 2\n"
-            "best_normalized_gap: 1.7327086689114746e-08\n"
+            "best_normalized_gap: 1.7327086356047845e-08\n"
             "best_verdict: holds\n"
             "exploratory: true (constraint outside the stated regime)\n"
         ),
@@ -155,7 +160,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 400\n"
             "seed: 6\n"
-            "best_normalized_gap: 7.997871856329599e-09\n"
+            "best_normalized_gap: 7.997871856329597e-09\n"
             "best_verdict: holds\n"
         ),
         None,
@@ -461,3 +466,29 @@ def test_cor_1_6_on_two_entry_pairs_is_pinned(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: cor-1.6 takes scalars (1-entry vectors)\n"
+
+
+EXTREMAL_WITNESSES = [
+    pytest.param(param.values[0], param.values[2], param.values[3], id=param.id)
+    for param in GOLDEN
+    if param.values[0][:3] == ["search", "--mode", "extremal"]
+    and param.values[3] is not None
+    and "--explore" not in param.values[0]  # verify takes the stated constraint only
+]
+
+
+@pytest.mark.parametrize("argv, stdout, witness", EXTREMAL_WITNESSES)
+def test_extremal_witness_replays_to_the_printed_gap(argv, stdout, witness, tmp_path, capsys):
+    """verify --input on a pinned extremal witness, at the witness's
+    (p, q), gives gap / scale equal to the pinned best_normalized_gap
+    bit for bit: the descent scores the pair it writes."""
+    path = tmp_path / "witness.json"
+    path.write_text(witness, encoding="utf-8")
+    doc = json.loads(witness)
+    ineq = argv[argv.index("--ineq") + 1]
+    assert main(["verify", "--ineq", ineq, "--input", str(path),
+                 "--p", repr(doc["p"]), "--q", repr(doc["q"])]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1
+    replayed = float(rows[0]["gap"]) / float(rows[0]["scale"])
+    assert f"best_normalized_gap: {replayed!r}\n" in stdout
