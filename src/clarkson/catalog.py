@@ -64,6 +64,14 @@ class Constraint(enum.Enum):
         return narrowing.index(self) >= narrowing.index(other)
 
 
+# search.SampleSpec's entry distributions, defined here so that the CLI
+# lists them without importing search.
+class Distribution(enum.Enum):
+    UNIFORM_01 = "uniform"
+    EXPONENTIAL_1 = "exponential"
+    SPARSE = "sparse"
+
+
 class Verdict(enum.Enum):
     HOLDS = "holds"
     BORDERLINE = "borderline"

@@ -11,19 +11,19 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
 import math
 import os
 import re
 import sys
-import traceback
 from typing import List, Optional, Sequence
 
-from . import catalog, search, variational
-from .catalog import DEFAULT_POLICY, Constraint, InequalityId, TolerancePolicy
+# search and variational are imported by the commands that run them, json
+# and traceback where they are used: verify, phi, chi and --help start
+# without what they do not run (tests/test_cold_start.py).
+from . import catalog
+from .catalog import DEFAULT_POLICY, Constraint, Distribution, InequalityId, TolerancePolicy
 from .core import NonnegVector, RealVector, Weights
 from .errors import ClarksonError
-from .search import Distribution, SampleSpec
 
 SEED_ENV_VAR = "CLARKSON_SEED"
 
@@ -121,6 +121,8 @@ def _numbers(value) -> list:
 
 
 def _load_pairs(path: str, vec: type):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -212,7 +214,9 @@ def cmd_verify(args) -> int:
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
-def _spec_from_args(args) -> SampleSpec:
+def _spec_from_args(args):
+    from .search import SampleSpec
+
     try:
         return SampleSpec(
             dim_range=(args.nmin, args.nmax),
@@ -226,6 +230,8 @@ def _spec_from_args(args) -> SampleSpec:
 
 
 def cmd_scan(args) -> int:
+    from . import search
+
     ineq = InequalityId(args.ineq)
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
@@ -253,6 +259,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
+
     ineq = InequalityId(args.ineq)
     if args.budget < 0:
         raise UsageError(f"--budget must be nonnegative, got {args.budget}")
@@ -272,6 +280,8 @@ def cmd_search(args) -> int:
     if outcome.exploratory:
         print("exploratory: true (constraint outside the stated regime)")
     if args.out and outcome.witness[0] is not None:
+        import json
+
         x, y, p, qv, w = outcome.witness
         doc = {
             "pairs": [
@@ -299,6 +309,8 @@ def _check_grid_size(grid_size: int) -> None:
 
 
 def cmd_phi(args) -> int:
+    from . import variational
+
     u = NonnegVector(tuple(_parse_floats(args.u)))
     v = NonnegVector(tuple(_parse_floats(args.v)))
     ctx = variational.PhiContext(u, v, args.p_value, args.q_value)
@@ -320,6 +332,8 @@ def cmd_phi(args) -> int:
 
 
 def cmd_chi(args) -> int:
+    from . import variational
+
     _check_grid_size(args.grid_size)
     ctx = variational.ChiContext(args.p_value, args.q_value, args.c)
     report = variational.chi_sign_scan(ctx, args.grid_size)
@@ -440,6 +454,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR
     except Exception as exc:
         # Exit 1 means a violation was found, so a crash must not reach it.
+        import traceback
+
         traceback.print_exc()
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -81,6 +81,7 @@ from .catalog import (
     DEFAULT_POLICY,
     REGISTRY,
     Constraint,
+    Distribution,
     GapReport,
     InequalityId,
     TolerancePolicy,
@@ -141,12 +142,6 @@ _SCREEN_MARGIN = 1e-12
 def _screen_margin(p: float, q: float, nmax: int) -> float:
     e = max(p, q)
     return max(_SCREEN_MARGIN, (3.0 * e * (nmax + 16) + 3.0) * 2.0**-53)
-
-
-class Distribution(enum.Enum):
-    UNIFORM_01 = "uniform"
-    EXPONENTIAL_1 = "exponential"
-    SPARSE = "sparse"
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,16 @@ class TestVerify:
         assert code == 2
         assert "no input pairs" in err
 
+    def test_malformed_json_file(self, tmp_path, capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text('{"pairs": [{"x": [1.0], "y": [1.0]}')
+        code, out, err = run(
+            ["verify", "--ineq", "main-1.7", "--input", str(path), "--p", "2", "--q", "3"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read input file {path}: Expecting ")
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_error_leaves_no_partial_table(self, to_file, tmp_path, capsys):
         # pair 0 holds; pair 1 fails, and no row of pair 0 may be written
@@ -556,6 +566,7 @@ class TestErrorExits:
         code, _, err = run(["verify", "--ineq", "main-1.7", "--x", "1", "--y", "1",
                             "--p", "2", "--q", "3"], capsys)
         assert code == 2
+        assert err.startswith("Traceback (most recent call last):")
         assert err.strip().splitlines()[-1] == "error: internal error: RuntimeError: boom"
 
     @pytest.mark.parametrize("x, y, w, message", [
