@@ -44,11 +44,11 @@ for c in cells:
               f"violations = {c.violations}")
 print()
 
-print("signed exploration mode (the open case: p < q with signs allowed):")
+print("signed inputs, main-1.7 at (p, q) = (2, 4): checking a proved statement")
+print("  (main-1.7 holds for every real pair; the README gives the proof)")
 out = counterexample_search(
     InequalityId.MAIN_17, 2.0, 4.0,
     SampleSpec(dim_range=(1, 12), constraint=Constraint.SIGNED),
-    20_000, seed=42, explore=True,
+    20_000, seed=42,
 )
 print(f"  status = {out.status.value}, most adverse normalized gap = {out.normalized_gap:.3e}")
-print("  (exploratory evidence only; nothing is asserted for signed inputs)")

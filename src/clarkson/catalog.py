@@ -290,8 +290,8 @@ def _check_weights(id: InequalityId, entry: "Inequality", weighted: bool) -> Non
 
 
 def _check_q(id: InequalityId, entry: "Inequality", q: Optional[float]) -> None:
-    """The q rule: every entry but the signed-input ones reads q."""
-    if q is None and entry.constraint is not _SIGNED:
+    """The q rule: every entry reads q but those whose exponents come from p alone."""
+    if q is None and entry.exponents not in _P_ONLY_EXPONENTS:
         raise RegimeViolation(f"{id.value} requires an explicit q")
 
 
@@ -359,6 +359,10 @@ def _c13_exponents(p: float, q: Optional[float]) -> Tuple[float, float]:
     return p, p
 
 
+# The builders of the c-1.x entries, stated in p alone.
+_P_ONLY_EXPONENTS = (_conjugate_exponents, _c13_exponents)
+
+
 def _cor_exponents(p: float, q: float) -> Tuple[float, float]:
     """(q, q) for cor-1.6, q >= 2; the p passed is ignored."""
     if _finite("q", q) < 2.0:
@@ -388,8 +392,7 @@ class Inequality:
     that evaluate has already checked, the pair by core._check_pair
     (x >= y when constraint is DOMINATED_PAIR); batch_quantities takes
     the same arguments on (B, nmax) blocks.  constraint is the
-    widest input set covered; explore admits signed inputs in
-    exploration mode; weighted=False rejects weights.
+    widest input set covered; weighted=False rejects weights.
     identity(p, q, constraint) is True on the cells where the statement
     is an identity, at a (p, q) exponents returned and on inputs meeting
     constraint: there every scalar gap that evaluate does not raise on is
@@ -402,7 +405,6 @@ class Inequality:
     quantities: Callable[..., tuple] = _pair_norms
     batch_quantities: Callable[..., tuple] = _batch_pair_norms
     weighted: bool = True
-    explore: bool = False
     identity: Callable[[float, float, Constraint], bool] = lambda p, q, constraint: False
 
 
@@ -411,8 +413,7 @@ REGISTRY: Dict[InequalityId, Inequality] = {
     InequalityId.C12: Inequality(Constraint.SIGNED, _conjugate_exponents, _c12_sides),
     InequalityId.C13_LEFT: Inequality(Constraint.SIGNED, _c13_exponents, _c13_left_sides),
     InequalityId.C13_RIGHT: Inequality(Constraint.SIGNED, _c13_exponents, _c13_right_sides),
-    InequalityId.MAIN_17: Inequality(
-        Constraint.NONNEGATIVE, main_exponents, _main_sides, explore=True),
+    InequalityId.MAIN_17: Inequality(Constraint.SIGNED, main_exponents, _main_sides),
     InequalityId.PROP_14: Inequality(
         Constraint.DOMINATED_PAIR, main_exponents, _prop_sides),
     InequalityId.COR_16: Inequality(
@@ -443,23 +444,22 @@ def evaluate(
     q: Optional[float] = None,
     w: Optional[Weights] = None,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    strict: bool = True,
 ) -> GapReport:
     """The report on registry entry id's statement for the pair (x, y).
 
-    The signed-input inequalities (c-1.x) take their exponents from p
-    alone and ignore any passed q.  The others need q (sumpow-2.12 uses
-    r = q) and nonnegative inputs; strict=False lets the entry marked
-    explore (MAIN_17 only) run on signed ones.  After the input checks
-    the exponents come first: entry.exponents raises outside the regime
-    and gives the (p, q) the rest is taken at.  Then core._check_pair
-    checks the pair once, and the quantities see the plain float tuples
-    of the checked vectors and weights.
+    The c-1.x inequalities take their exponents from p alone and ignore
+    any passed q.  The others need q (sumpow-2.12 uses r = q), and all
+    but the signed-input ones (c-1.x and main-1.7) need nonnegative
+    inputs.  After the input checks the exponents come first:
+    entry.exponents raises outside the regime and gives the (p, q) the
+    rest is taken at.  Then core._check_pair checks the pair once, and
+    the quantities see the plain float tuples of the checked vectors and
+    weights.
     """
     entry = REGISTRY[id]
     constraint = entry.constraint
     _check_q(id, entry, q)
-    if constraint is not _SIGNED and (strict or not entry.explore):
+    if constraint is not _SIGNED:
         x, y = _nonneg(x), _nonneg(y)
     _check_weights(id, entry, w is not None)
     p, q = entry.exponents(p, q)

@@ -243,9 +243,7 @@ def cmd_scan(args) -> int:
         )
     spec = _spec_from_args(args)
     policy = _policy(args)
-    cells = search.scan_grid(
-        ineq, p_grid, q_grid, spec, args.samples, args.seed, policy, explore=args.explore
-    )
+    cells = search.scan_grid(ineq, p_grid, q_grid, spec, args.samples, args.seed, policy)
     header = ["ineq_id", "p", "q", "n_samples", "min_normalized_gap", "violations", "seed"]
     with _table(args.out, header) as writer:
         # A skipped cell has no samples and no violations.
@@ -270,15 +268,13 @@ def cmd_search(args) -> int:
     policy = _policy(args)
     q = args.q_value if args.q_value is not None else args.p_value
     run = search.extremal_search if args.mode == "extremal" else search.counterexample_search
-    outcome = run(ineq, args.p_value, q, spec, args.budget, args.seed, policy, explore=args.explore)
+    outcome = run(ineq, args.p_value, q, spec, args.budget, args.seed, policy)
     print(f"status: {outcome.status.value}")
     print(f"evaluations: {outcome.evaluations}")
     print(f"seed: {outcome.seed}")
     if outcome.best_report is not None:
         print(f"best_normalized_gap: {outcome.normalized_gap!r}")
         print(f"best_verdict: {outcome.best_report.verdict.value}")
-    if outcome.exploratory:
-        print("exploratory: true (constraint outside the stated regime)")
     if args.out and outcome.witness[0] is not None:
         import json
 
@@ -364,8 +360,6 @@ def _add_spec_flags(sub):
     sub.add_argument("--constraint", choices=[c.value for c in Constraint],
                      default="nonnegative")
     sub.add_argument("--weighted", action="store_true")
-    sub.add_argument("--explore", action="store_true",
-                     help="allow constraint combinations outside the stated regime")
     sub.add_argument("--workers", type=int, default=1,
                      help="accepted for compatibility; has no effect (runs are serial)")
 
@@ -379,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     """
     parser = argparse.ArgumentParser(
         prog="clarkson",
-        description="Verify and explore Clarkson-type norm inequalities.",
+        description="Verify and search Clarkson-type norm inequalities.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     ids = [i.value for i in InequalityId]

@@ -168,7 +168,6 @@ class SearchOutcome:
     evaluations: int
     seed: int
     status: "SearchStatus"
-    exploratory: bool = False
 
 
 class SearchStatus(enum.Enum):
@@ -246,22 +245,13 @@ def sample_pair(
     return sample_block(spec, seed, index // _BLOCK).pair(index % _BLOCK)
 
 
-def _check_constraint(id: InequalityId, spec: SampleSpec, explore: bool) -> bool:
-    """Return True when the combination is exploratory-only.
-
-    Inputs narrower than the entry's constraint are always accepted;
-    signed inputs into a nonnegative statement are accepted only with
-    explore=True and only where the entry has an exploration formula.
-    """
+def _check_constraint(id: InequalityId, spec: SampleSpec) -> None:
+    """Raise unless spec's inputs lie within the entry's constraint."""
     entry = REGISTRY[id]
-    if spec.constraint.within(entry.constraint):
-        return False
-    if spec.constraint is Constraint.SIGNED and entry.explore and explore:
-        return True
-    raise ConstraintMismatch(
-        f"{id.value} is stated for {entry.constraint.value} inputs, got {spec.constraint.value}"
-        + ("; pass explore=True" if entry.explore else "")
-    )
+    if not spec.constraint.within(entry.constraint):
+        raise ConstraintMismatch(
+            f"{id.value} is stated for {entry.constraint.value} inputs, got {spec.constraint.value}"
+        )
 
 
 def _screen(ng: np.ndarray, rel_tol: float, margin: float, low: float) -> Tuple[np.ndarray, float]:
@@ -290,7 +280,6 @@ def _eval_indices(
     seed: int,
     indices: range,
     policy: TolerancePolicy,
-    strict: bool = True,
 ) -> Tuple[float, Optional[GapReport], Optional[tuple], int]:
     """Min-reduce an index range: (best_norm_gap, report, witness, violations).
 
@@ -321,7 +310,7 @@ def _eval_indices(
             kept, low = _screen(gaps, policy.rel_tol, margin, low)
         for r in kept.tolist():
             x, y, w = blk.pair(lo + r)
-            rep = evaluate(id, x, y, p, q, w, policy, strict)
+            rep = evaluate(id, x, y, p, q, w, policy)
             ng = rep.gap / rep.scale
             if rep.verdict is _VIOLATED:
                 violations += 1
@@ -331,9 +320,9 @@ def _eval_indices(
     return (*best, violations)
 
 
-def _no_result(p: float, q: float, evals: int, seed: int, exploratory: bool) -> SearchOutcome:
+def _no_result(p: float, q: float, evals: int, seed: int) -> SearchOutcome:
     return SearchOutcome(None, (None, None, p, q, None), math.inf, evals,
-                         seed, SearchStatus.BUDGET_EXHAUSTED, exploratory)
+                         seed, SearchStatus.BUDGET_EXHAUSTED)
 
 
 def counterexample_search(
@@ -344,7 +333,6 @@ def counterexample_search(
     budget: int,
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    explore: bool = False,
 ) -> SearchOutcome:
     """Sample up to budget pairs and return the most negative normalized gap.
 
@@ -354,15 +342,13 @@ def counterexample_search(
     entry = REGISTRY[id]
     _check_q(id, entry, q)
     p, q = entry.exponents(p, q)
-    exploratory = _check_constraint(id, spec, explore)
+    _check_constraint(id, spec)
     _check_weights(id, entry, spec.weights)
     if budget <= 0:
-        return _no_result(p, q, 0, seed, exploratory)
-    ng, rep, witness, violations = _eval_indices(
-        id, p, q, spec, seed, range(budget), policy, not exploratory
-    )
+        return _no_result(p, q, 0, seed)
+    ng, rep, witness, violations = _eval_indices(id, p, q, spec, seed, range(budget), policy)
     status = SearchStatus.VIOLATION_FOUND if violations else SearchStatus.NO_VIOLATION
-    return SearchOutcome(rep, witness, ng, budget, seed, status, exploratory)
+    return SearchOutcome(rep, witness, ng, budget, seed, status)
 
 
 def _move(
@@ -419,7 +405,6 @@ def extremal_search(
     budget: int,
     seed: int = 0,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    explore: bool = False,
 ) -> SearchOutcome:
     """Minimize the normalized gap over pairs normalized to ||(x, y)||_p = 1.
 
@@ -432,7 +417,7 @@ def extremal_search(
     entry = REGISTRY[id]
     _check_q(id, entry, q)
     p, q = entry.exponents(p, q)
-    exploratory = _check_constraint(id, spec, explore)
+    _check_constraint(id, spec)
     if spec.weights:
         raise ConstraintMismatch("extremal search does not take weights")
     identity = entry.identity(p, q, spec.constraint)  # every finite gap is 0.0
@@ -443,7 +428,6 @@ def extremal_search(
 
     # Every point scored is finite, and clamped and dominated as spec requires.
     vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
-    strict = not exploratory
 
     def score(z: Tuple[float, ...]) -> Optional[float]:
         """Return the normalized gap of z, a projected point; None when
@@ -460,7 +444,7 @@ def extremal_search(
             return memo[z]
         x, y = vec._trusted_pair(z[:n], z[n:])
         try:
-            rep = evaluate(id, x, y, p, q, None, policy, strict)
+            rep = evaluate(id, x, y, p, q, None, policy)
         except NonFiniteGap:
             ng = None
         else:
@@ -513,9 +497,9 @@ def extremal_search(
                 step *= 0.5
 
     if best is None:
-        return _no_result(p, q, evals, seed, exploratory)
+        return _no_result(p, q, evals, seed)
     status = SearchStatus.VIOLATION_FOUND if violated else SearchStatus.NO_VIOLATION
-    return SearchOutcome(best[0], best[1], best_ng, evals, seed, status, exploratory)
+    return SearchOutcome(best[0], best[1], best_ng, evals, seed, status)
 
 
 @dataclass(frozen=True)
@@ -536,7 +520,6 @@ def scan_grid(
     samples_per_cell: int,
     seed: int,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    explore: bool = False,
 ) -> List[CellSummary]:
     """Per-cell minimum normalized gap and violation count over a (p, q) grid.
 
@@ -546,7 +529,7 @@ def scan_grid(
     """
     if not p_grid or not q_grid:
         raise EmptyGrid("empty p or q grid")
-    exploratory = _check_constraint(id, spec, explore)
+    _check_constraint(id, spec)
     entry = REGISTRY[id]
     _check_weights(id, entry, spec.weights)
     build = entry.exponents
@@ -560,8 +543,7 @@ def scan_grid(
         base = cell_index * samples_per_cell
         try:
             ng, _, _, violations = _eval_indices(
-                id, *exps, spec, seed, range(base, base + samples_per_cell), policy,
-                not exploratory,
+                id, *exps, spec, seed, range(base, base + samples_per_cell), policy
             )
         except NonFiniteGap as exc:
             raise NonFiniteGap(f"cell p={p!r}, q={q!r}: {exc}") from exc

@@ -70,14 +70,14 @@ def nmax_for(id, nmax):
     return 1 if id is COR else nmax
 
 
-def scalar_reduce(id, exps, spec, seed, indices, policy=DEFAULT_POLICY, strict=True):
+def scalar_reduce(id, exps, spec, seed, indices, policy=DEFAULT_POLICY):
     """(best gap, report, witness, violations, every gap): one evaluate per index."""
     best = (math.inf, None, None)
     violations = 0
     gaps = []
     for i in indices:
         x, y, w = sample_pair(spec, seed, i)
-        rep = evaluate(id, x, y, *exps, w, policy, strict=strict)
+        rep = evaluate(id, x, y, *exps, w, policy)
         ng = rep.gap / rep.scale
         gaps.append(ng)
         violations += rep.verdict is Verdict.VIOLATED
@@ -97,21 +97,16 @@ def batch_gaps(id, exps, spec, seed, indices):
 
 
 def cases():
-    """(id, constraint, explore) for every combination a search accepts."""
-    out = []
-    for id in BATCH_IDS:
-        entry = REGISTRY[id]
-        for constraint in Constraint:
-            if constraint.within(entry.constraint):
-                out.append((id, constraint, False))
-            elif constraint is Constraint.SIGNED and entry.explore:
-                out.append((id, constraint, True))
-    return out
+    """(id, constraint) for every combination a search accepts.  Every
+    case runs under the entry's constraint check, hence "strict" in its id."""
+    return [pytest.param(id, constraint, id=f"{id.value}-{constraint.value}-strict")
+            for id in BATCH_IDS for constraint in Constraint
+            if constraint.within(REGISTRY[id].constraint)]
 
 
 def exponent_pairs(id):
     build = REGISTRY[id].exponents
-    if REGISTRY[id].constraint is Constraint.SIGNED:
+    if build in catalog._P_ONLY_EXPONENTS:
         return [build(p, p) for p in CONJUGATE_PS]
     pqs = COR_PQS if id is COR else REPAIRED_PQS if id in REPAIRED_IDS else MAIN_PQS
     return [build(p, q) for p, q in pqs]
@@ -125,11 +120,8 @@ def assert_same_outcome(got, want):
     assert violations == want[3]
 
 
-@pytest.mark.parametrize(
-    "id, constraint, explore", cases(),
-    ids=lambda v: v.value if hasattr(v, "value") else ("explore" if v else "strict"),
-)
-def test_search_equals_all_scalar_reduction(id, constraint, explore):
+@pytest.mark.parametrize("id, constraint", cases())
+def test_search_equals_all_scalar_reduction(id, constraint):
     worst = 0.0
     for dist in Distribution:
         for weighted in (False, True) if REGISTRY[id].weighted else (False,):
@@ -138,12 +130,11 @@ def test_search_equals_all_scalar_reduction(id, constraint, explore):
             spec = SampleSpec(dim_range=(1, nmax), distribution=dist, constraint=constraint,
                               density=0.5, weights=weighted)
             for exps in exponent_pairs(id):
-                *want, gaps = scalar_reduce(id, exps, spec, SEED, range(BUDGET),
-                                            strict=not explore)
-                out = counterexample_search(id, *exps, spec, BUDGET, SEED, explore=explore)
+                *want, gaps = scalar_reduce(id, exps, spec, SEED, range(BUDGET))
+                out = counterexample_search(id, *exps, spec, BUDGET, SEED)
                 assert (out.normalized_gap, out.best_report, out.witness) == tuple(want[:3])
                 got = search._eval_indices(id, *exps, spec, SEED, range(BUDGET),
-                                           DEFAULT_POLICY, not explore)
+                                           DEFAULT_POLICY)
                 assert_same_outcome(got, want)
                 batch = batch_gaps(id, exps, spec, SEED, range(BUDGET))
                 worst = max(worst, max(abs(b - s) for b, s in zip(batch, gaps)))
@@ -157,7 +148,7 @@ def margin_cases(draw):
     and q up to 400, and the width nmax <= 64 of the row it is padded to."""
     id = draw(st.sampled_from(BATCH_IDS))
     entry = REGISTRY[id]
-    if entry.constraint is Constraint.SIGNED:
+    if entry.exponents in catalog._P_ONLY_EXPONENTS:
         # q = p/(p - 1) is at most 400
         p = q = draw(st.floats(400 / 399, 200.0))
     elif id is COR or id is InequalityId.SUMPOW_212:
@@ -437,17 +428,14 @@ def test_overflowing_identity_cell_raises_at_the_all_scalar_pair(monkeypatch):
 MID_BLOCK_RANGES = (range(37, 37 + 3 * _BLOCK + 40), range(300, 300 + 3 * _BLOCK + 40))
 
 
-@pytest.mark.parametrize(
-    "id, constraint, explore", cases(),
-    ids=lambda v: v.value if hasattr(v, "value") else ("explore" if v else "strict"),
-)
-def test_windows_across_blocks_equal_all_scalar_reduction(id, constraint, explore):
+@pytest.mark.parametrize("id, constraint", cases())
+def test_windows_across_blocks_equal_all_scalar_reduction(id, constraint):
     spec = SampleSpec(dim_range=(1, nmax_for(id, 24)), distribution=Distribution.SPARSE,
                       constraint=constraint, density=0.5, weights=REGISTRY[id].weighted)
     exps = exponent_pairs(id)[1]
     for indices in MID_BLOCK_RANGES:
-        want = scalar_reduce(id, exps, spec, SEED, indices, strict=not explore)[:4]
-        got = search._eval_indices(id, *exps, spec, SEED, indices, DEFAULT_POLICY, not explore)
+        want = scalar_reduce(id, exps, spec, SEED, indices)[:4]
+        got = search._eval_indices(id, *exps, spec, SEED, indices, DEFAULT_POLICY)
         assert_same_outcome(got, want)
 
 

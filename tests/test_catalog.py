@@ -15,7 +15,7 @@ from clarkson.catalog import (
     report,
 )
 from clarkson.cli import build_parser
-from clarkson.core import NonnegVector, RealVector, Weights
+from clarkson.core import NonnegVector, RealVector, Weights, p_norm
 from clarkson.errors import (
     ConstraintMismatch,
     DominanceViolation,
@@ -196,6 +196,37 @@ class TestMain17:
         assert rep.verdict is not Verdict.VIOLATED
 
 
+def sharp_margin(x, y, p, q):
+    """2(2^(q/p) - 2) min(||x||_p, ||y||_p)^q: the least gap of main-1.7
+    on any real pair at 2 <= p <= q, attained by disjoint supports of
+    equal norm."""
+    return 2.0 * (2.0 ** (q / p) - 2.0) * min(p_norm(x, p), p_norm(y, p)) ** q
+
+
+class TestSignedMain17:
+    """main-1.7 holds for every real pair: Clarkson's c-1.3-left for p >= 2
+    gives A + B >= 2(X^p + Y^p) with A, B the p-th powers of ||x+y||_p and
+    ||x-y||_p; t^(q/p) is convex and superadditive, so A^(q/p) + B^(q/p)
+    >= 2(X^p + Y^p)^(q/p) >= 2(X^q + Y^q)."""
+
+    @given(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=6),
+           st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=6),
+           st.floats(min_value=2.0, max_value=8.0), st.floats(min_value=2.0, max_value=8.0))
+    @settings(max_examples=300)
+    def test_gap_is_at_least_the_sharp_margin(self, xs, ys, a, b):
+        x, y = _pair(xs, ys)
+        p, q = min(a, b), max(a, b)
+        rep = main17(x, y, p, q)
+        assert rep.verdict is not Verdict.VIOLATED
+        assert rep.gap >= sharp_margin(x, y, p, q) - POLICY.rel_tol * rep.scale
+
+    def test_disjoint_supports_of_equal_norm_meet_the_margin(self):
+        x, y = RealVector((1.0, 0.0)), RealVector((0.0, -1.0))
+        rep = main17(x, y, 2.0, 4.0)
+        assert sharp_margin(x, y, 2.0, 4.0) == 4.0
+        assert abs(rep.gap - 4.0) <= POLICY.borderline_band * rep.scale
+
+
 class TestProp14:
     def test_zero_v(self):
         u = NonnegVector((1.0, 2.0))
@@ -348,9 +379,9 @@ class TestDispatch:
         sides = entry.sides(*entry.quantities(x.entries, y.entries, 2.0, 3.0, None), 2.0, 3.0)
         assert via == report(InequalityId.MAIN_17, 2.0, 3.0, *sides, POLICY)
 
-    def test_signed_input_rejected_for_main(self):
+    def test_signed_input_rejected_for_sumpow(self):
         with pytest.raises(NegativeEntry):
-            evaluate(InequalityId.MAIN_17, RealVector((-1.0,)), RealVector((1.0,)), 2.0, 3.0)
+            evaluate(InequalityId.SUMPOW_212, RealVector((-1.0,)), RealVector((1.0,)), 2.0, 3.0)
 
     @pytest.mark.parametrize(
         "id", [InequalityId.COR_16, InequalityId.SUMPOW_212, InequalityId.REARR_GAIN_217]

@@ -89,7 +89,7 @@ class TestVerify:
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(
-            ["verify", "--ineq", "main-1.7", "--input", str(path), "--p", "2", "--q", "3"],
+            ["verify", "--ineq", "sumpow-2.12", "--input", str(path), "--p", "2", "--q", "3"],
             capsys,
         )
         assert code == 2
@@ -322,11 +322,13 @@ class TestSearch:
 
     def test_constraint_mismatch_without_explore(self, capsys):
         code, _, err = run(
-            ["search", "--ineq", "main-1.7", "--p", "2", "--q", "3",
+            ["search", "--ineq", "prop-1.4", "--p", "2", "--q", "3",
              "--constraint", "signed", "--budget", "10", "--seed", "3"],
             capsys,
         )
         assert code == 2
+        assert "prop-1.4 is stated for dominated inputs, got signed" in err
+        assert "explore" not in err
 
     def test_witness_json(self, tmp_path, capsys):
         path = tmp_path / "witness.json"

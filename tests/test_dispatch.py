@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 COMMANDS = [
     pytest.param(
-        ["--ineq", "main-1.7", "--p", "2.5", "--q", "3", "--constraint", "signed", "--explore",
+        ["--ineq", "main-1.7", "--p", "2.5", "--q", "3", "--constraint", "signed",
          "--nmin", "3", "--nmax", "5", "--budget", "4000", "--seed", "2"],
         id="signed main-1.7 at p 2.5",
     ),

@@ -100,7 +100,7 @@ GOLDEN = [
     pytest.param(
         [
             "search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2.5", "--q", "3",
-            "--constraint", "signed", "--explore", "--nmin", "3", "--nmax", "5", "--budget",
+            "--constraint", "signed", "--nmin", "3", "--nmax", "5", "--budget",
             "4000", "--seed", "2", "--out", "WITNESS",
         ],
         0,
@@ -110,10 +110,9 @@ GOLDEN = [
             "seed: 2\n"
             "best_normalized_gap: -3.3306690738754696e-16\n"
             "best_verdict: borderline\n"
-            "exploratory: true (constraint outside the stated regime)\n"
         ),
         _pinned("extremal-main-1.7-signed-witness.json"),
-        id="signed exploratory extremal main-1.7 at a full budget",
+        id="signed extremal main-1.7 at a full budget",
     ),
     pytest.param(
         [
@@ -135,7 +134,7 @@ GOLDEN = [
     pytest.param(
         [
             "search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2.5", "--q", "3",
-            "--constraint", "signed", "--explore", "--nmin", "3", "--nmax", "5", "--budget",
+            "--constraint", "signed", "--nmin", "3", "--nmax", "5", "--budget",
             "400", "--seed", "2",
         ],
         0,
@@ -145,10 +144,9 @@ GOLDEN = [
             "seed: 2\n"
             "best_normalized_gap: 1.7327086356047845e-08\n"
             "best_verdict: holds\n"
-            "exploratory: true (constraint outside the stated regime)\n"
         ),
         None,
-        id="signed exploratory extremal main-1.7",
+        id="signed extremal main-1.7",
     ),
     pytest.param(
         [
@@ -473,7 +471,6 @@ EXTREMAL_WITNESSES = [
     for param in GOLDEN
     if param.values[0][:3] == ["search", "--mode", "extremal"]
     and param.values[3] is not None
-    and "--explore" not in param.values[0]  # verify takes the stated constraint only
 ]
 
 

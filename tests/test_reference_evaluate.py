@@ -35,6 +35,9 @@ from clarkson.core import (
 )
 from clarkson.errors import ConstraintMismatch, NonFiniteGap, RegimeViolation
 
+# The entries stated in p alone; every other one needs q.
+P_ONLY_IDS = (InequalityId.C11, InequalityId.C12, InequalityId.C13_LEFT, InequalityId.C13_RIGHT)
+
 
 def ref_power_sum(entries, p, masses):
     terms = _abs_powers(entries, p)
@@ -63,15 +66,13 @@ def ref_pair_norms(x, y, p, q, w):
     return nx, ny, ns, ref_p_norm(list(map(sub, x, y)), p, w)
 
 
-def ref_evaluate(id, x, y, p, q, w, strict):
+def ref_evaluate(id, x, y, p, q, w):
     """(lhs, rhs, gap, scale, verdict) of entry id's statement on (x, y)."""
     entry = REGISTRY[id]
+    if q is None and id not in P_ONLY_IDS:
+        raise RegimeViolation(f"{id.value} requires an explicit q")
     if entry.constraint is not Constraint.SIGNED:
-        if q is None:
-            raise RegimeViolation(f"{id.value} requires an explicit q")
-        if strict or not entry.explore:
-            x, y = (v if isinstance(v, NonnegVector) else NonnegVector(v.entries)
-                    for v in (x, y))
+        x, y = (v if isinstance(v, NonnegVector) else NonnegVector(v.entries) for v in (x, y))
     if w is not None and not entry.weighted:
         raise ConstraintMismatch(f"{id.value} is stated without weights")
     p, q = entry.exponents(p, q)
@@ -118,7 +119,7 @@ EXPONENTS = [2.0, 2.5, 3.0, 4.0, 6.0, 1.5, 1.0]
 
 @st.composite
 def cases(draw):
-    """(id, x, y, p, q, w, strict): mostly valid inputs for entry id, with
+    """(id, x, y, p, q, w): mostly valid inputs for entry id, with
     negative entries, broken dominance, a second cor-1.6 entry, weights
     on an unweighted entry and a missing q among them."""
     id = draw(st.sampled_from(sorted(REGISTRY, key=lambda i: i.value)))
@@ -139,7 +140,7 @@ def cases(draw):
     w = Weights(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))) if weighted else None
     p = draw(st.sampled_from(EXPONENTS))
     q = None if draw(st.integers(0, 19)) == 0 else p + draw(st.sampled_from([0.0, 0.7, 1.0, 2.0]))
-    return id, vec(x), vec(y), p, q, w, draw(st.booleans())
+    return id, vec(x), vec(y), p, q, w
 
 
 def nonneg(*entries):
@@ -153,32 +154,29 @@ def real(*entries):
 @given(cases())
 @settings(max_examples=500, deadline=None)
 # x + y overflows at index 1: its norm is inf, a non-finite gap
-@example((InequalityId.MAIN_17, nonneg(1.0, 1e308), nonneg(1.0, 1e308), 2.0, 3.0, None, True))
+@example((InequalityId.MAIN_17, nonneg(1.0, 1e308), nonneg(1.0, 1e308), 2.0, 3.0, None))
 # x - y overflows at index 0; the squares of x already overflow to inf
 # (at p = 2.5 builtin pow would raise on x first)
-@example((InequalityId.C11, real(1e308, 1.0), real(-1e308, 1.0), 2.0, None, None, True))
-@example((InequalityId.MAIN_17, real(1e308, 1.0), real(-1e308, 1.0), 2.0, 3.0, None, False))
+@example((InequalityId.C11, real(1e308, 1.0), real(-1e308, 1.0), 2.0, None, None))
+@example((InequalityId.MAIN_17, real(1e308, 1.0), real(-1e308, 1.0), 2.0, 3.0, None))
 # the squares of x + y overflow math.fsum before the norm of x - y,
 # whose last entry overflows, is taken
 @example((InequalityId.C12, real(5e153, 5e153, 1e308), real(5e153, 5e153, -1e308), 2.0, None,
-          None, True))
+          None))
 # both x + y and x - y overflow
 @example((InequalityId.C13_LEFT, real(1.0, 1e308, 1e308), real(1.0, 1e308, -1e308), 3.0,
-          None, None, True))
+          None, None))
 # x + y is finite, but its norm is inf: a non-finite gap, not an entry error
-@example((InequalityId.MAIN_17, nonneg(1e200, 1.0), nonneg(1e200, 0.0), 2.0, 3.0, None, True))
+@example((InequalityId.MAIN_17, nonneg(1e200, 1.0), nonneg(1e200, 0.0), 2.0, 3.0, None))
 # builtin pow overflows on x
-@example((InequalityId.PROP_14, nonneg(1e200, 2.0), nonneg(1e200, 1.0), 2.5, 3.0, None, True))
+@example((InequalityId.PROP_14, nonneg(1e200, 2.0), nonneg(1e200, 1.0), 2.5, 3.0, None))
 # weights of the wrong length, and weights on an unweighted entry
-@example((InequalityId.MAIN_17, nonneg(1.0, 2.0), nonneg(0.5, 1.0), 2.0, 3.0, Weights((1.0,)),
-          True))
-@example((InequalityId.REARR_GAIN_217, nonneg(1e308), nonneg(1e308), 2.0, 3.0, Weights((1.0,)),
-          True))
+@example((InequalityId.MAIN_17, nonneg(1.0, 2.0), nonneg(0.5, 1.0), 2.0, 3.0, Weights((1.0,))))
+@example((InequalityId.REARR_GAIN_217, nonneg(1e308), nonneg(1e308), 2.0, 3.0, Weights((1.0,))))
 # an underflowing power sum of x + y, rescaled
-@example((InequalityId.MAIN_17, nonneg(1e-200, 0.0), nonneg(1e-200, 1e-200), 3.0, 4.0, None,
-          True))
+@example((InequalityId.MAIN_17, nonneg(1e-200, 0.0), nonneg(1e-200, 1e-200), 3.0, 4.0, None))
 def test_evaluate_matches_the_eager_reference(case):
-    id, x, y, p, q, w, strict = case
-    want = outcome(lambda: ref_evaluate(id, x, y, p, q, w, strict))
-    got = outcome(lambda: fields(evaluate(id, x, y, p, q, w, DEFAULT_POLICY, strict)))
+    id, x, y, p, q, w = case
+    want = outcome(lambda: ref_evaluate(id, x, y, p, q, w))
+    got = outcome(lambda: fields(evaluate(id, x, y, p, q, w, DEFAULT_POLICY)))
     assert got == want

@@ -1,7 +1,7 @@
 """Table-driven pin of what the inequality registry decides for each id.
 
 For every id this records, as literal tables: whether each input
-constraint is accepted, exploratory or rejected (explore off and on);
+constraint is accepted or rejected;
 which cells a scan over p in 1:4:0.25, q in 1:6:0.25 skips; the
 exponents `clarkson search` samples at; and the rows `clarkson verify`
 prints.  Each entry's exponent builder is the one regime check, so verify,
@@ -19,19 +19,19 @@ from clarkson.cli import main
 from clarkson.errors import ClarksonError
 from clarkson.search import SampleSpec, counterexample_search, scan_grid
 
-A, E, R = "accepted", "exploratory", "rejected"
+A, R = "accepted", "rejected"
 
-# (explore off, explore on) for nonnegative, signed and dominated inputs.
+# For nonnegative, signed and dominated inputs.
 STATUS = {
-    "c-1.1": {"nonnegative": (A, A), "signed": (A, A), "dominated": (A, A)},
-    "c-1.2": {"nonnegative": (A, A), "signed": (A, A), "dominated": (A, A)},
-    "c-1.3-left": {"nonnegative": (A, A), "signed": (A, A), "dominated": (A, A)},
-    "c-1.3-right": {"nonnegative": (A, A), "signed": (A, A), "dominated": (A, A)},
-    "main-1.7": {"nonnegative": (A, A), "signed": (R, E), "dominated": (A, A)},
-    "prop-1.4": {"nonnegative": (R, R), "signed": (R, R), "dominated": (A, A)},
-    "cor-1.6": {"nonnegative": (R, R), "signed": (R, R), "dominated": (A, A)},
-    "sumpow-2.12": {"nonnegative": (A, A), "signed": (R, R), "dominated": (A, A)},
-    "rearr-2.17": {"nonnegative": (A, A), "signed": (R, R), "dominated": (A, A)},
+    "c-1.1": {"nonnegative": A, "signed": A, "dominated": A},
+    "c-1.2": {"nonnegative": A, "signed": A, "dominated": A},
+    "c-1.3-left": {"nonnegative": A, "signed": A, "dominated": A},
+    "c-1.3-right": {"nonnegative": A, "signed": A, "dominated": A},
+    "main-1.7": {"nonnegative": A, "signed": A, "dominated": A},
+    "prop-1.4": {"nonnegative": R, "signed": R, "dominated": A},
+    "cor-1.6": {"nonnegative": R, "signed": R, "dominated": A},
+    "sumpow-2.12": {"nonnegative": A, "signed": R, "dominated": A},
+    "rearr-2.17": {"nonnegative": A, "signed": R, "dominated": A},
 }
 
 P_GRID = [1.0 + 0.25 * k for k in range(13)]
@@ -102,16 +102,12 @@ def test_tables_cover_every_id():
 def test_constraint_status(name):
     id = InequalityId(name)
     for constraint in Constraint:
-        for explore, expected in zip((False, True), STATUS[name][constraint.value]):
-            try:
-                out = counterexample_search(
-                    id, 2.0, 3.0, SampleSpec(constraint=constraint), 0,
-                    explore=explore,
-                )
-                got = E if out.exploratory else A
-            except ClarksonError:
-                got = R
-            assert got == expected, (constraint, explore)
+        try:
+            counterexample_search(id, 2.0, 3.0, SampleSpec(constraint=constraint), 0)
+            got = A
+        except ClarksonError:
+            got = R
+        assert got == STATUS[name][constraint.value], constraint
 
 
 @pytest.mark.parametrize("name", sorted(SKIPS))

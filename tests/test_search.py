@@ -160,15 +160,9 @@ class TestCounterexampleSearch:
 
     def test_constraint_mismatch_without_explore(self):
         spec = SampleSpec(constraint=Constraint.SIGNED)
-        with pytest.raises(ConstraintMismatch):
-            counterexample_search(
-                InequalityId.MAIN_17, 2.0, 3.0, spec, 10, seed=0
-            )
-        out = counterexample_search(
-            InequalityId.MAIN_17, 2.0, 3.0, spec, 10, seed=0,
-            explore=True,
-        )
-        assert out.exploratory
+        with pytest.raises(ConstraintMismatch) as info:
+            counterexample_search(InequalityId.PROP_14, 2.0, 3.0, spec, 10, seed=0)
+        assert str(info.value) == "prop-1.4 is stated for dominated inputs, got signed"
 
 
 @pytest.mark.parametrize("run", [counterexample_search, extremal_search])

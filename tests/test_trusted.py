@@ -17,6 +17,7 @@ from clarkson.catalog import (
     Constraint,
     GapReport,
     InequalityId,
+    _P_ONLY_EXPONENTS,
     _repaired_sums,
     evaluate,
     report,
@@ -53,7 +54,7 @@ def cases(draw):
     elif entry.constraint is Constraint.DOMINATED_PAIR:
         x, y = [max(a, b) for a, b in zip(x, y)], [min(a, b) for a, b in zip(x, y)]
     w = draw(st.none() | st.lists(masses, min_size=n, max_size=n)) if entry.weighted else None
-    if entry.constraint is Constraint.SIGNED:
+    if entry.exponents in _P_ONLY_EXPONENTS:
         p, q = draw(st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0])), None
     elif id is InequalityId.SUMPOW_212:
         p = q = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
