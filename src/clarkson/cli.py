@@ -12,7 +12,6 @@ import contextlib
 import csv
 import functools
 import math
-import os
 import re
 import sys
 from typing import List, Optional, Sequence
@@ -25,8 +24,6 @@ from .catalog import DEFAULT_POLICY, Constraint, Distribution, InequalityId, Tol
 from .core import NonnegVector, RealVector, Weights
 from .errors import ClarksonError
 
-SEED_ENV_VAR = "CLARKSON_SEED"
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
@@ -36,13 +33,10 @@ EXIT_ERROR = 2
 MAX_GRID_CELLS = 10_000
 
 
-# Flags whose value is a number, a comma-separated list of numbers or a
-# start:stop:step grid.  argparse reads a value such as -0.2,0.1, -1e-3 or
-# -0:-0:1 as an option string, not as a negative number, so main passes a
-# value after one of these flags that starts with a minus and a digit as
-# --flag=value.
-_NUMBER_FLAGS = frozenset({"--x", "--y", "--u", "--v", "--p", "--q", "--c",
-                           "--p-grid", "--q-grid", "--rel-tol", "--band", "--density"})
+# argparse reads a value such as -0.2,0.1, -1e-3 or -0:-0:1 as an option
+# string, not as a negative number.  No option starts with a digit, so main
+# passes a token that starts with a minus and a digit, after a token that
+# starts with --, as --flag=value.
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
@@ -53,7 +47,7 @@ class UsageError(Exception):
 def _attach_negative_values(argv: Sequence[str]) -> List[str]:
     out: List[str] = []
     for tok in argv:
-        if out and out[-1] in _NUMBER_FLAGS and _NEGATIVE_NUMBER.match(tok):
+        if out and out[-1].startswith("--") and _NEGATIVE_NUMBER.match(tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -61,8 +55,11 @@ def _attach_negative_values(argv: Sequence[str]) -> List[str]:
 
 
 def _parse_floats(text: str) -> List[float]:
+    """A comma-separated list; one made only of blanks and commas is empty."""
+    if not text.replace(",", "").strip():
+        return []
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"cannot parse number list {text!r}: {exc}")
 
@@ -102,16 +99,6 @@ def _parse_grid(text: str) -> List[float]:
     return out
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-
-
 def _numbers(value) -> list:
     """value, which must be a JSON list of numbers; booleans are not numbers."""
     if not isinstance(value, list) or any(
@@ -120,7 +107,7 @@ def _numbers(value) -> list:
     return value
 
 
-def _load_pairs(path: str, vec: type):
+def _load_pairs(path: str):
     import json
 
     try:
@@ -136,8 +123,8 @@ def _load_pairs(path: str, vec: type):
         try:
             if not isinstance(item, dict):
                 raise TypeError(f"expected an object with x and y, got {item!r}")
-            x = vec(_numbers(item["x"]))
-            y = vec(_numbers(item["y"]))
+            x = RealVector(_numbers(item["x"]))
+            y = RealVector(_numbers(item["y"]))
             w = None if item.get("w") is None else Weights(_numbers(item["w"]))
         except KeyError as exc:
             raise UsageError(f"bad pair at index {i}: missing key {exc}")
@@ -174,20 +161,19 @@ def _table(path: Optional[str], header: Sequence[str]):
             out.close()
 
 
-def _inline_pair(args, vec: type):
+def _inline_pair(args):
     if args.x is None or args.y is None:
         return None
-    return [(vec(_parse_floats(args.x)), vec(_parse_floats(args.y)), None)]
+    return [(RealVector(_parse_floats(args.x)), RealVector(_parse_floats(args.y)), None)]
 
 
 def cmd_verify(args) -> int:
     ineq = InequalityId(args.ineq)
-    vec = RealVector if catalog.REGISTRY[ineq].constraint is Constraint.SIGNED else NonnegVector
-    pairs = _inline_pair(args, vec)
+    pairs = _inline_pair(args)
     if pairs is None:
         if args.input is None:
             raise UsageError("verify needs --input or both --x and --y")
-        pairs = _load_pairs(args.input, vec)
+        pairs = _load_pairs(args.input)
     ps = _parse_floats(args.p) if args.p is not None else [2.0]
     qs = _parse_floats(args.q) if args.q is not None else [None]
     if not (ps and qs):
@@ -266,9 +252,8 @@ def cmd_search(args) -> int:
         raise UsageError("search --out needs a file path, not '-'")
     spec = _spec_from_args(args)
     policy = _policy(args)
-    q = args.q_value if args.q_value is not None else args.p_value
     run = search.extremal_search if args.mode == "extremal" else search.counterexample_search
-    outcome = run(ineq, args.p_value, q, spec, args.budget, args.seed, policy)
+    outcome = run(ineq, args.p_value, args.q_value, spec, args.budget, args.seed, policy)
     print(f"status: {outcome.status.value}")
     print(f"evaluations: {outcome.evaluations}")
     print(f"seed: {outcome.seed}")
@@ -394,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p-grid", required=True, help="start:stop:step")
     ps.add_argument("--q-grid", required=True, help="start:stop:step")
     ps.add_argument("--samples", type=int, default=1000)
-    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out")
     _add_tolerance_flags(ps)
     _add_spec_flags(ps)
@@ -407,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--mode", choices=["counterexample", "extremal"],
                     default="counterexample")
     pr.add_argument("--budget", type=int, default=10000)
-    pr.add_argument("--seed", type=int, default=None)
+    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--out", help="witness JSON path")
     _add_tolerance_flags(pr)
     _add_spec_flags(pr)
@@ -440,8 +425,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
         return args.func(args)
     except (UsageError, ClarksonError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Seeded randomized verification and extremal search over gap functionals.
 
 Samples come in blocks of _BLOCK pairs.  Block b of a seed is drawn from
-one counter-based Philox stream, keyed by the seed, at counter b * 2^64,
-and sample i is row i % _BLOCK of block i // _BLOCK.  Every sample is
+one counter-based Philox stream, keyed by the seed (an integer in
+[0, 2^64), so each seed has its own key), at counter b * 2^64, and
+sample i is row i % _BLOCK of block i // _BLOCK.  Every sample is
 thus a pure function of (spec, seed, index), so results are
 bit-identical regardless of evaluation order.
 
@@ -92,7 +93,7 @@ from .catalog import (
     evaluate,
 )
 from .core import NonnegVector, RealVector, Weights, _p_norm
-from .errors import ClarksonError, ConstraintMismatch, EmptyGrid, NonFiniteGap
+from .errors import ClarksonError, ConstraintMismatch, DomainError, EmptyGrid, NonFiniteGap
 
 # Pairs per sample block.  Part of the stream layout: changing it
 # changes every sample of every seed.
@@ -218,7 +219,9 @@ def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     One Philox stream per block.  The entries are valid by construction
     (see the module docstring), so none is checked.
     """
-    bits = np.random.Philox(key=np.uint64(seed & (2**64 - 1)), counter=block * _STREAM_STRIDE)
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    bits = np.random.Philox(key=np.uint64(seed), counter=block * _STREAM_STRIDE)
     rng = np.random.Generator(bits)
     lo, hi = spec.dim_range
     shape = (_BLOCK, hi)

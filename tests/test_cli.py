@@ -169,6 +169,32 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: --p and --q each need at least one value"]
 
+    @pytest.mark.parametrize("flag, text, blank", [
+        ("--x", "1,,2", ""), ("--y", "0,1,", ""), ("--x", ",1,2", ""), ("--p", "2, ,3", " "),
+        ("--q", "3,", "")])
+    def test_blank_entry_beside_a_number_exits_2(self, flag, text, blank, capsys):
+        # blank entries used to be skipped: --x 1,,2 --y 0,1, ran on (1, 2), (0, 1)
+        flags = {"--x": "1,2", "--y": "0,1", "--p": "2", "--q": "3", flag: text}
+        code, out, err = run(
+            ["verify", "--ineq", "main-1.7", *(t for kv in flags.items() for t in kv)], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: cannot parse number list {text!r}: could not convert string to float: "
+            f"{blank!r}"]
+
+    @pytest.mark.parametrize("ineq", ["prop-1.4", "rearr-2.17", "sumpow-2.12"])
+    def test_negative_entry_for_a_nonnegative_id(self, ineq, tmp_path, capsys):
+        """evaluate applies the entry's constraint to the pairs verify reads."""
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": [{"x": [1, 2], "y": [1, 0]},
+                                              {"x": [1, 2], "y": [0, -1]}]}))
+        base = ["verify", "--ineq", ineq, "--p", "2", "--q", "3"]
+        for argv, pair in (([*base, "--x", "1,2", "--y", "0,-1"], 0),
+                           ([*base, "--input", str(path)], 1)):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.splitlines() == [f"error: pair {pair}: negative entry at index 1"]
+
     @pytest.mark.parametrize("command", [
         ["verify", "--ineq", "main-1.7", "--x", "1,1", "--y", "1,0", "--p", "2", "--q", "3"],
         ["scan", "--ineq", "main-1.7", "--p-grid", "2:3:1", "--q-grid", "3:4:1", "--samples", "5"],
@@ -353,6 +379,40 @@ class TestSearch:
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: search --out needs a file path, not '-'"]
         assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("mode", ["counterexample", "extremal"])
+    def test_q_rule_matches_verify(self, mode, capsys):
+        """Without --q, search runs the c-1.x ids, which read p alone, and
+        rejects every other id, as verify and the library do."""
+        argv = ["search", "--mode", mode, "--p", "3", "--budget", "200", "--seed", "2"]
+        for ineq in ("main-1.7", "cor-1.6"):
+            assert run([*argv, "--ineq", ineq], capsys) == (
+                2, "", f"error: {ineq} requires an explicit q\n")
+        code, out, _ = run([*argv, "--ineq", "c-1.1"], capsys)
+        assert code == 0
+        gap = {"counterexample": "0.0012139001779564174", "extremal": "0.005593040769006307"}
+        assert out == ("status: no-violation\nevaluations: 200\nseed: 2\n"
+                       f"best_normalized_gap: {gap[mode]}\nbest_verdict: holds\n")
+
+    @pytest.mark.parametrize("command", [
+        ["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--budget", "300"],
+        ["search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "3",
+         "--budget", "300"],
+        ["scan", "--ineq", "main-1.7", "--p-grid", "2:2:1", "--q-grid", "3:3:1",
+         "--samples", "3"],
+    ])
+    def test_seed_outside_64_bits_exits_2(self, command, capsys):
+        # -1 used to run as 2**64 - 1, and 2**64 as 0
+        for seed in (-1, 2**64, -(2**64)):
+            assert run([*command, "--seed", str(seed)], capsys) == (
+                2, "", f"error: seed must lie in [0, 2**64), got {seed}\n")
+        assert run([*command, "--seed", str(2**64 - 1)], capsys)[0] == 0
+
+    def test_seed_defaults_to_zero(self, capsys):
+        argv = ["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--budget", "300"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and "seed: 0\n" in out
+        assert run([*argv, "--seed", "0"], capsys) == (code, out, "")
 
 
     @pytest.mark.parametrize("seed", range(8))
@@ -777,25 +837,6 @@ class TestChi:
         assert out.splitlines()[-2] == "0.8038921141728734,0.0"
 
 
-class TestSeedEnvVar:
-    def test_env_default_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLARKSON_SEED", "99")
-        code, out, _ = run(
-            ["search", "--ineq", "main-1.7", "--p", "2", "--q", "3",
-             "--budget", "50"],
-            capsys,
-        )
-        assert code == 0
-        assert "seed: 99" in out
-
-    def test_invalid_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLARKSON_SEED", "abc")
-        code, out, err = run(["search", "--ineq", "main-1.7", "--p", "2", "--q", "3",
-                              "--budget", "5"], capsys)
-        assert (code, out) == (2, "")
-        assert err == "error: CLARKSON_SEED must be an integer, got 'abc'\n"
-
-
 class TestParserReuse:
     SCAN = ["scan", "--ineq", "rearr-2.17", "--p-grid", "2:3:0.5", "--q-grid", "3:4:1",
             "--nmin", "4", "--nmax", "9", "--samples", "30", "--seed", "5"]
@@ -805,21 +846,16 @@ class TestParserReuse:
         build_parser.cache_clear()
         return run(argv, capsys)
 
-    def test_back_to_back_calls_equal_fresh_runs(self, capsys, monkeypatch):
+    def test_back_to_back_calls_equal_fresh_runs(self, capsys):
         """One parser serves every call; each call still reads its own seed."""
-        monkeypatch.setenv("CLARKSON_SEED", "11")
-        want = [self.fresh(self.SCAN, capsys), self.fresh(self.SEARCH, capsys)]
-        monkeypatch.setenv("CLARKSON_SEED", "12")
-        want.append(self.fresh(self.SEARCH, capsys))
+        seeded = [[*self.SEARCH, "--seed", "11"], [*self.SEARCH, "--seed", "12"]]
+        want = [self.fresh(self.SCAN, capsys), *(self.fresh(argv, capsys) for argv in seeded)]
         assert "seed: 11" in want[1][1] and "seed: 12" in want[2][1]
 
         build_parser.cache_clear()
         got = [run(self.SCAN, capsys)]
         parser = build_parser()
-        monkeypatch.setenv("CLARKSON_SEED", "11")
-        got.append(run(self.SEARCH, capsys))
-        monkeypatch.setenv("CLARKSON_SEED", "12")
-        got.append(run(self.SEARCH, capsys))
+        got += [run(argv, capsys) for argv in seeded]
         assert build_parser() is parser
         assert got == want
 

@@ -68,7 +68,7 @@ VERIFY = cli_run("verify", "--ineq", "main-1.7", "--x", "1,0", "--y", "0,1", "--
 PHI = cli_run("phi", "--u", "2,1", "--v", "1,1", "--p", "2", "--q", "4", "--grid-size", "17")
 CHI = cli_run("chi", "--p", "1.3333333333333333", "--q", "4", "--c", "1", "--grid-size", "11")
 HELP = cli_run("--help")
-SEARCH_ARGV = ("search", "--ineq", "main-1.7", "--budget", "5", "--seed", "1")
+SEARCH_ARGV = ("search", "--ineq", "main-1.7", "--q", "3", "--budget", "5", "--seed", "1")
 SEARCH = cli_run(*SEARCH_ARGV)
 SCAN = cli_run("scan", "--ineq", "main-1.7", "--p-grid", "2:2:1", "--q-grid", "3:3:1",
                "--samples", "2", "--seed", "1")

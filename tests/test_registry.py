@@ -76,8 +76,8 @@ CONJUGATE_EXPS = (
 )
 # c-1.3 is stated in p alone
 C13_EXPS = ((2.5, 2.5), (3.0, 3.0), (1.5, 1.5), (2.0, 2.0), None, (4.0, 4.0))
-MAIN_EXPS = ((2.5, 3.7), (3.0, 3.0), None, None, None, None)
-SCALAR_EXPS = ((3.7, 3.7), (3.0, 3.0), (3.0, 3.0), (1.5, 1.5), (3.0, 3.0), (2.0, 2.0))
+MAIN_EXPS = ((2.5, 3.7), None, None, None, None, None)
+SCALAR_EXPS = ((3.7, 3.7), None, (3.0, 3.0), (1.5, 1.5), (3.0, 3.0), (2.0, 2.0))
 SEARCH_EXPS = {
     "c-1.1": CONJUGATE_EXPS,
     "c-1.2": CONJUGATE_EXPS,
@@ -86,7 +86,7 @@ SEARCH_EXPS = {
     "main-1.7": MAIN_EXPS,
     "prop-1.4": MAIN_EXPS,
     # the corollary is stated for q >= 2 only
-    "cor-1.6": ((3.7, 3.7), (3.0, 3.0), (3.0, 3.0), None, (3.0, 3.0), (2.0, 2.0)),
+    "cor-1.6": ((3.7, 3.7), None, (3.0, 3.0), None, (3.0, 3.0), (2.0, 2.0)),
     "sumpow-2.12": SCALAR_EXPS,
     "rearr-2.17": MAIN_EXPS,
 }

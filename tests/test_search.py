@@ -9,7 +9,9 @@ import pytest
 from clarkson.catalog import REGISTRY, InequalityId, Verdict, evaluate
 from clarkson import search
 from clarkson.core import NonnegVector
-from clarkson.errors import ConstraintMismatch, EmptyGrid, NonFiniteGap, RegimeViolation
+from clarkson.errors import (
+    ConstraintMismatch, DomainError, EmptyGrid, NonFiniteGap, RegimeViolation,
+)
 from clarkson.search import (
     Constraint,
     Distribution,
@@ -86,6 +88,17 @@ class TestSamplePair:
         _, _, w = sample_pair(spec, 1, 0)
         assert w is not None
         assert all(m > 0 for m in w.masses)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**65 + 3])
+    def test_seed_outside_64_bits_raises(self, seed):
+        """Each seed keys its own stream: the key was seed mod 2**64, so -1
+        drew what 2**64 - 1 draws and 2**64 what 0 draws."""
+        with pytest.raises(DomainError) as info:
+            sample_pair(SPEC, seed, 0)
+        assert str(info.value) == f"seed must lie in [0, 2**64), got {seed}"
+        for run in (counterexample_search, extremal_search):
+            with pytest.raises(DomainError):
+                run(InequalityId.MAIN_17, 2.0, 3.0, SPEC, 10, seed=seed)
 
     @pytest.mark.parametrize("weights", [False, True], ids=["unweighted", "weighted"])
     @pytest.mark.parametrize("constraint", list(Constraint), ids=lambda c: c.value)
