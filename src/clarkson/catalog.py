@@ -29,6 +29,7 @@ from .core import (
 )
 from .errors import (
     ConstraintMismatch,
+    DomainError,
     ExponentOutOfRange,
     LengthMismatch,
     NonFiniteGap,
@@ -91,7 +92,8 @@ class TolerancePolicy:
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= self.borderline_band < math.inf):
-            raise ValueError("need 0 < rel_tol <= borderline_band < inf")
+            raise DomainError(f"rel_tol {self.rel_tol!r}, borderline_band {self.borderline_band!r}:"
+                              " need 0 < rel_tol <= borderline_band < inf")
 
 
 DEFAULT_POLICY = TolerancePolicy()

@@ -36,6 +36,7 @@ from operator import mul
 from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import (
+    DomainError,
     DominanceViolation,
     EmptyVector,
     ExponentOutOfRange,
@@ -48,6 +49,9 @@ from .errors import (
 
 # Desk-scale guard: reject accidental huge inputs.
 MAX_LEN = 1 << 20
+
+# Most cells a (p, q) scan takes and points a phi or chi scan evaluates.
+MAX_GRID_CELLS = 10_000
 
 # The smallest normal float; a power sum below it has lost bits.
 _MIN_NORMAL = sys.float_info.min
@@ -122,7 +126,7 @@ class Weights:
         if min(self.masses) <= 0.0:
             for i, m in enumerate(self.masses):
                 if m <= 0.0:
-                    raise NegativeEntry(i)
+                    raise DomainError(f"weight at index {i} is not positive, got {m!r}")
 
 
 def _check_pair(x, y, masses=None, dominated: bool = False) -> None:

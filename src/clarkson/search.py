@@ -39,12 +39,13 @@ and >= 0, sparse ones are a uniform draw times a 0/1 mask, signs only
 flip, a dominated pair is the (max, min) of two draws, and weights lie
 in [0.5, 2).  The extremal descent's points stay on the constraint set
 too (a start is a sample, a move is put back on the set, and a positive
-factor keeps both).  The constraint and the weights rule are checked
-once a run, the exponents once a run (a scan: once a cell), and the
-batch screen, given the resolved (p, q), checks nothing.  The few rows
-the screen keeps are built by the public vector and weight constructors
-(SampleBlock.pair), which check them; only the descent's points, every
-one of which is scored, are wrapped unchecked (RealVector._trusted_pair).
+factor keeps both).  The budget or sample count, constraint, weights
+rule and seed are checked once a run, before any sample is drawn, the
+exponents once a run (a scan: once a cell), and the batch screen, given
+the resolved (p, q), checks nothing.  The few rows the screen keeps are
+built by the public vector and weight constructors (SampleBlock.pair),
+which check them; only the descent's points, every one of which is
+scored, are wrapped unchecked (RealVector._trusted_pair).
 
 The extremal descent is sequential: each step starts from the point the
 last one accepted.  Its point is a tuple of floats z = (x, y) on the
@@ -92,7 +93,7 @@ from .catalog import (
     batch_normalized_gaps,
     evaluate,
 )
-from .core import NonnegVector, RealVector, Weights, _p_norm
+from .core import MAX_GRID_CELLS, NonnegVector, RealVector, Weights, _p_norm
 from .errors import ClarksonError, ConstraintMismatch, DomainError, EmptyGrid, NonFiniteGap
 
 # Pairs per sample block.  Part of the stream layout: changing it
@@ -156,9 +157,9 @@ class SampleSpec:
     def __post_init__(self):
         lo, hi = self.dim_range
         if not (1 <= lo <= hi <= 64):
-            raise ValueError(f"dim_range must satisfy 1 <= lo <= hi <= 64, got {self.dim_range}")
+            raise DomainError(f"dim_range must satisfy 1 <= lo <= hi <= 64, got {self.dim_range}")
         if not (0.0 < self.density <= 1.0):
-            raise ValueError(f"density must lie in (0, 1], got {self.density}")
+            raise DomainError(f"density must lie in (0, 1], got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -216,11 +217,12 @@ def _draw(rng: np.random.Generator, shape: Tuple[int, int], spec: SampleSpec) ->
 def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     """Pairs block * _BLOCK ... block * _BLOCK + _BLOCK - 1 of (spec, seed).
 
-    One Philox stream per block.  The entries are valid by construction
-    (see the module docstring), so none is checked.
+    One Philox stream per block, at a counter below 2^256.  The entries
+    are valid by construction (see the module docstring), so none is checked.
     """
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    _check_seed(seed)
+    if not 0 <= block < 2**192:
+        raise DomainError(f"sample block must lie in [0, 2**192), got {block}")
     bits = np.random.Philox(key=np.uint64(seed), counter=block * _STREAM_STRIDE)
     rng = np.random.Generator(bits)
     lo, hi = spec.dim_range
@@ -248,13 +250,23 @@ def sample_pair(
     return sample_block(spec, seed, index // _BLOCK).pair(index % _BLOCK)
 
 
-def _check_constraint(id: InequalityId, spec: SampleSpec) -> None:
-    """Raise unless spec's inputs lie within the entry's constraint."""
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def _check_run(id: InequalityId, spec: SampleSpec, seed: int, budget: int = 0):
+    """id's entry, once the budget, constraint, weights rule and seed pass, in that order."""
+    if budget < 0:
+        raise DomainError(f"budget must be nonnegative, got {budget}")
     entry = REGISTRY[id]
     if not spec.constraint.within(entry.constraint):
         raise ConstraintMismatch(
             f"{id.value} is stated for {entry.constraint.value} inputs, got {spec.constraint.value}"
         )
+    _check_weights(id, entry, spec.weights)
+    _check_seed(seed)
+    return entry
 
 
 def _screen(ng: np.ndarray, rel_tol: float, margin: float, low: float) -> Tuple[np.ndarray, float]:
@@ -345,9 +357,8 @@ def counterexample_search(
     entry = REGISTRY[id]
     _check_q(id, entry, q)
     p, q = entry.exponents(p, q)
-    _check_constraint(id, spec)
-    _check_weights(id, entry, spec.weights)
-    if budget <= 0:
+    _check_run(id, spec, seed, budget)
+    if budget == 0:
         return _no_result(p, q, 0, seed)
     ng, rep, witness, violations = _eval_indices(id, p, q, spec, seed, range(budget), policy)
     status = SearchStatus.VIOLATION_FOUND if violations else SearchStatus.NO_VIOLATION
@@ -420,9 +431,9 @@ def extremal_search(
     entry = REGISTRY[id]
     _check_q(id, entry, q)
     p, q = entry.exponents(p, q)
-    _check_constraint(id, spec)
     if spec.weights:
         raise ConstraintMismatch("extremal search does not take weights")
+    _check_run(id, spec, seed, budget)
     identity = entry.identity(p, q, spec.constraint)  # every finite gap is 0.0
     evals = 0
     best_ng = math.inf
@@ -530,12 +541,13 @@ def scan_grid(
     raises) are kept in the output, marked skipped.  Sample streams are
     keyed by cell index so results do not depend on grid iteration order.
     """
+    if samples_per_cell < 1:
+        raise DomainError(f"samples_per_cell must be at least 1, got {samples_per_cell}")
     if not p_grid or not q_grid:
         raise EmptyGrid("empty p or q grid")
-    _check_constraint(id, spec)
-    entry = REGISTRY[id]
-    _check_weights(id, entry, spec.weights)
-    build = entry.exponents
+    if len(p_grid) * len(q_grid) > MAX_GRID_CELLS:
+        raise DomainError(f"grid has {len(p_grid) * len(q_grid)} cells, more than {MAX_GRID_CELLS}")
+    build = _check_run(id, spec, seed).exponents
     out: List[CellSummary] = []
     for cell_index, (p, q) in enumerate(product(p_grid, q_grid)):
         try:

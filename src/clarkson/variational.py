@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .core import NonnegVector, _check_pair, main_exponents
+from .core import MAX_GRID_CELLS, NonnegVector, _check_pair, main_exponents
 from .errors import DomainError, NonFiniteGap, RegimeViolation
 
 # chi_sign_scan counts a value within this of 0 as no sign.
@@ -148,6 +148,8 @@ def monotonicity_scan(ctx: PhiContext, grid_size: int) -> MonotonicityReport:
     """Check phi for nondecrease on a uniform grid over [0, 1]."""
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    if grid_size > MAX_GRID_CELLS:
+        raise DomainError(f"grid_size {grid_size} is more than {MAX_GRID_CELLS}")
     d = grid_size - 1
     ts = [k / d for k in range(grid_size)]
     vals = _finite_values("phi", _phi_values, ctx, ts)
@@ -253,6 +255,8 @@ def chi_sign_scan(ctx: ChiContext, grid_size: int) -> SignScanReport:
     """Scan chi over a uniform grid on [0, c] for sign behaviour."""
     if grid_size < 3:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
+    if grid_size > MAX_GRID_CELLS:
+        raise DomainError(f"grid_size {grid_size} is more than {MAX_GRID_CELLS}")
     c, d = ctx.c, grid_size - 1
     ss = [c * k / d for k in range(grid_size)]
     # c * d / d can round one ulp past c, outside chi's domain

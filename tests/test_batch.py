@@ -26,6 +26,7 @@ from clarkson.catalog import (
 from clarkson.core import NonnegVector, RealVector, Weights, _abs_powers
 from clarkson.errors import (
     ConstraintMismatch,
+    DomainError,
     LengthMismatch,
     NegativeEntry,
     NonFiniteEntry,
@@ -618,7 +619,7 @@ def test_sample_pair_is_the_block_row(constraint, weighted):
 
 @pytest.mark.parametrize("array, value, error", [
     ("x", -0.5, NegativeEntry), ("y", math.nan, NonFiniteEntry),
-    ("w", 0.0, NegativeEntry), ("w", math.inf, NonFiniteEntry),
+    ("w", 0.0, DomainError), ("w", math.inf, NonFiniteEntry),
 ])
 def test_sample_pair_checks_its_row(array, value, error, monkeypatch):
     """A row that breaks the rules raises: SampleBlock.pair builds its

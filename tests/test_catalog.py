@@ -17,7 +17,9 @@ from clarkson.catalog import (
 from clarkson.cli import build_parser
 from clarkson.core import NonnegVector, RealVector, Weights, p_norm
 from clarkson.errors import (
+    ClarksonError,
     ConstraintMismatch,
+    DomainError,
     DominanceViolation,
     NegativeEntry,
     NonFiniteGap,
@@ -88,6 +90,13 @@ class TestVerdict:
         # an infinite band would never let a verdict be violated
         with pytest.raises(ValueError, match="need 0 < rel_tol <= borderline_band < inf"):
             TolerancePolicy(rel_tol, band)
+
+    def test_policy_error_is_a_clarkson_error(self):
+        with pytest.raises(ClarksonError) as info:
+            TolerancePolicy(1e-9, 1e-12)
+        assert isinstance(info.value, DomainError) and isinstance(info.value, ValueError)
+        assert str(info.value) == (
+            "rel_tol 1e-09, borderline_band 1e-12: need 0 < rel_tol <= borderline_band < inf")
 
     def test_report_is_the_named_tuple(self):
         rep = report(InequalityId.MAIN_17, 2.0, 4.0, 1.5, 2.0, POLICY)

@@ -56,9 +56,9 @@ class TestVerify:
          "--p-grid", "-2:2:1", 0, "main-1.7,-2.0,3.0,0,skipped,0,1\n"),
         (["verify", "--ineq", "main-1.7", "--x", "1", "--y", "0", "--p", "2", "--q", "3"],
          "--rel-tol", "-1e-9",
-         2, "error: --rel-tol -1e-09, --band 1e-07: need 0 < rel_tol <= borderline_band < inf\n"),
+         2, "error: rel_tol -1e-09, borderline_band 1e-07: need 0 < rel_tol <= borderline_band < inf\n"),
         (["search", "--ineq", "main-1.7", "--budget", "5", "--seed", "1"], "--band", "-1e-7",
-         2, "error: --rel-tol 1e-09, --band -1e-07: need 0 < rel_tol <= borderline_band < inf\n"),
+         2, "error: rel_tol 1e-09, borderline_band -1e-07: need 0 < rel_tol <= borderline_band < inf\n"),
         (["search", "--ineq", "main-1.7", "--budget", "5", "--seed", "1", "--dist", "sparse"],
          "--density", "-5e-1", 2, "error: density must lie in (0, 1], got -0.5\n"),
     ], ids=["q-grid", "p-grid", "rel-tol", "band", "density"])
@@ -208,7 +208,7 @@ class TestVerify:
         code, out, err = run([*command, *flags], capsys)
         assert (code, out) == (2, "")
         [line] = err.splitlines()  # no traceback
-        assert line.startswith("error: --rel-tol ")
+        assert line.startswith("error: rel_tol ")
         assert line.endswith(": need 0 < rel_tol <= borderline_band < inf")
 
     def test_malformed_json(self, tmp_path, capsys):
@@ -408,6 +408,27 @@ class TestSearch:
                 2, "", f"error: seed must lie in [0, 2**64), got {seed}\n")
         assert run([*command, "--seed", str(2**64 - 1)], capsys)[0] == 0
 
+    @pytest.mark.parametrize("command", [
+        ["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--budget", "0"],
+        ["search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "3",
+         "--budget", "0"],
+        ["scan", "--ineq", "main-1.7", "--p-grid", "1:1:1", "--q-grid", "3:3:1"],
+    ], ids=["budget-0", "extremal-budget-0", "every-cell-skipped"])
+    def test_seed_checked_when_nothing_is_drawn(self, command, capsys):
+        for seed in (-1, 2**64):
+            assert run([*command, "--seed", str(seed)], capsys) == (
+                2, "", f"error: seed must lie in [0, 2**64), got {seed}\n")
+
+    def test_sample_index_outside_the_stream(self, capsys):
+        """The p = 1 cell is skipped, so the first block drawn is 2**200 / 256
+        = 2**192, past the end of Philox's counter: one error line, no
+        traceback."""
+        code, out, err = run(["scan", "--ineq", "main-1.7", "--p-grid", "1:2:1",
+                              "--q-grid", "3:3:1", "--samples", str(2**200), "--seed", "1"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: sample block must lie in [0, 2**192), got {2**192}\n"
+
     def test_seed_defaults_to_zero(self, capsys):
         argv = ["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--budget", "300"]
         code, out, _ = run(argv, capsys)
@@ -478,11 +499,11 @@ class TestErrorExits:
             (["search", "--mode", "extremal", "--ineq", "main-1.7", "--p", "2", "--q", "3",
               "--weighted", "--budget", "10"], "weights"),
             (["scan", "--ineq", "main-1.7", "--p-grid", "2:3:1", "--q-grid", "3:4:1",
-              "--samples", "-5"], "--samples"),
+              "--samples", "-5"], "error: samples_per_cell must be at least 1, got -5"),
             (["scan", "--ineq", "main-1.7", "--p-grid", "2:3:1", "--q-grid", "3:4:1",
-              "--samples", "0"], "--samples"),
+              "--samples", "0"], "error: samples_per_cell must be at least 1, got 0"),
             (["search", "--ineq", "main-1.7", "--p", "2", "--q", "3", "--budget", "-1"],
-             "--budget"),
+             "error: budget must be nonnegative, got -1"),
             # float ** overflows (OverflowError) instead of giving inf
             *[(["verify", "--ineq", name, "--x", "1e200,2", "--y", "1e200,1", *pq],
                f"{name}: non-finite gap")
@@ -700,6 +721,15 @@ class TestErrorExits:
             f"error: cannot write output file {path}: "
             f"[Errno 2] No such file or directory: '{path}'"
         ]
+
+    def test_zero_weight_in_verify(self, tmp_path, capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"pairs": [{"x": [2, 1], "y": [1, 0], "w": [1, 0]}]}))
+        code, out, err = run(
+            ["verify", "--ineq", "main-1.7", "--input", str(path), "--p", "2", "--q", "3"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: bad pair at index 0: weight at index 1 is not positive, got 0.0\n"
 
     def test_weights_rejected_in_verify(self, tmp_path, capsys):
         doc = {"pairs": [{"x": [2.0, 0.0], "y": [0.0, 1.0], "w": [1.0, 2.0]}]}

@@ -15,6 +15,7 @@ from clarkson.core import (
     p_norm,
 )
 from clarkson.errors import (
+    DomainError,
     EmptyVector,
     ExponentOutOfRange,
     LengthMismatch,
@@ -41,6 +42,14 @@ class TestValidateVector:
         with pytest.raises(NegativeEntry) as exc:
             NonnegVector([1.0, -1.0])
         assert exc.value.index == 1
+
+    @pytest.mark.parametrize("mass", [0.0, -2.0])
+    def test_weight_not_positive(self, mass):
+        """A zero weight is not a negative entry: the error names the weight."""
+        with pytest.raises(DomainError) as exc:
+            Weights([1.0, mass])
+        assert str(exc.value) == f"weight at index 1 is not positive, got {mass!r}"
+        assert not isinstance(exc.value, NegativeEntry)
 
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteEntry) as exc:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from collections import Counter, OrderedDict
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 
 from clarkson.catalog import REGISTRY, InequalityId, Verdict, evaluate
 from clarkson import search
-from clarkson.core import NonnegVector
+from clarkson.core import MAX_GRID_CELLS, NonnegVector
 from clarkson.errors import (
-    ConstraintMismatch, DomainError, EmptyGrid, NonFiniteGap, RegimeViolation,
+    ClarksonError, ConstraintMismatch, DomainError, EmptyGrid, NonFiniteGap, RegimeViolation,
 )
 from clarkson.search import (
     Constraint,
@@ -483,3 +484,71 @@ class TestScanGrid:
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
             scan_grid(InequalityId.MAIN_17, [], [2.0], SPEC, 10, seed=0)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """A run that draws a sample block fails the test."""
+    def no_block(*args):
+        raise AssertionError("a sample block was drawn")
+
+    monkeypatch.setattr(search, "sample_block", no_block)
+
+
+class TestRunArguments:
+    """The library checks each run argument once, before any sample is drawn."""
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_scan_needs_a_sample_a_cell(self, samples, no_draws):
+        with pytest.raises(DomainError) as info:
+            scan_grid(InequalityId.MAIN_17, [2.0], [3.0], SPEC, samples, seed=0)
+        assert str(info.value) == f"samples_per_cell must be at least 1, got {samples}"
+
+    @pytest.mark.parametrize("run", [counterexample_search, extremal_search])
+    def test_negative_budget(self, run, no_draws):
+        with pytest.raises(DomainError) as info:
+            run(InequalityId.MAIN_17, 2.0, 3.0, SPEC, -1, seed=0)
+        assert str(info.value) == "budget must be nonnegative, got -1"
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_checked_when_nothing_is_drawn(self, seed, no_draws):
+        """Budget 0, or every cell skipped (main-1.7 at p = 1), draws no
+        sample, and still rejects the seed as a run that draws does."""
+        want = f"seed must lie in [0, 2**64), got {seed}"
+        for run in (counterexample_search, extremal_search):
+            with pytest.raises(DomainError, match=re.escape(want)):
+                run(InequalityId.MAIN_17, 2.0, 3.0, SPEC, 0, seed=seed)
+        with pytest.raises(DomainError, match=re.escape(want)):
+            scan_grid(InequalityId.MAIN_17, [1.0], [2.0, 3.0], SPEC, 10, seed=seed)
+        # the same runs on a seed in range draw nothing and pass
+        for run in (counterexample_search, extremal_search):
+            assert run(InequalityId.MAIN_17, 2.0, 3.0, SPEC, 0, seed=0).evaluations == 0
+        cells = scan_grid(InequalityId.MAIN_17, [1.0], [2.0, 3.0], SPEC, 10, seed=0)
+        assert all(cell.skipped for cell in cells)
+
+    def test_scan_cell_cap(self, no_draws):
+        q_grid = [3.0 + k for k in range(MAX_GRID_CELLS)]
+        with pytest.raises(DomainError) as info:
+            scan_grid(InequalityId.MAIN_17, [2.0], q_grid + [0.5], SPEC, 10, seed=0)
+        assert str(info.value) == f"grid has {MAX_GRID_CELLS + 1} cells, more than {MAX_GRID_CELLS}"
+        # the cap is inclusive: MAX_GRID_CELLS cells, all skipped (p = 1), run
+        cells = scan_grid(InequalityId.MAIN_17, [1.0], q_grid, SPEC, 10, seed=0)
+        assert len(cells) == MAX_GRID_CELLS
+
+    @pytest.mark.parametrize("index, block", [(-1, -1), (2**200, 2**192)],
+                             ids=["negative", "past-the-end"])
+    def test_sample_index_outside_the_stream(self, index, block):
+        """Philox's counter block * 2**64 must lie in [0, 2**256)."""
+        with pytest.raises(DomainError) as info:
+            sample_pair(SPEC, 0, index)
+        assert str(info.value) == f"sample block must lie in [0, 2**192), got {block}"
+
+    def test_last_block_of_the_stream(self):
+        x, y, _ = sample_pair(SPEC, 0, 2**200 - 1)
+        assert len(x) == len(y) >= 1
+
+    def test_spec_errors_are_clarkson_errors(self):
+        for kwargs in ({"dim_range": (0, 4)}, {"density": 0.0}):
+            with pytest.raises(DomainError) as info:
+                SampleSpec(**kwargs)
+            assert isinstance(info.value, ClarksonError) and isinstance(info.value, ValueError)

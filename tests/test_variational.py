@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clarkson.catalog import InequalityId, evaluate
-from clarkson.core import NonnegVector
+from clarkson import variational
+from clarkson.core import MAX_GRID_CELLS, NonnegVector
 from clarkson.errors import (
     DomainError,
     DominanceViolation,
@@ -176,6 +177,15 @@ class TestMonotonicityScan:
         ctx = PhiContext(NonnegVector((1.0,)), NonnegVector((1.0,)), 2.0, 3.0)
         with pytest.raises(DomainError):
             monotonicity_scan(ctx, 1)
+
+    def test_grid_size_cap(self, monkeypatch):
+        """Raised before any point is evaluated."""
+        grid_size = MAX_GRID_CELLS + 1
+        ctx = PhiContext(NonnegVector((2.0, 1.0)), NonnegVector((1.0, 1.0)), 2.0, 4.0)
+        monkeypatch.setattr(variational, "_phi_values", None)
+        with pytest.raises(DomainError) as info:
+            monotonicity_scan(ctx, grid_size)
+        assert str(info.value) == f"grid_size {grid_size} is more than {MAX_GRID_CELLS}"
 
     @given(entry_lists, pq)
     @settings(max_examples=50, deadline=None)
@@ -423,6 +433,14 @@ class TestChiSignScan:
     def test_grid_guard(self):
         with pytest.raises(DomainError):
             chi_sign_scan(ChiContext(2.0, 2.0, 1.0), 2)
+
+    def test_grid_size_cap(self, monkeypatch):
+        """Raised before any point is evaluated."""
+        grid_size = MAX_GRID_CELLS + 1
+        monkeypatch.setattr(variational, "_chi_values", None)
+        with pytest.raises(DomainError) as info:
+            chi_sign_scan(ChiContext(1.5, 3.0, 0.5), grid_size)
+        assert str(info.value) == f"grid_size {grid_size} is more than {MAX_GRID_CELLS}"
 
     @pytest.mark.parametrize("p, q", [(math.nan, 3.0), (1.5, math.inf), (math.inf, 3.0)])
     def test_rejects_non_finite_exponents(self, p, q):
