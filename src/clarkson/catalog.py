@@ -27,14 +27,7 @@ from .core import (
     conjugate_exponent,
     main_exponents,
 )
-from .errors import (
-    ConstraintMismatch,
-    DomainError,
-    ExponentOutOfRange,
-    LengthMismatch,
-    NonFiniteGap,
-    RegimeViolation,
-)
+from .errors import DomainError, NonFiniteGap
 
 
 class InequalityId(enum.Enum):
@@ -288,28 +281,31 @@ def _repaired_sides(a, b, u, v, e: float, p=None, q=None):
 def _check_weights(id: InequalityId, entry: "Inequality", weighted: bool) -> None:
     """The weights rule: weights only where entry id's statement has them."""
     if weighted and not entry.weighted:
-        raise ConstraintMismatch(f"{id.value} is stated without weights")
+        raise DomainError(f"{id.value} is stated without weights")
 
 
 def _check_q(id: InequalityId, entry: "Inequality", q: Optional[float]) -> None:
     """The q rule: every entry reads q but those whose exponents come from p alone."""
     if q is None and entry.exponents not in _P_ONLY_EXPONENTS:
-        raise RegimeViolation(f"{id.value} requires an explicit q")
+        raise DomainError(f"{id.value} requires an explicit q")
+
+
+def _check_one_entry(id: InequalityId, lo: int, hi: int) -> None:
+    """The length rule: cor-1.6 takes a pair's lengths, or a run's dim_range, of (1, 1)."""
+    if id is InequalityId.COR_16 and (lo, hi) != (1, 1):
+        raise DomainError("cor-1.6 takes scalars (1-entry vectors)")
 
 
 def _one_entry_terms(x, y, p, q, w):
     """(x, y, x+y, x-y): the four norms of one-entry vectors x >= y >= 0."""
-    if len(x) != 1 or len(y) != 1:
-        raise LengthMismatch("cor-1.6 takes scalars (1-entry vectors)")
+    _check_one_entry(InequalityId.COR_16, len(x), len(y))
     (a,), (b,) = x, y
     return a, b, a + b, a - b
 
 
 def _batch_one_entry_terms(x, y, p, q, w):
-    """_one_entry_terms per row of a (B, 1) block.  A wider block is nan on
-    every row: the screen keeps them all, and the scalar path raises on
-    the first longer pair."""
-    a, b = (x[:, 0], y[:, 0]) if x.shape[1] == 1 else (np.full(len(x), math.nan),) * 2
+    """_one_entry_terms per row of a (B, 1) block: a run's dim_range is (1, 1)."""
+    a, b = x[:, 0], y[:, 0]
     return a, b, a + b, a - b
 
 
@@ -345,7 +341,7 @@ def _repaired_sums(x, y, k: float, e: float) -> tuple:
 
 def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
-        raise RegimeViolation(f"need finite {name}, got {value}")
+        raise DomainError(f"need finite {name}, got {value}")
     return value
 
 
@@ -357,7 +353,7 @@ def _conjugate_exponents(p: float, q: Optional[float]) -> Tuple[float, float]:
 def _c13_exponents(p: float, q: Optional[float]) -> Tuple[float, float]:
     """(p, p) for c-1.3, p > 1; the q passed is ignored."""
     if _finite("p", p) <= 1.0:
-        raise ExponentOutOfRange(f"need p > 1, got {p}")
+        raise DomainError(f"need p > 1, got {p}")
     return p, p
 
 
@@ -368,14 +364,14 @@ _P_ONLY_EXPONENTS = (_conjugate_exponents, _c13_exponents)
 def _cor_exponents(p: float, q: float) -> Tuple[float, float]:
     """(q, q) for cor-1.6, q >= 2; the p passed is ignored."""
     if _finite("q", q) < 2.0:
-        raise RegimeViolation(f"need q >= 2, got {q}")
+        raise DomainError(f"need q >= 2, got {q}")
     return q, q
 
 
 def _sum_power_exponents(p: float, q: float) -> Tuple[float, float]:
     """(r, r) for sumpow-2.12 with r = q >= 1; the p passed is ignored."""
     if _finite("r", q) < 1.0:
-        raise ExponentOutOfRange(f"need r >= 1, got {q}")
+        raise DomainError(f"need r >= 1, got {q}")
     return q, q
 
 

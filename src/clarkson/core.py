@@ -23,7 +23,8 @@ otherwise), so ``math.fsum`` reads them without a list.
 ``_trusted_pair`` wraps floats in a pair of vectors without
 checking them; its one caller is the extremal descent's ``score``, which
 wraps the halves of the tuple ``search._project`` returned.  Sampled
-pairs and their weights are built by the public constructors.
+pairs and their weights are built by the public constructors.  Every
+check here raises DomainError.
 """
 
 from __future__ import annotations
@@ -35,17 +36,7 @@ from itertools import repeat
 from operator import mul
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .errors import (
-    DomainError,
-    DominanceViolation,
-    EmptyVector,
-    ExponentOutOfRange,
-    LengthMismatch,
-    NegativeEntry,
-    NonFiniteEntry,
-    RegimeViolation,
-    TooLarge,
-)
+from .errors import DomainError
 
 # Desk-scale guard: reject accidental huge inputs.
 MAX_LEN = 1 << 20
@@ -60,13 +51,13 @@ _MIN_NORMAL = sys.float_info.min
 def _check_entries(entries: Sequence[float]) -> Sequence[float]:
     """entries, checked: nonempty, at most MAX_LEN long, every float finite."""
     if len(entries) == 0:
-        raise EmptyVector("vector must have at least one entry")
+        raise DomainError("vector must have at least one entry")
     if len(entries) > MAX_LEN:
-        raise TooLarge(f"vector length {len(entries)} exceeds maximum {MAX_LEN}")
+        raise DomainError(f"vector length {len(entries)} exceeds maximum {MAX_LEN}")
     if not math.isfinite(sum(entries)):  # true whenever an entry is inf or nan
         for i, x in enumerate(entries):
             if not math.isfinite(x):
-                raise NonFiniteEntry(i)
+                raise DomainError(f"non-finite entry at index {i}")
     return entries
 
 
@@ -108,7 +99,7 @@ class NonnegVector(RealVector):
         if min(self.entries) < 0.0:  # min() runs in C; the loop finds the index
             for i, x in enumerate(self.entries):
                 if x < 0.0:
-                    raise NegativeEntry(i)
+                    raise DomainError(f"negative entry at index {i}")
 
 
 @dataclass(frozen=True)
@@ -136,13 +127,13 @@ def _check_pair(x, y, masses=None, dominated: bool = False) -> None:
     if masses is not None:
         for v in (x, y):
             if len(masses) != len(v):
-                raise LengthMismatch(f"weights length {len(masses)} != vector length {len(v)}")
+                raise DomainError(f"weights length {len(masses)} != vector length {len(v)}")
     if len(x) != len(y):
-        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
+        raise DomainError(f"lengths {len(x)} and {len(y)} differ")
     if dominated:
         for i, (a, b) in enumerate(zip(x, y)):
             if a < b:
-                raise DominanceViolation(i)
+                raise DomainError(f"dominance violated at index {i}")
 
 
 def conjugate_exponent(p: float) -> float:
@@ -152,21 +143,21 @@ def conjugate_exponent(p: float) -> float:
     taken at q means what it says; such p is out of range too.
     """
     if not math.isfinite(p):
-        raise ExponentOutOfRange(f"conjugate exponent needs finite p, got {p}")
+        raise DomainError(f"conjugate exponent needs finite p, got {p}")
     if p <= 1.0:
-        raise ExponentOutOfRange(f"conjugate exponent needs p > 1, got {p}")
+        raise DomainError(f"conjugate exponent needs p > 1, got {p}")
     q = p / (p - 1.0)
     if q == 1.0:
-        raise ExponentOutOfRange(f"conjugate exponent of p = {p} rounds to 1")
+        raise DomainError(f"conjugate exponent of p = {p} rounds to 1")
     return q
 
 
 def main_exponents(p: float, q: float) -> Tuple[float, float]:
     """(p, q), checked: both finite and 2 <= p <= q, the paper's main regime."""
     if not (math.isfinite(p) and math.isfinite(q)):
-        raise RegimeViolation(f"need finite p and q, got ({p}, {q})")
+        raise DomainError(f"need finite p and q, got ({p}, {q})")
     if not (2.0 <= p <= q):
-        raise RegimeViolation(f"need 2 <= p <= q, got ({p}, {q})")
+        raise DomainError(f"need 2 <= p <= q, got ({p}, {q})")
     return p, q
 
 
@@ -216,9 +207,9 @@ def _p_norm(
 def p_norm(v: RealVector, p: float, weights: Optional[Weights] = None) -> float:
     """Weighted p-norm (sum_i w_i |v_i|^p)^(1/p); unit weights when absent."""
     if not math.isfinite(p):
-        raise ExponentOutOfRange(f"p-norm needs finite p, got {p}")
+        raise DomainError(f"p-norm needs finite p, got {p}")
     if p < 1.0:
-        raise ExponentOutOfRange(f"p-norm needs p >= 1, got {p}")
+        raise DomainError(f"p-norm needs p >= 1, got {p}")
     masses = None if weights is None else weights.masses
     _check_pair(v.entries, v.entries, masses)  # the weights as long as v
     return _p_norm(v.entries, p, masses)

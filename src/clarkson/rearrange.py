@@ -16,7 +16,7 @@ from . import catalog
 from ._numpy import np
 from .catalog import DEFAULT_POLICY, GapReport, InequalityId, TolerancePolicy
 from .core import NonnegVector, _check_pair
-from .errors import TooLarge
+from .errors import DomainError
 
 ORACLE_MAX_LEN = 16
 
@@ -64,7 +64,7 @@ def brute_force_swap_oracle(x: NonnegVector, y: NonnegVector, r: float) -> float
     catalog._sum_power_exponents(r, r)
     n = len(x)
     if n > ORACLE_MAX_LEN:
-        raise TooLarge(f"oracle limited to n <= {ORACLE_MAX_LEN}, got {n}")
+        raise DomainError(f"oracle limited to n <= {ORACLE_MAX_LEN}, got {n}")
     sx = math.fsum(x.entries)
     sy = math.fsum(y.entries)
     deltas = np.array(y.entries) - np.array(x.entries)

@@ -39,10 +39,11 @@ and >= 0, sparse ones are a uniform draw times a 0/1 mask, signs only
 flip, a dominated pair is the (max, min) of two draws, and weights lie
 in [0.5, 2).  The extremal descent's points stay on the constraint set
 too (a start is a sample, a move is put back on the set, and a positive
-factor keeps both).  The budget or sample count, constraint, weights
-rule and seed are checked once a run, before any sample is drawn, the
-exponents once a run (a scan: once a cell), and the batch screen, given
-the resolved (p, q), checks nothing.  The few rows the screen keeps are
+factor keeps both).  The budget or sample count, constraint, weights,
+length (cor-1.6: 1-entry pairs) and seed rules are checked once a run,
+before any sample is drawn (each raises DomainError), the exponents
+once a run (a scan: once a cell), and the batch screen, given the
+resolved (p, q), checks nothing.  The few rows the screen keeps are
 built by the public vector and weight constructors (SampleBlock.pair),
 which check them; only the descent's points, every one of which is
 scored, are wrapped unchecked (RealVector._trusted_pair).
@@ -88,13 +89,14 @@ from .catalog import (
     InequalityId,
     TolerancePolicy,
     _VIOLATED,
+    _check_one_entry,
     _check_q,
     _check_weights,
     batch_normalized_gaps,
     evaluate,
 )
 from .core import MAX_GRID_CELLS, NonnegVector, RealVector, Weights, _p_norm
-from .errors import ClarksonError, ConstraintMismatch, DomainError, EmptyGrid, NonFiniteGap
+from .errors import ClarksonError, DomainError, NonFiniteGap
 
 # Pairs per sample block.  Part of the stream layout: changing it
 # changes every sample of every seed.
@@ -256,15 +258,16 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_run(id: InequalityId, spec: SampleSpec, seed: int, budget: int = 0):
-    """id's entry, once the budget, constraint, weights rule and seed pass, in that order."""
+    """id's entry, once the budget, constraint, weights, length and seed rules pass, in order."""
     if budget < 0:
         raise DomainError(f"budget must be nonnegative, got {budget}")
     entry = REGISTRY[id]
     if not spec.constraint.within(entry.constraint):
-        raise ConstraintMismatch(
+        raise DomainError(
             f"{id.value} is stated for {entry.constraint.value} inputs, got {spec.constraint.value}"
         )
     _check_weights(id, entry, spec.weights)
+    _check_one_entry(id, *spec.dim_range)
     _check_seed(seed)
     return entry
 
@@ -432,7 +435,7 @@ def extremal_search(
     _check_q(id, entry, q)
     p, q = entry.exponents(p, q)
     if spec.weights:
-        raise ConstraintMismatch("extremal search does not take weights")
+        raise DomainError("extremal search does not take weights")
     _check_run(id, spec, seed, budget)
     identity = entry.identity(p, q, spec.constraint)  # every finite gap is 0.0
     evals = 0
@@ -544,7 +547,7 @@ def scan_grid(
     if samples_per_cell < 1:
         raise DomainError(f"samples_per_cell must be at least 1, got {samples_per_cell}")
     if not p_grid or not q_grid:
-        raise EmptyGrid("empty p or q grid")
+        raise DomainError("empty p or q grid")
     if len(p_grid) * len(q_grid) > MAX_GRID_CELLS:
         raise DomainError(f"grid has {len(p_grid) * len(q_grid)} cells, more than {MAX_GRID_CELLS}")
     build = _check_run(id, spec, seed).exponents

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from .core import MAX_GRID_CELLS, NonnegVector, _check_pair, main_exponents
-from .errors import DomainError, NonFiniteGap, RegimeViolation
+from .errors import DomainError, NonFiniteGap
 
 # chi_sign_scan counts a value within this of 0 as no sign.
 _ZERO_TOL = 1e-12
@@ -171,9 +171,9 @@ class ChiContext:
 
     def __post_init__(self):
         if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise RegimeViolation(f"need finite p and q, got ({self.p}, {self.q})")
+            raise DomainError(f"need finite p and q, got ({self.p}, {self.q})")
         if self.p <= 1.0 or self.q <= 1.0:
-            raise RegimeViolation(f"need p > 1 and q > 1, got ({self.p}, {self.q})")
+            raise DomainError(f"need p > 1 and q > 1, got ({self.p}, {self.q})")
         if not (0.0 < self.c <= 1.0):
             raise DomainError(f"need 0 < c <= 1, got c={self.c}")
 
@@ -211,7 +211,7 @@ def _psi_prime_values(ctx: ChiContext, ts: Sequence[float]) -> List[float]:
         q * c * (1.0 + c * t) ** (q - 1.0)
         - q * c * (1.0 - c * t) ** (q - 1.0)
         - 2.0 * p * (q - 1.0) * (1.0 + c**p * t**p) ** (q - 2.0) * c**p * t ** (p - 1.0)
-        if t != 0.0
+        if t != 0.0  # where 2p(q-1) overflows (q = 1e308), inf * 0.0 would be nan
         else 0.0
         for t in ts
     ]
@@ -234,8 +234,6 @@ def _chi_values(ctx: ChiContext, ss: Sequence[float]) -> List[float]:
     p1, q1, q2 = p - 1.0, ctx.q - 1.0, ctx.q - 2.0
     return [
         qc * ((1.0 + s) ** q1 - (1.0 - s) ** q1 - 2.0 * (1.0 + s**p) ** q2 * s**p1)
-        if s != 0.0
-        else 0.0
         for s in ss
     ]
 

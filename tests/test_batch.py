@@ -24,14 +24,7 @@ from clarkson.catalog import (
     evaluate,
 )
 from clarkson.core import NonnegVector, RealVector, Weights, _abs_powers
-from clarkson.errors import (
-    ConstraintMismatch,
-    DomainError,
-    LengthMismatch,
-    NegativeEntry,
-    NonFiniteEntry,
-    NonFiniteGap,
-)
+from clarkson.errors import DomainError, NonFiniteGap
 from clarkson.search import (
     _BLOCK,
     _SCREEN_MARGIN,
@@ -320,9 +313,9 @@ def test_weighted_repaired_specs_are_rejected_before_batch_work(id, monkeypatch)
     monkeypatch.setattr(catalog, "_batch_repaired_sums", no_batch_work)
     spec = SampleSpec(dim_range=(2, 6), weights=True)
     exps = REGISTRY[id].exponents(2.0, 3.0)
-    with pytest.raises(ConstraintMismatch, match="without weights"):
+    with pytest.raises(DomainError, match=f"^{id.value} is stated without weights$"):
         counterexample_search(id, *exps, spec, BUDGET, SEED)
-    with pytest.raises(ConstraintMismatch, match="without weights"):
+    with pytest.raises(DomainError, match=f"^{id.value} is stated without weights$"):
         scan_grid(id, [2.0], [3.0], spec, 10, SEED)
 
 
@@ -458,21 +451,28 @@ def test_minimum_in_a_later_window(id, spec, exps, indices, blocks_to_minimum, m
 
 
 def test_cor_1_6_on_two_entry_pairs_raises_as_the_scalar_path(monkeypatch):
-    """A two-entry block screens as nan on every row, so every row up to
-    the first two-entry pair is evaluated, and that pair raises the
-    scalar path's error."""
-    spec = SampleSpec(dim_range=(1, 2), constraint=Constraint.DOMINATED_PAIR)
-    exps = REGISTRY[COR].exponents(2.0, 3.0)
-    block = sample_block(spec, SEED, 0)
-    assert np.isnan(batch_normalized_gaps(COR, block.x, block.y, *exps)).all()
-    first = int(np.argmax(block.n == 2))
-    calls = count_evaluate_calls(monkeypatch)
-    with pytest.raises(LengthMismatch) as want:
-        scalar_reduce(COR, exps, spec, SEED, range(BUDGET))
-    with pytest.raises(LengthMismatch) as got:
-        search._eval_indices(COR, *exps, spec, SEED, range(BUDGET), DEFAULT_POLICY)
-    assert str(got.value) == str(want.value) == "cor-1.6 takes scalars (1-entry vectors)"
-    assert len(calls) == first + 1  # the scalar reference calls catalog.evaluate itself
+    """A cor-1.6 run whose dim_range allows a longer pair raises the scalar
+    path's error before any sample block is drawn, whatever its budget."""
+    one, two = NonnegVector((1.0,)), NonnegVector((1.0, 0.5))
+    with pytest.raises(DomainError) as want:
+        evaluate(COR, two, two, 2.0, 3.0)
+    assert str(want.value) == "cor-1.6 takes scalars (1-entry vectors)"
+    assert evaluate(COR, one, one, 2.0, 3.0).verdict is Verdict.HOLDS
+
+    def no_block(*args):
+        raise AssertionError("a sample block was drawn")
+
+    monkeypatch.setattr(search, "sample_block", no_block)
+    for dim_range in ((1, 2), (2, 2), (1, 16)):
+        spec = SampleSpec(dim_range=dim_range, constraint=Constraint.DOMINATED_PAIR)
+        for budget in (0, 1, BUDGET):
+            for run in (counterexample_search, search.extremal_search):
+                with pytest.raises(DomainError) as got:
+                    run(COR, 2.0, 3.0, spec, budget, SEED)
+                assert str(got.value) == str(want.value)
+        with pytest.raises(DomainError) as got:
+            scan_grid(COR, [2.0], [3.0], spec, 1, SEED)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -618,8 +618,9 @@ def test_sample_pair_is_the_block_row(constraint, weighted):
 
 
 @pytest.mark.parametrize("array, value, error", [
-    ("x", -0.5, NegativeEntry), ("y", math.nan, NonFiniteEntry),
-    ("w", 0.0, DomainError), ("w", math.inf, NonFiniteEntry),
+    ("x", -0.5, "negative entry at index 0"), ("y", math.nan, "non-finite entry at index 0"),
+    ("w", 0.0, "weight at index 0 is not positive, got 0.0"),
+    ("w", math.inf, "non-finite entry at index 0"),
 ])
 def test_sample_pair_checks_its_row(array, value, error, monkeypatch):
     """A row that breaks the rules raises: SampleBlock.pair builds its
@@ -635,7 +636,7 @@ def test_sample_pair_checks_its_row(array, value, error, monkeypatch):
 
     monkeypatch.setattr(search, "sample_block", with_bad_entry)
     spec = SampleSpec(dim_range=(2, 4), weights=True)
-    with pytest.raises(error):
+    with pytest.raises(DomainError, match=f"^{error}$"):
         sample_pair(spec, SEED, row)
     sample_pair(spec, SEED, row + 1)
 

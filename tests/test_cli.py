@@ -634,6 +634,20 @@ class TestErrorExits:
         listed = re.search(r"\(choose from (.*)\)$", last).group(1).split(", ")
         assert [name.strip("'") for name in listed] == [member.value for member in enum]
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--ineq", "cor-1.6", "--constraint", "dominated", "--nmax", "2",
+         "--p", "2", "--q", "3", "--budget", "1", "--seed", "0"],
+        ["search", "--ineq", "cor-1.6", "--constraint", "dominated", "--nmax", "2",
+         "--p", "2", "--q", "3", "--budget", "100", "--seed", "0", "--mode", "extremal"],
+        ["scan", "--ineq", "cor-1.6", "--p-grid", "2:2:1", "--q-grid", "3:3:1",
+         "--constraint", "dominated", "--nmax", "3", "--samples", "1", "--seed", "5"],
+    ], ids=["search-budget-1", "extremal-budget-100", "scan"])
+    def test_cor_1_6_run_needs_one_entry_pairs(self, argv, capsys):
+        """A cor-1.6 run that may draw a longer pair fails whatever its
+        budget or seed, before it draws one."""
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", "error: cor-1.6 takes scalars (1-entry vectors)\n")
+
     def test_scan_names_the_overflowing_cell(self, capsys):
         code, out, err = run(["scan", "--ineq", "c-1.1", "--p-grid", "2:3000:998", "--q-grid",
                               "2:2:1", "--samples", "20", "--seed", "1"], capsys)

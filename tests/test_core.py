@@ -14,16 +14,7 @@ from clarkson.core import (
     conjugate_exponent,
     p_norm,
 )
-from clarkson.errors import (
-    DomainError,
-    EmptyVector,
-    ExponentOutOfRange,
-    LengthMismatch,
-    NegativeEntry,
-    NonFiniteEntry,
-    NonFiniteGap,
-    TooLarge,
-)
+from clarkson.errors import DomainError, NonFiniteGap
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = st.lists(finite_floats, min_size=1, max_size=12)
@@ -39,9 +30,9 @@ class TestValidateVector:
         assert v.entries == (1.0, 2.0)
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(NegativeEntry) as exc:
+        with pytest.raises(DomainError) as exc:
             NonnegVector([1.0, -1.0])
-        assert exc.value.index == 1
+        assert str(exc.value) == "negative entry at index 1"
 
     @pytest.mark.parametrize("mass", [0.0, -2.0])
     def test_weight_not_positive(self, mass):
@@ -49,25 +40,25 @@ class TestValidateVector:
         with pytest.raises(DomainError) as exc:
             Weights([1.0, mass])
         assert str(exc.value) == f"weight at index 1 is not positive, got {mass!r}"
-        assert not isinstance(exc.value, NegativeEntry)
+        assert "negative entry" not in str(exc.value)
 
     def test_nan_rejected(self):
-        with pytest.raises(NonFiniteEntry) as exc:
+        with pytest.raises(DomainError) as exc:
             RealVector([float("nan")])
-        assert exc.value.index == 0
+        assert str(exc.value) == "non-finite entry at index 0"
 
     def test_inf_rejected(self):
-        with pytest.raises(NonFiniteEntry):
+        with pytest.raises(DomainError, match="^non-finite entry at index 1$"):
             RealVector([1.0, float("inf")])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyVector):
+        with pytest.raises(DomainError, match="^vector must have at least one entry$"):
             RealVector([])
 
     def test_too_long_rejected(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_LEN", 3)
         assert len(RealVector([1.0, 2.0, 3.0])) == 3
-        with pytest.raises(TooLarge, match="vector length 4 exceeds maximum 3"):
+        with pytest.raises(DomainError, match="^vector length 4 exceeds maximum 3$"):
             RealVector([1.0, 2.0, 3.0, 4.0])
 
 
@@ -122,18 +113,18 @@ class TestPNorm:
         assert _p_norm(entries, p, masses) == root
 
     def test_exponent_below_one_rejected(self):
-        with pytest.raises(ExponentOutOfRange):
+        with pytest.raises(DomainError, match="^p-norm needs p >= 1, got 0.5$"):
             p_norm(RealVector((1.0,)), 0.5)
 
     @pytest.mark.parametrize("entries", [(0.5,), (3.0, 4.0)])
     @pytest.mark.parametrize("p", [math.inf, math.nan])
     def test_non_finite_exponent_rejected(self, entries, p):
         # the sum of |v_i|^inf gave 0.0 for (0.5,) and 1.0 for (3, 4)
-        with pytest.raises(ExponentOutOfRange):
+        with pytest.raises(DomainError, match=f"^p-norm needs finite p, got {p}$"):
             p_norm(RealVector(entries), p)
 
     def test_weights_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DomainError, match="^weights length 1 != vector length 2$"):
             p_norm(RealVector((1.0, 2.0)), 2.0, Weights((1.0,)))
 
     @given(vectors, exponents, st.floats(min_value=1e-3, max_value=100.0))
@@ -177,20 +168,21 @@ class TestConjugateExponent:
         assert conjugate_exponent(1.25) == pytest.approx(5.0, rel=1e-15)
 
     def test_rejects_p_at_most_one(self):
-        with pytest.raises(ExponentOutOfRange):
+        with pytest.raises(DomainError, match=r"^conjugate exponent needs p > 1, got 1\.0$"):
             conjugate_exponent(1.0)
 
     @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_p(self, p):
         # inf / (inf - 1) would be nan
-        with pytest.raises(ExponentOutOfRange):
+        with pytest.raises(DomainError, match=f"^conjugate exponent needs finite p, got {p}$"):
             conjugate_exponent(p)
 
     @pytest.mark.parametrize("p", [1e16, 1e300])
     def test_rejects_p_whose_conjugate_rounds_to_one(self, p):
         # p - 1 rounds to p, so p/(p-1) would be 1.0
-        with pytest.raises(ExponentOutOfRange, match="rounds to 1"):
+        with pytest.raises(DomainError) as exc:
             conjugate_exponent(p)
+        assert str(exc.value) == f"conjugate exponent of p = {p} rounds to 1"
 
     def test_keeps_p_whose_conjugate_exceeds_one(self):
         assert conjugate_exponent(1e15) > 1.0
@@ -234,6 +226,6 @@ class TestCombine:
 
     def test_length_mismatch(self):
         # the lengths are checked once, by evaluate, before the norms are formed
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DomainError, match="^lengths 1 and 2 differ$"):
             evaluate(InequalityId.MAIN_17, NonnegVector((1.0,)), NonnegVector((1.0, 2.0)),
                      2.0, 3.0)

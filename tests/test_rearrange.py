@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from clarkson.catalog import InequalityId, Verdict, evaluate
 from clarkson.core import NonnegVector, RealVector, p_norm
-from clarkson.errors import ExponentOutOfRange, LengthMismatch, RegimeViolation, TooLarge
+from clarkson.errors import DomainError
 from clarkson.rearrange import (
     RearrangedPair,
     brute_force_swap_oracle,
@@ -49,7 +49,7 @@ class TestDominanceRearrange:
         assert got.v.entries == (0.0, 0.0, 1.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DomainError, match="^lengths 1 and 2 differ$"):
             dominance_rearrange(NonnegVector((1.0,)), NonnegVector((1.0, 2.0)))
 
     @given(nonneg_lists, nonneg_lists)
@@ -137,32 +137,32 @@ class TestBruteForceOracle:
         assert got == pytest.approx(sum(x.entries) + sum(y.entries), rel=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch, match="lengths 2 and 1 differ"):
+        with pytest.raises(DomainError, match="^lengths 2 and 1 differ$"):
             brute_force_swap_oracle(NonnegVector((1.0, 3.0)), NonnegVector((2.0,)), 2.0)
 
     def test_size_guard(self):
         big = NonnegVector((1.0,) * 17)
-        with pytest.raises(TooLarge):
+        with pytest.raises(DomainError, match="^oracle limited to n <= 16, got 17$"):
             brute_force_swap_oracle(big, big, 2.0)
 
-    @pytest.mark.parametrize("r, error, text", [
-        (math.nan, RegimeViolation, "need finite r, got nan"),
-        (math.inf, RegimeViolation, "need finite r, got inf"),
-        (0.5, ExponentOutOfRange, "need r >= 1, got 0.5"),
+    @pytest.mark.parametrize("r, text", [
+        (math.nan, "need finite r, got nan"),
+        (math.inf, "need finite r, got inf"),
+        (0.5, "need r >= 1, got 0.5"),
     ])
-    def test_r_outside_the_regime(self, r, error, text):
+    def test_r_outside_the_regime(self, r, text):
         # r is sumpow-2.12's r: nan returned nan, and inf returned 1.0
         x = NonnegVector((1.0, 3.0))
-        with pytest.raises(error) as exc:
+        with pytest.raises(DomainError) as exc:
             brute_force_swap_oracle(x, x, r)
         assert str(exc.value) == text
 
     def test_check_order(self):
         # the pair, then r, then the size
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DomainError, match="^lengths 2 and 1 differ$"):
             brute_force_swap_oracle(NonnegVector((1.0, 3.0)), NonnegVector((2.0,)), math.nan)
         big = NonnegVector((1.0,) * 17)
-        with pytest.raises(ExponentOutOfRange):
+        with pytest.raises(DomainError, match=r"^need r >= 1, got 0\.5$"):
             brute_force_swap_oracle(big, big, 0.5)
 
     @given(

@@ -33,7 +33,7 @@ from clarkson.core import (
     _abs_powers,
     _check_pair,
 )
-from clarkson.errors import ConstraintMismatch, NonFiniteGap, RegimeViolation
+from clarkson.errors import DomainError, NonFiniteGap
 
 # The entries stated in p alone; every other one needs q.
 P_ONLY_IDS = (InequalityId.C11, InequalityId.C12, InequalityId.C13_LEFT, InequalityId.C13_RIGHT)
@@ -70,11 +70,11 @@ def ref_evaluate(id, x, y, p, q, w):
     """(lhs, rhs, gap, scale, verdict) of entry id's statement on (x, y)."""
     entry = REGISTRY[id]
     if q is None and id not in P_ONLY_IDS:
-        raise RegimeViolation(f"{id.value} requires an explicit q")
+        raise DomainError(f"{id.value} requires an explicit q")
     if entry.constraint is not Constraint.SIGNED:
         x, y = (v if isinstance(v, NonnegVector) else NonnegVector(v.entries) for v in (x, y))
     if w is not None and not entry.weighted:
-        raise ConstraintMismatch(f"{id.value} is stated without weights")
+        raise DomainError(f"{id.value} is stated without weights")
     p, q = entry.exponents(p, q)
     masses = None if w is None else w.masses
     _check_pair(x.entries, y.entries, masses, entry.constraint is Constraint.DOMINATED_PAIR)
@@ -95,11 +95,11 @@ def fields(rep):
 
 
 def outcome(fn):
-    """The floats of fn()'s result as hex, or the exception's type, index and text."""
+    """The floats of fn()'s result as hex, or the exception's type and text."""
     try:
         result = fn()
     except Exception as exc:
-        return type(exc), getattr(exc, "index", None), str(exc)
+        return type(exc), str(exc)
     return tuple(v.hex() if isinstance(v, float) else v for v in result)
 
 

@@ -101,9 +101,10 @@ def test_tables_cover_every_id():
 @pytest.mark.parametrize("name", sorted(STATUS))
 def test_constraint_status(name):
     id = InequalityId(name)
+    dim_range = (1, 1) if id is InequalityId.COR_16 else (1, 16)  # cor-1.6 draws scalars
     for constraint in Constraint:
         try:
-            counterexample_search(id, 2.0, 3.0, SampleSpec(constraint=constraint), 0)
+            counterexample_search(id, 2.0, 3.0, SampleSpec(dim_range, constraint=constraint), 0)
             got = A
         except ClarksonError:
             got = R
