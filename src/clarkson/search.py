@@ -1,9 +1,9 @@
 """Seeded randomized verification and extremal search over gap functionals.
 
-Samples come in blocks of _BLOCK pairs.  Block b of a seed is drawn from
-one counter-based Philox stream, keyed by the seed (an integer in
-[0, 2^64), so each seed has its own key), at counter b * 2^64, and
-sample i is row i % _BLOCK of block i // _BLOCK.  Every sample is
+Samples come in blocks of _BLOCK pairs.  Block b of seed s (in
+[0, 2^64)) is drawn from a PCG64DXSM stream seeded by numpy's
+SeedSequence(s, spawn_key=(b,)), the b-th child of SeedSequence(s).spawn,
+and sample i is row i % _BLOCK of block i // _BLOCK.  Every sample is
 thus a pure function of (spec, seed, index), so results are
 bit-identical regardless of evaluation order.
 
@@ -101,10 +101,6 @@ from .errors import ClarksonError, DomainError, NonFiniteGap
 # Pairs per sample block.  Part of the stream layout: changing it
 # changes every sample of every seed.
 _BLOCK = 256
-
-# 2^64 counter blocks per sample block: draws within one block can never
-# run into the next block's stream.
-_STREAM_STRIDE = 1 << 64
 
 # Extremal descent: random starts, first and smallest coordinate step.
 _STARTS = 8
@@ -219,14 +215,17 @@ def _draw(rng: np.random.Generator, shape: Tuple[int, int], spec: SampleSpec) ->
 def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     """Pairs block * _BLOCK ... block * _BLOCK + _BLOCK - 1 of (spec, seed).
 
-    One Philox stream per block, at a counter below 2^256.  The entries
-    are valid by construction (see the module docstring), so none is checked.
+    A Generator on PCG64DXSM(SeedSequence(seed, spawn_key=(block,))) draws
+    n by integers, then a, b, the weights and the signs of a and b, each
+    only where spec asks for it.  The entries are valid by construction
+    (see the module docstring), so none is checked.
     """
     _check_seed(seed)
+    # Block 2**192 starts at sample 2**200: a scan that reaches it never ends.
     if not 0 <= block < 2**192:
         raise DomainError(f"sample block must lie in [0, 2**192), got {block}")
-    bits = np.random.Philox(key=np.uint64(seed), counter=block * _STREAM_STRIDE)
-    rng = np.random.Generator(bits)
+    seq = np.random.SeedSequence(seed, spawn_key=(block,))
+    rng = np.random.Generator(np.random.PCG64DXSM(seq))
     lo, hi = spec.dim_range
     shape = (_BLOCK, hi)
     n = rng.integers(lo, hi + 1, size=_BLOCK)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  All sampling is seeded through the package's counter-based
-streams, so every run checks the identical set of inputs.
+lines.  All sampling is seeded, through the package's block streams and
+this file's own Philox draws, so every run checks the identical set of
+inputs.
 """
 
 import math

@@ -391,15 +391,18 @@ def test_overflowing_identity_cell_raises_at_the_all_scalar_pair(monkeypatch):
     search evaluates no pair with a finite batch gap past the first."""
     spec = SampleSpec(dim_range=(1, 64), distribution=Distribution.EXPONENTIAL_1)
     id, exps = InequalityId.REARR_GAIN_217, (300.0, 300.0)
+    seed = SEED + 4  # the first seed from SEED on with an overflow in its first BUDGET pairs
     for raised in range(BUDGET):  # the all-scalar loop, up to the pair it stops at
-        x, y, _ = sample_pair(spec, SEED, raised)
+        x, y, _ = sample_pair(spec, seed, raised)
         try:
             evaluate(id, x, y, *exps)
         except NonFiniteGap as exc:
             want = str(exc)
             break
+    else:
+        pytest.fail(f"no pair of the first {BUDGET} of seed {seed} overflows")
     # that pair's batch gap is the only non-finite one up to it
-    nonfinite = np.flatnonzero(~np.isfinite(batch_gaps(id, exps, spec, SEED, range(raised + 1))))
+    nonfinite = np.flatnonzero(~np.isfinite(batch_gaps(id, exps, spec, seed, range(raised + 1))))
     assert nonfinite.tolist() == [raised] and raised > 1
     pairs = []
 
@@ -409,9 +412,9 @@ def test_overflowing_identity_cell_raises_at_the_all_scalar_pair(monkeypatch):
 
     monkeypatch.setattr(search, "evaluate", recording)
     with pytest.raises(NonFiniteGap) as got:
-        search._eval_indices(id, *exps, spec, SEED, range(BUDGET), DEFAULT_POLICY)
+        search._eval_indices(id, *exps, spec, seed, range(BUDGET), DEFAULT_POLICY)
     assert str(got.value) == want == "rearr-2.17: non-finite gap (overflow)"
-    assert pairs == [sample_pair(spec, SEED, 0)[:2], sample_pair(spec, SEED, raised)[:2]]
+    assert pairs == [sample_pair(spec, seed, 0)[:2], sample_pair(spec, seed, raised)[:2]]
 
 
 # Ranges that start mid-block and end mid-block 3 blocks later, so their
@@ -419,7 +422,7 @@ def test_overflowing_identity_cell_raises_at_the_all_scalar_pair(monkeypatch):
 # of the first lies in its second block for main-1.7 at (2.5, 3.7), and
 # that of the second in its third block for rearr-2.17 at (2, 3) on
 # LONG_SPARSE (both checked below).
-MID_BLOCK_RANGES = (range(37, 37 + 3 * _BLOCK + 40), range(300, 300 + 3 * _BLOCK + 40))
+MID_BLOCK_RANGES = (range(769, 769 + 3 * _BLOCK + 40), range(598, 598 + 3 * _BLOCK + 40))
 
 
 @pytest.mark.parametrize("id, constraint", cases())

@@ -390,7 +390,7 @@ class TestSearch:
                 2, "", f"error: {ineq} requires an explicit q\n")
         code, out, _ = run([*argv, "--ineq", "c-1.1"], capsys)
         assert code == 0
-        gap = {"counterexample": "0.0012139001779564174", "extremal": "0.005593040769006307"}
+        gap = {"counterexample": "0.001186600584820674", "extremal": "1.4294290375646366e-06"}
         assert out == ("status: no-violation\nevaluations: 200\nseed: 2\n"
                        f"best_normalized_gap: {gap[mode]}\nbest_verdict: holds\n")
 
@@ -421,8 +421,8 @@ class TestSearch:
 
     def test_sample_index_outside_the_stream(self, capsys):
         """The p = 1 cell is skipped, so the first block drawn is 2**200 / 256
-        = 2**192, past the end of Philox's counter: one error line, no
-        traceback."""
+        = 2**192, past the last block a scan that finishes can reach: one
+        error line, no traceback."""
         code, out, err = run(["scan", "--ineq", "main-1.7", "--p-grid", "1:2:1",
                               "--q-grid", "3:3:1", "--samples", str(2**200), "--seed", "1"],
                              capsys)

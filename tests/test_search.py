@@ -124,6 +124,56 @@ class TestSamplePair:
                 assert block.w is None
 
 
+class TestStreamLayout:
+    """sample_block follows its documented recipe, rebuilt here from numpy's
+    public API: every seeded output rests on it, so a change of layout (or
+    a numpy release that moves Generator's draws) fails here first."""
+
+    @staticmethod
+    def rebuild(spec, seed, block):
+        seq = np.random.SeedSequence(seed, spawn_key=(block,))
+        rng = np.random.Generator(np.random.PCG64DXSM(seq))
+        lo, hi = spec.dim_range
+        shape = (256, hi)
+        n = rng.integers(lo, hi + 1, size=256)
+        live = np.arange(hi) < n[:, None]
+
+        def draw():
+            if spec.distribution is Distribution.UNIFORM_01:
+                return rng.random(shape)
+            if spec.distribution is Distribution.EXPONENTIAL_1:
+                return rng.standard_exponential(shape)
+            vals = rng.random(shape)
+            return vals * (rng.random(shape) < spec.density)
+
+        a = np.where(live, draw(), 0.0)
+        b = np.where(live, draw(), 0.0)
+        w = np.where(live, 0.5 + 1.5 * rng.random(shape), 0.0) if spec.weights else None
+        if spec.constraint is Constraint.SIGNED:
+            a = a * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+            b = b * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        elif spec.constraint is Constraint.DOMINATED_PAIR:
+            a, b = np.maximum(a, b), np.minimum(a, b)
+        return {"n": n, "x": a, "y": b, "w": w}
+
+    @pytest.mark.parametrize("weights", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("constraint", list(Constraint), ids=lambda c: c.value)
+    @pytest.mark.parametrize("dist", list(Distribution), ids=lambda d: d.value)
+    def test_block_follows_the_recipe(self, dist, constraint, weights):
+        spec = SampleSpec(dim_range=(3, 40), distribution=dist, constraint=constraint,
+                          density=0.5, weights=weights)
+        for seed, b in ((0, 0), (7, 1), (2**64 - 1, 12345), (1, 2**192 - 1)):
+            block = search.sample_block(spec, seed, b)
+            for name, want in self.rebuild(spec, seed, b).items():
+                got = getattr(block, name)
+                moved = f"sample_block(spec, {seed}, {b}).{name} left the documented layout"
+                if want is None:
+                    assert got is None, moved
+                else:  # bytes, so that -0.0 and 0.0 differ too
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), moved
+                    assert got.tobytes() == want.tobytes(), moved
+
+
 class TestCounterexampleSearch:
     def test_main_17_no_violation(self):
         out = counterexample_search(
@@ -536,7 +586,8 @@ class TestRunArguments:
     @pytest.mark.parametrize("index, block", [(-1, -1), (2**200, 2**192)],
                              ids=["negative", "past-the-end"])
     def test_sample_index_outside_the_stream(self, index, block):
-        """Philox's counter block * 2**64 must lie in [0, 2**256)."""
+        """A block index must lie in [0, 2**192): block 2**192 starts at
+        sample 2**200, which a scan that finishes never reaches."""
         with pytest.raises(DomainError) as info:
             sample_pair(SPEC, 0, index)
         assert str(info.value) == f"sample block must lie in [0, 2**192), got {block}"
