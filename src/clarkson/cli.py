@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 from . import catalog
 from .catalog import DEFAULT_POLICY, Constraint, Distribution, InequalityId, TolerancePolicy
 from .core import MAX_GRID_CELLS, NonnegVector, RealVector, Weights
-from .errors import ClarksonError
+from .errors import ClarksonError, DomainError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -35,10 +35,6 @@ EXIT_ERROR = 2
 # passes a token that starts with a minus and a digit, after a token that
 # starts with --, as --flag=value.
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
-
-
-class UsageError(Exception):
-    pass
 
 
 def _attach_negative_values(argv: Sequence[str]) -> List[str]:
@@ -58,7 +54,7 @@ def _parse_floats(text: str) -> List[float]:
     try:
         return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"cannot parse number list {text!r}: {exc}")
+        raise DomainError(f"cannot parse number list {text!r}: {exc}")
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -66,15 +62,15 @@ def _parse_grid(text: str) -> List[float]:
     MAX_GRID_CELLS, no value twice.  start:start:step is [start] at any step."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid must be start:stop:step, got {text!r}")
+        raise DomainError(f"grid must be start:stop:step, got {text!r}")
     try:
         start, stop, step = (float(tok) for tok in parts)
     except ValueError as exc:
-        raise UsageError(f"cannot parse grid {text!r}: {exc}")
+        raise DomainError(f"cannot parse grid {text!r}: {exc}")
     if step <= 0:
-        raise UsageError(f"grid step must be positive, got {step}")
+        raise DomainError(f"grid step must be positive, got {step}")
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise UsageError(f"grid start, stop and step must be finite, got {text!r}")
+        raise DomainError(f"grid start, stop and step must be finite, got {text!r}")
     if start == stop:
         return [start + 0.0]  # -0.0 reads 0.0, as start + 0 * step does below
     out = []
@@ -84,15 +80,15 @@ def _parse_grid(text: str) -> List[float]:
         if val > stop + step / 2:
             break
         if val == math.inf:  # stop + step / 2 is inf too, so the test above never ends it
-            raise UsageError(f"grid {text!r} overflows to inf at index {k}")
+            raise DomainError(f"grid {text!r} overflows to inf at index {k}")
         if k == MAX_GRID_CELLS:
-            raise UsageError(f"grid {text!r} has more than {MAX_GRID_CELLS} values")
+            raise DomainError(f"grid {text!r} has more than {MAX_GRID_CELLS} values")
         out.append(val)
         k += 1
     if not out:
-        raise UsageError(f"grid {text!r} is empty")
+        raise DomainError(f"grid {text!r} is empty")
     if len(set(out)) < len(out):
-        raise UsageError(f"grid {text!r} repeats values: step {step!r} is below their float spacing")
+        raise DomainError(f"grid {text!r} repeats values: step {step!r} is below their float spacing")
     return out
 
 
@@ -111,10 +107,10 @@ def _load_pairs(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read input file {path}: {exc}")
+        raise DomainError(f"cannot read input file {path}: {exc}")
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
     if not isinstance(pairs, list) or not pairs:
-        raise UsageError("no input pairs")
+        raise DomainError("no input pairs")
     out = []
     for i, item in enumerate(pairs):
         try:
@@ -124,9 +120,9 @@ def _load_pairs(path: str):
             y = RealVector(_numbers(item["y"]))
             w = None if item.get("w") is None else Weights(_numbers(item["w"]))
         except KeyError as exc:
-            raise UsageError(f"bad pair at index {i}: missing key {exc}")
+            raise DomainError(f"bad pair at index {i}: missing key {exc}")
         except (TypeError, OverflowError, ClarksonError) as exc:
-            raise UsageError(f"bad pair at index {i}: {exc}")
+            raise DomainError(f"bad pair at index {i}: {exc}")
         out.append((x, y, w))
     return out
 
@@ -135,7 +131,7 @@ def _create(path: str):
     try:
         return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise UsageError(f"cannot write output file {path}: {exc}")
+        raise DomainError(f"cannot write output file {path}: {exc}")
 
 
 @contextlib.contextmanager
@@ -162,12 +158,12 @@ def cmd_verify(args) -> int:
     pairs = _inline_pair(args)
     if pairs is None:
         if args.input is None:
-            raise UsageError("verify needs --input or both --x and --y")
+            raise DomainError("verify needs --input or both --x and --y")
         pairs = _load_pairs(args.input)
     ps = _parse_floats(args.p) if args.p is not None else [2.0]
     qs = _parse_floats(args.q) if args.q is not None else [None]
     if not (ps and qs):
-        raise UsageError("--p and --q each need at least one value")
+        raise DomainError("--p and --q each need at least one value")
     policy = TolerancePolicy(args.rel_tol, args.band)
     # Every row is built before the table opens, so an error leaves no
     # partial output.
@@ -178,7 +174,7 @@ def cmd_verify(args) -> int:
                 try:
                     reports.append((idx, catalog.evaluate(ineq, x, y, p, q, w, policy)))
                 except ClarksonError as exc:
-                    raise UsageError(f"pair {idx}: {exc}")
+                    raise type(exc)(f"pair {idx}: {exc}") from exc
     header = ["ineq_id", "pair", "p", "q", "lhs", "rhs", "gap", "scale", "verdict"]
     with _table(args.out, header) as writer:
         for idx, rep in reports:
@@ -228,17 +224,12 @@ def cmd_search(args) -> int:
 
     ineq = InequalityId(args.ineq)
     if args.out == "-":  # stdout carries the key: value report
-        raise UsageError("search --out needs a file path, not '-'")
+        raise DomainError("search --out needs a file path, not '-'")
     spec = _spec_from_args(args)
     policy = TolerancePolicy(args.rel_tol, args.band)
     run = search.extremal_search if args.mode == "extremal" else search.counterexample_search
     outcome = run(ineq, args.p_value, args.q_value, spec, args.budget, args.seed, policy)
-    print(f"status: {outcome.status.value}")
-    print(f"evaluations: {outcome.evaluations}")
-    print(f"seed: {outcome.seed}")
-    if outcome.best_report is not None:
-        print(f"best_normalized_gap: {outcome.normalized_gap!r}")
-        print(f"best_verdict: {outcome.best_report.verdict.value}")
+    # The witness is written first, so an unwritable --out prints nothing.
     if args.out and outcome.witness[0] is not None:
         import json
 
@@ -258,6 +249,12 @@ def cmd_search(args) -> int:
         with _create(args.out) as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
+    print(f"status: {outcome.status.value}")
+    print(f"evaluations: {outcome.evaluations}")
+    print(f"seed: {outcome.seed}")
+    if outcome.best_report is not None:
+        print(f"best_normalized_gap: {outcome.normalized_gap!r}")
+        print(f"best_verdict: {outcome.best_report.verdict.value}")
     if outcome.status is search.SearchStatus.VIOLATION_FOUND:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -398,7 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ClarksonError) as exc:
+    except ClarksonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

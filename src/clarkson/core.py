@@ -79,8 +79,8 @@ class RealVector:
 
         Only the extremal descent calls this, on every point it scores,
         which lies on the constraint set by construction.  Checking would
-        cost about three times as much: for a pair at n = 8 the checking
-        constructors take 4.4-4.8 us, against 1.3-1.7 us here (Python 3.11
+        cost about five times as much: for a pair at n = 8 the checking
+        constructors take 3.3-3.6 us, against 0.6 us here (Python 3.11.7
         on a shared 2-core Xeon), where the descent scores a point in
         about 17 us, its projection included.
         """

@@ -1,5 +1,5 @@
 """Exception types shared across the package: DomainError for every
-input the library rejects, NonFiniteGap for a value that overflows or
+input the package rejects, NonFiniteGap for a value that overflows or
 is not finite.  Both are ClarksonErrors, and so ValueErrors; the CLI
 exits 2 on either."""
 

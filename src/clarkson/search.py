@@ -149,7 +149,7 @@ class SampleSpec:
     dim_range: Tuple[int, int] = (1, 16)
     distribution: Distribution = Distribution.UNIFORM_01
     constraint: Constraint = Constraint.NONNEGATIVE
-    density: float = 1.0
+    density: float = 0.5
     weights: bool = False
 
     def __post_init__(self):
@@ -337,9 +337,14 @@ def _eval_indices(
     return (*best, violations)
 
 
-def _no_result(p: float, q: float, evals: int, seed: int) -> SearchOutcome:
-    return SearchOutcome(None, (None, None, p, q, None), math.inf, evals,
-                         seed, SearchStatus.BUDGET_EXHAUSTED)
+def _outcome(best, violated: bool, p: float, q: float, evals: int, seed: int) -> SearchOutcome:
+    """A run's outcome from its best (gap, report, witness); the only place a status is picked."""
+    ng, rep, witness = best
+    if rep is None:  # nothing was scored
+        return SearchOutcome(None, (None, None, p, q, None), math.inf, evals, seed,
+                             SearchStatus.BUDGET_EXHAUSTED)
+    status = SearchStatus.VIOLATION_FOUND if violated else SearchStatus.NO_VIOLATION
+    return SearchOutcome(rep, witness, ng, evals, seed, status)
 
 
 def counterexample_search(
@@ -360,11 +365,8 @@ def counterexample_search(
     _check_q(id, entry, q)
     p, q = entry.exponents(p, q)
     _check_run(id, spec, seed, budget)
-    if budget == 0:
-        return _no_result(p, q, 0, seed)
-    ng, rep, witness, violations = _eval_indices(id, p, q, spec, seed, range(budget), policy)
-    status = SearchStatus.VIOLATION_FOUND if violations else SearchStatus.NO_VIOLATION
-    return SearchOutcome(rep, witness, ng, budget, seed, status)
+    *best, violations = _eval_indices(id, p, q, spec, seed, range(budget), policy)
+    return _outcome(best, violations > 0, p, q, budget, seed)
 
 
 def _move(
@@ -438,8 +440,7 @@ def extremal_search(
     _check_run(id, spec, seed, budget)
     identity = entry.identity(p, q, spec.constraint)  # every finite gap is 0.0
     evals = 0
-    best_ng = math.inf
-    best: Optional[Tuple[GapReport, tuple]] = None
+    best = (math.inf, None, None)  # as _eval_indices reduces it
     violated = False
 
     # Every point scored is finite, and clamped and dominated as spec requires.
@@ -451,7 +452,7 @@ def extremal_search(
         point seen.  A point still in memo, the start's last 8n distinct
         points scored, counts one evaluation and takes the gap of its
         first visit, which has already been recorded."""
-        nonlocal evals, violated, best_ng, best
+        nonlocal evals, violated, best
         if evals >= budget:
             return None
         evals += 1
@@ -467,8 +468,8 @@ def extremal_search(
             if rep.verdict is _VIOLATED:
                 violated = True
             ng = rep.gap / rep.scale
-            if ng < best_ng:
-                best_ng, best = ng, (rep, (x, y, p, q, None))
+            if ng < best[0]:
+                best = (ng, rep, (x, y, p, q, None))
         memo[z] = ng
         if len(memo) > 8 * n:
             memo.popitem(last=False)
@@ -512,10 +513,7 @@ def extremal_search(
             if not improved:
                 step *= 0.5
 
-    if best is None:
-        return _no_result(p, q, evals, seed)
-    status = SearchStatus.VIOLATION_FOUND if violated else SearchStatus.NO_VIOLATION
-    return SearchOutcome(best[0], best[1], best_ng, evals, seed, status)
+    return _outcome(best, violated, p, q, evals, seed)
 
 
 @dataclass(frozen=True)

@@ -579,6 +579,8 @@ def test_masked_and_dense_batch_gaps_are_equal(id, monkeypatch):
                       constraint=REGISTRY[id].constraint, weights=REGISTRY[id].weighted)
     block = sample_block(spec, SEED, 1)
     assert (block.n < block.x.shape[1]).any()
+    live = np.arange(block.x.shape[1]) < block.n[:, None]
+    assert (live & (block.x == 0.0)).any() and (live & (block.y == 0.0)).any()
 
     raised = []
     masked_abs_powers = catalog._batch_abs_powers

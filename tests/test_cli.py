@@ -6,8 +6,9 @@ import pytest
 
 from clarkson import catalog, variational
 from clarkson.catalog import Constraint, InequalityId
-from clarkson.cli import MAX_GRID_CELLS, UsageError, _parse_grid, build_parser, main
-from clarkson.search import Distribution
+from clarkson.cli import MAX_GRID_CELLS, _parse_grid, _spec_from_args, build_parser, main
+from clarkson.errors import DomainError
+from clarkson.search import Distribution, SampleSpec
 
 
 def run(argv, capsys):
@@ -263,12 +264,12 @@ class TestParseGrid:
         "nan:nan:1", "2:nan:1", "nan:3:1", "2:inf:1", "-inf:3:1", "2:3:inf", "2:3:nan",
     ])
     def test_non_finite_bounds_rejected(self, text):
-        with pytest.raises(UsageError, match="must be finite"):
+        with pytest.raises(DomainError, match="must be finite"):
             _parse_grid(text)
 
     @pytest.mark.parametrize("text", ["1:2:1e-300", "0:1e300:1e-300", "1e300:1.7e308:1e300"])
     def test_value_count_capped(self, text):
-        with pytest.raises(UsageError, match=f"more than {MAX_GRID_CELLS} values"):
+        with pytest.raises(DomainError, match=f"more than {MAX_GRID_CELLS} values"):
             _parse_grid(text)
 
     def test_cap_is_inclusive(self):
@@ -276,7 +277,7 @@ class TestParseGrid:
 
     def test_overflow_rejected(self):
         # 1e308 + 8e307 is inf, and so is stop + step / 2, so the stop test never ends it
-        with pytest.raises(UsageError, match="overflows to inf at index 1"):
+        with pytest.raises(DomainError, match="overflows to inf at index 1"):
             _parse_grid("1e308:1.7e308:8e307")
 
     def test_values_up_to_overflow_kept(self):
@@ -298,7 +299,7 @@ class TestParseGrid:
 
     @pytest.mark.parametrize("text", ["1:1.0000000000000002:1e-17", "1e16:10000000000000002:0.5"])
     def test_repeating_values_rejected(self, text):
-        with pytest.raises(UsageError, match="repeats values: step .* is below"):
+        with pytest.raises(DomainError, match="repeats values: step .* is below"):
             _parse_grid(text)
 
     def test_repeating_grid_exits_2(self, capsys):
@@ -312,7 +313,7 @@ class TestParseGrid:
         ("3:2:1", "is empty"), ("2:3", "start:stop:step"), ("a:3:1", "cannot parse"),
     ])
     def test_malformed_grids_rejected(self, text, message):
-        with pytest.raises(UsageError, match=message):
+        with pytest.raises(DomainError, match=message):
             _parse_grid(text)
 
 
@@ -334,6 +335,13 @@ class TestSearch:
         )
         assert code == 0
         assert "budget-exhausted" in out
+
+    @pytest.mark.parametrize("command", ["scan", "search"])
+    def test_default_spec_flags_give_the_library_default(self, command):
+        args = build_parser().parse_args(
+            [command, "--ineq", "main-1.7", "--p-grid", "2:2:1", "--q-grid", "3:3:1"]
+            if command == "scan" else [command, "--ineq", "main-1.7"])
+        assert _spec_from_args(args) == SampleSpec()
 
     def test_extremal_with_only_zero_starts(self, capsys):
         # every start projects to no point, so nothing is evaluated
@@ -729,8 +737,8 @@ class TestErrorExits:
         path = tmp_path / "missing" / "out"
         code, out, err = run(argv + ["--out", str(path)], capsys)
         assert code == 2
-        # search has printed its report before it writes the witness
-        assert out.startswith("status: no-violation\n") if argv[0] == "search" else out == ""
+        # search writes its witness before it prints its report
+        assert out == ""
         assert err.splitlines() == [
             f"error: cannot write output file {path}: "
             f"[Errno 2] No such file or directory: '{path}'"

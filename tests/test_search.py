@@ -25,6 +25,15 @@ from clarkson.search import (
 SPEC = SampleSpec(dim_range=(1, 8))
 
 
+def assert_nothing_scored(out, p, q):
+    """The outcome of a search that scored no point, at the resolved (p, q)."""
+    assert out.status is SearchStatus.BUDGET_EXHAUSTED
+    assert out.best_report is None
+    assert out.witness == (None, None, p, q, None)
+    assert out.normalized_gap == math.inf
+    assert out.evaluations == 0
+
+
 @pytest.fixture
 def inverted_main_17(monkeypatch):
     """Swap the sides of main-1.7's registry entry: a false statement to catch.
@@ -192,12 +201,11 @@ class TestCounterexampleSearch:
         assert cell.violations >= 180
 
     def test_zero_budget(self):
-        out = counterexample_search(
-            InequalityId.MAIN_17, 2.0, 3.0, SPEC, 0, seed=1
-        )
-        assert out.status is SearchStatus.BUDGET_EXHAUSTED
-        assert out.evaluations == 0
-        assert out.best_report is None
+        out = counterexample_search(InequalityId.MAIN_17, 2.0, 3.0, SPEC, 0, seed=1)
+        assert_nothing_scored(out, 2.0, 3.0)
+        # the witness holds the (p, q) the exponent builder resolved
+        out = counterexample_search(InequalityId.C11, 3.0, None, SPEC, 0, seed=1)
+        assert_nothing_scored(out, 3.0, 1.5)
 
     def test_seed_reproducibility(self):
         a = counterexample_search(
@@ -296,6 +304,15 @@ class TestExtremalSearch:
                 InequalityId.MAIN_17, 2.0, 3.0,
                 SampleSpec(weights=True), 100, seed=0,
             )
+
+    def test_only_zero_starts(self, monkeypatch):
+        """Every start projects to no point, so nothing is evaluated."""
+        calls = []
+        monkeypatch.setattr(search, "evaluate", lambda *args: calls.append(args))
+        spec = SampleSpec(dim_range=(1, 3), distribution=Distribution.SPARSE, density=1e-12)
+        out = extremal_search(InequalityId.MAIN_17, 2.0, 3.0, spec, 100, seed=0)
+        assert_nothing_scored(out, 2.0, 3.0)
+        assert calls == []
 
     def test_non_finite_gap_is_skipped(self, monkeypatch):
         """A candidate whose gap overflows is passed over; the budget is still spent."""
