@@ -163,11 +163,8 @@ def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, fl
 def _batch_abs_powers(z: np.ndarray, k: float) -> np.ndarray:
     """|z|^k entrywise, for k >= 1, path for path as core._abs_powers, so
     at k = 1, 2, 3 and 4 the terms equal the scalar path's bit for bit.
-    At any other k only nonzero entries are raised, in place in |z| (one
-    block-sized temporary, not two, keeps the heap from being trimmed and
-    regrown between batch calls); zeros, padding included, stay 0 = |0|^k, so
-    the terms equal the dense ones bit for bit.  The masked power leaves
-    numpy's fast paths; the products take a fifth of its time.
+    At any other k every entry is raised by numpy's power; a zero entry
+    gives +0.0, as on the scalar path.
     """
     if k == 2.0:
         return z * z
@@ -179,32 +176,35 @@ def _batch_abs_powers(z: np.ndarray, k: float) -> np.ndarray:
     a = np.abs(z)
     if k == 1.0:
         return a
-    return np.power(a, k, where=a != 0, out=a)
+    return np.power(a, k, out=a)
 
 
 def _batch_pair_norms(
-    x: np.ndarray, y: np.ndarray, p: float, q: Optional[float], w: Optional[np.ndarray]
+    x: np.ndarray, y: np.ndarray, starts: np.ndarray, p: float, q: Optional[float],
+    w: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, ...]:
-    """_pair_norms per row of zero-padded (B, nmax) arrays.
+    """_pair_norms per row of flat arrays whose rows begin at starts.
 
-    Sums are numpy's, not math.fsum; see search._SCREEN_MARGIN for how
-    far they may differ.  A power sum below the smallest normal float,
-    of entries not all 0, has lost bits to underflow, which
-    core._p_norm restores by rescaling and numpy's sum does not: its
-    norm is nan, so the screen keeps the row for the scalar path.
+    Sums are np.add.reduceat's, not math.fsum; see
+    search._SCREEN_MARGIN for how far they may differ.  A power sum
+    below the smallest normal float, of entries not all 0, has lost bits
+    to underflow, which core._p_norm restores by rescaling and numpy's
+    sum does not: its norm is nan, so the screen keeps the row for the
+    scalar path.
     """
     z = np.stack((x, y, x + y, x - y))
     terms = _batch_abs_powers(z, p)
     if w is not None:
         terms *= w
-    sums = terms.sum(axis=-1)
+    sums = np.add.reduceat(terms, starts, axis=-1)
     lost = sums < _MIN_NORMAL
     if lost.any():
-        sums[lost & z.any(axis=-1)] = math.nan
+        sums[lost & np.logical_or.reduceat(z != 0.0, starts, axis=-1)] = math.nan
     return tuple(sums ** (1.0 / p))
 
 
-def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, k: float, e: float) -> tuple:
+def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, starts: np.ndarray, k: float,
+                         e: float) -> tuple:
     """Per row, the sums of x^k, y^k, max(x, y)^k and min(x, y)^k; then e.
 
     As in _repaired_sums, x and y are raised once and the re-paired
@@ -213,11 +213,11 @@ def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, k: float, e: float) -> tu
     """
     px, py = _batch_abs_powers(x, k), _batch_abs_powers(y, k)
     if e == 1.0:
-        s = (px + py).sum(axis=-1)
+        s = np.add.reduceat(px + py, starts)
         return s, 0.0, s, 0.0, e
     swap = x < y
     terms = (px, py, np.where(swap, py, px), np.where(swap, px, py))
-    return (*(t.sum(axis=-1) for t in terms), e)
+    return (*(np.add.reduceat(t, starts) for t in terms), e)
 
 
 # Each statement below is written once, as (lhs, rhs) of the four norms
@@ -303,10 +303,9 @@ def _one_entry_terms(x, y, p, q, w):
     return a, b, a + b, a - b
 
 
-def _batch_one_entry_terms(x, y, p, q, w):
-    """_one_entry_terms per row of a (B, 1) block: a run's dim_range is (1, 1)."""
-    a, b = x[:, 0], y[:, 0]
-    return a, b, a + b, a - b
+def _batch_one_entry_terms(x, y, starts, p, q, w):
+    """_one_entry_terms per row, each row one entry: a run's dim_range is (1, 1)."""
+    return x, y, x + y, x - y
 
 
 def _repaired_sums(x, y, k: float, e: float) -> tuple:
@@ -388,8 +387,9 @@ class Inequality:
     are those of one pair, exact (math.fsum sums): plain arithmetic on
     the float tuples of vectors and weights (w None when unweighted)
     that evaluate has already checked, the pair by core._check_pair
-    (x >= y when constraint is DOMINATED_PAIR); batch_quantities takes
-    the same arguments on (B, nmax) blocks.  constraint is the
+    (x >= y when constraint is DOMINATED_PAIR); batch_quantities(x, y,
+    starts, p, q, w) gives them per row of flat arrays of the entries
+    of several pairs, row r beginning at starts[r].  constraint is the
     widest input set covered; weighted=False rejects weights.
     identity(p, q, constraint) is True on the cells where the statement
     is an identity, at a (p, q) exponents returned and on inputs meeting
@@ -420,12 +420,14 @@ REGISTRY: Dict[InequalityId, Inequality] = {
     InequalityId.SUMPOW_212: Inequality(
         Constraint.NONNEGATIVE, _sum_power_exponents, _repaired_sides,
         lambda x, y, p, q, w: _repaired_sums(x, y, 1.0, q),
-        lambda x, y, p, q, w: _batch_repaired_sums(x, y, 1.0, q), weighted=False,
+        lambda x, y, starts, p, q, w: _batch_repaired_sums(x, y, starts, 1.0, q),
+        weighted=False,
         identity=lambda p, q, constraint: q == 1.0 or constraint is _DOMINATED),
     InequalityId.REARR_GAIN_217: Inequality(
         Constraint.NONNEGATIVE, main_exponents, _repaired_sides,
         lambda x, y, p, q, w: _repaired_sums(x, y, p, q / p),
-        lambda x, y, p, q, w: _batch_repaired_sums(x, y, p, q / p), weighted=False,
+        lambda x, y, starts, p, q, w: _batch_repaired_sums(x, y, starts, p, q / p),
+        weighted=False,
         identity=lambda p, q, constraint: p == q or constraint is _DOMINATED),
 }
 
@@ -479,15 +481,19 @@ def batch_normalized_gaps(
     id: InequalityId,
     x: np.ndarray,
     y: np.ndarray,
+    starts: np.ndarray,
     p: float,
     q: float,
     w: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """gap / scale of entry id's statement on each row of (B, nmax) arrays.
+    """gap / scale of entry id's statement on each row of flat arrays.
 
-    Rows are zero-padded pairs meeting the entry's constraint, w their
-    weights (None unless the entry is weighted) and (p, q) a pair its
-    exponent builder returned; search checks these once a run, and
+    Row r is the pair whose entries are x, y and w from starts[r] up to
+    the next row's start (the end for the last row); starts[0] is 0 and
+    the starts ascend strictly, as every pair has an entry.  Rows are
+    pairs meeting the entry's constraint, w their weights (None unless
+    the entry is weighted) and (p, q) a pair its exponent builder
+    returned; search checks these once a run, and
     nothing here checks them again.  Overflow gives inf or nan instead
     of raising, so a non-finite value marks a row whose scalar
     evaluation may raise.  A row whose sides come within 2^24 of
@@ -497,7 +503,7 @@ def batch_normalized_gaps(
     """
     entry = REGISTRY[id]
     with np.errstate(all="ignore"):
-        lhs, rhs = entry.sides(*entry.batch_quantities(x, y, p, q, w), p, q)
+        lhs, rhs = entry.sides(*entry.batch_quantities(x, y, starts, p, q, w), p, q)
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         ng = (rhs - lhs) / scale
     ng[scale > _NEAR_OVERFLOW] = math.nan

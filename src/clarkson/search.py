@@ -5,7 +5,10 @@ Samples come in blocks of _BLOCK pairs.  Block b of seed s (in
 SeedSequence(s, spawn_key=(b,)), the b-th child of SeedSequence(s).spawn,
 and sample i is row i % _BLOCK of block i // _BLOCK.  Every sample is
 thus a pure function of (spec, seed, index), so results are
-bit-identical regardless of evaluation order.
+bit-identical regardless of evaluation order.  A block keeps the
+entries of its rows back to back, with the offset where each row
+begins (SampleBlock), so the batch screen raises and sums the pairs'
+own entries and no padding.
 
 Reductions are min/count only.  An index range is screened with numpy
 first, on each registry entry's batch quantities (the pair norms for
@@ -108,29 +111,34 @@ _INITIAL_STEP = 0.1
 _MIN_STEP = 1e-8
 
 # How far a batch normalized gap may lie from the scalar one, to first
-# order in u = 2^-53, for pairs of n <= nmax entries (pow within 1 ulp
-# on both paths):
-# - each term w|z|^k is within 4u of exact on both paths (k = p; k = 1
-#   for sumpow-2.12's plain sums, whose terms are exact): at k = 2, 3
-#   and 4 both take the same products, and with weights a k = 4 term
-#   (x*x)*(x*x)*w has four roundings, x*x counted twice; any other k
-#   is pow, within 1 ulp, then w.  math.fsum adds u and numpy's sum of
-#   n nonnegative terms at most (n - 1)u, so the two sums S agree to
-#   (n + 8)u.  Both paths take each term of a (max, min) re-paired sum
-#   from the terms of x and y, so each term is still within 4u and the
-#   re-paired sums obey the same bound;
+# order in u = 2^-53, for pairs of n <= nmax entries:
+# - each term w|z|^k is within 4u of exact on the scalar path and 5u on
+#   the batch path (k = p; k = 1 for sumpow-2.12's plain sums, whose
+#   terms are exact).  At k = 2, 3 and 4 both take the same products,
+#   and with weights a k = 4 term (x*x)*(x*x)*w has four roundings, x*x
+#   counted twice.  At any other k the scalar path takes libm's pow,
+#   within 1 ulp (2u), and the batch path numpy's, whose SIMD kernels
+#   lie within 1 ulp of libm's (measured on 350k values at p = 2.5,
+#   3.7, 10/3, 7.3 and 51.2), so within 2 ulp (4u); then w, u more;
+# - math.fsum adds u, and np.add.reduceat at most (n - 1)u: it adds a
+#   row's n nonnegative terms in n - 1 additions, in an order of numpy's
+#   choosing, so the two sums S agree to (n + 9)u.  Both paths take
+#   each term of a (max, min) re-paired sum from the terms of x and y,
+#   so each term keeps its bound and the re-paired sums obey the same
+#   one;
 # - every side raises S, and each rounded intermediate (the norm
 #   S^(1/p), inner powers and sums, the outer power), to a power of at
 #   most e = max(p, q) (q = p/(p-1) for c-1.1 and c-1.2, whose (p, q)
-#   is resolved by then), with at most four roundings a chain on
-#   each path, so the sides agree to delta = e(n + 16)u.  The re-paired
+#   is resolved by then), with at most four rounded steps a chain, each
+#   within 2 ulp (4u) on the batch path and 1 ulp (2u) on the scalar
+#   one, so the sides agree to delta = e(n + 33)u.  The re-paired
 #   statements raise S once, to q/p <= q (rearr-2.17) or r = q
 #   (sumpow-2.12), and add two such powers.  cor-1.6 (n = 1) takes
 #   x, y, x + y and x - y themselves, the same floats on both paths,
 #   and raises them to q, a shorter chain than a norm's;
 # - both sides are nonnegative, so |gap| <= scale, and the normalized
 #   gaps agree to 3 delta + 3u.
-# For p in [2, 6], q <= 30 and n <= 64 that is below 8e-13, and the
+# For p in [2, 6], q <= 30 and n <= 64 that is below 1e-12, and the
 # measured difference stays below 1e-14; beyond that range the bound
 # itself is the margin.  A pair-norm power sum that underflows lies
 # outside this first-order bound (the scalar norm rescales it); its
@@ -141,7 +149,7 @@ _SCREEN_MARGIN = 1e-12
 
 def _screen_margin(p: float, q: float, nmax: int) -> float:
     e = max(p, q)
-    return max(_SCREEN_MARGIN, (3.0 * e * (nmax + 16) + 3.0) * 2.0**-53)
+    return max(_SCREEN_MARGIN, (3.0 * e * (nmax + 33) + 3.0) * 2.0**-53)
 
 
 @dataclass(frozen=True)
@@ -178,13 +186,15 @@ class SearchStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SampleBlock:
-    """The _BLOCK pairs of a sample block as zero-padded (_BLOCK, nmax) arrays.
+    """The _BLOCK pairs of a sample block as flat arrays of their entries.
 
-    Row r holds a pair of length n[r]; x, y and w are zero past it.
-    The arrays are read-only: blocks are cached and shared.
+    Row r is a pair of length n[r], whose entries are x, y and w at
+    off[r]:off[r + 1]; off has _BLOCK + 1 items, off[0] = 0 and
+    diff(off) = n.  The arrays are read-only: blocks are cached and shared.
     """
 
     n: np.ndarray
+    off: np.ndarray
     x: np.ndarray
     y: np.ndarray
     w: Optional[np.ndarray]
@@ -192,10 +202,17 @@ class SampleBlock:
 
     def pair(self, row: int) -> Tuple[RealVector, RealVector, Optional[Weights]]:
         """Row row as vectors and weights, checked by their constructors."""
-        k = int(self.n[row])
+        entries = slice(int(self.off[row]), int(self.off[row + 1]))
         vec = RealVector if self.signed else NonnegVector
-        w = None if self.w is None else Weights(self.w[row, :k].tolist())
-        return vec(self.x[row, :k].tolist()), vec(self.y[row, :k].tolist()), w
+        w = None if self.w is None else Weights(self.w[entries].tolist())
+        return vec(self.x[entries].tolist()), vec(self.y[entries].tolist()), w
+
+    def rows(self, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+        """Rows lo:hi as (x, y, starts, w) for the batch kernels: the flat
+        entries of those rows, and where each row begins among them."""
+        i, j = self.off[lo], self.off[hi]
+        w = None if self.w is None else self.w[i:j]
+        return self.x[i:j], self.y[i:j], self.off[lo:hi] - i, w
 
 
 def _draw(rng: np.random.Generator, shape: Tuple[int, int], spec: SampleSpec) -> np.ndarray:
@@ -217,8 +234,9 @@ def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
 
     A Generator on PCG64DXSM(SeedSequence(seed, spawn_key=(block,))) draws
     n by integers, then a, b, the weights and the signs of a and b, each
-    only where spec asks for it.  The entries are valid by construction
-    (see the module docstring), so none is checked.
+    only where spec asks for it and as a (_BLOCK, nmax) array, of whose
+    row r the first n[r] entries are kept.  The entries are valid by
+    construction (see the module docstring), so none is checked.
     """
     _check_seed(seed)
     # Block 2**192 starts at sample 2**200: a scan that reaches it never ends.
@@ -230,18 +248,19 @@ def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     shape = (_BLOCK, hi)
     n = rng.integers(lo, hi + 1, size=_BLOCK)
     live = np.arange(hi) < n[:, None]
-    a = np.where(live, _draw(rng, shape, spec), 0.0)
-    b = np.where(live, _draw(rng, shape, spec), 0.0)
-    w = np.where(live, 0.5 + 1.5 * rng.random(shape), 0.0) if spec.weights else None
+    a = _draw(rng, shape, spec)[live]
+    b = _draw(rng, shape, spec)[live]
+    w = 0.5 + 1.5 * rng.random(shape)[live] if spec.weights else None
     if spec.constraint is Constraint.SIGNED:
-        a = a * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-        b = b * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        a = a * np.where(rng.random(shape)[live] < 0.5, -1.0, 1.0)
+        b = b * np.where(rng.random(shape)[live] < 0.5, -1.0, 1.0)
     elif spec.constraint is Constraint.DOMINATED_PAIR:
         a, b = np.maximum(a, b), np.minimum(a, b)
-    for arr in (n, a, b, w):
+    off = np.concatenate(([0], np.cumsum(n)))
+    for arr in (n, off, a, b, w):
         if arr is not None:
             arr.flags.writeable = False
-    return SampleBlock(n, a, b, w, spec.constraint is Constraint.SIGNED)
+    return SampleBlock(n, off, a, b, w, spec.constraint is Constraint.SIGNED)
 
 
 def sample_pair(
@@ -317,8 +336,8 @@ def _eval_indices(
         b, lo = divmod(start, _BLOCK)
         hi = min(_BLOCK, lo + indices.stop - start)
         blk = sample_block(spec, seed, b)
-        gaps = batch_normalized_gaps(id, blk.x[lo:hi], blk.y[lo:hi], p, q,
-                                     None if blk.w is None else blk.w[lo:hi])
+        bx, by, starts, bw = blk.rows(lo, hi)
+        gaps = batch_normalized_gaps(id, bx, by, starts, p, q, bw)
         if identity:
             keep = ~np.isfinite(gaps)
             keep[0] |= start == indices.start

@@ -84,8 +84,8 @@ def batch_gaps(id, exps, spec, seed, indices):
     """batch_normalized_gaps of every index, block by block."""
     out = []
     for b in range(indices.start // _BLOCK, -(-indices.stop // _BLOCK)):
-        block = sample_block(spec, seed, b)
-        ng = batch_normalized_gaps(id, block.x, block.y, *exps, block.w)
+        x, y, starts, w = sample_block(spec, seed, b).rows(0, _BLOCK)
+        ng = batch_normalized_gaps(id, x, y, starts, *exps, w)
         out.extend(ng[i - b * _BLOCK] for i in indices if i // _BLOCK == b)
     return out
 
@@ -137,9 +137,9 @@ def test_search_equals_all_scalar_reduction(id, constraint):
 
 @st.composite
 def margin_cases(draw):
-    """(id, p, q, x, y, w, nmax): a pair meeting id's constraint, as float
-    lists, at a (p, q) id's exponent builder returned, with p up to 200
-    and q up to 400, and the width nmax <= 64 of the row it is padded to."""
+    """(id, p, q, x, y, w): a pair of n <= 64 entries meeting id's
+    constraint, as float lists, at a (p, q) id's exponent builder
+    returned, with p up to 200 and q up to 400."""
     id = draw(st.sampled_from(BATCH_IDS))
     entry = REGISTRY[id]
     if entry.exponents in catalog._P_ONLY_EXPONENTS:
@@ -151,8 +151,7 @@ def margin_cases(draw):
         p = draw(st.floats(2.0, 200.0))
         q = draw(st.floats(p, 400.0))
     p, q = entry.exponents(p, q)
-    nmax = 1 if id is COR else draw(st.integers(1, 64))
-    n = draw(st.integers(1, nmax))
+    n = 1 if id is COR else draw(st.integers(1, 64))
     side = st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)
     x, y = draw(side), draw(side)
     if entry.constraint is Constraint.SIGNED:
@@ -164,23 +163,21 @@ def margin_cases(draw):
     w = None
     if entry.weighted and draw(st.booleans()):
         w = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
-    return id, p, q, x, y, w, nmax
+    return id, p, q, x, y, w
 
 
 @given(margin_cases())
 @settings(max_examples=300, deadline=None)
 # 0.01^199 underflows; screened as finite, this row's batch gap was 0.0295, scalar 0.0392
 @example((InequalityId.C11, *REGISTRY[InequalityId.C11].exponents(199.0, None),
-          [0.01], [0.02], None, 1))
+          [0.01], [0.02], None))
 def test_batch_gap_lies_within_the_screen_margin(case):
-    """|batch - scalar| <= _screen_margin(p, q, nmax) on every row whose
-    gaps are finite, over the whole exponent range the screen is used at."""
-    id, p, q, x, y, w, nmax = case
-
-    def row(v):
-        return np.array([v + [0.0] * (nmax - len(v))])
-
-    batch = batch_normalized_gaps(id, row(x), row(y), p, q, None if w is None else row(w))[0]
+    """|batch - scalar| <= _screen_margin(p, q, n) on every flat row of n
+    entries whose gaps are finite, over the whole exponent range the
+    screen is used at."""
+    id, p, q, x, y, w = case
+    batch = batch_normalized_gaps(id, np.array(x), np.array(y), np.array([0]), p, q,
+                                  None if w is None else np.array(w))[0]
     vec = RealVector if REGISTRY[id].constraint is Constraint.SIGNED else NonnegVector
     try:
         rep = evaluate(id, vec(x), vec(y), p, q, None if w is None else Weights(w))
@@ -188,7 +185,7 @@ def test_batch_gap_lies_within_the_screen_margin(case):
         assert not np.isfinite(batch)
         return
     if np.isfinite(batch):
-        assert abs(batch - rep.gap / rep.scale) <= _screen_margin(p, q, nmax)
+        assert abs(batch - rep.gap / rep.scale) <= _screen_margin(p, q, len(x))
 
 
 # Entries for the identity property: zeros, and magnitudes from 1e-200,
@@ -202,9 +199,9 @@ IDENTITY_ENTRIES = st.one_of(
 
 @st.composite
 def identity_cases(draw):
-    """(id, p, q, constraint, rows, nmax): an identity cell of a re-paired
-    statement, and up to four pairs meeting constraint, ties among their
-    entries, for rows of a block of width nmax."""
+    """(id, p, q, constraint, rows): an identity cell of a re-paired
+    statement, and up to four pairs of up to 16 entries meeting
+    constraint, ties among their entries."""
     id = draw(st.sampled_from(REPAIRED_IDS))
     constraint = draw(st.sampled_from([Constraint.NONNEGATIVE, Constraint.DOMINATED_PAIR]))
     dominated = constraint is Constraint.DOMINATED_PAIR
@@ -214,16 +211,15 @@ def identity_cases(draw):
         p = draw(st.sampled_from([2.0, 3.0, 4.0]) | st.floats(2.0, 400.0))
         q = draw(st.floats(p, 400.0)) if dominated else p
     p, q = REGISTRY[id].exponents(p, q)
-    nmax = draw(st.integers(1, 16))
     rows = []
     for _ in range(draw(st.integers(1, 4))):
-        n = draw(st.integers(1, nmax))
+        n = draw(st.integers(1, 16))
         pairs = draw(st.lists(st.tuples(IDENTITY_ENTRIES, IDENTITY_ENTRIES)
                               | IDENTITY_ENTRIES.map(lambda a: (a, a)), min_size=n, max_size=n))
         if dominated:
             pairs = [(max(a, b), min(a, b)) for a, b in pairs]
         rows.append(([a for a, _ in pairs], [b for _, b in pairs]))
-    return id, p, q, constraint, rows, nmax
+    return id, p, q, constraint, rows
 
 
 @given(identity_cases())
@@ -232,18 +228,16 @@ def identity_cases(draw):
 # while numpy's sum rounds to it; the row is kept as near overflow.
 @example((InequalityId.SUMPOW_212, 1.0, 1.0, Constraint.NONNEGATIVE,
           [([4.4942328371557713e+307, 4.494232837155805e+307],
-            [4.494232837155831e+307, 4.4942328371557513e+307])], 2))
+            [4.494232837155831e+307, 4.4942328371557513e+307])]))
 def test_identity_cells_give_exactly_zero(case):
     """Where identity(p, q, constraint) holds, evaluate gives lhs == rhs
     and gap 0.0 bit for bit, or raises NonFiniteGap, and the batch gap is
     0.0 on every finite row and non-finite on every row evaluate raises on."""
-    id, p, q, constraint, rows, nmax = case
+    id, p, q, constraint, rows = case
     assert REGISTRY[id].identity(p, q, constraint)
-
-    def block(k):
-        return np.array([r[k] + [0.0] * (nmax - len(r[k])) for r in rows])
-
-    batch = batch_normalized_gaps(id, block(0), block(1), p, q)
+    starts = np.cumsum([0] + [len(x) for x, _ in rows[:-1]])
+    x, y = (np.array([v for r in rows for v in r[k]]) for k in (0, 1))
+    batch = batch_normalized_gaps(id, x, y, starts, p, q)
     for (x, y), ng in zip(rows, batch.tolist()):
         try:
             rep = evaluate(id, NonnegVector(x), NonnegVector(y), p, q)
@@ -515,7 +509,7 @@ def test_scan_makes_one_batch_call_per_block_a_cell_touches(monkeypatch, capsys)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(len(args[2]))
+        calls.append(len(args[3]))  # the row starts
         return batch_normalized_gaps(*args, **kwargs)
 
     monkeypatch.setattr(search, "batch_normalized_gaps", counting)
@@ -528,14 +522,14 @@ def test_scan_makes_one_batch_call_per_block_a_cell_touches(monkeypatch, capsys)
     capsys.readouterr()
 
 
-def four_array_repaired_sums(x, y, k, e):
+def four_array_repaired_sums(x, y, starts, k, e):
     """The re-paired sums from four raised arrays, as they were computed
     before the re-paired terms were picked from those of x and y.  Each
     array is raised as the batch path raises entries (checked against
     the scalar terms below)."""
     z = np.stack((x, y, np.maximum(x, y), np.minimum(x, y)))
     terms = catalog._batch_abs_powers(z, k)
-    return (*terms.sum(axis=-1), e)
+    return (*np.add.reduceat(terms, starts, axis=-1), e)
 
 
 @pytest.mark.parametrize("constraint", list(Constraint))
@@ -548,8 +542,7 @@ def test_batch_terms_take_the_scalar_fast_paths(constraint):
     for z in (block.x, block.x - block.y):
         for k in (1.0, 2.0, 3.0, 4.0):
             got = catalog._batch_abs_powers(z, k)
-            want = [list(_abs_powers(row, k)) for row in z.tolist()]
-            assert got.tobytes() == np.array(want).tobytes()
+            assert got.tobytes() == np.array(list(_abs_powers(z.tolist(), k))).tobytes()
         for k in (2.5, 1 / 0.3):
             assert catalog._batch_abs_powers(z, k).tobytes() == (np.abs(z) ** k).tobytes()
 
@@ -560,46 +553,86 @@ def test_repaired_sums_equal_the_four_array_formula(dist, constraint):
     spec = SampleSpec(dim_range=(1, 64), distribution=dist, constraint=constraint)
     b0, b1 = sample_block(spec, SEED, 0), sample_block(spec, SEED, 1)
     # a whole block, a slice of one, and a new array of rows from both
-    arrays = [(b0.x, b0.y), (b1.x[40:90], b1.y[40:90]),
-              (np.concatenate((b0.x[-30:], b1.x[:20])), np.concatenate((b0.y[-30:], b1.y[:20])))]
-    for x, y in arrays:
+    (x0, y0, s0, _), (x1, y1, s1, _) = b0.rows(_BLOCK - 30, _BLOCK), b1.rows(0, 20)
+    arrays = [b0.rows(0, _BLOCK)[:3], b1.rows(40, 90)[:3],
+              (np.concatenate((x0, x1)), np.concatenate((y0, y1)),
+               np.concatenate((s0, s1 + len(x0))))]
+    for x, y, starts in arrays:
         for k in (1.0, 2.0, 2.5, 3.0, 4.0, 1 / 0.3):
-            got = catalog._batch_repaired_sums(x, y, k, 1.5)
-            want = four_array_repaired_sums(x, y, k, 1.5)
+            got = catalog._batch_repaired_sums(x, y, starts, k, 1.5)
+            want = four_array_repaired_sums(x, y, starts, k, 1.5)
             assert [a.tobytes() for a in got[:4]] == [a.tobytes() for a in want[:4]]
             assert got[4] == 1.5
 
 
+@pytest.mark.parametrize("constraint", list(Constraint))
+def test_live_zeros_raise_to_exactly_plus_zero(constraint):
+    """A sparse block's zero entries, -0.0 ones of signed pairs included,
+    give the term +0.0 at every exponent, as on the scalar path."""
+    spec = SampleSpec(dim_range=(1, 40), distribution=Distribution.SPARSE, constraint=constraint)
+    block = sample_block(spec, SEED, 1)
+    zs = (block.x, block.y, block.x + block.y, block.x - block.y)
+    zeros = np.concatenate([z[z == 0.0] for z in zs])
+    assert zeros.size > 100
+    if constraint is Constraint.SIGNED:
+        assert np.signbit(zeros).any()
+    for k in (2.5, 1 / 0.3, 3.7, 7.3, 16.0, 51.2, 199.0):
+        for z in zs:
+            terms = catalog._batch_abs_powers(z, k)[z == 0.0]
+            assert terms.tobytes() == np.zeros_like(terms).tobytes()
+
+
+def padded_quantities(id, x, y, w, p, q):
+    """batch_quantities of zero-padded (B, nmax) rows as they were taken
+    before blocks held only live entries: every entry raised by numpy's
+    power, padding included, and numpy's row sums."""
+    if id in REPAIRED_IDS:
+        k, e = (1.0, q) if id is InequalityId.SUMPOW_212 else (p, q / p)
+        px, py = np.abs(x) ** k, np.abs(y) ** k
+        swap = x < y
+        terms = (px, py, np.where(swap, py, px), np.where(swap, px, py))
+        return (*(t.sum(axis=-1) for t in terms), e)
+    terms = np.abs(np.stack((x, y, x + y, x - y))) ** p
+    if w is not None:
+        terms *= w
+    return tuple(terms.sum(axis=-1) ** (1.0 / p))
+
+
 # cor-1.6 raises no power sums: its quantities are the entries themselves.
 @pytest.mark.parametrize("id", [id for id in BATCH_IDS if id is not COR], ids=lambda id: id.value)
-def test_masked_and_dense_batch_gaps_are_equal(id, monkeypatch):
-    """Raising only the nonzero entries leaves every batch gap bit-identical
-    to raising every entry, padding and sparse zeros included."""
-    spec = SampleSpec(dim_range=(1, 40), distribution=Distribution.SPARSE,
+def test_masked_and_dense_batch_gaps_are_equal(id):
+    """A block holds its live entries alone, the ones the mask of its
+    zero-padded (B, nmax) draw keeps.  Raised, they give bit for bit the
+    live terms of the padded rows, whose padding raises to +0.0; and the
+    batch gaps lie within the screen margin of the padded formula (every
+    entry raised, numpy's row sums) wherever both are finite."""
+    nmax = 40
+    spec = SampleSpec(dim_range=(1, nmax), distribution=Distribution.SPARSE,
                       constraint=REGISTRY[id].constraint, weights=REGISTRY[id].weighted)
     block = sample_block(spec, SEED, 1)
-    assert (block.n < block.x.shape[1]).any()
-    live = np.arange(block.x.shape[1]) < block.n[:, None]
-    assert (live & (block.x == 0.0)).any() and (live & (block.y == 0.0)).any()
+    assert (block.n < nmax).any()
+    assert (block.x == 0.0).any() and (block.y == 0.0).any()
+    live = np.arange(nmax) < block.n[:, None]
 
-    raised = []
-    masked_abs_powers = catalog._batch_abs_powers
+    def padded(v):
+        out = np.zeros(live.shape)
+        out[live] = v
+        return out
 
-    def dense_abs_powers(z, k):
-        """The same products at k = 2, 3 and 4; every entry raised at any other k."""
-        if k in (2.0, 3.0, 4.0):
-            return masked_abs_powers(z, k)
-        raised.append(z.shape)
-        return np.abs(z) ** k
-
-    for exps in exponent_pairs(id):
-        masked = batch_normalized_gaps(id, block.x, block.y, *exps, block.w)
-        with monkeypatch.context() as m:
-            # both the pair norms and the re-paired sums take their terms here
-            m.setattr(catalog, "_batch_abs_powers", dense_abs_powers)
-            dense = batch_normalized_gaps(id, block.x, block.y, *exps, block.w)
-        assert masked.tobytes() == dense.tobytes()
-    assert raised
+    x, y = padded(block.x), padded(block.y)
+    w = None if block.w is None else padded(block.w)
+    for p, q in exponent_pairs(id):
+        k = 1.0 if id is InequalityId.SUMPOW_212 else p
+        for flat, dense in ((block.x, x), (block.x - block.y, x - y)):
+            terms = catalog._batch_abs_powers(dense, k)
+            assert terms[live].tobytes() == catalog._batch_abs_powers(flat, k).tobytes()
+            assert terms[~live].tobytes() == np.zeros((~live).sum()).tobytes()
+        masked = batch_normalized_gaps(id, block.x, block.y, block.off[:-1], p, q, block.w)
+        lhs, rhs = REGISTRY[id].sides(*padded_quantities(id, x, y, w, p, q), p, q)
+        want = (rhs - lhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+        both = np.isfinite(masked) & np.isfinite(want)
+        assert both.sum() > 0.9 * _BLOCK
+        assert np.abs(masked - want)[both].max() <= _screen_margin(p, q, nmax)
 
 
 @pytest.mark.parametrize("constraint", list(Constraint))
@@ -611,13 +644,12 @@ def test_sample_pair_is_the_block_row(constraint, weighted):
         block = sample_block(spec, SEED, index // _BLOCK)
         r = index % _BLOCK
         x, y, w = sample_pair(spec, SEED, index)
-        k = int(block.n[r])
-        assert len(x) == len(y) == k
-        assert x.entries == tuple(block.x[r, :k].tolist())
-        assert y.entries == tuple(block.y[r, :k].tolist())
-        assert not block.x[r, k:].any() and not block.y[r, k:].any()
+        row = slice(block.off[r], block.off[r + 1])
+        assert len(x) == len(y) == block.n[r] == row.stop - row.start
+        assert x.entries == tuple(block.x[row].tolist())
+        assert y.entries == tuple(block.y[row].tolist())
         if weighted:
-            assert w.masses == tuple(block.w[r, :k].tolist())
+            assert w.masses == tuple(block.w[row].tolist())
         else:
             assert w is None and block.w is None
 
@@ -636,7 +668,7 @@ def test_sample_pair_checks_its_row(array, value, error, monkeypatch):
     def with_bad_entry(spec, seed, block):
         blk = real(spec, seed, block)
         a = getattr(blk, array).copy()
-        a[row, 0] = value
+        a[blk.off[row]] = value
         return dataclasses.replace(blk, **{array: a})
 
     monkeypatch.setattr(search, "sample_block", with_bad_entry)
@@ -647,9 +679,10 @@ def test_sample_pair_checks_its_row(array, value, error, monkeypatch):
 
 
 def test_blocks_are_read_only():
-    block = sample_block(SampleSpec(), SEED, 0)
-    with pytest.raises(ValueError):
-        block.x[0, 0] = 1.0
+    block = sample_block(SampleSpec(weights=True), SEED, 0)
+    for a in (block.n, block.off, block.x, block.y, block.w):
+        with pytest.raises(ValueError):
+            a[1] = 1
 
 
 def test_non_finite_batch_gap_reaches_scalar_path(monkeypatch):
@@ -660,14 +693,14 @@ def test_non_finite_batch_gap_reaches_scalar_path(monkeypatch):
     def with_huge_row(spec, seed, block):
         blk = real(spec, seed, block)
         x = blk.x.copy()
-        x[row, 0] = 1e200
+        x[blk.off[row]] = 1e200
         return dataclasses.replace(blk, x=x)
 
     monkeypatch.setattr(search, "sample_block", with_huge_row)
     spec = SampleSpec(dim_range=(1, 4))
     exps = REGISTRY[InequalityId.MAIN_17].exponents(2.0, 3.0)
     blk = search.sample_block(spec, SEED, 0)
-    ng = batch_normalized_gaps(InequalityId.MAIN_17, blk.x, blk.y, 2.0, 3.0)
+    ng = batch_normalized_gaps(InequalityId.MAIN_17, blk.x, blk.y, blk.off[:-1], 2.0, 3.0)
     assert not np.isfinite(ng[row]) and np.isfinite(np.delete(ng, row)).all()
     with pytest.raises(NonFiniteGap):
         counterexample_search(InequalityId.MAIN_17, *exps, spec, 100, SEED)

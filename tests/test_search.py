@@ -114,21 +114,25 @@ class TestSamplePair:
     def test_blocks_are_valid_by_construction(self, dist, constraint, weights):
         """sample_block checks nothing, so every block must meet the rules the
         vector constructors check: finite entries, no negatives unless
-        signed, x >= y when dominated, positive weights, zero padding."""
+        signed, x >= y when dominated, positive weights, and row offsets
+        that give each row n entries in range."""
         spec = SampleSpec(dim_range=(1, 64), distribution=dist, constraint=constraint,
                           density=0.5, weights=weights)
         for seed, b in ((0, 0), (7, 1), (2**64 - 1, 12345)):
             block = search.sample_block(spec, seed, b)
-            live = np.arange(64) < block.n[:, None]
+            assert block.n.shape == (256,) and ((1 <= block.n) & (block.n <= 64)).all()
+            assert block.off.shape == (257,) and block.off[0] == 0
+            assert (np.diff(block.off) == block.n).all()
+            entries = (int(block.off[-1]),)
+            assert block.x.shape == block.y.shape == entries
             assert np.isfinite(block.x).all() and np.isfinite(block.y).all()
-            assert not (block.x[~live].any() or block.y[~live].any())
             if constraint is not Constraint.SIGNED:
                 assert (block.x >= 0.0).all() and (block.y >= 0.0).all()
             if constraint is Constraint.DOMINATED_PAIR:
                 assert (block.x >= block.y).all()
             if weights:
-                assert np.isfinite(block.w).all() and (block.w[live] > 0.0).all()
-                assert not block.w[~live].any()
+                assert block.w.shape == entries
+                assert np.isfinite(block.w).all() and (block.w > 0.0).all()
             else:
                 assert block.w is None
 
@@ -136,7 +140,9 @@ class TestSamplePair:
 class TestStreamLayout:
     """sample_block follows its documented recipe, rebuilt here from numpy's
     public API: every seeded output rests on it, so a change of layout (or
-    a numpy release that moves Generator's draws) fails here first."""
+    a numpy release that moves Generator's draws) fails here first.  The
+    recipe draws zero-padded (256, nmax) arrays; a block holds their live
+    entries, row by row."""
 
     @staticmethod
     def rebuild(spec, seed, block):
@@ -163,7 +169,7 @@ class TestStreamLayout:
             b = b * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
         elif spec.constraint is Constraint.DOMINATED_PAIR:
             a, b = np.maximum(a, b), np.minimum(a, b)
-        return {"n": n, "x": a, "y": b, "w": w}
+        return {"n": n, "x": a, "y": b, "w": w}, live
 
     @pytest.mark.parametrize("weights", [False, True], ids=["unweighted", "weighted"])
     @pytest.mark.parametrize("constraint", list(Constraint), ids=lambda c: c.value)
@@ -173,7 +179,10 @@ class TestStreamLayout:
                           density=0.5, weights=weights)
         for seed, b in ((0, 0), (7, 1), (2**64 - 1, 12345), (1, 2**192 - 1)):
             block = search.sample_block(spec, seed, b)
-            for name, want in self.rebuild(spec, seed, b).items():
+            padded, live = self.rebuild(spec, seed, b)
+            flat = {name: a if a is None or name == "n" else a[live] for name, a in padded.items()}
+            flat["off"] = np.concatenate(([0], np.cumsum(padded["n"])))
+            for name, want in flat.items():
                 got = getattr(block, name)
                 moved = f"sample_block(spec, {seed}, {b}).{name} left the documented layout"
                 if want is None:
