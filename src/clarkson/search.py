@@ -1,14 +1,19 @@
 """Seeded randomized verification and extremal search over gap functionals.
 
 Samples come in blocks of _BLOCK pairs.  Block b of seed s (in
-[0, 2^64)) is drawn from a PCG64DXSM stream seeded by numpy's
-SeedSequence(s, spawn_key=(b,)), the b-th child of SeedSequence(s).spawn,
-and sample i is row i % _BLOCK of block i // _BLOCK.  Every sample is
-thus a pure function of (spec, seed, index), so results are
-bit-identical regardless of evaluation order.  A block keeps the
-entries of its rows back to back, with the offset where each row
-begins (SampleBlock), so the batch screen raises and sums the pairs'
-own entries and no padding.
+[0, 2^64)) is drawn from the raw 64-bit words of a PCG64DXSM stream
+seeded by numpy's SeedSequence(s, spawn_key=(b,)), the b-th child of
+SeedSequence(s).spawn, and sample i is row i % _BLOCK of block
+i // _BLOCK.  Every sample is thus a pure function of (spec, seed,
+index), so results are bit-identical regardless of evaluation order.
+sample_block turns the words into values itself, one word a value, with
+integer and exact float operations (floats at a 2^-52 resolution) and
+libm's log1p, and draws words for the live entries of each row only:
+the raw words and SeedSequence are what NEP 19 keeps stable across numpy
+releases, while numpy's Generator may change how it converts them.  A
+block keeps the entries of its rows back to back, with the offset where
+each row begins (SampleBlock), so the batch screen raises and sums the
+pairs' own entries and no padding.
 
 Reductions are min/count only.  An index range is screened with numpy
 first, on each registry entry's batch quantities (the pair norms for
@@ -37,12 +42,12 @@ some overflow.  The extremal descent stops at its first finite score
 there: no later point can score lower.
 
 Sampled entries are valid by construction, and the screen does not
-check them: uniform draws lie in [0, 1), exponential ones are finite
-and >= 0, sparse ones are a uniform draw times a 0/1 mask, signs only
-flip, a dominated pair is the (max, min) of two draws, and weights lie
-in [0.5, 2).  The extremal descent's points stay on the constraint set
-too (a start is a sample, a move is put back on the set, and a positive
-factor keeps both).  The budget or sample count, constraint, weights,
+check them: uniform draws lie in [0, 1), exponential ones in
+[0, 52 log 2] (about 36.04), sparse ones are a uniform draw times a 0/1
+mask, signs only flip, a dominated pair is the (max, min) of two draws,
+and weights lie in [0.5, 2); none is -0.0 unless signed.  The extremal
+descent's points stay on the constraint set too (a start is a sample, a
+move is put back on the set, and a positive factor keeps both).  The budget or sample count, constraint, weights,
 length (cor-1.6: 1-entry pairs) and seed rules are checked once a run,
 before any sample is drawn (each raises DomainError), the exponents
 once a run (a scan: once a cell), and the batch screen, given the
@@ -215,14 +220,15 @@ class SampleBlock:
         return self.x[i:j], self.y[i:j], self.off[lo:hi] - i, w
 
 
-def _draw(rng: np.random.Generator, shape: Tuple[int, int], spec: SampleSpec) -> np.ndarray:
-    if spec.distribution is Distribution.UNIFORM_01:
-        return rng.random(shape)
-    if spec.distribution is Distribution.EXPONENTIAL_1:
-        return rng.standard_exponential(shape)
-    vals = rng.random(shape)
-    mask = rng.random(shape) < spec.density
-    return vals * mask
+def _unit(words: np.ndarray) -> np.ndarray:
+    """words as floats (w >> 12) * 2^-52 in [0, 1), converted in place:
+    1.0's bits with w >> 12 as the fraction are the float 1 + (w >> 12) *
+    2^-52, and subtracting 1.0 from it is exact."""
+    words >>= np.uint64(12)
+    words |= np.uint64(0x3FF0000000000000)
+    u = words.view(np.float64)
+    u -= 1.0
+    return u
 
 
 # Every caller reads blocks in ascending order (scan cells ascend, a
@@ -232,35 +238,73 @@ def _draw(rng: np.random.Generator, shape: Tuple[int, int], spec: SampleSpec) ->
 def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     """Pairs block * _BLOCK ... block * _BLOCK + _BLOCK - 1 of (spec, seed).
 
-    A Generator on PCG64DXSM(SeedSequence(seed, spawn_key=(block,))) draws
-    n by integers, then a, b, the weights and the signs of a and b, each
-    only where spec asks for it and as a (_BLOCK, nmax) array, of whose
-    row r the first n[r] entries are kept.  The entries are valid by
-    construction (see the module docstring), so none is checked.
+    Every value is one 64-bit word w of
+    PCG64DXSM(SeedSequence(seed, spawn_key=(block,))).random_raw, converted
+    here, so a seed gives the same block on any numpy with PCG64DXSM:
+    - the _BLOCK lengths come first, n = lo + ((w >> 32) * (hi - lo + 1)
+      >> 32) for dim_range (lo, hi): Lemire's multiply-shift without its
+      rejection step: each of the r = hi - lo + 1 <= 64 lengths takes
+      floor or ceil of 2^32 / r of the 2^32 values of w >> 32, so its
+      probability is off by less than r / 2^32 <= 2^-26 of itself;
+    - then N = sum(n) words each for x and y, the two sparse masks, the
+      weights and the two signs, each only where spec asks for it; row r
+      takes the entries at off[r]:off[r + 1] of each;
+    - a float u is (w >> 12) * 2^-52, in [0, 1) at a 2^-52 resolution,
+      converted in place (_unit); x and y are u (uniform), -log1p(-u)
+      (exponential, by libm: 0.0 at u = 0 and at most 52 log 2, about
+      36.04), or u times a 0/1 mask that is (w >> 11) < ceil(density *
+      2^53), so 1 with probability density;
+    - weights are 0.5 + 1.5u, in [0.5, 2); a signed entry takes its sign
+      from the top bit of its sign word (set is negative), and a
+      dominated pair is (max, min) of the two draws.
+    The entries are valid by construction (see the module docstring), so
+    none is checked.
     """
     _check_seed(seed)
     # Block 2**192 starts at sample 2**200: a scan that reaches it never ends.
     if not 0 <= block < 2**192:
         raise DomainError(f"sample block must lie in [0, 2**192), got {block}")
-    seq = np.random.SeedSequence(seed, spawn_key=(block,))
-    rng = np.random.Generator(np.random.PCG64DXSM(seq))
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(block,)))
     lo, hi = spec.dim_range
-    shape = (_BLOCK, hi)
-    n = rng.integers(lo, hi + 1, size=_BLOCK)
-    live = np.arange(hi) < n[:, None]
-    a = _draw(rng, shape, spec)[live]
-    b = _draw(rng, shape, spec)[live]
-    w = 0.5 + 1.5 * rng.random(shape)[live] if spec.weights else None
-    if spec.constraint is Constraint.SIGNED:
-        a = a * np.where(rng.random(shape)[live] < 0.5, -1.0, 1.0)
-        b = b * np.where(rng.random(shape)[live] < 0.5, -1.0, 1.0)
-    elif spec.constraint is Constraint.DOMINATED_PAIR:
-        a, b = np.maximum(a, b), np.minimum(a, b)
-    off = np.concatenate(([0], np.cumsum(n)))
-    for arr in (n, off, a, b, w):
+    n = (bits.random_raw(_BLOCK) >> np.uint64(32)).view(np.int64)  # < 2^32
+    n *= hi - lo + 1
+    n >>= 32
+    n += lo
+    off = np.empty(_BLOCK + 1, np.int64)
+    off[0] = 0
+    np.cumsum(n, out=off[1:])
+    signed = spec.constraint is Constraint.SIGNED
+    entries = int(off[-1])
+    # Words in stream order: x and y, the two masks, the weights, the two
+    # signs.  One draw each, so the cached block keeps alive only the
+    # words it holds.
+    xy = _unit(bits.random_raw((2, entries)))
+    if spec.distribution is Distribution.SPARSE:
+        masks = bits.random_raw((2, entries))
+        masks >>= np.uint64(11)
+        xy *= masks < np.uint64(math.ceil(spec.density * 2.0**53))
+    elif spec.distribution is Distribution.EXPONENTIAL_1:
+        # libm's log1p, entry by entry: numpy's SIMD log1p rounds some
+        # values differently on different CPUs.  Negation is exact.
+        xy = -np.fromiter(map(math.log1p, (-xy).ravel().tolist()), np.float64, xy.size)
+        xy = xy.reshape(2, entries)
+    w = None
+    if spec.weights:
+        w = _unit(bits.random_raw(entries))
+        w *= 1.5
+        w += 0.5
+    if signed:
+        signs = bits.random_raw((2, entries))
+        signs &= np.uint64(1 << 63)  # a float's sign bit
+        xy_bits = xy.view(np.uint64)
+        xy_bits |= signs
+    x, y = xy
+    if spec.constraint is Constraint.DOMINATED_PAIR:
+        x, y = np.maximum(x, y), np.minimum(x, y)
+    for arr in (n, off, x, y, w):
         if arr is not None:
             arr.flags.writeable = False
-    return SampleBlock(n, off, a, b, w, spec.constraint is Constraint.SIGNED)
+    return SampleBlock(n, off, x, y, w, signed)
 
 
 def sample_pair(

@@ -385,7 +385,7 @@ def test_overflowing_identity_cell_raises_at_the_all_scalar_pair(monkeypatch):
     search evaluates no pair with a finite batch gap past the first."""
     spec = SampleSpec(dim_range=(1, 64), distribution=Distribution.EXPONENTIAL_1)
     id, exps = InequalityId.REARR_GAIN_217, (300.0, 300.0)
-    seed = SEED + 4  # the first seed from SEED on with an overflow in its first BUDGET pairs
+    seed = SEED + 1  # the first seed from SEED on with an overflow in its first BUDGET pairs
     for raised in range(BUDGET):  # the all-scalar loop, up to the pair it stops at
         x, y, _ = sample_pair(spec, seed, raised)
         try:
@@ -416,7 +416,7 @@ def test_overflowing_identity_cell_raises_at_the_all_scalar_pair(monkeypatch):
 # of the first lies in its second block for main-1.7 at (2.5, 3.7), and
 # that of the second in its third block for rearr-2.17 at (2, 3) on
 # LONG_SPARSE (both checked below).
-MID_BLOCK_RANGES = (range(769, 769 + 3 * _BLOCK + 40), range(598, 598 + 3 * _BLOCK + 40))
+MID_BLOCK_RANGES = (range(769, 769 + 3 * _BLOCK + 40), range(900, 900 + 3 * _BLOCK + 40))
 
 
 @pytest.mark.parametrize("id, constraint", cases())
@@ -601,9 +601,9 @@ def padded_quantities(id, x, y, w, p, q):
 # cor-1.6 raises no power sums: its quantities are the entries themselves.
 @pytest.mark.parametrize("id", [id for id in BATCH_IDS if id is not COR], ids=lambda id: id.value)
 def test_masked_and_dense_batch_gaps_are_equal(id):
-    """A block holds its live entries alone, the ones the mask of its
-    zero-padded (B, nmax) draw keeps.  Raised, they give bit for bit the
-    live terms of the padded rows, whose padding raises to +0.0; and the
+    """A block holds its live entries alone.  Raised, they give bit for bit
+    the live terms of the same rows zero-padded to (B, nmax), as the batch
+    kernels once took them, whose padding raises to +0.0; and the
     batch gaps lie within the screen margin of the padded formula (every
     entry raised, numpy's row sums) wherever both are finite."""
     nmax = 40

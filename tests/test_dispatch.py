@@ -7,11 +7,15 @@ must be the same on both.  The counterexample search and the scan screen
 each block with numpy's ``power``, whose rounding then moves the batch
 gaps, but every printed verdict, gap and witness comes from the scalar
 path, and the screen's margin covers both kernels, so what they print is
-the same too.  Each command below runs twice in a fresh interpreter: as
-the machine dispatches, and with ``NPY_DISABLE_CPU_FEATURES=X86_V4``,
-which makes numpy fall back to its AVX2 kernels.  numpy ignores a feature
-name the CPU lacks, so on a machine without AVX-512 both runs take the
-same kernels and this test passes without testing anything; CI's
+the same too.  Sampling converts words to values in repo code, and its
+exponential draws take libm's ``log1p`` per entry: numpy's SIMD
+``log1p`` rounds some values differently, which would move the
+exponential search's witness.  Each command below runs twice in a fresh
+interpreter: as the machine dispatches, and with
+``NPY_DISABLE_CPU_FEATURES=X86_V4``, which makes numpy fall back to its
+AVX2 kernels.  numpy ignores a feature name the CPU lacks, so on a
+machine without AVX-512 both runs take the same kernels and this test
+passes without testing anything; CI's
 ``numpy.show_runtime()`` step lists the level a runner dispatched to.
 """
 
@@ -49,6 +53,13 @@ COMMANDS = [
         ["search", "--ineq", "main-1.7", "--p", "2.5", "--q", "3.7", "--nmin", "1",
          "--nmax", "16", "--dist", "uniform", "--budget", "4000", "--seed", "1"],
         id="counterexample main-1.7 at p 2.5",
+    ),
+    pytest.param(
+        # 16-entry pairs: the witness holds 32 exponential draws
+        ["search", "--ineq", "main-1.7", "--p", "2.5", "--q", "3.7", "--nmin", "16",
+         "--nmax", "16", "--dist", "exponential", "--constraint", "signed", "--budget", "2000",
+         "--seed", "3"],
+        id="signed exponential counterexample main-1.7",
     ),
     pytest.param(
         ["scan", "--ineq", "rearr-2.17", "--p-grid", "2.5:3.5:1", "--q-grid", "4:6:1",

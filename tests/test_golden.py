@@ -37,7 +37,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 500\n"
             "seed: 4\n"
-            "best_normalized_gap: 9.598855043720125e-11\n"
+            "best_normalized_gap: 0.0\n"
             "best_verdict: borderline\n"
         ),
         None,
@@ -53,7 +53,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 4000\n"
             "seed: 1\n"
-            "best_normalized_gap: -4.440892098500626e-16\n"
+            "best_normalized_gap: -4.440892098500628e-16\n"
             "best_verdict: borderline\n"
         ),
         _pinned("extremal-descent-seed-1-witness.json"),
@@ -72,7 +72,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 4000\n"
             "seed: 2\n"
-            "best_normalized_gap: -2.2204460492503146e-16\n"
+            "best_normalized_gap: -6.661338147750939e-16\n"
             "best_verdict: borderline\n"
         ),
         _pinned("extremal-prop-1.4-dominated-witness.json"),
@@ -108,7 +108,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 4000\n"
             "seed: 2\n"
-            "best_normalized_gap: -2.220446049250313e-16\n"
+            "best_normalized_gap: -3.3306690738754696e-16\n"
             "best_verdict: borderline\n"
         ),
         _pinned("extremal-main-1.7-signed-witness.json"),
@@ -125,7 +125,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 300\n"
             "seed: 1\n"
-            "best_normalized_gap: 1.80433445961958e-12\n"
+            "best_normalized_gap: 2.2870594307277975e-14\n"
             "best_verdict: borderline\n"
         ),
         None,
@@ -142,8 +142,8 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 400\n"
             "seed: 2\n"
-            "best_normalized_gap: 1.2616374610142642e-10\n"
-            "best_verdict: borderline\n"
+            "best_normalized_gap: 8.722705998796065e-08\n"
+            "best_verdict: holds\n"
         ),
         None,
         id="signed extremal main-1.7",
@@ -158,8 +158,8 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 400\n"
             "seed: 6\n"
-            "best_normalized_gap: 1.694311357877581e-12\n"
-            "best_verdict: borderline\n"
+            "best_normalized_gap: 1.0847178699038299e-09\n"
+            "best_verdict: holds\n"
         ),
         None,
         id="signed extremal c-1.1",
@@ -174,8 +174,8 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 300\n"
             "seed: 9\n"
-            "best_normalized_gap: 1.7435275608686547e-05\n"
-            "best_verdict: holds\n"
+            "best_normalized_gap: 2.1938073575161804e-10\n"
+            "best_verdict: borderline\n"
         ),
         _pinned("extremal-main-1.7-witness.json"),
         id="extremal main-1.7 with a witness file",
@@ -240,7 +240,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 1000\n"
             "seed: 3\n"
-            "best_normalized_gap: 0.0002887299301053414\n"
+            "best_normalized_gap: 5.529259009567911e-06\n"
             "best_verdict: holds\n"
         ),
         (
@@ -248,10 +248,10 @@ GOLDEN = [
             '  "pairs": [\n'
             "    {\n"
             '      "x": [\n'
-            "        0.4327731944759269\n"
+            "        0.4997140727535043\n"
             "      ],\n"
             '      "y": [\n'
-            "        0.010957513841688638\n"
+            "        0.0013416495077382962\n"
             "      ],\n"
             '      "w": null\n'
             "    }\n"
@@ -273,7 +273,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 500\n"
             "seed: 2\n"
-            "best_normalized_gap: 0.018058008475485176\n"
+            "best_normalized_gap: 0.008072829781438418\n"
             "best_verdict: holds\n"
         ),
         (
@@ -281,16 +281,16 @@ GOLDEN = [
             '  "pairs": [\n'
             "    {\n"
             '      "x": [\n'
-            "        0.7599704926300773,\n"
-            "        0.6981359450329625\n"
+            "        0.387210330229806,\n"
+            "        0.46608944006181985\n"
             "      ],\n"
             '      "y": [\n'
-            "        0.010263708720185116,\n"
-            "        0.11810890659972184\n"
+            "        0.07047913539454909,\n"
+            "        0.024771111929433598\n"
             "      ],\n"
             '      "w": [\n'
-            "        1.2355563286811495,\n"
-            "        0.5419943198943762\n"
+            "        0.6007469818541277,\n"
+            "        0.7613256806998838\n"
             "      ]\n"
             "    }\n"
             "  ],\n"
@@ -311,9 +311,9 @@ GOLDEN = [
         (
             "ineq_id,p,q,n_samples,min_normalized_gap,violations,seed\n"
             "rearr-2.17,2.0,2.0,40,0.0,0,5\n"
-            "rearr-2.17,2.0,3.0,40,0.021586004483673676,0,5\n"
+            "rearr-2.17,2.0,3.0,40,0.016508601995228505,0,5\n"
             "rearr-2.17,2.5,2.0,0,skipped,0,5\n"
-            "rearr-2.17,2.5,3.0,40,0.0,0,5\n"
+            "rearr-2.17,2.5,3.0,40,0.002312877307248972,0,5\n"
             "rearr-2.17,3.0,2.0,0,skipped,0,5\n"
             "rearr-2.17,3.0,3.0,40,0.0,0,5\n"
         ),
@@ -343,7 +343,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 4000\n"
             "seed: 0\n"
-            "best_normalized_gap: 4.216469672303166e-05\n"
+            "best_normalized_gap: 1.1815731948278119e-06\n"
             "best_verdict: holds\n"
         ),
         _pinned("search-small-n-witness.json"),
@@ -359,7 +359,7 @@ GOLDEN = [
             "status: no-violation\n"
             "evaluations: 4000\n"
             "seed: 0\n"
-            "best_normalized_gap: 5.989090932825153e-09\n"
+            "best_normalized_gap: 5.1332219364041975e-08\n"
             "best_verdict: holds\n"
         ),
         (
@@ -367,10 +367,10 @@ GOLDEN = [
             '  "pairs": [\n'
             "    {\n"
             '      "x": [\n'
-            "        0.11658107250481631\n"
+            "        0.7517441006917227\n"
             "      ],\n"
             '      "y": [\n'
-            "        9.255625363879805e-05\n"
+            "        0.00010668538456770627\n"
             "      ],\n"
             '      "w": null\n'
             "    }\n"
@@ -393,12 +393,12 @@ GOLDEN = [
             "ineq_id,p,q,n_samples,min_normalized_gap,violations,seed\n"
             "cor-1.6,2.0,1.0,0,skipped,0,3\n"
             "cor-1.6,2.0,1.5,0,skipped,0,3\n"
-            "cor-1.6,2.0,2.0,300,-3.6030697625113624e-16,0,3\n"
-            "cor-1.6,2.0,2.5,300,7.393294248177543e-07,0,3\n"
-            "cor-1.6,2.0,3.0,300,2.3910246512080747e-06,0,3\n"
-            "cor-1.6,2.0,3.5,300,1.6304636274831188e-05,0,3\n"
-            "cor-1.6,2.0,4.0,300,1.4097224602666582e-06,0,3\n"
-            "cor-1.6,2.0,4.5,300,2.761979028505527e-08,0,3\n"
+            "cor-1.6,2.0,2.0,300,-2.163512654850665e-16,0,3\n"
+            "cor-1.6,2.0,2.5,300,4.617543058915707e-06,0,3\n"
+            "cor-1.6,2.0,3.0,300,4.6150372436172977e-07,0,3\n"
+            "cor-1.6,2.0,3.5,300,2.740941721896266e-05,0,3\n"
+            "cor-1.6,2.0,4.0,300,1.2415767489188355e-05,0,3\n"
+            "cor-1.6,2.0,4.5,300,1.6163537413013397e-07,0,3\n"
         ),
         None,
         # q < 2 is outside the regime; cells 2 to 7 cross block boundaries.

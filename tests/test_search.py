@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 from collections import Counter, OrderedDict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,64 +113,96 @@ class TestSamplePair:
     @pytest.mark.parametrize("constraint", list(Constraint), ids=lambda c: c.value)
     @pytest.mark.parametrize("dist", list(Distribution), ids=lambda d: d.value)
     def test_blocks_are_valid_by_construction(self, dist, constraint, weights):
-        """sample_block checks nothing, so every block must meet the rules the
-        vector constructors check: finite entries, no negatives unless
-        signed, x >= y when dominated, positive weights, and row offsets
-        that give each row n entries in range."""
+        """sample_block checks nothing, and neither does the batch screen, so
+        every block must meet the rules the vector constructors check, and
+        the ranges the documented recipe promises: finite entries, no
+        negative and no -0.0 unless signed, uniform and sparse magnitudes
+        in [0, 1) and exponential ones at most 52 log 2 (about 36.04),
+        x >= y when dominated, weights in [0.5, 2), row offsets that give
+        each row n entries in range, and every length of dim_range
+        reached.  A sparse entry is 0 with probability 1 - density: its
+        zero share lies within 5 sigma of that, and at density 1.0 no
+        entry is 0."""
         spec = SampleSpec(dim_range=(1, 64), distribution=dist, constraint=constraint,
                           density=0.5, weights=weights)
+        lengths = set()
+        zeros = drawn = 0
         for seed, b in ((0, 0), (7, 1), (2**64 - 1, 12345)):
+            if dist is Distribution.SPARSE:
+                full = search.sample_block(dataclasses.replace(spec, density=1.0), seed, b)
+                assert (full.x != 0.0).all() and (full.y != 0.0).all()
             block = search.sample_block(spec, seed, b)
+            zeros += int((block.x == 0.0).sum() + (block.y == 0.0).sum())
+            drawn += 2 * block.x.size
             assert block.n.shape == (256,) and ((1 <= block.n) & (block.n <= 64)).all()
+            lengths.update(block.n.tolist())
             assert block.off.shape == (257,) and block.off[0] == 0
             assert (np.diff(block.off) == block.n).all()
             entries = (int(block.off[-1]),)
             assert block.x.shape == block.y.shape == entries
-            assert np.isfinite(block.x).all() and np.isfinite(block.y).all()
-            if constraint is not Constraint.SIGNED:
-                assert (block.x >= 0.0).all() and (block.y >= 0.0).all()
+            for v in (block.x, block.y):
+                assert np.isfinite(v).all()
+                if constraint is not Constraint.SIGNED:
+                    assert not np.signbit(v).any()
+                if dist is Distribution.EXPONENTIAL_1:
+                    assert (abs(v) <= 36.05).all()
+                else:
+                    assert (abs(v) < 1.0).all()
             if constraint is Constraint.DOMINATED_PAIR:
                 assert (block.x >= block.y).all()
             if weights:
                 assert block.w.shape == entries
-                assert np.isfinite(block.w).all() and (block.w > 0.0).all()
+                assert ((0.5 <= block.w) & (block.w < 2.0)).all()
             else:
                 assert block.w is None
+        assert lengths == set(range(1, 65))
+        if dist is Distribution.SPARSE:
+            assert abs(zeros / drawn - 0.5) <= 5.0 * math.sqrt(0.25 / drawn)
 
 
 class TestStreamLayout:
-    """sample_block follows its documented recipe, rebuilt here from numpy's
-    public API: every seeded output rests on it, so a change of layout (or
-    a numpy release that moves Generator's draws) fails here first.  The
-    recipe draws zero-padded (256, nmax) arrays; a block holds their live
-    entries, row by row."""
+    """sample_block follows its documented recipe, rebuilt here word by word
+    from PCG64DXSM's raw output in plain Python ints: every seeded output
+    rests on it, so a change of layout fails here first.  A float is
+    (w >> 12) * 2^-52, computed independently of sample_block's bit
+    conversion, so a CPU or numpy on which that conversion differs fails
+    here too; the raw words and SeedSequence are what NEP 19 keeps stable
+    across numpy releases."""
 
     @staticmethod
     def rebuild(spec, seed, block):
-        seq = np.random.SeedSequence(seed, spawn_key=(block,))
-        rng = np.random.Generator(np.random.PCG64DXSM(seq))
+        bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(block,)))
         lo, hi = spec.dim_range
-        shape = (256, hi)
-        n = rng.integers(lo, hi + 1, size=256)
-        live = np.arange(hi) < n[:, None]
+        n = [lo + ((w >> 32) * (hi - lo + 1) >> 32) for w in bits.random_raw(256).tolist()]
 
-        def draw():
-            if spec.distribution is Distribution.UNIFORM_01:
-                return rng.random(shape)
-            if spec.distribution is Distribution.EXPONENTIAL_1:
-                return rng.standard_exponential(shape)
-            vals = rng.random(shape)
-            return vals * (rng.random(shape) < spec.density)
+        def words():  # the next sum(n) words, one per entry
+            return bits.random_raw(sum(n)).tolist()
 
-        a = np.where(live, draw(), 0.0)
-        b = np.where(live, draw(), 0.0)
-        w = np.where(live, 0.5 + 1.5 * rng.random(shape), 0.0) if spec.weights else None
+        def unit(w):
+            return (w >> 12) * 2.0**-52
+
+        x = [unit(w) for w in words()]
+        y = [unit(w) for w in words()]
+        if spec.distribution is Distribution.SPARSE:
+            cut = math.ceil(Fraction(spec.density) * 2**53)
+            x = [u if w >> 11 < cut else 0.0 for u, w in zip(x, words())]
+            y = [u if w >> 11 < cut else 0.0 for u, w in zip(y, words())]
+        elif spec.distribution is Distribution.EXPONENTIAL_1:
+            x = [-math.log1p(-u) for u in x]
+            y = [-math.log1p(-u) for u in y]
+        w = [0.5 + 1.5 * unit(v) for v in words()] if spec.weights else None
         if spec.constraint is Constraint.SIGNED:
-            a = a * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-            b = b * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+            x = [-u if s >> 63 else u for u, s in zip(x, words())]
+            y = [-u if s >> 63 else u for u, s in zip(y, words())]
         elif spec.constraint is Constraint.DOMINATED_PAIR:
-            a, b = np.maximum(a, b), np.minimum(a, b)
-        return {"n": n, "x": a, "y": b, "w": w}, live
+            x, y = [max(a, b) for a, b in zip(x, y)], [min(a, b) for a, b in zip(x, y)]
+        return {
+            "n": np.array(n, dtype=np.int64),
+            "off": np.array([0, *itertools.accumulate(n)], dtype=np.int64),
+            "x": np.array(x),
+            "y": np.array(y),
+            "w": None if w is None else np.array(w),
+        }
 
     @pytest.mark.parametrize("weights", [False, True], ids=["unweighted", "weighted"])
     @pytest.mark.parametrize("constraint", list(Constraint), ids=lambda c: c.value)
@@ -179,10 +212,7 @@ class TestStreamLayout:
                           density=0.5, weights=weights)
         for seed, b in ((0, 0), (7, 1), (2**64 - 1, 12345), (1, 2**192 - 1)):
             block = search.sample_block(spec, seed, b)
-            padded, live = self.rebuild(spec, seed, b)
-            flat = {name: a if a is None or name == "n" else a[live] for name, a in padded.items()}
-            flat["off"] = np.concatenate(([0], np.cumsum(padded["n"])))
-            for name, want in flat.items():
+            for name, want in self.rebuild(spec, seed, b).items():
                 got = getattr(block, name)
                 moved = f"sample_block(spec, {seed}, {b}).{name} left the documented layout"
                 if want is None:
