@@ -97,10 +97,17 @@ def classify(gap: float, scale: float, policy: TolerancePolicy = DEFAULT_POLICY)
 
     Equality cases (e.g. y = 0) sit exactly at gap 0 and must not be
     reported as violations under roundoff, hence the borderline band.
+    The normalized gap gap / scale is tested, the quantity the search's
+    screen bounds: rel_tol * scale would underflow to 0 for a subnormal
+    scale, and an exact zero gap would then hold.  scale must be positive
+    and finite.
     """
-    if gap >= policy.rel_tol * scale:
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"scale must be positive and finite, got {scale!r}")
+    ng = gap / scale
+    if ng >= policy.rel_tol:
         return _HOLDS
-    if gap <= -policy.borderline_band * scale:
+    if ng <= -policy.borderline_band:
         return _VIOLATED
     return _BORDERLINE
 

@@ -21,7 +21,7 @@ catalog's re-paired sums, from ``map`` over C-level callables
 (``operator.mul`` on the p = 2, 3, 4 fast paths, builtin ``pow``
 otherwise), so ``math.fsum`` reads them without a list.
 ``_trusted_pair`` wraps floats in a pair of vectors without
-checking them; its one caller is the extremal descent's ``score``, which
+checking them; its one caller is the extremal descent's ``gap``, which
 wraps the halves of the tuple ``search._project`` returned.  Sampled
 pairs and their weights are built by the public constructors.  Every
 check here raises DomainError.
@@ -77,7 +77,7 @@ class RealVector:
     def _trusted_pair(cls, x: tuple[float, ...], y: tuple[float, ...]):
         """Two vectors on tuples of floats already valid for cls; nothing is checked.
 
-        Only the extremal descent calls this, on every point it scores,
+        Only the extremal descent calls this, on every point it evaluates,
         which lies on the constraint set by construction.  Checking would
         cost about five times as much: for a pair at n = 8 the checking
         constructors take 3.3-3.6 us, against 0.6 us here (Python 3.11.7

@@ -64,17 +64,21 @@ and for dominated pairs first re-pairs it with its partner as (max,
 min); the rest of z is on the set already.  _project then divides the
 candidate by its norm, taken by core._p_norm, the kernel evaluate takes
 its norms with; math.fsum rounds that sum correctly, so the descent's
-path does not depend on the CPU or the numpy version.  score splits z
-into x = z[:n] and y = z[n:].  A move the clamp undoes (a coordinate at
-0 pushed by -step) gives back z, whose projection is scored instead: one
-projected copy per current point, reused by every such move.  A start's
-last 8n distinct points scored are kept with their gaps (None for a
-non-finite one), keyed by the tuple itself, and a point among them is
-not evaluated again: the projected copy of z is scored at each undone
-move.  The repeat still counts one evaluation toward the budget, and
-its gap is the first visit's, which has already been recorded, so no
-output changes.  A -0.0 key equals a 0.0 key; both points have the same
-norms, and so the same gap.
+path does not depend on the CPU or the numpy version.  gap splits z
+into x = z[:n] and y = z[n:].
+
+Each start keeps two functools.lru_cache caches of 8n entries: project,
+keyed by the candidate _move returns, and scored, keyed by the projected
+point, which holds the point's gap, report and vectors (None for a
+non-finite gap).  A move the clamp undoes (a coordinate at 0 pushed by
+-step) returns a copy equal to z, and a step forward and back on one
+coordinate often lands on an earlier candidate bit for bit, so both
+caches hit.  A repeat still counts one evaluation toward the budget, and
+it changes no output: its gap is the first visit's, which is no lower
+than the start's current gap or the best one (both only fall, and only
+on a strictly lower gap), and a violation was recorded at the first
+visit.  A -0.0 key equals a 0.0 key; both points have the same norms,
+and so the same gap.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections import OrderedDict
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
@@ -167,6 +171,8 @@ class SampleSpec:
 
     def __post_init__(self):
         lo, hi = self.dim_range
+        _check_integer("each dim_range entry", lo)
+        _check_integer("each dim_range entry", hi)
         if not (1 <= lo <= hi <= 64):
             raise DomainError(f"dim_range must satisfy 1 <= lo <= hi <= 64, got {self.dim_range}")
         if not (0.0 < self.density <= 1.0):
@@ -314,13 +320,24 @@ def sample_pair(
     return sample_block(spec, seed, index // _BLOCK).pair(index % _BLOCK)
 
 
+def _check_integer(name: str, value) -> None:
+    """DomainError unless value is an integer (int, or a numpy integer:
+    whatever operator.index takes), as numpy and range require."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed: int) -> None:
+    _check_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def _check_run(id: InequalityId, spec: SampleSpec, seed: int, budget: int = 0):
     """id's entry, once the budget, constraint, weights, length and seed rules pass, in order."""
+    _check_integer("budget", budget)
     if budget < 0:
         raise DomainError(f"budget must be nonnegative, got {budget}")
     entry = REGISTRY[id]
@@ -434,29 +451,24 @@ def counterexample_search(
 
 def _move(
     z: Tuple[float, ...], n: int, i: int, delta: float, constraint: Constraint
-) -> Optional[Tuple[float, ...]]:
+) -> Tuple[float, ...]:
     """A copy of z = (x, y), x = z[:n], with z[i] moved by delta and put
-    back on the constraint set; None when that gives back z bit for bit.
+    back on the constraint set; a copy equal to z when the clamp undoes
+    the move.
 
     z lies on the set, so only the moved coordinate is clamped at 0 (not
     for SIGNED), after DOMINATED_PAIR re-pairs it with its partner as
     (max, min): the whole-vector clamp and re-pairing would leave
-    every other coordinate as it is.  Under those two constraints z holds
-    no -0.0 (sample_block's entries and the clamp's 0.0 are +0.0), so
-    equal values are equal bits.
+    every other coordinate as it is.
     """
     v = z[i] + delta
     if constraint is Constraint.DOMINATED_PAIR:
         j = i % n
         a, b = (v, z[n + j]) if i < n else (z[j], v)
         u, w = max(a, b, 0.0), max(min(a, b), 0.0)
-        if u == z[j] and w == z[n + j]:
-            return None
         return z[:j] + (u,) + z[j + 1:n + j] + (w,) + z[n + j + 1:]
     if constraint is Constraint.NONNEGATIVE:
         v = max(v, 0.0)
-        if v == z[i]:
-            return None
     return z[:i] + (v,) + z[i + 1:]
 
 
@@ -509,47 +521,48 @@ def extremal_search(
     # Every point scored is finite, and clamped and dominated as spec requires.
     vec = RealVector if spec.constraint is Constraint.SIGNED else NonnegVector
 
-    def score(z: Tuple[float, ...]) -> Optional[float]:
-        """Return the normalized gap of z, a projected point; None when
-        the budget is spent or the gap is not finite.  Records the best
-        point seen.  A point still in memo, the start's last 8n distinct
-        points scored, counts one evaluation and takes the gap of its
-        first visit, which has already been recorded."""
-        nonlocal evals, violated, best
-        if evals >= budget:
-            return None
-        evals += 1
-        if z in memo:
-            memo.move_to_end(z)
-            return memo[z]
+    def gap(z: Tuple[float, ...]):
+        """(ng, rep, x, y) for z, a projected point: its normalized gap,
+        report and vectors; all None when the gap is not finite."""
         x, y = vec._trusted_pair(z[:n], z[n:])
         try:
             rep = evaluate(id, x, y, p, q, None, policy)
         except NonFiniteGap:
-            ng = None
-        else:
+            return None, None, None, None
+        return rep.gap / rep.scale, rep, x, y
+
+    def score(cand: Tuple[float, ...]) -> Tuple[Optional[Tuple[float, ...]], Optional[float]]:
+        """(z, ng): cand projected, and z's normalized gap; ng is None when
+        the budget is spent, or z or its gap is not finite.  Records the
+        best point seen.  A candidate still in project, or a point still
+        in scored (a start's last 8n of each), is not projected or
+        evaluated again; a repeat still counts one evaluation."""
+        nonlocal evals, violated, best
+        if evals >= budget:
+            return None, None
+        z = project(cand)
+        if z is None:
+            return None, None
+        evals += 1
+        ng, rep, x, y = scored(z)
+        if ng is not None:
             if rep.verdict is _VIOLATED:
                 violated = True
-            ng = rep.gap / rep.scale
             if ng < best[0]:
                 best = (ng, rep, (x, y, p, q, None))
-        memo[z] = ng
-        if len(memo) > 8 * n:
-            memo.popitem(last=False)
-        return ng
+        return z, ng
 
     for s in range(_STARTS):
         if evals >= budget:
             break
         x0, y0, _ = sample_pair(spec, seed, s)
         n = len(x0)
-        memo: OrderedDict = OrderedDict()
+        project = functools.lru_cache(8 * n)(lambda z: _project(z, p))
+        scored = functools.lru_cache(8 * n)(gap)
         # A sample is on the constraint set by construction.
-        z = _project(x0.entries + y0.entries, p)
-        cur_ng = None if z is None else score(z)
+        z, cur_ng = score(x0.entries + y0.entries)
         if identity and cur_ng is not None:
             break
-        z_again = None  # z projected once more, for the moves the clamp undoes
         step = _INITIAL_STEP
         while cur_ng is not None and step >= _MIN_STEP and evals < budget:
             # Sweep x (z[:n]), then y.  An accepted move goes on from the
@@ -560,18 +573,9 @@ def extremal_search(
                 if i == n and improved:
                     break
                 for delta in (step, -step):
-                    cand = _move(z, n, i, delta, spec.constraint)
-                    if cand is None:
-                        if z_again is None:
-                            z_again = _project(z, p)  # z has norm 1: this succeeds
-                        cand = z_again
-                    else:
-                        cand = _project(cand, p)
-                        if cand is None:
-                            continue
-                    ng = score(cand)
+                    cand, ng = score(_move(z, n, i, delta, spec.constraint))
                     if ng is not None and ng < cur_ng:
-                        z, cur_ng, improved, z_again = cand, ng, True, None
+                        z, cur_ng, improved = cand, ng, True
                         break
             if not improved:
                 step *= 0.5
@@ -604,6 +608,7 @@ def scan_grid(
     raises) are kept in the output, marked skipped.  Sample streams are
     keyed by cell index so results do not depend on grid iteration order.
     """
+    _check_integer("samples_per_cell", samples_per_cell)
     if samples_per_cell < 1:
         raise DomainError(f"samples_per_cell must be at least 1, got {samples_per_cell}")
     if not p_grid or not q_grid:

@@ -75,6 +75,19 @@ class TestVerdict:
     def test_clear_violation(self):
         assert classify(-1.0, 1.0, POLICY) is Verdict.VIOLATED
 
+    def test_zero_gap_on_a_subnormal_scale_is_borderline(self):
+        """sumpow-2.12 at x = (1e-126,), y = (0,) has both sides 1e-315 and
+        gap 0.0; rel_tol * 1e-315 underflows to 0, which made it a hold."""
+        assert classify(0.0, 1e-315, POLICY) is Verdict.BORDERLINE
+        assert classify(1e-320, 1e-315, POLICY) is Verdict.HOLDS
+        assert classify(-1e-320, 1e-315, POLICY) is Verdict.VIOLATED
+
+    @pytest.mark.parametrize("scale", [0.0, -0.0, -1.0, math.inf, math.nan])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(DomainError) as info:
+            classify(0.0, scale, POLICY)
+        assert str(info.value) == f"scale must be positive and finite, got {scale!r}"
+
     @pytest.mark.parametrize("rel_tol, band", [
         (0.0, 1e-7), (math.nan, 1e-7), (1e-9, 1e-12), (1e-9, math.inf), (1e-9, math.nan),
     ])

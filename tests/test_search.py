@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import re
-from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -377,68 +376,70 @@ class TestExtremalSearch:
     def test_revisited_points_are_evaluated_once(self, id, p, q, spec, seed, monkeypatch):
         """At the full budget of 4000 the small steps revisit points.  No
         point is evaluated again while it is among its start's last 8n
-        scored points, and a revisit still counts as an evaluation."""
+        scored points, and a revisit still counts as an evaluation.  The
+        points scored are the start's pair and each move's candidate,
+        projected, while the budget lasts; a candidate with no projection
+        is not scored."""
         events = []
-        real_evaluate, real_sample = search.evaluate, search.sample_pair
+        real_evaluate, real_move, real_sample = search.evaluate, search._move, search.sample_pair
 
-        class Memo(OrderedDict):
-            """score looks up the key of each point it scores here."""
+        def evaluating(id, x, y, *args, **kwargs):
+            events.append(("evaluate", x.entries + y.entries))
+            return real_evaluate(id, x, y, *args, **kwargs)
 
-            def __contains__(self, key):
-                events.append(("point", len(key) // 2, key))  # the point (x, y)
-                return super().__contains__(key)
-
-        def evaluating(*args, **kwargs):
-            events.append(("evaluate",))
-            return real_evaluate(*args, **kwargs)
+        def moving(*args):
+            cand = real_move(*args)
+            events.append(("candidate", cand))
+            return cand
 
         def starting(*args):
-            events.append(("start",))
-            return real_sample(*args)
+            x, y, w = real_sample(*args)
+            events.append(("start", x.entries + y.entries))
+            return x, y, w
 
-        monkeypatch.setattr(search, "OrderedDict", Memo)
         monkeypatch.setattr(search, "evaluate", evaluating)
+        monkeypatch.setattr(search, "_move", moving)
         monkeypatch.setattr(search, "sample_pair", starting)
         out = extremal_search(id, p, q, spec, 4000, seed=seed)
         assert out.evaluations == 4000
-        # score takes a key only within the budget, so every point seen
-        # here is scored.
         scored, points, calls = [], 0, 0
-        for i, event in enumerate(events):
-            if event[0] == "start":
-                scored = []
-            elif event[0] == "evaluate":
+        for i, (kind, z) in enumerate(events):
+            if kind == "evaluate":
                 calls += 1
-            elif points < out.evaluations:
-                points += 1
-                _, n, key = event
-                if i + 1 < len(events) and events[i + 1][0] == "evaluate":
-                    assert key not in scored[-8 * n:]
-                scored.append(key)
+                continue
+            if kind == "start":
+                scored = []
+            z = search._project(z, p)
+            if z is None or points == out.evaluations:
+                continue
+            points += 1
+            if i + 1 < len(events) and events[i + 1][0] == "evaluate":
+                assert events[i + 1][1] == z
+                assert z not in scored[-4 * len(z):]  # 8n, z has 2n entries
+            scored.append(z)
         assert points == out.evaluations
         assert calls < out.evaluations
 
-    def test_current_point_is_projected_at_most_once(self, monkeypatch):
-        """On the extremal-descent flags, the moves the clamp undoes all
-        score one projected copy of the current point: a point that is
-        neither a start nor a move's candidate is projected at most once
-        a start."""
-        starts, moved, copies = [], [None], Counter()
+    def test_no_candidate_is_projected_twice_while_recent(self, monkeypatch):
+        """On the extremal-descent flags, a candidate (a start's pair or a
+        move's result) is not projected again while it is among its
+        start's last 8n candidates: a move the clamp undoes gives back the
+        current point, and a step forward and back on one coordinate often
+        gives back an earlier candidate bit for bit."""
+        events = []
         real_project, real_move, real_sample = search._project, search._move, search.sample_pair
 
         def projecting(z, *args):
-            if starts[-1] is None:  # the first point projected since sampling
-                starts[-1] = z
-            elif z is not moved[0]:
-                copies[len(starts), z] += 1
+            events.append(("project", z))
             return real_project(z, *args)
 
         def moving(*args):
-            moved[0] = real_move(*args)
-            return moved[0]
+            cand = real_move(*args)
+            events.append(("candidate", cand))
+            return cand
 
         def starting(*args):
-            starts.append(None)
+            events.append(("start", None))
             return real_sample(*args)
 
         monkeypatch.setattr(search, "_project", projecting)
@@ -447,7 +448,19 @@ class TestExtremalSearch:
         out = extremal_search(InequalityId.MAIN_17, 2.0, 4.0, SampleSpec(dim_range=(8, 8)),
                               4000, seed=1)
         assert out.evaluations == 4000
-        assert copies and max(copies.values()) == 1
+        candidates, projections = [], 0
+        for kind, z in events:
+            if kind == "start":
+                candidates = []
+            elif kind == "candidate":
+                candidates.append(z)
+            else:
+                projections += 1
+                if candidates and candidates[-1] is z:  # a move's candidate
+                    candidates.pop()
+                assert z not in candidates[-4 * len(z):]  # 8n, z has 2n entries
+                candidates.append(z)
+        assert projections < out.evaluations
 
     @pytest.mark.parametrize("id, p, q, constraint", [
         (InequalityId.REARR_GAIN_217, 2.0, 2.0, Constraint.NONNEGATIVE),
@@ -501,7 +514,7 @@ class TestMove:
 
     def test_nonnegative(self):
         z = (0.0, 0.5, 0.3, 0.2)
-        assert search._move(z, 2, 0, -0.1, Constraint.NONNEGATIVE) is None
+        assert search._move(z, 2, 0, -0.1, Constraint.NONNEGATIVE) == z  # the clamp undoes it
         assert search._move(z, 2, 1, -0.6, Constraint.NONNEGATIVE) == (0.0, 0.0, 0.3, 0.2)
         assert search._move(z, 2, 0, 0.1, Constraint.NONNEGATIVE) == (0.1, 0.5, 0.3, 0.2)
 
@@ -515,7 +528,7 @@ class TestMove:
         assert move(0, -0.375) == (0.25, 0.0, 0.125, 0.0)  # x_0 below y_0: swapped
         assert move(2, -0.5) == (0.5, 0.0, 0.0, 0.0)
         assert move(2, 0.5) == (0.75, 0.0, 0.5, 0.0)
-        assert move(1, -0.1) is None and move(3, -0.1) is None  # the pair at 0
+        assert move(1, -0.1) == z and move(3, -0.1) == z  # the pair at 0
         assert move(1, 0.1) == (0.5, 0.1, 0.25, 0.0)
 
     def test_signed_never_gives_back_z(self):
@@ -629,6 +642,46 @@ class TestRunArguments:
             assert run(InequalityId.MAIN_17, 2.0, 3.0, SPEC, 0, seed=0).evaluations == 0
         cells = scan_grid(InequalityId.MAIN_17, [1.0], [2.0, 3.0], SPEC, 10, seed=0)
         assert all(cell.skipped for cell in cells)
+
+    @pytest.mark.parametrize("dim_range", [(1.5, 3), (1, 3.0)])
+    def test_dim_range_takes_integers(self, dim_range):
+        """numpy would raise its own UFuncTypeError at the first draw."""
+        with pytest.raises(DomainError) as info:
+            SampleSpec(dim_range=dim_range)
+        bad = [v for v in dim_range if isinstance(v, float)][0]
+        assert str(info.value) == f"each dim_range entry must be an integer, got {bad!r}"
+
+    def test_seed_takes_integers(self):
+        """SeedSequence would raise its own TypeError."""
+        want = r"^seed must be an integer, got 1\.5$"
+        for run in (counterexample_search, extremal_search):
+            with pytest.raises(DomainError, match=want):
+                run(InequalityId.MAIN_17, 2.0, 3.0, SPEC, 10, seed=1.5)
+        with pytest.raises(DomainError, match=want):
+            scan_grid(InequalityId.MAIN_17, [2.0], [3.0], SPEC, 10, seed=1.5)
+        with pytest.raises(DomainError, match=want):
+            sample_pair(SPEC, 1.5, 0)
+
+    @pytest.mark.parametrize("run", [counterexample_search, extremal_search])
+    def test_budget_takes_integers(self, run, no_draws):
+        """range would raise TypeError, and the descent would spend 3 of 2.5."""
+        with pytest.raises(DomainError) as info:
+            run(InequalityId.MAIN_17, 2.0, 3.0, SPEC, 2.5, seed=0)
+        assert str(info.value) == "budget must be an integer, got 2.5"
+
+    def test_samples_per_cell_takes_integers(self, no_draws):
+        with pytest.raises(DomainError) as info:
+            scan_grid(InequalityId.MAIN_17, [2.0], [3.0], SPEC, 2.5, seed=0)
+        assert str(info.value) == "samples_per_cell must be an integer, got 2.5"
+
+    def test_numpy_integers_run_as_ints(self):
+        """operator.index takes numpy integers: a run on them is the run on ints."""
+        spec, ints = SampleSpec(dim_range=(np.int64(2), np.int64(4))), SampleSpec(dim_range=(2, 4))
+        for run in (counterexample_search, extremal_search):
+            got = run(InequalityId.MAIN_17, 2.0, 3.0, spec, np.int64(30), seed=np.uint64(3))
+            assert got == run(InequalityId.MAIN_17, 2.0, 3.0, ints, 30, seed=3)
+        got = scan_grid(InequalityId.MAIN_17, [2.0], [3.0], spec, np.int64(20), np.uint64(3))
+        assert got == scan_grid(InequalityId.MAIN_17, [2.0], [3.0], ints, 20, 3)
 
     def test_scan_cell_cap(self, no_draws):
         q_grid = [3.0 + k for k in range(MAX_GRID_CELLS)]
