@@ -198,16 +198,32 @@ def _batch_pair_norms(
     to underflow, which core._p_norm restores by rescaling and numpy's
     sum does not: its norm is nan, so the screen keeps the row for the
     scalar path.
+
+    This runs once a block, and numpy's fixed cost per call is a large
+    share of it on short rows, so it makes few calls: x, y, x + y and
+    x - y are written into one (4, N) buffer (np.add and np.subtract
+    with out=, no np.stack and no temporaries), the 1/p root is taken in
+    place, and the underflow rescan runs only when the smallest sum is
+    below the smallest normal float, which almost no block has.
     """
-    z = np.stack((x, y, x + y, x - y))
+    z = np.empty((4, x.size))
+    z[0], z[1] = x, y
+    np.add(x, y, out=z[2])
+    np.subtract(x, y, out=z[3])
     terms = _batch_abs_powers(z, p)
     if w is not None:
         terms *= w
     sums = np.add.reduceat(terms, starts, axis=-1)
-    lost = sums < _MIN_NORMAL
-    if lost.any():
+    # No sum is nan, so the minimum sees every row: each term is a
+    # nonnegative float, finite or inf (an overflowing x + y or x - y),
+    # and such sums are too.
+    if np.minimum.reduce(sums, axis=None) < _MIN_NORMAL:
+        lost = sums < _MIN_NORMAL
         sums[lost & np.logical_or.reduceat(z != 0.0, starts, axis=-1)] = math.nan
-    return tuple(sums ** (1.0 / p))
+    # In place; **= takes the fast paths of ** (sqrt at p = 2), so the
+    # roots have the bits of sums ** (1.0 / p).
+    sums **= 1.0 / p
+    return tuple(sums)
 
 
 def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, starts: np.ndarray, k: float,
@@ -507,11 +523,17 @@ def batch_normalized_gaps(
     overflow is nan too: there numpy's rounding may stay finite where
     the scalar path overflows.  Only a screen: every verdict comes from
     evaluate.
+
+    It runs once a block, and on short rows numpy's fixed cost per call
+    is a large share of it: the nan write for rows near overflow is
+    behind one np.fmax.reduce, as almost no block has such a row.
     """
     entry = REGISTRY[id]
     with np.errstate(all="ignore"):
         lhs, rhs = entry.sides(*entry.batch_quantities(x, y, starts, p, q, w), p, q)
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         ng = (rhs - lhs) / scale
-    ng[scale > _NEAR_OVERFLOW] = math.nan
+    # fmax skips a nan scale, which marks its row nan already.
+    if np.fmax.reduce(scale) > _NEAR_OVERFLOW:
+        ng[scale > _NEAR_OVERFLOW] = math.nan
     return ng

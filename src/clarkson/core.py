@@ -23,13 +23,15 @@ otherwise), so ``math.fsum`` reads them without a list.
 ``_trusted_pair`` wraps floats in a pair of vectors without
 checking them; its one caller is the extremal descent's ``gap``, which
 wraps the halves of the tuple ``search._project`` returned.  Sampled
-pairs and their weights are built by the public constructors.  Every
-check here raises DomainError.
+pairs and their weights are built by the public constructors.
+``_check_integer`` checks the integer run arguments of search and the
+grid sizes of variational.  Every check here raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -46,6 +48,15 @@ MAX_GRID_CELLS = 10_000
 
 # The smallest normal float; a power sum below it has lost bits.
 _MIN_NORMAL = sys.float_info.min
+
+
+def _check_integer(name: str, value) -> int:
+    """value as an int, as numpy and range require: whatever
+    operator.index takes (an int or a numpy integer), else DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_entries(entries: Sequence[float]) -> Sequence[float]:

@@ -86,7 +86,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
@@ -107,7 +106,7 @@ from .catalog import (
     batch_normalized_gaps,
     evaluate,
 )
-from .core import MAX_GRID_CELLS, NonnegVector, RealVector, Weights, _p_norm
+from .core import MAX_GRID_CELLS, NonnegVector, RealVector, Weights, _check_integer, _p_norm
 from .errors import ClarksonError, DomainError, NonFiniteGap
 
 # Pairs per sample block.  Part of the stream layout: changing it
@@ -267,6 +266,7 @@ def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     none is checked.
     """
     _check_seed(seed)
+    _check_integer("sample block", block)
     # Block 2**192 starts at sample 2**200: a scan that reaches it never ends.
     if not 0 <= block < 2**192:
         raise DomainError(f"sample block must lie in [0, 2**192), got {block}")
@@ -278,7 +278,7 @@ def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     n += lo
     off = np.empty(_BLOCK + 1, np.int64)
     off[0] = 0
-    np.cumsum(n, out=off[1:])
+    n.cumsum(out=off[1:])
     signed = spec.constraint is Constraint.SIGNED
     entries = int(off[-1])
     # Words in stream order: x and y, the two masks, the weights, the two
@@ -317,16 +317,8 @@ def sample_pair(
     spec: SampleSpec, seed: int, index: int
 ) -> Tuple[RealVector, RealVector, Optional[Weights]]:
     """Deterministic sample: same (spec, seed, index) gives identical output."""
+    _check_integer("sample index", index)
     return sample_block(spec, seed, index // _BLOCK).pair(index % _BLOCK)
-
-
-def _check_integer(name: str, value) -> None:
-    """DomainError unless value is an integer (int, or a numpy integer:
-    whatever operator.index takes), as numpy and range require."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_seed(seed: int) -> None:
@@ -362,11 +354,16 @@ def _screen(ng: np.ndarray, rel_tol: float, margin: float, low: float) -> Tuple[
     of the row that set low.  That row was kept when it was seen, as it
     set low then; so the range's minimum, and every row tied with it, is
     evaluated.
+
+    It runs once a block, on a few hundred rows, where numpy's fixed cost
+    per call outweighs the work: it calls the ufunc method
+    np.minimum.reduce and ndarray.nonzero, not np.min and np.flatnonzero,
+    whose Python wrappers cost more than the arithmetic here.
     """
     finite = np.isfinite(ng)
-    low = min(low, float(np.min(ng, where=finite, initial=math.inf)))
+    low = min(low, float(np.minimum.reduce(ng, where=finite, initial=math.inf)))
     keep = ~finite | (ng < rel_tol + margin) | (ng <= low + 2.0 * margin)
-    return np.flatnonzero(keep), low
+    return keep.nonzero()[0], low
 
 
 def _eval_indices(
@@ -402,7 +399,7 @@ def _eval_indices(
         if identity:
             keep = ~np.isfinite(gaps)
             keep[0] |= start == indices.start
-            kept = np.flatnonzero(keep)
+            kept = keep.nonzero()[0]
         else:
             kept, low = _screen(gaps, policy.rel_tol, margin, low)
         for r in kept.tolist():

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .core import MAX_GRID_CELLS, NonnegVector, _check_pair, main_exponents
+from .core import MAX_GRID_CELLS, NonnegVector, _check_integer, _check_pair, main_exponents
 from .errors import DomainError, NonFiniteGap
 
 # chi_sign_scan counts a value within this of 0 as no sign.
@@ -146,6 +146,7 @@ class MonotonicityReport:
 
 def monotonicity_scan(ctx: PhiContext, grid_size: int) -> MonotonicityReport:
     """Check phi for nondecrease on a uniform grid over [0, 1]."""
+    grid_size = _check_integer("grid_size", grid_size)
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     if grid_size > MAX_GRID_CELLS:
@@ -251,6 +252,7 @@ class SignScanReport:
 
 def chi_sign_scan(ctx: ChiContext, grid_size: int) -> SignScanReport:
     """Scan chi over a uniform grid on [0, c] for sign behaviour."""
+    grid_size = _check_integer("grid_size", grid_size)
     if grid_size < 3:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
     if grid_size > MAX_GRID_CELLS:

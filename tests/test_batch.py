@@ -707,3 +707,57 @@ def test_non_finite_batch_gap_reaches_scalar_path(monkeypatch):
     # the row before it is the last one evaluated cleanly
     out = counterexample_search(InequalityId.MAIN_17, *exps, spec, row, SEED)
     assert math.isfinite(out.normalized_gap)
+
+
+def test_near_overflow_rows_are_nan_beside_a_nan_row():
+    """main-1.7 at (2, 3): the first row's sides are 2^1021, finite but
+    near overflow; the second row's power sum 1e-340 has lost bits, so
+    its norms, sides and scale are nan.  The nan scale must not hide
+    the first row from the near-overflow check."""
+    x, y = np.array([2.0**340, 1e-170]), np.array([0.0, 0.0])
+    ng = batch_normalized_gaps(InequalityId.MAIN_17, x, y, np.array([0, 1]), 2.0, 3.0)
+    assert np.isnan(ng).all()
+    # each row alone is nan as well
+    for r in (0, 1):
+        assert np.isnan(batch_normalized_gaps(InequalityId.MAIN_17, x[r:r + 1], y[r:r + 1],
+                                              np.array([0]), 2.0, 3.0)).all()
+
+
+def screen_rule(gaps, rel_tol, margin, low):
+    """search._screen's rule in plain Python: (kept rows, new low)."""
+    low = min([low] + [g for g in gaps if math.isfinite(g)])
+    kept = [r for r, g in enumerate(gaps)
+            if not math.isfinite(g) or g < rel_tol + margin or g <= low + 2.0 * margin]
+    return kept, low
+
+
+SCREEN_GAPS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-9, 0.5, 0.5 + 2.0**-39])
+
+
+@given(st.lists(SCREEN_GAPS, min_size=1, max_size=40),
+       st.just(math.inf) | st.floats(-1.0, 1.0), st.sampled_from([1e-12, 2.0**-40, 1e-3]))
+@settings(max_examples=300, deadline=None)
+def test_screen_follows_its_rule(gaps, low, margin):
+    kept, new_low = search._screen(np.array(gaps), DEFAULT_POLICY.rel_tol, margin, low)
+    assert (kept.tolist(), new_low) == screen_rule(gaps, DEFAULT_POLICY.rel_tol, margin, low)
+    assert isinstance(new_low, float)
+
+
+def test_screen_keeps_non_finite_rows_and_the_edge_of_the_window():
+    """low comes from the finite rows only; a row exactly at low + 2 margin
+    is kept, and the next float above it, a clear hold, is not."""
+    margin = 2.0**-40
+    edge = 0.5 + 2.0 * margin
+    gaps = [0.5, edge, math.nextafter(edge, math.inf), 1.0, math.nan, math.inf, -math.inf]
+    kept, low = search._screen(np.array(gaps), DEFAULT_POLICY.rel_tol, margin, math.inf)
+    assert low == 0.5
+    assert kept.tolist() == [0, 1, 4, 5, 6]
+
+
+def test_screen_without_a_finite_row_keeps_low():
+    for low in (math.inf, 0.25):
+        kept, new_low = search._screen(np.array([math.nan, math.inf, -math.inf]),
+                                       DEFAULT_POLICY.rel_tol, 1e-12, low)
+        assert new_low == low
+        assert kept.tolist() == [0, 1, 2]

@@ -674,6 +674,23 @@ class TestRunArguments:
             scan_grid(InequalityId.MAIN_17, [2.0], [3.0], SPEC, 2.5, seed=0)
         assert str(info.value) == "samples_per_cell must be an integer, got 2.5"
 
+    def test_sample_index_takes_integers(self):
+        """SeedSequence would raise its own TypeError about the seed."""
+        with pytest.raises(DomainError) as info:
+            sample_pair(SPEC, 0, 1.5)
+        assert str(info.value) == "sample index must be an integer, got 1.5"
+
+    def test_sample_block_takes_integers(self):
+        """A float block would pass the range check."""
+        with pytest.raises(DomainError) as info:
+            search.sample_block.__wrapped__(SPEC, 0, 1.5)
+        assert str(info.value) == "sample block must be an integer, got 1.5"
+
+    def test_numpy_sample_indices_are_ints(self):
+        assert sample_pair(SPEC, 3, np.int64(300)) == sample_pair(SPEC, 3, 300)
+        x, y, _ = search.sample_block.__wrapped__(SPEC, 3, np.uint64(1)).pair(44)
+        assert (x, y) == sample_pair(SPEC, 3, 300)[:2]
+
     def test_numpy_integers_run_as_ints(self):
         """operator.index takes numpy integers: a run on them is the run on ints."""
         spec, ints = SampleSpec(dim_range=(np.int64(2), np.int64(4))), SampleSpec(dim_range=(2, 4))

@@ -174,6 +174,16 @@ class TestMonotonicityScan:
         with pytest.raises(DomainError):
             monotonicity_scan(ctx, 1)
 
+    def test_grid_size_takes_integers(self):
+        """range would raise a bare TypeError."""
+        ctx = PhiContext(NonnegVector((2.0, 1.0)), NonnegVector((1.0, 1.0)), 2.0, 4.0)
+        with pytest.raises(DomainError) as info:
+            monotonicity_scan(ctx, 2.5)
+        assert str(info.value) == "grid_size must be an integer, got 2.5"
+        report = monotonicity_scan(ctx, np.int64(17))  # runs as the int: float grid points
+        assert report == monotonicity_scan(ctx, 17)
+        assert {type(t) for t in report.grid} == {float}
+
     def test_grid_size_cap(self, monkeypatch):
         """Raised before any point is evaluated."""
         grid_size = MAX_GRID_CELLS + 1
@@ -435,6 +445,16 @@ class TestChiSignScan:
     def test_grid_guard(self):
         with pytest.raises(DomainError):
             chi_sign_scan(ChiContext(2.0, 2.0, 1.0), 2)
+
+    def test_grid_size_takes_integers(self):
+        """range would raise a bare TypeError."""
+        ctx = ChiContext(1.5, 3.0, 0.5)
+        with pytest.raises(DomainError) as info:
+            chi_sign_scan(ctx, 2.5)
+        assert str(info.value) == "grid_size must be an integer, got 2.5"
+        report = chi_sign_scan(ctx, np.int64(11))  # runs as the int: float grid points
+        assert report == chi_sign_scan(ctx, 11)
+        assert {type(t) for t in report.grid} == {float}
 
     def test_grid_size_cap(self, monkeypatch):
         """Raised before any point is evaluated."""
