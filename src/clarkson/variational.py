@@ -18,6 +18,20 @@ at that point.  Each scan's report carries its grid and values, which
 the CLI prints, so a table takes one pass.  Each call goes through
 `_finite_values`, so all of them raise NonFiniteGap on an overflow or a
 non-finite value.
+
+phi and phi_prime are sums over the entries, and most of their time is
+Python's fixed cost per comprehension and per math.fsum call.  So
+`_phi_values` and `_phi_prime_values` take the grid in chunks of
+m = max(1, _CHUNK_TERMS // n) points, and build each sum's terms for a
+whole chunk in one entry-major comprehension,
+`[(a + b * t) ** p for a, b in pairs for t in chunk]`: point j's n terms
+sit at terms[j::m].  A term is the same expression on the same floats as
+at one point, and math.fsum rounds the exact sum of its terms once,
+whatever their order, so no value moves by a bit whether a point is
+evaluated alone or in a chunk, first or last.  A chunk holds at most
+_CHUNK_TERMS terms a side, or n when n exceeds it, so memory does not
+grow with the grid.  The public phi and phi_prime evaluate one point,
+a chunk of one, and pay the chunk's set-up for it.
 """
 
 from __future__ import annotations
@@ -31,6 +45,9 @@ from .errors import DomainError, NonFiniteGap
 
 # chi_sign_scan counts a value within this of 0 as no sign.
 _ZERO_TOL = 1e-12
+
+# The most terms a side that _phi_values and _phi_prime_values hold at once.
+_CHUNK_TERMS = 1024
 
 
 @dataclass(frozen=True)
@@ -61,7 +78,9 @@ def _phi_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
 
     Every base is >= 0 (u >= v >= 0, 0 <= t <= 1), so no power takes an
     absolute value; a -0.0 base only gives a zero term, and math.fsum
-    returns +0.0 for a sum of zeros.
+    returns +0.0 for a sum of zeros.  Each side's terms for a chunk of
+    points come from one entry-major comprehension, point j's at
+    terms[j::m]; see the module docstring.
     """
     p, q = ctx.p, ctx.q
     e = q / p
@@ -70,12 +89,17 @@ def _phi_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
     su_e = math.fsum([a**p for a in us]) ** e
     sv_e = math.fsum([b**p for b in vs]) ** e
     k = 2.0 ** (q - 1.0)
-    return [
-        math.fsum([(a + b * t) ** p for a, b in pairs]) ** e
-        + math.fsum([(a - b * t) ** p for a, b in pairs]) ** e
-        - k * (su_e + sv_e * t**q)
-        for t in ts
-    ]
+    out: List[float] = []
+    for chunk in _chunks(ts, len(pairs)):
+        m = len(chunk)
+        plus = [(a + b * t) ** p for a, b in pairs for t in chunk]
+        minus = [(a - b * t) ** p for a, b in pairs for t in chunk]
+        out += [
+            math.fsum(plus[j::m]) ** e + math.fsum(minus[j::m]) ** e
+            - k * (su_e + sv_e * t**q)
+            for j, t in enumerate(chunk)
+        ]
+    return out
 
 
 def phi_prime(ctx: PhiContext, t: float) -> float:
@@ -95,24 +119,36 @@ def phi_prime_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
 def _phi_prime_values(ctx: PhiContext, ts: Sequence[float]) -> List[float]:
     """phi_prime at each t of ts in (0, 1), without the domain check.
 
-    As in _phi_values, every base is >= 0 and the powers are plain.
+    As in _phi_values, every base is >= 0, the powers are plain and each
+    of the four sums takes its terms for a chunk of points from one
+    entry-major comprehension.
     """
     p, q = ctx.p, ctx.q
     e = q / p - 1.0
     p1 = p - 1.0
     q1 = q - 1.0
     us, vs = ctx.u.entries, ctx.v.entries
+    pairs = list(zip(us, vs))
     k = 2.0**q1 * math.fsum([b**p for b in vs]) ** (q / p)
-    out = []
-    for t in ts:
-        plus = [a + b * t for a, b in zip(us, vs)]
-        minus = [a - b * t for a, b in zip(us, vs)]
-        splus = math.fsum([w**p for w in plus])
-        sminus = math.fsum([w**p for w in minus])
-        dplus = math.fsum([b * w**p1 for b, w in zip(vs, plus)])
-        dminus = math.fsum([b * w**p1 for b, w in zip(vs, minus)])
-        out.append(q * (splus**e * dplus - sminus**e * dminus - k * t**q1))
+    out: List[float] = []
+    for chunk in _chunks(ts, len(pairs)):
+        m = len(chunk)
+        splus = [(a + b * t) ** p for a, b in pairs for t in chunk]
+        sminus = [(a - b * t) ** p for a, b in pairs for t in chunk]
+        dplus = [b * (a + b * t) ** p1 for a, b in pairs for t in chunk]
+        dminus = [b * (a - b * t) ** p1 for a, b in pairs for t in chunk]
+        out += [
+            q * (math.fsum(splus[j::m]) ** e * math.fsum(dplus[j::m])
+                 - math.fsum(sminus[j::m]) ** e * math.fsum(dminus[j::m]) - k * t**q1)
+            for j, t in enumerate(chunk)
+        ]
     return out
+
+
+def _chunks(ts: Sequence[float], n: int) -> List[Sequence[float]]:
+    """ts cut into runs of max(1, _CHUNK_TERMS // n) points, n entries a point."""
+    m = max(1, _CHUNK_TERMS // n)
+    return [ts[i : i + m] for i in range(0, len(ts), m)]
 
 
 def _finite_values(
@@ -263,16 +299,17 @@ def chi_sign_scan(ctx: ChiContext, grid_size: int) -> SignScanReport:
     ss[-1] = min(ss[-1], c)
     vals = _finite_values("chi", _chi_values, ctx, ss)
     tol = _ZERO_TOL
-    has_pos = max(vals) > tol
-    has_neg = min(vals) < -tol
+    has_pos = has_neg = False
     intervals: List[Tuple[float, float]] = []
     prev_sign = 0
     prev_s = ss[0]
     for s, v in zip(ss, vals):
         if v > tol:
             sign = 1
+            has_pos = True
         elif v < -tol:
             sign = -1
+            has_neg = True
         else:
             continue
         if prev_sign != 0 and sign != prev_sign:

@@ -1,5 +1,7 @@
 import math
+import random
 import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -328,6 +330,80 @@ class TestGridEvaluators:
         got = _hex(_chi_values(ctx, ss))
         assert got == _hex([chi(ctx, s) for s in ss])
         assert got == _hex([_chi_per_point(ctx, s) for s in ss])
+
+
+def _long_ctx(n, p=2.5, q=3.7):
+    """A seeded dominated context with n entries."""
+    rng = random.Random(n)
+    xs = [rng.random() for _ in range(n)]
+    ys = [rng.random() for _ in range(n)]
+    return PhiContext(NonnegVector(tuple(max(a, b) for a, b in zip(xs, ys))),
+                      NonnegVector(tuple(min(a, b) for a, b in zip(xs, ys))), p, q)
+
+
+class TestChunkedEvaluators:
+    """The hypothesis grids above fit in one chunk; these span several."""
+
+    @pytest.mark.parametrize("n", [150, 600, 2000])
+    def test_values_across_chunk_edges(self, n):
+        ctx = _long_ctx(n)
+        ts = [(k + 1) / 42 for k in range(41)]
+        assert len(variational._chunks(ts, n)) > 1
+        assert _hex(_phi_values(ctx, ts)) == _hex([_phi_per_point(ctx, t) for t in ts])
+        assert _hex(_phi_prime_values(ctx, ts)) == _hex(
+            [_phi_prime_per_point(ctx, t) for t in ts])
+
+    def test_chunks_bound_memory(self):
+        """An unchunked layout would hold 65 * 5000 terms a side, about 21 MB
+        of floats and list slots; a chunk holds one point's 5000."""
+        ctx = _long_ctx(5000)
+        ts = [k / 64 for k in range(65)]
+        tracemalloc.start()
+        try:
+            _phi_values(ctx, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+def _sign_reference(ss, vals, tol=variational._ZERO_TOL):
+    """(has_positive, has_negative, intervals) with max, min and a plain sign walk."""
+    intervals = []
+    prev_sign, prev_s = 0, ss[0]
+    for s, v in zip(ss, vals):
+        sign = 1 if v > tol else -1 if v < -tol else 0
+        if sign == 0:
+            continue
+        if prev_sign not in (0, sign):
+            intervals.append((prev_s, s))
+        prev_sign, prev_s = sign, s
+    return max(vals) > tol, min(vals) < -tol, tuple(intervals)
+
+
+class TestSignSummary:
+    """chi_sign_scan takes its signs from one pass over its values."""
+
+    @given(st.floats(min_value=1.01, max_value=6.0), st.floats(min_value=1.01, max_value=6.0),
+           st.floats(min_value=0.01, max_value=1.0), st.integers(min_value=3, max_value=200))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reference(self, p, q, c, grid_size):
+        report = chi_sign_scan(ChiContext(p, q, c), grid_size)
+        assert (report.has_positive, report.has_negative, report.sign_change_intervals) == (
+            _sign_reference(report.grid, report.values))
+
+    @pytest.mark.parametrize("p, q, signs", [
+        (2.0, 2.0, (False, False)),  # chi is flat: no sign, no interval
+        (2.0, 3.0, (True, False)),  # chi = 6s(1 - s^2) >= 0
+        (2.0, 1.5, (False, True)),
+        (4.0 / 3.0, 4.0, (True, True)),
+    ])
+    def test_fixed_contexts(self, p, q, signs):
+        report = chi_sign_scan(ChiContext(p, q, 1.0), 101)
+        assert (report.has_positive, report.has_negative) == signs
+        assert (*signs, report.sign_change_intervals) == _sign_reference(
+            report.grid, report.values)
+        assert bool(report.sign_change_intervals) == all(signs)
 
 
 class TestChiContext:
