@@ -10,6 +10,7 @@ single uniform verdict rule.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from operator import add, sub
@@ -167,11 +168,34 @@ def _pair_norms(x, y, p: float, q: Optional[float], w) -> Tuple[float, float, fl
     return _p_norm(x, p, w), _p_norm(y, p, w), _p_norm(s, p, w), _p_norm(d, p, w)
 
 
+@functools.lru_cache(maxsize=1)
+def _zero_lanes_slow() -> bool:
+    """Whether numpy's float64 power runs its AVX-512 kernel, which takes
+    a slow path on every lane that holds a zero (on a 2-vCPU Xeon, 3.7x
+    slower on an all-zero array and 2.3x on a half-zero one).  Its
+    baseline kernel is a scalar libm loop, where a zero is the fast case
+    and 1.0 the slow one.  numpy before 2.0 has no np.lib.introspect; it
+    is taken to run the AVX-512 kernel then, which changes only speed.
+    """
+    introspect = getattr(np.lib, "introspect", None)
+    if introspect is None:
+        return True
+    info = introspect.opt_func_info(func_name="^power$", signature="float64")
+    current = info.get("power", {}).get("ddd", {}).get("current", "")
+    return "X86_V4" in current or "AVX512" in current
+
+
 def _batch_abs_powers(z: np.ndarray, k: float) -> np.ndarray:
     """|z|^k entrywise, for k >= 1, path for path as core._abs_powers, so
     at k = 1, 2, 3 and 4 the terms equal the scalar path's bit for bit.
-    At any other k every entry is raised by numpy's power; a zero entry
-    gives +0.0, as on the scalar path.
+    At any other k every entry's term is numpy's power of it, and a zero
+    entry gives +0.0, as on the scalar path.
+
+    A sparse block is about half zeros, which numpy's AVX-512 power is
+    slow on (_zero_lanes_slow).  So there, when one reduction finds a
+    zero, 1.0 is added at the zero entries before the power and
+    subtracted after it: 1.0^k is exactly 1.0 and 1.0 - 1.0 is +0.0, and
+    adding or subtracting 0.0 at the other entries keeps their bits.
     """
     if k == 2.0:
         return z * z
@@ -182,6 +206,12 @@ def _batch_abs_powers(z: np.ndarray, k: float) -> np.ndarray:
         return squares * squares
     a = np.abs(z)
     if k == 1.0:
+        return a
+    if _zero_lanes_slow() and np.minimum.reduce(a, axis=None) == 0.0:
+        zero = a == 0.0
+        a += zero
+        np.power(a, k, out=a)
+        a -= zero
         return a
     return np.power(a, k, out=a)
 
@@ -230,16 +260,21 @@ def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, starts: np.ndarray, k: fl
                          e: float) -> tuple:
     """Per row, the sums of x^k, y^k, max(x, y)^k and min(x, y)^k; then e.
 
-    As in _repaired_sums, x and y are raised once and the re-paired
-    terms are picked from theirs, and at e = 1 both sides are the one
-    sum of all 2n terms, so the gap is 0.0 on every finite row.
+    As in _repaired_sums, x and y are raised once, and at e = 1 both
+    sides are the one sum of all 2n terms, so the gap is 0.0 on every
+    finite row.  The re-paired terms are the larger and the smaller of
+    each entry's two terms, np.maximum and np.minimum of px and py: the
+    terms _repaired_sums picks by comparing the entries, as numpy's
+    power is nondecreasing in its base (search._SCREEN_MARGIN gives the
+    measurement, and why the screen's bound would hold even if it were
+    not).  On a dominated pair the larger term is x's, so u == a and
+    v == b bit for bit.
     """
     px, py = _batch_abs_powers(x, k), _batch_abs_powers(y, k)
     if e == 1.0:
         s = np.add.reduceat(px + py, starts)
         return s, 0.0, s, 0.0, e
-    swap = x < y
-    terms = (px, py, np.where(swap, py, px), np.where(swap, px, py))
+    terms = (px, py, np.maximum(px, py), np.minimum(px, py))
     return (*(np.add.reduceat(t, starts) for t in terms), e)
 
 
@@ -531,8 +566,11 @@ def batch_normalized_gaps(
     entry = REGISTRY[id]
     with np.errstate(all="ignore"):
         lhs, rhs = entry.sides(*entry.batch_quantities(x, y, starts, p, q, w), p, q)
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-        ng = (rhs - lhs) / scale
+        scale = np.abs(lhs)
+        np.maximum(scale, np.abs(rhs), out=scale)
+        np.maximum(scale, 1.0, out=scale)
+        ng = rhs - lhs
+        ng /= scale
     # fmax skips a nan scale, which marks its row nan already.
     if np.fmax.reduce(scale) > _NEAR_OVERFLOW:
         ng[scale > _NEAR_OVERFLOW] = math.nan

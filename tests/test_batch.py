@@ -135,6 +135,11 @@ def test_search_equals_all_scalar_reduction(id, constraint):
     assert worst <= _SCREEN_MARGIN / 100
 
 
+# About half of the entries are exactly 0.0, as in a sparse block, so
+# the batch powers' zero path is drawn.
+MARGIN_ENTRIES = st.just(0.0) | st.floats(0.0, 2.0)
+
+
 @st.composite
 def margin_cases(draw):
     """(id, p, q, x, y, w): a pair of n <= 64 entries meeting id's
@@ -152,7 +157,7 @@ def margin_cases(draw):
         q = draw(st.floats(p, 400.0))
     p, q = entry.exponents(p, q)
     n = 1 if id is COR else draw(st.integers(1, 64))
-    side = st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)
+    side = st.lists(MARGIN_ENTRIES, min_size=n, max_size=n)
     x, y = draw(side), draw(side)
     if entry.constraint is Constraint.SIGNED:
         signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2 * n, max_size=2 * n))
@@ -580,6 +585,69 @@ def test_live_zeros_raise_to_exactly_plus_zero(constraint):
         for z in zs:
             terms = catalog._batch_abs_powers(z, k)[z == 0.0]
             assert terms.tobytes() == np.zeros_like(terms).tobytes()
+
+
+def power_test_arrays():
+    """Arrays the batch kernels raise: sparse rows of a signed block and
+    their sums and differences, laid out flat and as the (4, N) buffer
+    of _batch_pair_norms; all-zero rows; and rows with -0.0 entries and
+    the inf entries of an overflowing x + y."""
+    spec = SampleSpec(dim_range=(1, 64), distribution=Distribution.SPARSE,
+                      constraint=Constraint.SIGNED)
+    block = sample_block(spec, SEED, 2)
+    x, y = block.x, block.y
+    half = np.array([0.0, -0.0, 1e308, -1e308, 0.5, -0.0, 2.0**-1074, 3.0])
+    with np.errstate(over="ignore"):
+        edge = half + half
+    return [x, x - y, np.stack((x, y, x + y, x - y)), np.zeros(100), np.zeros((4, 9)), edge,
+            np.stack((edge, -edge, np.zeros(8), np.full(8, 1.5)))]
+
+
+@pytest.mark.parametrize("zero_lanes_slow", [True, False])
+@pytest.mark.parametrize("k", [1.5, 2.5, 3.7, 7.3, 51.2, 199.0])
+def test_batch_powers_equal_numpy_power_bit_for_bit(k, zero_lanes_slow, monkeypatch):
+    """At a non-integer or large k every term is np.power(|z|, k), on
+    either kernel's path: where zero entries, -0.0 ones included, are
+    raised as 1.0 and set back to +0.0, no other entry's term moves."""
+    monkeypatch.setattr(catalog, "_zero_lanes_slow", lambda: zero_lanes_slow)
+    for z in power_test_arrays():
+        with np.errstate(over="ignore"):
+            want = np.power(np.abs(z), k)
+        got = catalog._batch_abs_powers(z, k)
+        assert got.shape == z.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any()
+
+
+def where_pick_repaired_sums(x, y, starts, k, e):
+    """The re-paired sums with each term picked by comparing the entries,
+    as _repaired_sums picks them: y's term where x < y, x's otherwise."""
+    px, py = catalog._batch_abs_powers(x, k), catalog._batch_abs_powers(y, k)
+    swap = x < y
+    terms = (px, py, np.where(swap, py, px), np.where(swap, px, py))
+    return (*(np.add.reduceat(t, starts) for t in terms), e)
+
+
+@pytest.mark.parametrize("dist", [Distribution.SPARSE, Distribution.UNIFORM_01])
+@pytest.mark.parametrize("constraint", [Constraint.NONNEGATIVE, Constraint.DOMINATED_PAIR])
+def test_repaired_sums_equal_the_entry_ordered_pick(dist, constraint):
+    """The larger and smaller of each entry's two terms are the terms the
+    entry order picks, bit for bit, ties and zeros included: rows with
+    y = x and rows with y = x at every other entry are added to each
+    block, and on a dominated pair u == a and v == b."""
+    spec = SampleSpec(dim_range=(1, 64), distribution=dist, constraint=constraint)
+    x, y, starts, _ = sample_block(spec, SEED, 0).rows(0, _BLOCK)
+    tied = np.where(np.arange(x.size) % 2 == 0, x, y)
+    if constraint is Constraint.DOMINATED_PAIR:
+        tied = np.minimum(x, tied)
+    x, y = np.concatenate((x, x, x)), np.concatenate((y, x, tied))
+    starts = np.concatenate((starts, starts + x.size // 3, starts + 2 * x.size // 3))
+    for k in (1.0, 2.0, 2.5, 3.0, 4.0, 1 / 0.3, 7.3, 51.2):
+        got = catalog._batch_repaired_sums(x, y, starts, k, 1.5)
+        want = where_pick_repaired_sums(x, y, starts, k, 1.5)
+        assert [a.tobytes() for a in got[:4]] == [a.tobytes() for a in want[:4]]
+        if constraint is Constraint.DOMINATED_PAIR:
+            assert (got[0].tobytes(), got[1].tobytes()) == (got[2].tobytes(), got[3].tobytes())
 
 
 def padded_quantities(id, x, y, w, p, q):
