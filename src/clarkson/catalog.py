@@ -174,12 +174,12 @@ def _zero_lanes_slow() -> bool:
     a slow path on every lane that holds a zero (on a 2-vCPU Xeon, 3.7x
     slower on an all-zero array and 2.3x on a half-zero one).  Its
     baseline kernel is a scalar libm loop, where a zero is the fast case
-    and 1.0 the slow one.  numpy before 2.0 has no np.lib.introspect; it
-    is taken to run the AVX-512 kernel then, which changes only speed.
+    and 1.0 the slow one.  numpy before 2.0 has no np.lib.introspect, and
+    its kernels were not timed, so there the zeros are raised as they are.
     """
     introspect = getattr(np.lib, "introspect", None)
     if introspect is None:
-        return True
+        return False
     info = introspect.opt_func_info(func_name="^power$", signature="float64")
     current = info.get("power", {}).get("ddd", {}).get("current", "")
     return "X86_V4" in current or "AVX512" in current
@@ -453,6 +453,10 @@ class Inequality:
     is an identity, at a (p, q) exponents returned and on inputs meeting
     constraint: there every scalar gap that evaluate does not raise on is
     exactly 0.0, and every finite batch gap is 0.0 (search reads it).
+    On dominated pairs the re-paired batch sums (_batch_repaired_sums)
+    owe that 0.0 to numpy's power being nondecreasing in its base, a
+    measured property that tests/test_batch.py checks on every numpy CI
+    runs, the oldest allowed included.
     """
 
     constraint: Constraint
@@ -566,11 +570,8 @@ def batch_normalized_gaps(
     entry = REGISTRY[id]
     with np.errstate(all="ignore"):
         lhs, rhs = entry.sides(*entry.batch_quantities(x, y, starts, p, q, w), p, q)
-        scale = np.abs(lhs)
-        np.maximum(scale, np.abs(rhs), out=scale)
-        np.maximum(scale, 1.0, out=scale)
-        ng = rhs - lhs
-        ng /= scale
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+        ng = (rhs - lhs) / scale
     # fmax skips a nan scale, which marks its row nan already.
     if np.fmax.reduce(scale) > _NEAR_OVERFLOW:
         ng[scale > _NEAR_OVERFLOW] = math.nan

@@ -142,7 +142,8 @@ _MIN_STEP = 1e-8
 #   its base (none of 28M pairs of adjacent floats at seven k from 1.5
 #   to 199 was out of order, on the AVX2 or the AVX-512 kernels).
 #   Inequality.identity's exact 0.0 on dominated pairs rests on that
-#   monotonicity: there x_i >= y_i, and the larger term must be x_i's;
+#   monotonicity, which tests/test_batch.py checks on adjacent floats:
+#   there x_i >= y_i, and the larger term must be x_i's;
 # - every side raises S, and each rounded intermediate (the norm
 #   S^(1/p), inner powers and sums, the outer power), to a power of at
 #   most e = max(p, q) (q = p/(p-1) for c-1.1 and c-1.2, whose (p, q)

@@ -619,6 +619,22 @@ def test_batch_powers_equal_numpy_power_bit_for_bit(k, zero_lanes_slow, monkeypa
         assert not np.signbit(got).any()
 
 
+def test_zero_lanes_gate_reads_numpy_dispatch():
+    """_zero_lanes_slow is on exactly where numpy was built with an
+    AVX-512 float64 power and the CPU's features enable it at run time
+    (NPY_DISABLE_CPU_FEATURES included).  A numpy that renamed what the
+    gate reads in opt_func_info would turn the zero path off silently;
+    here it fails."""
+    introspect = getattr(np.lib, "introspect", None)
+    if introspect is None:
+        pytest.skip("numpy < 2.0 has no np.lib.introspect: the zero path stays off")
+    dispatch = introspect.opt_func_info(func_name="^power$", signature="float64")["power"]["ddd"]
+    assert dispatch["current"]
+    features = np._core._multiarray_umath.__cpu_features__
+    targets = [t for t in dispatch["available"].split() if "X86_V4" in t or "AVX512" in t]
+    assert catalog._zero_lanes_slow() == any(features.get(t, False) for t in targets)
+
+
 def where_pick_repaired_sums(x, y, starts, k, e):
     """The re-paired sums with each term picked by comparing the entries,
     as _repaired_sums picks them: y's term where x < y, x's otherwise."""
@@ -648,6 +664,22 @@ def test_repaired_sums_equal_the_entry_ordered_pick(dist, constraint):
         assert [a.tobytes() for a in got[:4]] == [a.tobytes() for a in want[:4]]
         if constraint is Constraint.DOMINATED_PAIR:
             assert (got[0].tobytes(), got[1].tobytes()) == (got[2].tobytes(), got[3].tobytes())
+
+
+@pytest.mark.parametrize("k", [1.5, 2.5, 3.7, 1 / 0.3, 7.3, 51.2, 199.0])
+def test_numpy_power_is_nondecreasing_on_adjacent_floats(k):
+    """np.maximum and np.minimum of two terms pick the terms of the larger
+    and the smaller entry only if numpy's power never orders two entries
+    the other way; the exact 0.0 of Inequality.identity's dominated cells
+    rests on it.  Each base is checked against the next float up, over
+    draws in [0, 2], near 1, and over the full exponent range."""
+    rng = np.random.default_rng(SEED)
+    a = np.concatenate((rng.uniform(0.0, 2.0, 100_000), 1.0 + rng.uniform(-1e-6, 1e-6, 20_000),
+                        np.ldexp(rng.uniform(0.5, 1.0, 20_000), rng.integers(-1074, 1024, 20_000))))
+    b = np.nextafter(a, math.inf)
+    with np.errstate(over="ignore", under="ignore"):
+        pa, pb = catalog._batch_abs_powers(a, k), catalog._batch_abs_powers(b, k)
+    assert not (pa > pb).any()
 
 
 def padded_quantities(id, x, y, w, p, q):
