@@ -2,11 +2,9 @@
 inequalities on nonnegative and signed finite l_p vectors.
 
 Each exported name is resolved on first access (PEP 562) by importing the
-module that defines it: ``import clarkson`` runs no submodule but
-``_numpy``, and ``clarkson.phi`` loads ``variational`` without ``search``,
-so a command pays only for the modules it runs."""
-
-from . import _numpy  # noqa: F401  a missing numpy fails here, as _numpy says
+module that defines it: ``import clarkson`` runs no submodule, and
+``clarkson.phi`` loads ``variational`` without ``search``, so a command
+pays only for the modules it runs, and numpy only where it runs."""
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from operator import add, sub
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-from ._numpy import np
+# The batch kernels import numpy in their bodies, so evaluate and the
+# CLI's verify, phi and chi run without it (tests/test_cold_start.py).
 from .core import (
     _MIN_NORMAL,
     NonnegVector,
@@ -128,10 +129,6 @@ class GapReport(NamedTuple):
     scale: float
     verdict: Verdict
 
-    @property
-    def normalized_gap(self) -> float:
-        return self.gap / self.scale
-
 
 def report(
     id: InequalityId,
@@ -177,6 +174,7 @@ def _zero_lanes_slow() -> bool:
     and 1.0 the slow one.  numpy before 2.0 has no np.lib.introspect, and
     its kernels were not timed, so there the zeros are raised as they are.
     """
+    import numpy as np
     introspect = getattr(np.lib, "introspect", None)
     if introspect is None:
         return False
@@ -197,6 +195,7 @@ def _batch_abs_powers(z: np.ndarray, k: float) -> np.ndarray:
     subtracted after it: 1.0^k is exactly 1.0 and 1.0 - 1.0 is +0.0, and
     adding or subtracting 0.0 at the other entries keeps their bits.
     """
+    import numpy as np
     if k == 2.0:
         return z * z
     if k == 3.0:
@@ -236,6 +235,7 @@ def _batch_pair_norms(
     place, and the underflow rescan runs only when the smallest sum is
     below the smallest normal float, which almost no block has.
     """
+    import numpy as np
     z = np.empty((4, x.size))
     z[0], z[1] = x, y
     np.add(x, y, out=z[2])
@@ -270,6 +270,7 @@ def _batch_repaired_sums(x: np.ndarray, y: np.ndarray, starts: np.ndarray, k: fl
     not).  On a dominated pair the larger term is x's, so u == a and
     v == b bit for bit.
     """
+    import numpy as np
     px, py = _batch_abs_powers(x, k), _batch_abs_powers(y, k)
     if e == 1.0:
         s = np.add.reduceat(px + py, starts)
@@ -567,6 +568,7 @@ def batch_normalized_gaps(
     is a large share of it: the nan write for rows near overflow is
     behind one np.fmax.reduce, as almost no block has such a row.
     """
+    import numpy as np
     entry = REGISTRY[id]
     with np.errstate(all="ignore"):
         lhs, rhs = entry.sides(*entry.batch_quantities(x, y, starts, p, q, w), p, q)

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import FrozenSet
 
+import numpy as np
+
 from . import catalog
-from ._numpy import np
 from .catalog import DEFAULT_POLICY, GapReport, InequalityId, TolerancePolicy
 from .core import NonnegVector, _check_pair
 from .errors import DomainError

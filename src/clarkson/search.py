@@ -86,11 +86,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
-from ._numpy import np
+import numpy as np
+
 from .catalog import (
     DEFAULT_POLICY,
     REGISTRY,
@@ -179,11 +181,18 @@ class SampleSpec:
     weights: bool = False
 
     def __post_init__(self):
+        if not (isinstance(self.dim_range, tuple) and len(self.dim_range) == 2):
+            raise DomainError(f"dim_range must be a tuple (lo, hi), got {self.dim_range!r}")
         lo, hi = self.dim_range
         _check_integer("each dim_range entry", lo)
         _check_integer("each dim_range entry", hi)
         if not (1 <= lo <= hi <= 64):
             raise DomainError(f"dim_range must satisfy 1 <= lo <= hi <= 64, got {self.dim_range}")
+        for name, kind, what in (("distribution", Distribution, "a Distribution"),
+                                 ("constraint", Constraint, "a Constraint"),
+                                 ("weights", bool, "a bool"), ("density", numbers.Real, "real")):
+            if not isinstance(getattr(self, name), kind):
+                raise DomainError(f"{name} must be {what}, got {getattr(self, name)!r}")
         if not (0.0 < self.density <= 1.0):
             raise DomainError(f"density must lie in (0, 1], got {self.density}")
 
@@ -208,12 +217,11 @@ class SearchStatus(enum.Enum):
 class SampleBlock:
     """The _BLOCK pairs of a sample block as flat arrays of their entries.
 
-    Row r is a pair of length n[r], whose entries are x, y and w at
-    off[r]:off[r + 1]; off has _BLOCK + 1 items, off[0] = 0 and
-    diff(off) = n.  The arrays are read-only: blocks are cached and shared.
+    Row r is the pair whose entries are x, y and w at off[r]:off[r + 1];
+    off has _BLOCK + 1 items and off[0] = 0, so diff(off) holds the row
+    lengths.  The arrays are read-only: blocks are cached and shared.
     """
 
-    n: np.ndarray
     off: np.ndarray
     x: np.ndarray
     y: np.ndarray
@@ -317,10 +325,10 @@ def sample_block(spec: SampleSpec, seed: int, block: int) -> SampleBlock:
     x, y = xy
     if spec.constraint is Constraint.DOMINATED_PAIR:
         x, y = np.maximum(x, y), np.minimum(x, y)
-    for arr in (n, off, x, y, w):
+    for arr in (off, x, y, w):
         if arr is not None:
             arr.flags.writeable = False
-    return SampleBlock(n, off, x, y, w, signed)
+    return SampleBlock(off, x, y, w, signed)
 
 
 def sample_pair(

@@ -710,9 +710,10 @@ def test_masked_and_dense_batch_gaps_are_equal(id):
     spec = SampleSpec(dim_range=(1, nmax), distribution=Distribution.SPARSE,
                       constraint=REGISTRY[id].constraint, weights=REGISTRY[id].weighted)
     block = sample_block(spec, SEED, 1)
-    assert (block.n < nmax).any()
+    n = np.diff(block.off)
+    assert (n < nmax).any()
     assert (block.x == 0.0).any() and (block.y == 0.0).any()
-    live = np.arange(nmax) < block.n[:, None]
+    live = np.arange(nmax) < n[:, None]
 
     def padded(v):
         out = np.zeros(live.shape)
@@ -745,7 +746,7 @@ def test_sample_pair_is_the_block_row(constraint, weighted):
         r = index % _BLOCK
         x, y, w = sample_pair(spec, SEED, index)
         row = slice(block.off[r], block.off[r + 1])
-        assert len(x) == len(y) == block.n[r] == row.stop - row.start
+        assert len(x) == len(y) == row.stop - row.start
         assert x.entries == tuple(block.x[row].tolist())
         assert y.entries == tuple(block.y[row].tolist())
         if weighted:
@@ -780,7 +781,7 @@ def test_sample_pair_checks_its_row(array, value, error, monkeypatch):
 
 def test_blocks_are_read_only():
     block = sample_block(SampleSpec(weights=True), SEED, 0)
-    for a in (block.n, block.off, block.x, block.y, block.w):
+    for a in (block.off, block.x, block.y, block.w):
         with pytest.raises(ValueError):
             a[1] = 1
 

@@ -58,6 +58,17 @@ REJECTED = [
     ("empty grid", lambda: scan_grid(MAIN, [], [3.0], SampleSpec(), 10, 0), "empty p or q grid"),
     ("over-long vector", lambda: RealVector([0.0] * (MAX_LEN + 1)),
      f"vector length {MAX_LEN + 1} exceeds maximum {MAX_LEN}"),
+    # A spec field of another type would draw other samples or fail later.
+    ("distribution string", lambda: SampleSpec(distribution="exponential"),
+     "distribution must be a Distribution, got 'exponential'"),
+    ("constraint string", lambda: SampleSpec(constraint="signed"),
+     "constraint must be a Constraint, got 'signed'"),
+    ("weights string", lambda: SampleSpec(weights="no"), "weights must be a bool, got 'no'"),
+    ("density string", lambda: SampleSpec(density="0.5"), "density must be real, got '0.5'"),
+    ("dim_range list", lambda: SampleSpec(dim_range=[1, 16]),
+     "dim_range must be a tuple (lo, hi), got [1, 16]"),
+    ("dim_range triple", lambda: SampleSpec(dim_range=(1, 16, 3)),
+     "dim_range must be a tuple (lo, hi), got (1, 16, 3)"),
 ]
 
 
